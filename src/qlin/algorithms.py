@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .circuit import Circuit, add_cnot, add_h, add_p, adjoint, identity
+from .circuit import Circuit, ControlledNot, GateApp, Hadamard, Phase, adjoint, identity
 from .device import (
     DeviceBackend,
     QubitHandle,
@@ -119,14 +119,15 @@ def rus_example_unitary() -> Circuit:
     """Two-qubit trial unitary whose success branch is (I + 2iX)-like on the
     data wire and whose failure branch is the identity up to phase; the
     ancilla is wire 0."""
-    c = add_h(identity(2), 0)
-    c = add_p(c, math.pi / 4, 0)
-    c = add_cnot(c, 0, 1)
-    c = add_h(c, 0)
-    c = add_cnot(c, 0, 1)
-    c = add_p(c, math.pi / 4, 0)
-    c = add_h(c, 0)
-    return c
+    return Circuit(2, [
+        Hadamard(0),
+        Phase(math.pi / 4, 0),
+        ControlledNot(0, 1),
+        Hadamard(0),
+        ControlledNot(0, 1),
+        Phase(math.pi / 4, 0),
+        Hadamard(0),
+    ])
 
 
 @qprogram
@@ -210,19 +211,13 @@ def qaoa_unitary(
     if len(betas) != len(gammas):
         raise ParamCountMismatch(len(betas), len(gammas))
     n = graph.vertex_count
-    c = identity(n)
-    for w in range(n):
-        c = add_h(c, w)
+    gates: list[GateApp] = [Hadamard(w) for w in range(n)]
     for beta, gamma in zip(betas, gammas):
         for u, v in graph.edges:
-            c = add_cnot(c, u, v)
-            c = add_p(c, -2.0 * gamma, v)
-            c = add_cnot(c, u, v)
+            gates += [ControlledNot(u, v), Phase(float(-2.0 * gamma), v), ControlledNot(u, v)]
         for w in range(n):
-            c = add_h(c, w)
-            c = add_p(c, 2.0 * beta, w)
-            c = add_h(c, w)
-    return c
+            gates += [Hadamard(w), Phase(float(2.0 * beta), w), Hadamard(w)]
+    return Circuit(n, gates)
 
 
 def random_qaoa_params(
@@ -299,17 +294,15 @@ def encoding_unitary(term: str) -> Circuit:
     active = [i for i, op in enumerate(term) if op != "I"]
     if not active:
         raise AllIdentityTerm("all-identity term has expectation 1 and needs no circuit")
-    c = identity(len(term))
+    gates: list[GateApp] = []
     for i in active:
         if term[i] == "X":
-            c = add_h(c, i)
+            gates.append(Hadamard(i))
         elif term[i] == "Y":
-            c = add_p(c, -math.pi / 2, i)
-            c = add_h(c, i)
+            gates += [Phase(-math.pi / 2, i), Hadamard(i)]
     first = active[0]
-    for i in active[1:]:
-        c = add_cnot(c, i, first)
-    return c
+    gates += [ControlledNot(i, first) for i in active[1:]]
+    return Circuit(len(term), gates)
 
 
 @qprogram
@@ -367,17 +360,14 @@ def ansatz(n: int, depth: int, params: Sequence[float]) -> Circuit:
     params = list(params)
     if len(params) != n * depth * 2:
         raise ParamCountMismatch(n * depth * 2, len(params))
-    c = identity(n)
+    gates: list[GateApp] = []
     angles = iter(params)
     for _ in range(depth):
         for w in range(n):
-            c = add_h(c, w)
-            c = add_p(c, next(angles), w)
-            c = add_h(c, w)
-            c = add_p(c, next(angles), w)
-        for w in range(n - 1):
-            c = add_cnot(c, w, w + 1)
-    return c
+            theta, phi = float(next(angles)), float(next(angles))
+            gates += [Hadamard(w), Phase(theta, w), Hadamard(w), Phase(phi, w)]
+        gates += [ControlledNot(w, w + 1) for w in range(n - 1)]
+    return Circuit(n, gates)
 
 
 def random_ansatz_params(

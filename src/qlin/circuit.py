@@ -5,6 +5,15 @@ an empty sequence is the identity. Gates are stored in temporal order, so the
 dense matrix of a circuit is the product of the per-gate embeddings folded
 left to right (the gate appended last is the leftmost factor).
 
+Each gate kind is described once, in its class: the wires it touches, its
+validation against an arity, its remapping through a wire vector, its
+inverse, its controlled expansion over {H, P, CNOT}, its dense embedding for
+matrix_of, its glyphs for draw, and its spellings. Every text form of a gate
+has the shape (name, params, wires): the native line `P <a> <j>`, the QASM
+statement `u1(a) q[j]` and the JSON list `["P", a, j]`. The rest of the
+package reads these attributes rather than switching on the kind; only
+optimise's rewrite rules name kinds.
+
 Basis convention: wire 0 is the MOST significant bit of a basis-state index,
 so on two wires |10> (wire 0 set) has index 2. Every matrix produced here and
 every oracle in the test suite follows this convention.
@@ -18,6 +27,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,43 +36,209 @@ from .errors import (
     ArityTooLarge,
     ControlEqualsTarget,
     DuplicateWire,
+    NonFiniteAngle,
     WireOutOfRange,
 )
 
 MATRIX_ARITY_LIMIT = 12
 
+_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+
+
+def _embed_single(mat: np.ndarray, n: int, wire: int) -> np.ndarray:
+    left = np.eye(2**wire, dtype=complex)
+    right = np.eye(2 ** (n - wire - 1), dtype=complex)
+    return np.kron(np.kron(left, mat), right)
+
+
+class _Gate:
+    """What every gate kind shares; each kind's own facts live in its class.
+
+    A kind's dataclass fields list its parameters first and its wires after
+    them, so `kind(*params, *wires)` rebuilds a gate from its spelling.
+    """
+
+    name: ClassVar[str]  # native and JSON spelling
+    qasm: ClassVar[tuple[str, ...]]  # QASM spellings; export_qasm emits the first
+    glyphs: ClassVar[tuple[str, ...]]  # draw cell for each touched wire
+    n_params: ClassVar[int] = 0
+    n_wires: ClassVar[int] = 1
+    params: tuple[float, ...] = ()
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def check(self, arity: int) -> None:
+        """Raise the CircuitError for this gate on `arity` wires, if any."""
+        for w in self.wires:
+            if not 0 <= w < arity:
+                raise WireOutOfRange(w, arity)
+
+    def fields_on(self, wires: Sequence[int]) -> tuple:
+        """This gate's fields in order, with each wire w replaced by wires[w]."""
+        raise NotImplementedError
+
+    def remap(self, wires: Sequence[int]) -> GateApp:
+        """The same gate with its wire k moved to wires[k]."""
+        return type(self)(*self.fields_on(wires))
+
+    def inverse(self) -> GateApp:
+        return self
+
+    def controlled(self, ctl: int) -> list[GateApp]:
+        """This gate controlled on wire `ctl`, expanded over {H, P, CNOT}."""
+        raise NotImplementedError
+
+    def matrix(self, n: int) -> np.ndarray:
+        """Dense 2^n x 2^n embedding of this gate."""
+        raise NotImplementedError
+
+
+# Controlled-gate decompositions. All three are exact (no stray global
+# phase), so controlled(c) is block-diag(I, matrix_of(c)) to rounding error.
+#
+# CP(a)  = P(a/2)@t, CNOT, P(-a/2)@t, CNOT, P(a/2)@ctl
+# CH     = Ry(pi/4)@t, CNOT, Ry(-pi/4)@t where Ry(r) = e^(-ir/2) P(pi/2) H P(r) H P(-pi/2);
+#          the scalar phases of the two Ry blocks cancel.
+# CCNOT  = standard T-depth construction over {H, P(+-pi/4), CNOT}.
+
+_QUARTER = math.pi / 4
+_HALF = math.pi / 2
+
+
+def _ry_block(tgt: int, angle: float) -> list[GateApp]:
+    return [
+        Phase(-_HALF, tgt),
+        Hadamard(tgt),
+        Phase(angle, tgt),
+        Hadamard(tgt),
+        Phase(_HALF, tgt),
+    ]
+
 
 @dataclass(frozen=True)
-class Hadamard:
+class Hadamard(_Gate):
     wire: int
 
+    name = "H"
+    qasm = ("h",)
+    glyphs = ("H",)
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        return (self.wire,)
+
+    def fields_on(self, wires: Sequence[int]) -> tuple:
+        return (wires[self.wire],)
+
+    def controlled(self, ctl: int) -> list[GateApp]:
+        tgt = self.wire
+        return _ry_block(tgt, _QUARTER) + [ControlledNot(ctl, tgt)] + _ry_block(tgt, -_QUARTER)
+
+    def matrix(self, n: int) -> np.ndarray:
+        return _embed_single(_H_MATRIX, n, self.wire)
+
 
 @dataclass(frozen=True)
-class Phase:
+class Phase(_Gate):
     angle: float
     wire: int
 
+    name = "P"
+    qasm = ("u1", "p")
+    glyphs = ("P",)
+    n_params = 1
+
+    @property
+    def params(self) -> tuple[float, ...]:
+        return (self.angle,)
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        return (self.wire,)
+
+    def fields_on(self, wires: Sequence[int]) -> tuple:
+        return (self.angle, wires[self.wire])
+
+    def check(self, arity: int) -> None:
+        if not math.isfinite(self.angle):
+            raise NonFiniteAngle(self.angle)
+        super().check(arity)
+
+    def inverse(self) -> GateApp:
+        return Phase(-self.angle, self.wire)
+
+    def controlled(self, ctl: int) -> list[GateApp]:
+        half, tgt = self.angle / 2.0, self.wire
+        return [
+            Phase(half, tgt),
+            ControlledNot(ctl, tgt),
+            Phase(-half, tgt),
+            ControlledNot(ctl, tgt),
+            Phase(half, ctl),
+        ]
+
+    def matrix(self, n: int) -> np.ndarray:
+        single = np.array([[1, 0], [0, cmath.exp(1j * self.angle)]], dtype=complex)
+        return _embed_single(single, n, self.wire)
+
 
 @dataclass(frozen=True)
-class ControlledNot:
+class ControlledNot(_Gate):
     control: int
     target: int
 
+    name = "CNOT"
+    qasm = ("cx",)
+    glyphs = ("o", "X")
+    n_wires = 2
+
+    @property
+    def wires(self) -> tuple[int, ...]:
+        return (self.control, self.target)
+
+    def fields_on(self, wires: Sequence[int]) -> tuple:
+        return (wires[self.control], wires[self.target])
+
+    def check(self, arity: int) -> None:
+        super().check(arity)
+        if self.control == self.target:
+            raise ControlEqualsTarget(self.control)
+
+    def controlled(self, ctl: int) -> list[GateApp]:
+        a, b, t = ctl, self.control, self.target
+        return [
+            Hadamard(t),
+            ControlledNot(b, t),
+            Phase(-_QUARTER, t),
+            ControlledNot(a, t),
+            Phase(_QUARTER, t),
+            ControlledNot(b, t),
+            Phase(-_QUARTER, t),
+            ControlledNot(a, t),
+            Phase(_QUARTER, b),
+            Phase(_QUARTER, t),
+            Hadamard(t),
+            ControlledNot(a, b),
+            Phase(_QUARTER, a),
+            Phase(-_QUARTER, b),
+            ControlledNot(a, b),
+        ]
+
+    def matrix(self, n: int) -> np.ndarray:
+        dim = 2**n
+        cbit = 1 << (n - 1 - self.control)
+        tbit = 1 << (n - 1 - self.target)
+        src = np.arange(dim)
+        dst = np.where(src & cbit, src ^ tbit, src)
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[dst, src] = 1.0
+        return mat
+
 
 GateApp = Hadamard | Phase | ControlledNot
-
-
-def _check_gate(gate: GateApp, arity: int) -> None:
-    if isinstance(gate, ControlledNot):
-        if not 0 <= gate.control < arity:
-            raise WireOutOfRange(gate.control, arity)
-        if not 0 <= gate.target < arity:
-            raise WireOutOfRange(gate.target, arity)
-        if gate.control == gate.target:
-            raise ControlEqualsTarget(gate.control)
-    else:
-        if not 0 <= gate.wire < arity:
-            raise WireOutOfRange(gate.wire, arity)
+GATE_KINDS = (Hadamard, Phase, ControlledNot)
 
 
 @dataclass(frozen=True)
@@ -70,7 +246,8 @@ class Circuit:
     """An n-wire unitary as an ordered sequence of atomic gate applications.
 
     Construction validates every gate against the arity, so an existing
-    Circuit never holds an out-of-range wire or a CNOT with control == target.
+    Circuit never holds an out-of-range wire, a CNOT with control == target
+    or a non-finite phase angle.
     """
 
     arity: int
@@ -81,7 +258,7 @@ class Circuit:
             raise ArityMismatch(f"arity must be non-negative, got {self.arity}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
-            _check_gate(gate, self.arity)
+            gate.check(self.arity)
 
 
 def identity(n: int) -> Circuit:
@@ -91,23 +268,17 @@ def identity(n: int) -> Circuit:
 
 def add_h(c: Circuit, j: int) -> Circuit:
     """Append a Hadamard on wire j."""
-    gate = Hadamard(j)
-    _check_gate(gate, c.arity)
-    return Circuit(c.arity, c.gates + (gate,))
+    return Circuit(c.arity, c.gates + (Hadamard(j),))
 
 
 def add_p(c: Circuit, alpha: float, j: int) -> Circuit:
     """Append a phase shift diag(1, e^(i*alpha)) on wire j."""
-    gate = Phase(float(alpha), j)
-    _check_gate(gate, c.arity)
-    return Circuit(c.arity, c.gates + (gate,))
+    return Circuit(c.arity, c.gates + (Phase(float(alpha), j),))
 
 
 def add_cnot(c: Circuit, control: int, target: int) -> Circuit:
     """Append a CNOT; flips target exactly when control is 1."""
-    gate = ControlledNot(control, target)
-    _check_gate(gate, c.arity)
-    return Circuit(c.arity, c.gates + (gate,))
+    return Circuit(c.arity, c.gates + (ControlledNot(control, target),))
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
@@ -117,18 +288,10 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.arity, b.gates + a.gates)
 
 
-def _shift_gate(gate: GateApp, offset: int) -> GateApp:
-    if isinstance(gate, Hadamard):
-        return Hadamard(gate.wire + offset)
-    if isinstance(gate, Phase):
-        return Phase(gate.angle, gate.wire + offset)
-    return ControlledNot(gate.control + offset, gate.target + offset)
-
-
 def tensor(a: Circuit, b: Circuit) -> Circuit:
     """Parallel composition with a on the lower-indexed wires: matrix A (x) B."""
-    shifted = tuple(_shift_gate(g, a.arity) for g in b.gates)
-    return Circuit(a.arity + b.arity, a.gates + shifted)
+    shifted = range(a.arity, a.arity + b.arity)
+    return Circuit(a.arity + b.arity, a.gates + tuple(g.remap(shifted) for g in b.gates))
 
 
 def apply(small: Circuit, big: Circuit, wires: Sequence[int]) -> Circuit:
@@ -150,86 +313,12 @@ def apply(small: Circuit, big: Circuit, wires: Sequence[int]) -> Circuit:
         if w in seen:
             raise DuplicateWire(w)
         seen.add(w)
-    remapped = []
-    for gate in small.gates:
-        if isinstance(gate, Hadamard):
-            remapped.append(Hadamard(wires[gate.wire]))
-        elif isinstance(gate, Phase):
-            remapped.append(Phase(gate.angle, wires[gate.wire]))
-        else:
-            remapped.append(ControlledNot(wires[gate.control], wires[gate.target]))
-    return Circuit(big.arity, big.gates + tuple(remapped))
+    return Circuit(big.arity, big.gates + tuple(g.remap(wires) for g in small.gates))
 
 
 def adjoint(c: Circuit) -> Circuit:
     """Inverse circuit: reverse the gate list and invert each gate."""
-    inverted = []
-    for gate in reversed(c.gates):
-        if isinstance(gate, Phase):
-            inverted.append(Phase(-gate.angle, gate.wire))
-        else:
-            inverted.append(gate)
-    return Circuit(c.arity, tuple(inverted))
-
-
-# Controlled-gate decompositions. All three are exact (no stray global
-# phase), so controlled(c) is block-diag(I, matrix_of(c)) to rounding error.
-#
-# CP(a)  = P(a/2)@t, CNOT, P(-a/2)@t, CNOT, P(a/2)@ctl
-# CH     = Ry(pi/4)@t, CNOT, Ry(-pi/4)@t where Ry(r) = e^(-ir/2) P(pi/2) H P(r) H P(-pi/2);
-#          the scalar phases of the two Ry blocks cancel.
-# CCNOT  = standard T-depth construction over {H, P(+-pi/4), CNOT}.
-
-_QUARTER = math.pi / 4
-_HALF = math.pi / 2
-
-
-def _controlled_phase(ctl: int, tgt: int, alpha: float) -> list[GateApp]:
-    return [
-        Phase(alpha / 2.0, tgt),
-        ControlledNot(ctl, tgt),
-        Phase(-alpha / 2.0, tgt),
-        ControlledNot(ctl, tgt),
-        Phase(alpha / 2.0, ctl),
-    ]
-
-
-def _ry_block(tgt: int, angle: float) -> list[GateApp]:
-    return [
-        Phase(-_HALF, tgt),
-        Hadamard(tgt),
-        Phase(angle, tgt),
-        Hadamard(tgt),
-        Phase(_HALF, tgt),
-    ]
-
-
-def _controlled_hadamard(ctl: int, tgt: int) -> list[GateApp]:
-    return (
-        _ry_block(tgt, _QUARTER)
-        + [ControlledNot(ctl, tgt)]
-        + _ry_block(tgt, -_QUARTER)
-    )
-
-
-def _toffoli(a: int, b: int, t: int) -> list[GateApp]:
-    return [
-        Hadamard(t),
-        ControlledNot(b, t),
-        Phase(-_QUARTER, t),
-        ControlledNot(a, t),
-        Phase(_QUARTER, t),
-        ControlledNot(b, t),
-        Phase(-_QUARTER, t),
-        ControlledNot(a, t),
-        Phase(_QUARTER, b),
-        Phase(_QUARTER, t),
-        Hadamard(t),
-        ControlledNot(a, b),
-        Phase(_QUARTER, a),
-        Phase(-_QUARTER, b),
-        ControlledNot(a, b),
-    ]
+    return Circuit(c.arity, [g.inverse() for g in reversed(c.gates)])
 
 
 def controlled(c: Circuit) -> Circuit:
@@ -238,30 +327,18 @@ def controlled(c: Circuit) -> Circuit:
     The matrix equals block-diag(I, matrix_of(c)) exactly; each atomic gate
     is expanded to its controlled form over {H, P, CNOT}.
     """
-    gates: list[GateApp] = []
-    for gate in c.gates:
-        if isinstance(gate, Hadamard):
-            gates.extend(_controlled_hadamard(0, gate.wire + 1))
-        elif isinstance(gate, Phase):
-            gates.extend(_controlled_phase(0, gate.wire + 1, gate.angle))
-        else:
-            gates.extend(_toffoli(0, gate.control + 1, gate.target + 1))
-    return Circuit(c.arity + 1, tuple(gates))
-
-
-def _touched(gate: GateApp) -> tuple[int, ...]:
-    if isinstance(gate, ControlledNot):
-        return (gate.control, gate.target)
-    return (gate.wire,)
+    up = range(1, c.arity + 1)
+    return Circuit(c.arity + 1, [g for gate in c.gates for g in gate.remap(up).controlled(0)])
 
 
 def optimise(c: Circuit) -> Circuit:
     """Peephole cleanup, iterated to a fixpoint.
 
-    Rules: cancel H.H on a wire, cancel identical adjacent CNOT pairs, merge
-    P(a).P(b) into P(a+b), drop P(0). "Adjacent" is per-wire: gates on
-    disjoint wires never block a rule. Preserves the matrix (up to rounding
-    in merged angles) and never increases the gate count.
+    Rules: cancel a gate followed by its inverse (H.H, identical CNOTs,
+    P(a).P(-a)), merge P(a).P(b) into P(a+b), drop P(0). "Adjacent" is
+    per-wire: gates on disjoint wires never block a rule. Preserves the
+    matrix (up to rounding in merged angles) and never increases the gate
+    count.
     """
     gates = [g for g in c.gates if not (isinstance(g, Phase) and g.angle == 0.0)]
     changed = True
@@ -270,26 +347,23 @@ def optimise(c: Circuit) -> Circuit:
         i = 0
         while i < len(gates):
             gate = gates[i]
-            wires = set(_touched(gate))
+            wires = set(gate.wires)
             partner = None
             for j in range(i + 1, len(gates)):
-                if wires & set(_touched(gates[j])):
+                if wires.intersection(gates[j].wires):
                     partner = j
                     break
             if partner is not None:
                 other = gates[partner]
-                if isinstance(gate, Hadamard) and gate == other:
+                if other == gate.inverse():
                     del gates[partner], gates[i]
                     changed = True
                     continue
-                if isinstance(gate, ControlledNot) and gate == other:
-                    del gates[partner], gates[i]
-                    changed = True
-                    continue
+                # the partner of a P is on its wire; a sum that overflows stays split
                 if (
                     isinstance(gate, Phase)
                     and isinstance(other, Phase)
-                    and gate.wire == other.wire
+                    and math.isfinite(gate.angle + other.angle)
                 ):
                     merged = gate.angle + other.angle
                     del gates[partner]
@@ -307,7 +381,7 @@ def depth(c: Circuit) -> int:
     """Longest wire-wise dependency chain; a CNOT occupies both its wires."""
     frontier = [0] * c.arity
     for gate in c.gates:
-        wires = _touched(gate)
+        wires = gate.wires
         step = 1 + max(frontier[w] for w in wires)
         for w in wires:
             frontier[w] = step
@@ -316,47 +390,7 @@ def depth(c: Circuit) -> int:
 
 def gate_counts(c: Circuit) -> Counter[str]:
     """Exact gate multiset sizes keyed by kind ("H", "P", "CNOT")."""
-    counts: Counter[str] = Counter()
-    for gate in c.gates:
-        if isinstance(gate, Hadamard):
-            counts["H"] += 1
-        elif isinstance(gate, Phase):
-            counts["P"] += 1
-        else:
-            counts["CNOT"] += 1
-    return counts
-
-
-# reference matrix semantics
-
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-
-
-def _embed_single(mat: np.ndarray, n: int, wire: int) -> np.ndarray:
-    left = np.eye(2**wire, dtype=complex)
-    right = np.eye(2 ** (n - wire - 1), dtype=complex)
-    return np.kron(np.kron(left, mat), right)
-
-
-def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
-    dim = 2**n
-    cbit = 1 << (n - 1 - control)
-    tbit = 1 << (n - 1 - target)
-    src = np.arange(dim)
-    dst = np.where(src & cbit, src ^ tbit, src)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[dst, src] = 1.0
-    return mat
-
-
-def gate_matrix(gate: GateApp, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n embedding of a single gate application."""
-    if isinstance(gate, Hadamard):
-        return _embed_single(_H_MATRIX, n, gate.wire)
-    if isinstance(gate, Phase):
-        single = np.array([[1, 0], [0, cmath.exp(1j * gate.angle)]], dtype=complex)
-        return _embed_single(single, n, gate.wire)
-    return _cnot_permutation(n, gate.control, gate.target)
+    return Counter(gate.name for gate in c.gates)
 
 
 def matrix_of(c: Circuit) -> np.ndarray:
@@ -369,7 +403,7 @@ def matrix_of(c: Circuit) -> np.ndarray:
         raise ArityTooLarge(c.arity, MATRIX_ARITY_LIMIT)
     mat = np.eye(2**c.arity, dtype=complex)
     for gate in c.gates:
-        mat = gate_matrix(gate, c.arity) @ mat
+        mat = gate.matrix(c.arity) @ mat
     return mat
 
 
@@ -377,33 +411,31 @@ def draw(c: Circuit) -> str:
     """ASCII rendering, one row per wire, one column per gate in temporal order."""
     rows = [[f"q{w}: "] for w in range(c.arity)]
     for gate in c.gates:
-        if isinstance(gate, Hadamard):
-            cells = {gate.wire: "-H-"}
-        elif isinstance(gate, Phase):
-            cells = {gate.wire: "-P-"}
-        else:
-            lo, hi = sorted((gate.control, gate.target))
-            cells = {w: "-|-" for w in range(lo + 1, hi)}
-            cells[gate.control] = "-o-"
-            cells[gate.target] = "-X-"
+        wires = gate.wires
+        cells = {w: "-|-" for w in range(min(wires) + 1, max(wires))}
+        cells.update((w, f"-{glyph}-") for w, glyph in zip(wires, gate.glyphs))
         for w in range(c.arity):
             rows[w].append(cells.get(w, "---"))
     return "\n".join("".join(row).rstrip() for row in rows)
 
 
 def format_angle(angle: float) -> str:
-    """Deterministic angle serialisation: 15 significant digits."""
-    return f"{angle:.15g}"
+    """Deterministic angle serialisation: 15 significant digits.
+
+    Within 5e-15 relative of the largest double, 15 digits round up past it
+    and would read back as infinity; there the shortest exact repr is used.
+    """
+    text = f"{angle:.15g}"
+    if math.isinf(float(text)) and math.isfinite(angle):
+        return repr(angle)
+    return text
 
 
 def export_qasm(c: Circuit) -> str:
     """OpenQASM 2.0 text: H -> h, P(a) -> u1(a), CNOT -> cx."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.arity}];"]
     for gate in c.gates:
-        if isinstance(gate, Hadamard):
-            lines.append(f"h q[{gate.wire}];")
-        elif isinstance(gate, Phase):
-            lines.append(f"u1({format_angle(gate.angle)}) q[{gate.wire}];")
-        else:
-            lines.append(f"cx q[{gate.control}],q[{gate.target}];")
+        args = f"({','.join(map(format_angle, gate.params))})" if gate.params else ""
+        operands = ",".join(f"q[{w}]" for w in gate.wires)
+        lines.append(f"{gate.qasm[0]}{args} {operands};")
     return "\n".join(lines) + "\n"

@@ -24,19 +24,9 @@ from .algorithms import (
     run_rus,
     vqe_trajectory,
 )
-from .circuit import (
-    Circuit,
-    Hadamard,
-    Phase,
-    depth,
-    draw,
-    export_qasm,
-    format_angle,
-    gate_counts,
-    optimise,
-)
+from .circuit import Circuit, depth, draw, export_qasm, format_angle, gate_counts, optimise
 from .device import apply_circuit, execute, measure, new_qubits, qprogram
-from .errors import ParseError, QlinError
+from .errors import ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed
 from .stdcircuits import qft
@@ -141,20 +131,9 @@ def _emit(args, text_lines, json_obj) -> None:
             print(line)
 
 
-def _gate_list(circuit: Circuit) -> list[list]:
-    encoded: list[list] = []
-    for gate in circuit.gates:
-        if isinstance(gate, Hadamard):
-            encoded.append(["H", gate.wire])
-        elif isinstance(gate, Phase):
-            encoded.append(["P", gate.angle, gate.wire])
-        else:
-            encoded.append(["CNOT", gate.control, gate.target])
-    return encoded
-
-
 def _circuit_json(circuit: Circuit) -> dict:
-    return {"qubits": circuit.arity, "gates": _gate_list(circuit)}
+    gates = [[g.name, *g.params, *g.wires] for g in circuit.gates]
+    return {"qubits": circuit.arity, "gates": gates}
 
 
 def _resolve_seed(args) -> int:
@@ -326,8 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as err:
         print(f"E_PARSE: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except QlinError as err:
-        print(f"E_RUNTIME: {type(err).__name__}: {err}", file=sys.stderr)
+    except Exception as err:  # QlinError or an internal failure: one line, no traceback
+        message = " ".join(str(err).splitlines())
+        print(f"E_RUNTIME: {type(err).__name__}: {message}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -30,6 +30,12 @@ class ControlEqualsTarget(CircuitError):
         self.wire = wire
 
 
+class NonFiniteAngle(CircuitError):
+    def __init__(self, angle: float):
+        super().__init__(f"phase angle {angle} is not finite")
+        self.angle = angle
+
+
 class ArityMismatch(CircuitError):
     pass
 

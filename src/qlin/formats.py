@@ -16,16 +16,7 @@ import ast
 import math
 
 from .algorithms import Graph, Hamiltonian
-from .circuit import (
-    Circuit,
-    Hadamard,
-    Phase,
-    add_cnot,
-    add_h,
-    add_p,
-    format_angle,
-    identity,
-)
+from .circuit import GATE_KINDS, Circuit, format_angle
 from .errors import CircuitError, ParseError
 
 
@@ -67,6 +58,23 @@ def _significant_lines(text: str, comment: str):
             yield number, stripped
 
 
+_NATIVE_KINDS = {kind.name: kind for kind in GATE_KINDS}
+_QASM_KINDS = {spelling: kind for kind in GATE_KINDS for spelling in kind.qasm}
+
+
+def _build(arity: int, gates: list, numbers: list[int]) -> Circuit:
+    """Construct the circuit once; if it is invalid, report the first bad line."""
+    try:
+        return Circuit(arity, gates)
+    except CircuitError:
+        for gate, number in zip(gates, numbers):
+            try:
+                gate.check(arity)
+            except CircuitError as err:
+                raise ParseError(number, str(err)) from None
+        raise
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the native circuit format into a validated Circuit."""
     lines = _significant_lines(text, "#")
@@ -77,24 +85,17 @@ def parse_circuit(text: str) -> Circuit:
     fields = header.split()
     if len(fields) != 2 or fields[0] != "qubits" or not fields[1].isdigit():
         raise ParseError(number, f"expected `qubits <n>`, got {header!r}")
-    circuit = identity(int(fields[1]))
+    gates, numbers = [], []
     for number, line in lines:
-        fields = line.split()
-        try:
-            if fields[0] == "H" and len(fields) == 2:
-                circuit = add_h(circuit, _parse_wire(fields[1], number))
-            elif fields[0] == "P" and len(fields) == 3:
-                angle = parse_angle(fields[1], number)
-                circuit = add_p(circuit, angle, _parse_wire(fields[2], number))
-            elif fields[0] == "CNOT" and len(fields) == 3:
-                circuit = add_cnot(
-                    circuit, _parse_wire(fields[1], number), _parse_wire(fields[2], number)
-                )
-            else:
-                raise ParseError(number, f"unrecognised gate line {line!r}")
-        except CircuitError as err:
-            raise ParseError(number, str(err)) from None
-    return circuit
+        name, *args = line.split()
+        kind = _NATIVE_KINDS.get(name)
+        if kind is None or len(args) != kind.n_params + kind.n_wires:
+            raise ParseError(number, f"unrecognised gate line {line!r}")
+        params = [parse_angle(arg, number) for arg in args[: kind.n_params]]
+        wires = [_parse_wire(arg, number) for arg in args[kind.n_params :]]
+        gates.append(kind(*params, *wires))
+        numbers.append(number)
+    return _build(int(fields[1]), gates, numbers)
 
 
 def _parse_wire(token: str, line: int) -> int:
@@ -107,12 +108,7 @@ def format_circuit(c: Circuit) -> str:
     """Render a circuit in the native format (inverse of parse_circuit)."""
     lines = [f"qubits {c.arity}"]
     for gate in c.gates:
-        if isinstance(gate, Hadamard):
-            lines.append(f"H {gate.wire}")
-        elif isinstance(gate, Phase):
-            lines.append(f"P {format_angle(gate.angle)} {gate.wire}")
-        else:
-            lines.append(f"CNOT {gate.control} {gate.target}")
+        lines.append(" ".join([gate.name, *map(format_angle, gate.params), *map(str, gate.wires)]))
     return "\n".join(lines) + "\n"
 
 
@@ -133,7 +129,7 @@ def parse_qasm(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset produced by export_qasm (h, u1/p, cx)."""
     register: str | None = None
     size = 0
-    circuit: Circuit | None = None
+    gates, numbers = [], []
     for number, line in _significant_lines(text, "//"):
         for statement in filter(None, (s.strip() for s in line.split(";"))):
             head = statement.split(None, 1)[0]
@@ -147,33 +143,32 @@ def parse_qasm(text: str) -> Circuit:
                 if not rest.endswith("]") or not rest[:-1].isdigit():
                     raise ParseError(number, f"bad qreg declaration {statement!r}")
                 register, size = name.strip(), int(rest[:-1])
-                circuit = identity(size)
                 continue
-            if circuit is None or register is None:
+            if register is None:
                 raise ParseError(number, "gate before qreg declaration")
-            try:
-                if head == "h":
-                    wire = _parse_qasm_qubit(statement[1:], register, size, number)
-                    circuit = add_h(circuit, wire)
-                elif head.startswith(("u1(", "p(")):
-                    args, _, operand = statement.partition(")")
-                    angle = parse_angle(args.split("(", 1)[1], number)
-                    wire = _parse_qasm_qubit(operand, register, size, number)
-                    circuit = add_p(circuit, angle, wire)
-                elif head == "cx":
-                    operands = statement[2:].split(",")
-                    if len(operands) != 2:
-                        raise ParseError(number, f"cx expects two qubits: {statement!r}")
-                    control = _parse_qasm_qubit(operands[0], register, size, number)
-                    target = _parse_qasm_qubit(operands[1], register, size, number)
-                    circuit = add_cnot(circuit, control, target)
-                else:
-                    raise ParseError(number, f"unsupported statement {statement!r}")
-            except CircuitError as err:
-                raise ParseError(number, str(err)) from None
-    if circuit is None:
+            name = head.split("(", 1)[0]
+            kind = _QASM_KINDS.get(name)
+            if kind is None:
+                raise ParseError(number, f"unsupported statement {statement!r}")
+            operands = statement[len(name) :].strip()
+            args = []
+            if operands.startswith("("):
+                inside, _, operands = operands[1:].partition(")")
+                args = inside.split(",")
+            operands = operands.split(",")
+            if len(args) != kind.n_params or len(operands) != kind.n_wires:
+                raise ParseError(
+                    number,
+                    f"{name} expects {kind.n_params} angle(s) and {kind.n_wires} qubit(s): "
+                    f"{statement!r}",
+                )
+            params = [parse_angle(arg, number) for arg in args]
+            wires = [_parse_qasm_qubit(op, register, size, number) for op in operands]
+            gates.append(kind(*params, *wires))
+            numbers.append(number)
+    if register is None:
         raise ParseError(1, "no qreg declaration found")
-    return circuit
+    return _build(size, gates, numbers)
 
 
 def parse_graph(text: str) -> Graph:

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateApp, Hadamard, Phase
+from .circuit import Circuit, GateApp
 from .device import DeviceBackend, DeviceSession
 from .errors import CapacityExceeded
 
@@ -111,14 +111,19 @@ class QuantumState:
         t[i10] = t[i11]
         t[i11] = swapped
 
+    # Kernel per gate kind, called with the gate's fields in order and its
+    # wires mapped to positions in this state.
+    _KERNELS = {"H": _hadamard, "P": _phase, "CNOT": _cnot}
+
     def apply_gate(self, gate: GateApp) -> None:
         """Apply one gate whose wire fields are positions in this state."""
-        if isinstance(gate, Hadamard):
-            self._hadamard(gate.wire)
-        elif isinstance(gate, Phase):
-            self._phase(gate.angle, gate.wire)
-        else:
-            self._cnot(gate.control, gate.target)
+        self._apply((gate,), range(self.wire_count))
+
+    def _apply(self, gates: Sequence[GateApp], wires: Sequence[int]) -> None:
+        """Apply gates in order, with a gate's wire k acting on position wires[k]."""
+        kernels = self._KERNELS
+        for gate in gates:
+            kernels[gate.name](self, *gate.fields_on(wires))
 
     def measure_wire(self, ident: int, rand: RandomSource) -> int:
         """Measure the qubit named `ident`: collapse, renormalise, contract.
@@ -162,14 +167,7 @@ class _SimulatorSession(DeviceSession):
 
     def apply(self, ids: Sequence[int], circuit: Circuit) -> None:
         registry = self._state.registry
-        wires = [registry[i] for i in ids]
-        for gate in circuit.gates:
-            if isinstance(gate, Hadamard):
-                self._state._hadamard(wires[gate.wire])
-            elif isinstance(gate, Phase):
-                self._state._phase(gate.angle, wires[gate.wire])
-            else:
-                self._state._cnot(wires[gate.control], wires[gate.target])
+        self._state._apply(circuit.gates, [registry[i] for i in ids])
 
     def rename(self, old_ids: Sequence[int], new_ids: Sequence[int]) -> None:
         registry = self._state.registry

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 
-from .circuit import Circuit, add_cnot, add_h, add_p, apply, compose, controlled, identity, tensor
+from .circuit import Circuit, ControlledNot, Hadamard, add_cnot, add_h, add_p, controlled, identity
 
 
 def h_gate() -> Circuit:
@@ -24,7 +24,7 @@ def t_gate() -> Circuit:
 
 def to_bell_basis() -> Circuit:
     """H on wire 0 then CNOT(0,1); maps |00> to the Bell state."""
-    return add_cnot(add_h(identity(2), 0), 0, 1)
+    return Circuit(2, [Hadamard(0), ControlledNot(0, 1)])
 
 
 def rm(m: int) -> Circuit:
@@ -37,23 +37,16 @@ def c_rm(m: int) -> Circuit:
     return controlled(rm(m))
 
 
-def _qft_cascade(n: int) -> Circuit:
-    # H on wire 0 followed by controlled rotations onto wire 0: the control
-    # at distance d contributes P(2*pi / 2^(d+1)).
-    if n == 0:
-        return identity(0)
-    if n == 1:
-        return h_gate()
-    grown = tensor(_qft_cascade(n - 1), identity(1))
-    return apply(c_rm(n), grown, [n - 1, 0])
-
-
 def qft(n: int) -> Circuit:
     """Quantum Fourier transform on n wires, without a final swap layer.
 
     The matrix equals the DFT of size 2^n with the output bit order reversed.
     """
-    if n == 0:
-        return identity(0)
-    rest = tensor(identity(1), qft(n - 1))
-    return compose(rest, _qft_cascade(n))
+    gates = []
+    for k in range(n):
+        # H on wire k followed by controlled rotations onto wire k: the
+        # control at distance d contributes P(2*pi / 2^(d+1)).
+        gates.append(Hadamard(k))
+        for m in range(2, n - k + 1):
+            gates += [g.remap((k + m - 1, k)) for g in c_rm(m).gates]
+    return Circuit(n, gates)

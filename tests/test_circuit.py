@@ -11,6 +11,7 @@ from qlin import (
     Circuit,
     ControlledNot,
     Hadamard,
+    Phase,
     add_cnot,
     add_h,
     add_p,
@@ -32,6 +33,7 @@ from qlin.errors import (
     ArityTooLarge,
     ControlEqualsTarget,
     DuplicateWire,
+    NonFiniteAngle,
     WireOutOfRange,
 )
 from qlin.formats import parse_qasm
@@ -94,6 +96,14 @@ def test_direct_construction_is_validated():
         Circuit(1, (Hadamard(3),))
     with pytest.raises(ControlEqualsTarget):
         Circuit(2, (ControlledNot(0, 0),))
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_rejected(angle):
+    with pytest.raises(NonFiniteAngle):
+        add_p(identity(1), angle, 0)
+    with pytest.raises(NonFiniteAngle):
+        Circuit(1, (Phase(angle, 0),))
 
 
 # compose / tensor / apply
@@ -206,6 +216,8 @@ def test_optimise_merges_phases():
     merged = optimise(add_p(add_p(identity(1), 0.3, 0), 0.4, 0))
     assert merged == add_p(identity(1), 0.3 + 0.4, 0)
     assert_close(matrix_of(merged), matrix_of(add_p(add_p(identity(1), 0.3, 0), 0.4, 0)))
+    huge = add_p(add_p(identity(1), 1e308, 0), 1e308, 0)
+    assert optimise(huge) == huge  # P(inf) is no circuit
 
 
 def test_optimise_leaves_bell_alone():

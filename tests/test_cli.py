@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qlin import cli
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
@@ -127,6 +128,13 @@ def test_parse_errors(tmp_path, capsys):
     assert code == EXIT_PARSE and err.startswith("E_PARSE: line 2")
     code, _, err = run(capsys, ["simulate", str(tmp_path / "missing.txt"), "--seed", "1"])
     assert code == EXIT_PARSE
+    for name, text in [
+        ("inf.txt", "qubits 1\nH 0\nP 1e309 0\n"),
+        ("inf.qasm", "OPENQASM 2.0;\nqreg q[1];\nu1(1e309) q[0];\n"),
+    ]:
+        code, _, err = run(capsys, ["simulate", circuit_file(tmp_path, text, name), "--seed", "1"])
+        assert code == EXIT_PARSE
+        assert err.startswith("E_PARSE: line 3") and len(err.splitlines()) == 1
 
 
 def test_runtime_error_exit_code(capsys):
@@ -134,6 +142,25 @@ def test_runtime_error_exit_code(capsys):
     code, _, err = run(capsys, ["rus", "--seed", "1", "--max-iter", "1"])
     assert code == EXIT_RUNTIME
     assert err.startswith("E_RUNTIME: RusIterationLimit")
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (RuntimeError("boom\non two lines"), "E_RUNTIME: RuntimeError: boom on two lines"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "E_RUNTIME: RecursionError: maximum recursion depth exceeded"),
+    ],
+)
+def test_internal_failure_is_one_runtime_line(monkeypatch, capsys, error, line):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "coin", fail)
+    code, out, err = run(capsys, ["coin", "--seed", "1"])
+    assert code == EXIT_RUNTIME
+    assert out == ""
+    assert err.splitlines() == [line]
 
 
 def test_coin_text_output(capsys):

@@ -1,9 +1,22 @@
 """Text formats: native circuit files, the OpenQASM subset, graphs, Hamiltonians."""
 import math
+from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qlin import Graph, Hamiltonian, matrix_of, to_bell_basis
+from qlin import (
+    Circuit,
+    ControlledNot,
+    Graph,
+    Hadamard,
+    Hamiltonian,
+    Phase,
+    export_qasm,
+    matrix_of,
+    to_bell_basis,
+)
 from qlin.errors import ParseError
 from qlin.formats import (
     format_circuit,
@@ -15,6 +28,27 @@ from qlin.formats import (
 from qlin.stdcircuits import p_gate, qft
 
 from .oracles import assert_close
+
+
+@st.composite
+def circuits(draw):
+    """Any valid circuit on 1-5 wires; angles are finite floats of any size."""
+    n = draw(st.integers(1, 5))
+    wire = st.integers(0, n - 1)
+    angle = st.floats(allow_nan=False, allow_infinity=False)
+    kinds = [st.builds(Hadamard, wire), st.builds(Phase, angle, wire)]
+    if n > 1:
+        pair = st.lists(wire, min_size=2, max_size=2, unique=True)
+        kinds.append(pair.map(lambda cw: ControlledNot(*cw)))
+    return Circuit(n, draw(st.lists(st.one_of(kinds), max_size=20)))
+
+
+def assert_same_up_to_angle_digits(parsed, original):
+    """Same kinds and wires; angles agree to format_angle's 15 significant digits."""
+    assert parsed.arity == original.arity
+    assert [type(g) for g in parsed.gates] == [type(g) for g in original.gates]
+    for got, want in zip(parsed.gates, original.gates):
+        assert asdict(got) == pytest.approx(asdict(want), rel=1e-14, abs=0.0)
 
 
 def test_parse_circuit_bell():
@@ -54,10 +88,17 @@ def test_parse_circuit_error_lines():
         parse_circuit("qubits 1\nH 0\nSWAP 0 1")
     assert err.value.line == 3
 
+    with pytest.raises(ParseError) as err:
+        parse_circuit("qubits 1\nH 0\nP 1e309 0\nH 0")
+    assert err.value.line == 3
+    assert "not finite" in err.value.reason
 
-def test_native_round_trip_structural():
-    circuit = to_bell_basis()
-    assert parse_circuit(format_circuit(circuit)) == circuit
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(circuits())
+@example(to_bell_basis())
+def test_native_round_trip_structural(circuit):
+    assert_same_up_to_angle_digits(parse_circuit(format_circuit(circuit)), circuit)
 
 
 def test_native_round_trip_semantics_with_angles():
@@ -66,13 +107,11 @@ def test_native_round_trip_semantics_with_angles():
     assert_close(matrix_of(reparsed), matrix_of(circuit))
 
 
-def test_qasm_round_trip():
-    from qlin import export_qasm
-
-    circuit = qft(3)
-    reparsed = parse_qasm(export_qasm(circuit))
-    assert reparsed.arity == 3
-    assert_close(matrix_of(reparsed), matrix_of(circuit))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(circuits())
+@example(qft(3))
+def test_qasm_round_trip(circuit):
+    assert_same_up_to_angle_digits(parse_qasm(export_qasm(circuit)), circuit)
 
 
 def test_qasm_accepts_pi_and_p_alias():
@@ -89,6 +128,10 @@ def test_qasm_errors():
     with pytest.raises(ParseError) as err:
         parse_qasm('OPENQASM 2.0;\nqreg q[1];\nh q[4];')
     assert "register size" in err.value.reason
+    with pytest.raises(ParseError) as err:
+        parse_qasm('OPENQASM 2.0;\nqreg q[1];\nh q[0];\nu1(1e309) q[0];\nh q[0];')
+    assert err.value.line == 4
+    assert "not finite" in err.value.reason
 
 
 def test_parse_graph():

@@ -6,12 +6,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlin import (
     RandomSource,
     StateVectorBackend,
+    apply,
     apply_circuit,
     execute,
+    identity,
     matrix_of,
     measure,
     new_qubits,
@@ -95,6 +99,32 @@ def test_apply_gate_agrees_with_matrix_embedding(seed):
     for gate in circuit.gates:
         state.apply_gate(gate)
     assert_close(state.amplitudes, matrix_of(circuit) @ start)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000))
+def test_session_apply_matches_apply_gate_on_remapped_circuit(seed):
+    # a session runs circuit wire k on the qubit named ids[k]; that must equal
+    # applying apply(c, identity(m), ids) gate by gate to the whole state
+    rng = random.Random(seed)
+    m = rng.randint(1, 6)
+    n = rng.randint(1, m)
+    circuit = random_circuit(rng, n, 15)
+    ids = rng.sample(range(m), n)
+    start = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(2**m)])
+    start /= np.linalg.norm(start)
+
+    session = StateVectorBackend(seed=0).new_session()
+    session.allocate(list(range(m)))
+    session._state.amplitudes = start.copy()
+    session.apply(ids, circuit)
+
+    reference = QuantumState()
+    reference.extend_with_zeros(list(range(m)))
+    reference.amplitudes = start.copy()
+    for gate in apply(circuit, identity(m), ids).gates:
+        reference.apply_gate(gate)
+    assert np.array_equal(session._state.amplitudes, reference.amplitudes)
 
 
 def test_normalisation_preserved():

@@ -1,5 +1,6 @@
 """Standard gates, Bell preparation, and the QFT against the DFT oracle."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -73,3 +74,14 @@ def test_qft_gate_counts(n):
     # each controlled rotation expands to 3 P and 2 CNOT gates
     assert counts["CNOT"] == 2 * blocks
     assert counts["P"] == 3 * blocks
+
+
+def test_qft_construction_does_not_recurse():
+    # a recursive build needs a stack frame per wire and fails here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        counts = gate_counts(qft(150))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert counts == {"H": 150, "P": 3 * 150 * 149 // 2, "CNOT": 150 * 149}
