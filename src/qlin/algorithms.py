@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .circuit import Circuit, ControlledNot, GateApp, Hadamard, Phase, adjoint, identity
+from .circuit import Circuit, ControlledNot, GateApp, Hadamard, Phase, adjoint, compose, identity
 from .device import (
     DeviceBackend,
     QubitHandle,
@@ -96,6 +96,15 @@ class QaoaRecord(NamedTuple):
 class VqeRecord(NamedTuple):
     params: tuple[float, ...]
     energy: float
+
+
+@qprogram
+def _measure_all(circuit: Circuit):
+    """One shot: allocate circuit.arity qubits, apply the circuit, measure every wire."""
+    qs = yield new_qubits(circuit.arity)
+    qs = yield apply_circuit(qs, circuit)
+    bits = yield measure(qs)
+    return bits
 
 
 # quantum coin (allocate, H, measure)
@@ -238,14 +247,6 @@ QaoaOptimiser = Callable[
 ]
 
 
-@qprogram
-def _sample_cut(circuit: Circuit):
-    qs = yield new_qubits(circuit.arity)
-    qs = yield apply_circuit(qs, circuit)
-    bits = yield measure(qs)
-    return tuple(bits)
-
-
 def qaoa_trajectory(
     backend: DeviceBackend,
     k: int,
@@ -261,7 +262,7 @@ def qaoa_trajectory(
     for _ in range(k):
         betas, gammas = optimiser(graph, p, history, rand)
         circuit = qaoa_unitary(betas, gammas, graph)
-        cut = execute(backend, _sample_cut(circuit))
+        cut = tuple(execute(backend, _measure_all(circuit)))
         history.append(QaoaRecord(tuple(betas), tuple(gammas), cut))
     return history
 
@@ -305,15 +306,6 @@ def encoding_unitary(term: str) -> Circuit:
     return Circuit(len(term), gates)
 
 
-@qprogram
-def _energy_sample(prepare: Circuit, encode: Circuit, target: int):
-    qs = yield new_qubits(prepare.arity)
-    qs = yield apply_circuit(qs, prepare)
-    qs = yield apply_circuit(qs, encode)
-    bits = yield measure(qs)
-    return bits[target]
-
-
 def compute_energy_pauli(
     backend: DeviceBackend, ansatz_circuit: Circuit, term: str, n_samples: int
 ) -> float:
@@ -324,10 +316,9 @@ def compute_energy_pauli(
         raise ArityMismatch(
             f"term acts on {len(term)} qubits but the ansatz has arity {ansatz_circuit.arity}"
         )
-    encode = encoding_unitary(term)
+    program = _measure_all(compose(encoding_unitary(term), ansatz_circuit))
     target = next(i for i, op in enumerate(term) if op != "I")
-    program = _energy_sample(ansatz_circuit, encode, target)
-    ones = sum(execute(backend, program) for _ in range(n_samples))
+    ones = sum(execute(backend, program)[target] for _ in range(n_samples))
     return (n_samples - 2 * ones) / n_samples
 
 

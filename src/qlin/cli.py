@@ -17,6 +17,7 @@ import random
 import sys
 
 from .algorithms import (
+    _measure_all,
     best_cut,
     coin,
     cut_value,
@@ -25,7 +26,7 @@ from .algorithms import (
     vqe_trajectory,
 )
 from .circuit import Circuit, depth, draw, export_qasm, format_angle, gate_counts, optimise
-from .device import apply_circuit, execute, measure, new_qubits, qprogram
+from .device import execute
 from .errors import ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed
@@ -53,7 +54,6 @@ def _build_parser() -> _Parser:
     def stochastic(p):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required with --format json)")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--backend", choices=["sim"], default="sim")
 
     def pure(p):
         p.add_argument("--format", choices=["text", "json"], default="text")
@@ -144,14 +144,6 @@ def _resolve_seed(args) -> int:
     return random.randrange(2**62)
 
 
-@qprogram
-def _measure_all(circuit: Circuit):
-    qs = yield new_qubits(circuit.arity)
-    qs = yield apply_circuit(qs, circuit)
-    bits = yield measure(qs)
-    return "".join(str(b) for b in bits)
-
-
 def _cmd_simulate(args) -> None:
     _check(args.shots >= 1, "--shots must be at least 1")
     circuit = _load_circuit(args.circuit)
@@ -160,7 +152,7 @@ def _cmd_simulate(args) -> None:
     counts: dict[str, int] = {}
     for shot in range(args.shots):
         backend = StateVectorBackend(seed=derive_seed(seed, shot))
-        outcome = execute(backend, program)
+        outcome = "".join(map(str, execute(backend, program)))
         counts[outcome] = counts.get(outcome, 0) + 1
     lines = [
         f"{bits} {count} {count / args.shots:.4f}" for bits, count in sorted(counts.items())

@@ -8,6 +8,10 @@ measurement). Violations raise UseAfterConsume / DuplicateHandle during the
 run, and a program that returns while qubits are still live fails the final
 DanglingQubits check.
 
+A backend session implements three primitives: allocate, apply and measure.
+Handles are fresh after every operation, but the qubit behind them keeps one
+id from allocation to measurement, so sessions never rebind their qubits.
+
 Handle ids are hidden; tests may use the privileged `_handle_id` hook but
 production code has no business reading them.
 """
@@ -51,7 +55,8 @@ def _handle_id(handle: QubitHandle) -> int:
 class DeviceSession(ABC):
     """Backend-facing primitives for one execution, keyed by opaque qubit ids.
 
-    The device layer owns id issuance and the linearity discipline; sessions
+    A qubit keeps the id it was allocated under until it is measured. The
+    device layer owns id issuance and the linearity discipline; sessions
     only have to move quantum state around.
     """
 
@@ -62,10 +67,6 @@ class DeviceSession(ABC):
     @abstractmethod
     def apply(self, ids: Sequence[int], circuit: Circuit) -> None:
         """Apply `circuit` with its wire k acting on the qubit named ids[k]."""
-
-    @abstractmethod
-    def rename(self, old_ids: Sequence[int], new_ids: Sequence[int]) -> None:
-        """Rebind qubits to fresh ids after their old handles were consumed."""
 
     @abstractmethod
     def measure(self, ids: Sequence[int]) -> list[int]:
@@ -86,16 +87,23 @@ class _Execution:
     def __init__(self, session: DeviceSession):
         self._session = session
         self._next_id = 0
-        self._live: set[int] = set()
+        self._live: dict[int, int] = {}  # live handle id -> qubit id
         self.trace: list[tuple[Any, ...]] = []
 
-    def _issue(self, count: int) -> list[int]:
-        ids = list(range(self._next_id, self._next_id + count))
-        self._next_id += count
-        self._live.update(ids)
-        return ids
+    def _hand_out(self, qubits: Sequence[int]) -> list[QubitHandle]:
+        """Issue one fresh handle per qubit id."""
+        start = self._next_id
+        self._next_id += len(qubits)
+        live = self._live
+        handles = []
+        for ident, qubit in zip(range(start, self._next_id), qubits):
+            live[ident] = qubit
+            handles.append(QubitHandle(ident, self, _token=_TOKEN))
+        return handles
 
-    def _consume(self, handles: Sequence[QubitHandle]) -> list[int]:
+    def _consume(self, handles: Sequence[QubitHandle], arity: int | None = None) -> list[int]:
+        """Check the handles' linearity (and count), retire them, return their qubit ids."""
+        live = self._live
         ids = []
         seen: set[int] = set()
         for handle in handles:
@@ -105,39 +113,33 @@ class _Execution:
             if ident in seen:
                 raise DuplicateHandle("the same qubit handle was passed twice to one operation")
             seen.add(ident)
-            if ident not in self._live:
+            if ident not in live:
                 raise UseAfterConsume("qubit handle was already consumed")
             ids.append(ident)
-        self._live.difference_update(ids)
-        return ids
+        if arity is not None and arity != len(ids):
+            raise ArityMismatch(f"circuit arity {arity} does not match {len(ids)} handle(s)")
+        return [live.pop(ident) for ident in ids]
 
     @property
     def live_count(self) -> int:
         return len(self._live)
 
     def new_qubits(self, p: int) -> list[QubitHandle]:
-        ids = self._issue(p)
-        self._session.allocate(ids)
+        qubits = list(range(self._next_id, self._next_id + p))
+        self._session.allocate(qubits)
         self.trace.append(("new", p))
-        return [QubitHandle(i, self, _token=_TOKEN) for i in ids]
+        return self._hand_out(qubits)
 
     def apply_circuit(self, handles: Sequence[QubitHandle], circuit: Circuit) -> list[QubitHandle]:
-        ids = self._consume(handles)
-        if circuit.arity != len(ids):
-            self._live.update(ids)
-            raise ArityMismatch(
-                f"circuit arity {circuit.arity} does not match {len(ids)} handle(s)"
-            )
-        self._session.apply(ids, circuit)
-        fresh = self._issue(len(ids))
-        self._session.rename(ids, fresh)
+        qubits = self._consume(handles, circuit.arity)
+        self._session.apply(qubits, circuit)
         self.trace.append(("apply", circuit.arity, circuit.gates))
-        return [QubitHandle(i, self, _token=_TOKEN) for i in fresh]
+        return self._hand_out(qubits)
 
     def measure(self, handles: Sequence[QubitHandle]) -> list[int]:
-        ids = self._consume(handles)
-        bits = self._session.measure(ids)
-        self.trace.append(("measure", len(ids)))
+        qubits = self._consume(handles)
+        bits = self._session.measure(qubits)
+        self.trace.append(("measure", len(qubits)))
         return bits
 
 

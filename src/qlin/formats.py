@@ -49,6 +49,8 @@ def parse_angle(text: str, line: int) -> float:
         return _eval_angle_node(ast.parse(text.strip(), mode="eval").body)
     except (SyntaxError, ValueError, ZeroDivisionError):
         raise ParseError(line, f"bad angle {text.strip()!r}") from None
+    except (RecursionError, MemoryError):  # the evaluator's or ast.parse's depth limit
+        raise ParseError(line, "angle expression nests too deeply") from None
 
 
 def _significant_lines(text: str, comment: str):
@@ -58,33 +60,60 @@ def _significant_lines(text: str, comment: str):
             yield number, stripped
 
 
+def _index(token: str, line: int, message: str) -> int:
+    """Read a non-negative decimal index, or raise ParseError(line, message).
+
+    str.isdecimal accepts exactly the digit strings int() reads; str.isdigit
+    would also pass characters such as '²' that int() rejects.
+    """
+    if not token.isdecimal():
+        raise ParseError(line, message)
+    return int(token)
+
+
+def _header(lines, keyword: str) -> int:
+    """Read the `<keyword> <n>` line that opens a native circuit or graph file."""
+    try:
+        number, header = next(lines)
+    except StopIteration:
+        raise ParseError(1, f"empty file: expected `{keyword} <n>`") from None
+    message = f"expected `{keyword} <n>`, got {header!r}"
+    fields = header.split()
+    if len(fields) != 2 or fields[0] != keyword:
+        raise ParseError(number, message)
+    return _index(fields[1], number, message)
+
+
+def _construct(make, items: list, numbers: list[int]):
+    """Build make(items) once; if the input is invalid, report its first bad line.
+
+    Validity is monotone in the prefix length (a prefix that fails stays
+    failing), so a binary search finds the shortest failing prefix; its last
+    item is the first bad line and its error is the one reported.
+    """
+    try:
+        return make(items)
+    except (ValueError, CircuitError) as err:
+        error = err
+    good, bad = 0, len(items)  # items[:bad] fails; items[:good] is taken to pass
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            make(items[:mid])
+            good = mid
+        except (ValueError, CircuitError) as err:
+            bad, error = mid, err
+    raise ParseError(numbers[bad - 1], str(error)) from None
+
+
 _NATIVE_KINDS = {kind.name: kind for kind in GATE_KINDS}
 _QASM_KINDS = {spelling: kind for kind in GATE_KINDS for spelling in kind.qasm}
-
-
-def _build(arity: int, gates: list, numbers: list[int]) -> Circuit:
-    """Construct the circuit once; if it is invalid, report the first bad line."""
-    try:
-        return Circuit(arity, gates)
-    except CircuitError:
-        for gate, number in zip(gates, numbers):
-            try:
-                gate.check(arity)
-            except CircuitError as err:
-                raise ParseError(number, str(err)) from None
-        raise
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the native circuit format into a validated Circuit."""
     lines = _significant_lines(text, "#")
-    try:
-        number, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty file: expected `qubits <n>`") from None
-    fields = header.split()
-    if len(fields) != 2 or fields[0] != "qubits" or not fields[1].isdigit():
-        raise ParseError(number, f"expected `qubits <n>`, got {header!r}")
+    arity = _header(lines, "qubits")
     gates, numbers = [], []
     for number, line in lines:
         name, *args = line.split()
@@ -92,16 +121,13 @@ def parse_circuit(text: str) -> Circuit:
         if kind is None or len(args) != kind.n_params + kind.n_wires:
             raise ParseError(number, f"unrecognised gate line {line!r}")
         params = [parse_angle(arg, number) for arg in args[: kind.n_params]]
-        wires = [_parse_wire(arg, number) for arg in args[kind.n_params :]]
+        wires = [
+            _index(arg, number, f"expected a wire index, got {arg!r}")
+            for arg in args[kind.n_params :]
+        ]
         gates.append(kind(*params, *wires))
         numbers.append(number)
-    return _build(int(fields[1]), gates, numbers)
-
-
-def _parse_wire(token: str, line: int) -> int:
-    if not token.isdigit():
-        raise ParseError(line, f"expected a wire index, got {token!r}")
-    return int(token)
+    return _construct(lambda prefix: Circuit(arity, prefix), gates, numbers)
 
 
 def format_circuit(c: Circuit) -> str:
@@ -116,10 +142,7 @@ def _parse_qasm_qubit(token: str, register: str, size: int, line: int) -> int:
     token = token.strip()
     if not (token.startswith(f"{register}[") and token.endswith("]")):
         raise ParseError(line, f"expected {register}[<index>], got {token!r}")
-    index = token[len(register) + 1 : -1]
-    if not index.isdigit():
-        raise ParseError(line, f"bad qubit index in {token!r}")
-    value = int(index)
+    value = _index(token[len(register) + 1 : -1], line, f"bad qubit index in {token!r}")
     if value >= size:
         raise ParseError(line, f"qubit {token} exceeds register size {size}")
     return value
@@ -140,9 +163,10 @@ def parse_qasm(text: str) -> Circuit:
                     raise ParseError(number, "only one qreg is supported")
                 declaration = statement[len("qreg") :].strip()
                 name, _, rest = declaration.partition("[")
-                if not rest.endswith("]") or not rest[:-1].isdigit():
-                    raise ParseError(number, f"bad qreg declaration {statement!r}")
-                register, size = name.strip(), int(rest[:-1])
+                message = f"bad qreg declaration {statement!r}"
+                if not rest.endswith("]"):
+                    raise ParseError(number, message)
+                register, size = name.strip(), _index(rest[:-1], number, message)
                 continue
             if register is None:
                 raise ParseError(number, "gate before qreg declaration")
@@ -168,38 +192,27 @@ def parse_qasm(text: str) -> Circuit:
             numbers.append(number)
     if register is None:
         raise ParseError(1, "no qreg declaration found")
-    return _build(size, gates, numbers)
+    return _construct(lambda prefix: Circuit(size, prefix), gates, numbers)
 
 
 def parse_graph(text: str) -> Graph:
     """Parse `vertices <n>` followed by `edge <u> <v>` lines."""
     lines = _significant_lines(text, "#")
-    try:
-        number, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty file: expected `vertices <n>`") from None
-    fields = header.split()
-    if len(fields) != 2 or fields[0] != "vertices" or not fields[1].isdigit():
-        raise ParseError(number, f"expected `vertices <n>`, got {header!r}")
-    count = int(fields[1])
-    edges = []
+    count = _header(lines, "vertices")
+    edges, numbers = [], []
     for number, line in lines:
+        message = f"expected `edge <u> <v>`, got {line!r}"
         fields = line.split()
-        if len(fields) != 3 or fields[0] != "edge" or not (
-            fields[1].isdigit() and fields[2].isdigit()
-        ):
-            raise ParseError(number, f"expected `edge <u> <v>`, got {line!r}")
-        edges.append((int(fields[1]), int(fields[2])))
-        try:
-            Graph(count, tuple(edges))
-        except ValueError as err:
-            raise ParseError(number, str(err)) from None
-    return Graph(count, tuple(edges))
+        if len(fields) != 3 or fields[0] != "edge":
+            raise ParseError(number, message)
+        edges.append((_index(fields[1], number, message), _index(fields[2], number, message)))
+        numbers.append(number)
+    return _construct(lambda prefix: Graph(count, tuple(prefix)), edges, numbers)
 
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse one `<coeff> <paulistring>` term per line."""
-    terms = []
+    terms, numbers = [], []
     for number, line in _significant_lines(text, "#"):
         fields = line.split()
         if len(fields) != 2:
@@ -209,10 +222,7 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         except ValueError:
             raise ParseError(number, f"bad coefficient {fields[0]!r}") from None
         terms.append((coeff, fields[1].upper()))
-        try:
-            Hamiltonian(tuple(terms))
-        except ValueError as err:
-            raise ParseError(number, str(err)) from None
+        numbers.append(number)
     if not terms:
         raise ParseError(1, "empty file: expected at least one term")
-    return Hamiltonian(tuple(terms))
+    return _construct(lambda prefix: Hamiltonian(tuple(prefix)), terms, numbers)

@@ -169,11 +169,6 @@ class _SimulatorSession(DeviceSession):
         registry = self._state.registry
         self._state._apply(circuit.gates, [registry[i] for i in ids])
 
-    def rename(self, old_ids: Sequence[int], new_ids: Sequence[int]) -> None:
-        registry = self._state.registry
-        for old, new in zip(old_ids, new_ids):
-            registry[new] = registry.pop(old)
-
     def measure(self, ids: Sequence[int]) -> list[int]:
         return [self._state.measure_wire(i, self._random) for i in ids]
 

@@ -9,11 +9,13 @@ import pytest
 from qlin import (
     Graph,
     Hamiltonian,
+    QuantumState,
     RandomSource,
     StateVectorBackend,
     ansatz,
     best_cut,
     coin,
+    compose,
     compute_energy,
     compute_energy_pauli,
     cut_value,
@@ -35,7 +37,7 @@ from qlin import (
     vqe_trajectory,
 )
 from qlin.algorithms import random_ansatz_params
-from qlin.device import DeviceBackend
+from qlin.device import DeviceBackend, DeviceSession
 from qlin.errors import AllIdentityTerm, ArityMismatch, ParamCountMismatch, RusIterationLimit
 from qlin.stdcircuits import h_gate
 
@@ -52,6 +54,61 @@ class CountingBackend(DeviceBackend):
     def new_session(self):
         self.sessions += 1
         return self.inner.new_session()
+
+
+class MinimalSession(DeviceSession):
+    """Only the three primitives, over a QuantumState; logs every call."""
+
+    def __init__(self, rand, log):
+        self.state = QuantumState()
+        self.rand = rand
+        self.log = log
+
+    def allocate(self, ids):
+        self.log.append(("new", len(ids)))
+        self.state.extend_with_zeros(ids)
+
+    def apply(self, ids, circuit):
+        self.log.append(("apply", len(ids), circuit.gates))
+        positions = [self.state.registry[i] for i in ids]
+        for gate in circuit.gates:
+            self.state.apply_gate(gate.remap(positions))
+
+    def measure(self, ids):
+        self.log.append(("measure", len(ids)))
+        return [self.state.measure_wire(i, self.rand) for i in ids]
+
+
+class MinimalBackend(DeviceBackend):
+    def __init__(self, seed):
+        self.rand = RandomSource(seed)
+        self.log = []
+
+    def new_session(self):
+        return MinimalSession(self.rand, self.log)
+
+
+def test_drivers_run_on_a_three_primitive_session():
+    # same seed, same draws, same kernels: the outcomes match the simulator's
+    for seed in range(5):
+        minimal, reference = MinimalBackend(seed), StateVectorBackend(seed=seed)
+        assert [coin(minimal) for _ in range(8)] == [coin(reference) for _ in range(8)]
+        assert run_rus(minimal) == run_rus(reference)
+        assert qaoa_trajectory(minimal, 3, 1, k3(), RandomSource(seed)) == qaoa_trajectory(
+            reference, 3, 1, k3(), RandomSource(seed)
+        )
+        prepare = ansatz(2, 1, [0.3, 1.1, 2.0, 0.4])
+        assert compute_energy_pauli(minimal, prepare, "XY", 50) == compute_energy_pauli(
+            reference, prepare, "XY", 50
+        )
+
+
+def test_estimator_shot_is_one_program_with_one_apply():
+    backend = MinimalBackend(0)
+    prepare = ansatz(3, 1, [0.1 * i for i in range(6)])
+    compute_energy_pauli(backend, prepare, "IXZ", 2)
+    shot = [("new", 3), ("apply", 3, compose(encoding_unitary("IXZ"), prepare).gates), ("measure", 3)]
+    assert backend.log == shot + shot
 
 
 # coin

@@ -135,6 +135,24 @@ def test_parse_errors(tmp_path, capsys):
         code, _, err = run(capsys, ["simulate", circuit_file(tmp_path, text, name), "--seed", "1"])
         assert code == EXIT_PARSE
         assert err.startswith("E_PARSE: line 3") and len(err.splitlines()) == 1
+    # '²' passes str.isdigit but not int(); deep angle expressions overflow the evaluator
+    for command, text, line in [
+        ("simulate", "qubits 1\nH ²\n", 2),
+        ("simulate", "qubits ²\n", 1),
+        ("simulate", "OPENQASM 2.0;\nqreg q[²];\n", 2),
+        ("qaoa --graph", "vertices ²\n", 1),
+        ("simulate", "qubits 1\nP " + "+".join(["1"] * 1500) + " 0\n", 2),
+        ("simulate", "qubits 1\nP " + "-" * 50000 + "1 0\n", 2),
+    ]:
+        path = circuit_file(tmp_path, text, "input.txt")
+        code, _, err = run(capsys, [*command.split(), path, "--seed", "1"])
+        assert code == EXIT_PARSE
+        assert err.startswith(f"E_PARSE: line {line}:") and len(err.splitlines()) == 1
+
+
+def test_backend_option_is_gone(capsys):
+    code, _, err = run(capsys, ["coin", "--seed", "1", "--backend", "sim"])
+    assert code == EXIT_USAGE and err.startswith("E_USAGE:")
 
 
 def test_runtime_error_exit_code(capsys):

@@ -17,7 +17,7 @@ from qlin import (
     qprogram,
     to_bell_basis,
 )
-from qlin.device import _handle_id
+from qlin.device import DeviceSession, _handle_id
 from qlin.errors import (
     ArityMismatch,
     DanglingQubits,
@@ -93,6 +93,10 @@ def test_handle_freshness_across_operations():
 
     execute(backend(), program())
     assert len(seen) == len(set(seen))
+
+
+def test_session_contract_is_three_primitives():
+    assert DeviceSession.__abstractmethods__ == {"allocate", "apply", "measure"}
 
 
 def test_apply_h_trace_matches_circuit_form():

@@ -17,7 +17,7 @@ from qlin import (
     matrix_of,
     to_bell_basis,
 )
-from qlin.errors import ParseError
+from qlin.errors import CircuitError, ParseError
 from qlin.formats import (
     format_circuit,
     parse_circuit,
@@ -93,6 +93,12 @@ def test_parse_circuit_error_lines():
     assert err.value.line == 3
     assert "not finite" in err.value.reason
 
+    # str.isdigit accepts '²', which int() rejects
+    for text, line in [("qubits ²", 1), ("qubits 1\nH ²", 2), ("qubits 2\nCNOT 0 ²", 2)]:
+        with pytest.raises(ParseError) as err:
+            parse_circuit(text)
+        assert err.value.line == line
+
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(circuits())
@@ -132,6 +138,10 @@ def test_qasm_errors():
         parse_qasm('OPENQASM 2.0;\nqreg q[1];\nh q[0];\nu1(1e309) q[0];\nh q[0];')
     assert err.value.line == 4
     assert "not finite" in err.value.reason
+    for text, line in [("OPENQASM 2.0;\nqreg q[²];", 2), ("OPENQASM 2.0;\nqreg q[3];\nh q[²];", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse_qasm(text)
+        assert err.value.line == line
 
 
 def test_parse_graph():
@@ -148,6 +158,10 @@ def test_parse_graph_errors():
     assert err.value.line == 3
     with pytest.raises(ParseError):
         parse_graph("")
+    for text, line in [("vertices ²", 1), ("vertices 3\nedge 0 1\nedge ² 2", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert err.value.line == line
 
 
 def test_parse_hamiltonian():
@@ -166,3 +180,84 @@ def test_parse_hamiltonian_errors():
         parse_hamiltonian("1.0 ZQ")
     with pytest.raises(ParseError):
         parse_hamiltonian("# nothing\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["+".join(["1"] * 1500), "-" * 50000 + "1"], ids=["long-sum", "many-signs"]
+)
+def test_parse_angle_too_deep_is_a_parse_error(text):
+    # a long sum overflows the evaluator's recursion; many signs overflow ast.parse
+    with pytest.raises(ParseError) as err:
+        parse_circuit(f"qubits 1\nH 0\nP {text} 0")
+    assert err.value.line == 3
+
+
+def _first_bad_prefix(make, items):
+    """Reference: grow the input one line at a time, as a streaming parser would."""
+    for count in range(1, len(items) + 1):
+        try:
+            make(items[:count])
+        except (ValueError, CircuitError) as err:
+            return count, str(err)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=25),
+)
+def test_parse_graph_reports_first_bad_line(count, edges):
+    text = f"vertices {count}\n" + "".join(f"edge {u} {v}\n" for u, v in edges)
+    expected = _first_bad_prefix(lambda prefix: Graph(count, tuple(prefix)), edges)
+    if expected is None:
+        assert parse_graph(text) == Graph(count, tuple(edges))
+        return
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert (err.value.line, err.value.reason) == (expected[0] + 1, expected[1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.5, -1.0, math.inf, math.nan]),
+            st.text("IXYZQ", min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_parse_hamiltonian_reports_first_bad_line(terms):
+    text = "".join(f"{coeff!r} {term}\n" for coeff, term in terms)
+    expected = _first_bad_prefix(lambda prefix: Hamiltonian(tuple(prefix)), terms)
+    if expected is None:
+        assert parse_hamiltonian(text) == Hamiltonian(tuple(terms))
+        return
+    with pytest.raises(ParseError) as err:
+        parse_hamiltonian(text)
+    assert (err.value.line, err.value.reason) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.lists(
+        st.one_of(
+            st.builds(lambda w: ("H", w), st.integers(0, 4)),
+            st.builds(lambda c, t: ("CNOT", c, t), st.integers(0, 4), st.integers(0, 4)),
+        ),
+        max_size=25,
+    ),
+)
+def test_parse_circuit_reports_first_bad_line(arity, lines):
+    gates = [Hadamard(*f[1:]) if f[0] == "H" else ControlledNot(*f[1:]) for f in lines]
+    text = f"qubits {arity}\n" + "".join(" ".join(map(str, f)) + "\n" for f in lines)
+    expected = _first_bad_prefix(lambda prefix: Circuit(arity, prefix), gates)
+    if expected is None:
+        assert parse_circuit(text) == Circuit(arity, gates)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text)
+    assert (err.value.line, err.value.reason) == (expected[0] + 1, expected[1])

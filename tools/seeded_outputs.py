@@ -1,0 +1,112 @@
+"""Write the seeded outputs of this checkout, one file per command.
+
+Usage: python tools/seeded_outputs.py <outdir>
+
+Writes fixed inputs (a circuit, its OpenQASM export, a Hamiltonian and a
+graph) to <outdir>/inputs, then saves the stdout of each
+`--format json --seed 7` CLI run and of each demo under <outdir>. It runs the
+sources of the checkout it sits in (`src/` and `demos/` next to `tools/`).
+
+To show that a change leaves every seeded output as it was, copy this script
+into a checkout of the parent commit, run it there and here, and compare:
+
+    git archive <parent> --prefix=parent/ | tar -x -C /tmp
+    mkdir -p /tmp/parent/tools && cp tools/seeded_outputs.py /tmp/parent/tools/
+    python /tmp/parent/tools/seeded_outputs.py /tmp/out-parent
+    python tools/seeded_outputs.py /tmp/out-change
+    diff -r /tmp/out-parent /tmp/out-change
+
+Commands run inside <outdir>/inputs and name their inputs relative to it, so
+no output depends on where <outdir> is. A command that exits non-zero stops
+the script.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CIRCUIT = """\
+qubits 4
+H 0
+CNOT 0 1
+P pi/4 1
+H 2
+P -3*pi/8 2
+CNOT 2 3
+H 3
+H 3
+CNOT 1 2
+P 0.25 0
+P 0.5 0
+H 1
+"""
+
+HAMILTONIAN = """\
+-0.5 III
+0.25 ZZI
+-0.4 XIX
+0.3 IYZ
+0.1 YXY
+"""
+
+GRAPH = """\
+vertices 6
+edge 0 1
+edge 1 2
+edge 2 3
+edge 3 4
+edge 4 5
+edge 5 0
+edge 0 3
+"""
+
+SEEDED = ["--seed", "7", "--format", "json"]
+
+# output file name -> CLI arguments, run inside inputs/
+COMMANDS = {
+    "simulate.json": ["simulate", "circuit.txt", "--shots", "500", *SEEDED],
+    "simulate-qasm.json": ["simulate", "circuit.qasm", "--shots", "500", *SEEDED],
+    "stats.json": ["stats", "circuit.txt", "--format", "json"],
+    "optimise.json": ["optimise", "circuit.txt", "--format", "json"],
+    "qft-8.json": ["qft", "--n", "8", "--format", "json"],
+    "coin.json": ["coin", *SEEDED],
+    "rus.json": ["rus", *SEEDED],
+    "vqe.json": ["vqe", "--ham", "ham.txt", "--depth", "1", "--k", "8", "--nsamples", "200", *SEEDED],
+    "qaoa.json": ["qaoa", "--graph", "graph.txt", "--p", "2", "--k", "20", *SEEDED],
+}
+
+
+def _run(argv: list[str], cwd: Path) -> str:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
+    return proc.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 1
+    out = Path(argv[0])
+    inputs = out / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    (inputs / "circuit.txt").write_text(CIRCUIT)
+    (inputs / "ham.txt").write_text(HAMILTONIAN)
+    (inputs / "graph.txt").write_text(GRAPH)
+    cli = [sys.executable, "-m", "qlin.cli"]
+    qasm = _run(cli + ["export-qasm", "circuit.txt"], inputs)
+    (inputs / "circuit.qasm").write_text(qasm)
+    for name, args in COMMANDS.items():
+        (out / name).write_text(_run(cli + args, inputs))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        (out / f"demo-{demo.stem}.txt").write_text(_run([sys.executable, str(demo)], inputs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
