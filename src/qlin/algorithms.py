@@ -18,10 +18,10 @@ from .circuit import Circuit, ControlledNot, GateApp, Hadamard, Phase, adjoint, 
 from .device import (
     DeviceBackend,
     QubitHandle,
+    _measure_all,
     apply_circuit,
     apply_h,
     execute,
-    measure,
     measure_qubit,
     new_qubits,
     qprogram,
@@ -96,15 +96,6 @@ class QaoaRecord(NamedTuple):
 class VqeRecord(NamedTuple):
     params: tuple[float, ...]
     energy: float
-
-
-@qprogram
-def _measure_all(circuit: Circuit):
-    """One shot: allocate circuit.arity qubits, apply the circuit, measure every wire."""
-    qs = yield new_qubits(circuit.arity)
-    qs = yield apply_circuit(qs, circuit)
-    bits = yield measure(qs)
-    return bits
 
 
 # quantum coin (allocate, H, measure)
@@ -316,9 +307,9 @@ def compute_energy_pauli(
         raise ArityMismatch(
             f"term acts on {len(term)} qubits but the ansatz has arity {ansatz_circuit.arity}"
         )
-    program = _measure_all(compose(encoding_unitary(term), ansatz_circuit))
+    circuit = compose(encoding_unitary(term), ansatz_circuit)
     target = next(i for i, op in enumerate(term) if op != "I")
-    ones = sum(execute(backend, program)[target] for _ in range(n_samples))
+    ones = sum(bits[target] for bits in backend.sample(circuit, n_samples))
     return (n_samples - 2 * ones) / n_samples
 
 

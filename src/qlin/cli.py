@@ -17,7 +17,6 @@ import random
 import sys
 
 from .algorithms import (
-    _measure_all,
     best_cut,
     coin,
     cut_value,
@@ -26,7 +25,7 @@ from .algorithms import (
     vqe_trajectory,
 )
 from .circuit import Circuit, depth, draw, export_qasm, format_angle, gate_counts, optimise
-from .device import execute
+from .device import _measure_all, execute
 from .errors import ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed

@@ -12,6 +12,13 @@ A backend session implements three primitives: allocate, apply and measure.
 Handles are fresh after every operation, but the qubit behind them keeps one
 id from allocation to measurement, so sessions never rebind their qubits.
 
+A backend also offers `sample(circuit, shots)`: the outcomes of `shots`
+runs of the measure-all program (allocate, apply the circuit, measure every
+wire). The default executes that program once per shot. A backend may
+override it with a faster path, but the override must give the same
+outcomes, shot for shot, and leave the backend's randomness where the
+default would.
+
 Handle ids are hidden; tests may use the privileged `_handle_id` hook but
 production code has no business reading them.
 """
@@ -79,6 +86,15 @@ class DeviceBackend(ABC):
     @abstractmethod
     def new_session(self) -> DeviceSession:
         ...
+
+    def sample(self, circuit: Circuit, shots: int) -> list[list[int]]:
+        """Bits of `shots` runs of the measure-all program of `circuit`, one list per shot.
+
+        Overrides must return exactly what this loop returns for the same
+        backend state, and consume the backend's randomness the same way.
+        """
+        program = _measure_all(circuit)
+        return [execute(self, program) for _ in range(shots)]
 
 
 class _Execution:
@@ -229,6 +245,36 @@ def measure_qubit(q: QubitHandle) -> QuantumProgram[int]:
     return measure([q]).map(lambda bits: bits[0])
 
 
+@qprogram
+def _measure_all(circuit: Circuit):
+    """One shot: allocate circuit.arity qubits, apply the circuit, measure every wire."""
+    qs = yield new_qubits(circuit.arity)
+    qs = yield apply_circuit(qs, circuit)
+    bits = yield measure(qs)
+    return bits
+
+
+class _exclusive:
+    """Hold `backend` for one execution; a nested one on it raises DeviceError.
+
+    A class rather than a generator-based context manager: it runs on every
+    execute, where the generator version cost about 2 us more.
+    """
+
+    __slots__ = ("_backend",)
+
+    def __init__(self, backend: DeviceBackend):
+        self._backend = backend
+
+    def __enter__(self) -> None:
+        if getattr(self._backend, "_qlin_executing", False):
+            raise DeviceError("executions may not be nested on the same backend instance")
+        self._backend._qlin_executing = True
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._backend._qlin_executing = False
+
+
 def execute(backend: DeviceBackend, program: QuantumProgram[A]) -> A:
     """Run a program on a fresh session of `backend` and return its result.
 
@@ -243,14 +289,9 @@ def execute_with_trace(
     backend: DeviceBackend, program: QuantumProgram[A]
 ) -> tuple[A, list[tuple[Any, ...]]]:
     """As execute, additionally returning the recorded device-op trace."""
-    if getattr(backend, "_qlin_executing", False):
-        raise DeviceError("execute may not be nested on the same backend instance")
-    ex = _Execution(backend.new_session())
-    backend._qlin_executing = True
-    try:
+    with _exclusive(backend):
+        ex = _Execution(backend.new_session())
         result = program._step(ex)
-    finally:
-        backend._qlin_executing = False
     if ex.live_count:
         raise DanglingQubits(ex.live_count)
     return result, ex.trace

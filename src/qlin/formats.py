@@ -14,33 +14,49 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 
 from .algorithms import Graph, Hamiltonian
 from .circuit import GATE_KINDS, Circuit, format_angle
 from .errors import CircuitError, ParseError
 
 
-def _eval_angle_node(node: ast.expr) -> float:
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
-    if isinstance(node, ast.Name) and node.id == "pi":
-        return math.pi
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        value = _eval_angle_node(node.operand)
-        return value if isinstance(node.op, ast.UAdd) else -value
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
-    ):
-        left = _eval_angle_node(node.left)
-        right = _eval_angle_node(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right
-    raise ValueError("unsupported angle expression")
+_BINARY_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_MAX_ANGLE_DEPTH = 1000
+
+
+def _eval_angle_node(root: ast.expr) -> float:
+    """Evaluate an angle expression tree with an explicit stack, left to right.
+
+    Nesting deeper than _MAX_ANGLE_DEPTH raises RecursionError wherever the
+    caller sits on the interpreter's stack.
+    """
+    values: list[float] = []
+    todo: list[tuple[ast.AST, int]] = [(root, 0)]  # (node, depth); depth -1: apply the operator
+    while todo:
+        node, depth = todo.pop()
+        if depth < 0:
+            if type(node) in _UNARY_OPS:
+                values.append(_UNARY_OPS[type(node)](values.pop()))
+            else:
+                right = values.pop()
+                values.append(_BINARY_OPS[type(node)](values.pop(), right))
+        elif depth > _MAX_ANGLE_DEPTH:
+            raise RecursionError("angle expression nests too deeply")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+            values.append(float(node.value))
+        elif isinstance(node, ast.Name) and node.id == "pi":
+            values.append(math.pi)
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            todo += [(node.op, -1), (node.operand, depth + 1)]
+        elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            todo += [(node.op, -1), (node.right, depth + 1), (node.left, depth + 1)]
+        else:
+            raise ValueError("unsupported angle expression")
+    return values.pop()
 
 
 def parse_angle(text: str, line: int) -> float:
@@ -49,7 +65,7 @@ def parse_angle(text: str, line: int) -> float:
         return _eval_angle_node(ast.parse(text.strip(), mode="eval").body)
     except (SyntaxError, ValueError, ZeroDivisionError):
         raise ParseError(line, f"bad angle {text.strip()!r}") from None
-    except (RecursionError, MemoryError):  # the evaluator's or ast.parse's depth limit
+    except (RecursionError, MemoryError):  # the evaluator's depth cap or ast.parse's limit
         raise ParseError(line, "angle expression nests too deeply") from None
 
 

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .circuit import Circuit, GateApp
-from .device import DeviceBackend, DeviceSession
+from .device import DeviceBackend, DeviceSession, _exclusive
 from .errors import CapacityExceeded
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -48,6 +48,45 @@ class RandomSource:
 
     def uniform(self) -> float:
         return self._rng.random()
+
+
+def _p_one(t: np.ndarray, wire: int) -> float:
+    """Probability that measuring `wire` of the state tensor `t` gives 1."""
+    idx1 = [slice(None)] * t.ndim
+    idx1[wire] = 1
+    return float(np.sum(np.abs(t[tuple(idx1)]) ** 2))
+
+
+def _collapse(t: np.ndarray, wire: int, bit: int, p_one: float) -> np.ndarray:
+    """The normalised amplitude vector left after `wire` of `t` reads `bit`."""
+    kept = np.take(t, bit, axis=wire).reshape(-1)
+    norm = math.sqrt(p_one if bit else 1.0 - p_one)
+    return kept / norm
+
+
+def _sample_prepared(
+    t: np.ndarray, rows: np.ndarray, uniforms: np.ndarray, bits: np.ndarray
+) -> None:
+    """Measure every wire of the state tensor `t`, in order, for the shots `rows`.
+
+    `uniforms[s, k]` is the draw shot s makes at wire k and `bits[s, k]`
+    receives its outcome; `t` is the state after the first
+    `bits.shape[1] - t.ndim` wires were measured. Shots that agree on their
+    first k bits share the state left after them, so the shots walk a
+    collapse tree: a node is built once, with the same helpers and floats as
+    `QuantumState.measure_wire`, and only if some shot reaches it. The walk
+    is depth first, so it holds one node per level: about two state vectors.
+    """
+    depth = bits.shape[1] - t.ndim
+    p_one = _p_one(t, 0)
+    ones = uniforms[rows, depth] < p_one
+    bits[rows, depth] = ones
+    if t.ndim > 1:
+        for bit, reached in ((0, rows[~ones]), (1, rows[ones])):
+            if len(reached):
+                child = _collapse(t, 0, bit, p_one).reshape(t.shape[1:])
+                _sample_prepared(child, reached, uniforms, bits)
+                del child  # before its sibling is built
 
 
 class QuantumState:
@@ -132,20 +171,16 @@ class QuantumState:
         probability of 1, so basis states measure deterministically for any
         seed.
         """
-        wire = self.registry[ident]
-        n = self.wire_count
-        t = self._tensor()
-        idx1 = [slice(None)] * n
-        idx1[wire] = 1
-        p_one = float(np.sum(np.abs(t[tuple(idx1)]) ** 2))
+        registry = self.registry
+        wire = registry[ident]
+        t = self.amplitudes.reshape([2] * len(registry))
+        p_one = _p_one(t, wire)
         bit = 1 if rand.uniform() < p_one else 0
-        kept = np.take(t, bit, axis=wire).reshape(-1)
-        norm = math.sqrt(p_one if bit else 1.0 - p_one)
-        self.amplitudes = kept / norm
-        del self.registry[ident]
-        for other, w in self.registry.items():
+        self.amplitudes = _collapse(t, wire, bit, p_one)
+        del registry[ident]
+        for other, w in registry.items():
             if w > wire:
-                self.registry[other] = w - 1
+                registry[other] = w - 1
         return bit
 
     def debug_dump(self) -> str:
@@ -187,3 +222,29 @@ class StateVectorBackend(DeviceBackend):
 
     def new_session(self) -> _SimulatorSession:
         return _SimulatorSession(self._random, self.max_qubits)
+
+    def sample(self, circuit: Circuit, shots: int) -> list[list[int]]:
+        """As `DeviceBackend.sample`, preparing the circuit's state once.
+
+        Each shot draws `circuit.arity` uniforms in wire order, as a session
+        measuring every wire does, and the outcomes come from the collapse
+        tree of the one prepared state; the bits and the position of the
+        random stream afterwards equal the per-shot loop's.
+        """
+        if shots < 1:
+            return []  # the default runs no execution, so it neither fails nor draws
+        n = circuit.arity
+        with _exclusive(self):
+            if n > self.max_qubits:
+                raise CapacityExceeded(n, self.max_qubits)
+            state = QuantumState()
+            state.extend_with_zeros(range(n))
+            state._apply(circuit.gates, range(n))
+            # iter(f, None) calls f for each item and never stops by itself;
+            # fromiter takes exactly `count` of them
+            uniforms = np.fromiter(iter(self._random.uniform, None), float, shots * n)
+            bits = np.zeros((shots, n), dtype=np.int8)
+            if n:
+                t = state.amplitudes.reshape([2] * n)
+                _sample_prepared(t, np.arange(shots), uniforms.reshape(shots, n), bits)
+        return bits.tolist()

@@ -10,6 +10,7 @@ from qlin import (
     apply_p,
     execute,
     execute_with_trace,
+    identity,
     measure,
     measure_qubit,
     new_qubits,
@@ -20,6 +21,7 @@ from qlin import (
 from qlin.device import DeviceSession, _handle_id
 from qlin.errors import (
     ArityMismatch,
+    CapacityExceeded,
     DanglingQubits,
     DeviceError,
     DuplicateHandle,
@@ -244,6 +246,35 @@ def test_execute_not_reentrant():
         execute(b, nested())
     # the guard resets, so the backend is usable afterwards
     assert execute(b, pure(7)) == 7
+
+
+def test_sample_inside_execute_is_nested():
+    b = backend()
+
+    @qprogram
+    def nested():
+        q, = yield new_qubits(1)
+        b.sample(h_gate(), 3)
+        yield measure([q])
+
+    with pytest.raises(DeviceError):
+        execute(b, nested())
+
+
+def test_sample_capacity_error_releases_the_backend():
+    b = StateVectorBackend(seed=0, max_qubits=2)
+    with pytest.raises(CapacityExceeded):
+        b.sample(identity(3), 5)
+    assert execute(b, pure(7)) == 7
+    assert b.sample(identity(2), 2) == [[0, 0], [0, 0]]
+
+
+def test_sample_capacity_error_draws_nothing():
+    b = StateVectorBackend(seed=5, max_qubits=2)
+    with pytest.raises(CapacityExceeded):
+        b.sample(identity(3), 5)
+    bell = to_bell_basis()
+    assert b.sample(bell, 40) == StateVectorBackend(seed=5).sample(bell, 40)
 
 
 def test_programs_are_reusable_values():

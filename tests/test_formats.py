@@ -22,6 +22,7 @@ from qlin.formats import (
     format_circuit,
     parse_circuit,
     parse_graph,
+    parse_angle,
     parse_hamiltonian,
     parse_qasm,
 )
@@ -190,6 +191,16 @@ def test_parse_angle_too_deep_is_a_parse_error(text):
     with pytest.raises(ParseError) as err:
         parse_circuit(f"qubits 1\nH 0\nP {text} 0")
     assert err.value.line == 3
+
+
+def test_parse_angle_does_not_depend_on_the_callers_stack():
+    text = "+".join(["1"] * 900)
+
+    def deeper(frames):
+        return parse_angle(text, 1) if frames == 0 else deeper(frames - 1)
+
+    assert parse_angle(text, 1) == 900.0
+    assert deeper(200) == 900.0
 
 
 def _first_bad_prefix(make, items):

@@ -2,6 +2,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from qlin import (
     StateVectorBackend,
     apply,
     apply_circuit,
+    coin,
     execute,
     identity,
     matrix_of,
@@ -22,7 +24,8 @@ from qlin import (
     qprogram,
     to_bell_basis,
 )
-from qlin.circuit import ControlledNot, Hadamard, Phase
+from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
+from qlin.device import DeviceBackend
 from qlin.errors import CapacityExceeded
 from qlin.simulator import QuantumState, derive_seed
 
@@ -231,6 +234,57 @@ def test_capacity_cap():
 
     with pytest.raises(CapacityExceeded):
         execute(backend, program())
+
+
+# sampling one prepared state
+
+def _basis_circuit(bits):
+    """|bits> by H P(pi) H on every 1 wire: each p1 is 0 or 1 up to rounding."""
+    flips = [w for w, bit in enumerate(bits) if bit]
+    gates = [g for w in flips for g in (Hadamard(w), Phase(math.pi, w), Hadamard(w))]
+    return Circuit(len(bits), gates)
+
+
+sample_circuits = st.one_of(
+    st.builds(
+        lambda seed, arity, gates: random_circuit(random.Random(seed), arity, gates),
+        st.integers(0, 10_000),
+        st.integers(0, 6),
+        st.integers(0, 15),
+    ),
+    st.lists(st.booleans(), max_size=6).map(_basis_circuit),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(sample_circuits, st.integers(0, 50), st.integers())
+def test_sample_matches_the_per_shot_default(circuit, shots, seed):
+    fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
+    assert fast.sample(circuit, shots) == DeviceBackend.sample(default, circuit, shots)
+    # both drew the same number of uniforms, so their streams go on alike
+    assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
+
+
+def test_sample_decision_rule():
+    # shot by shot, wire by wire; 1 iff u < p1, so u = 0 at p1 = 0 reads 0
+    backend = StateVectorBackend()
+    backend._random = FixedRandom([0.0, 0.3, 0.7, 0.0])
+    assert backend.sample(Circuit(2, [Hadamard(0)]), 2) == [[1, 0], [0, 0]]
+
+
+def test_sample_keeps_about_two_state_vectors():
+    # every outcome prefix of H on 16 wires is reachable, so a walk that kept
+    # each node's amplitudes would hold about a dozen state vectors
+    circuit = Circuit(16, [Hadamard(w) for w in range(16)])
+    backend = StateVectorBackend(seed=3)
+    tracemalloc.start()
+    try:
+        bits = backend.sample(circuit, 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bits) == 4000 and all(len(shot) == 16 for shot in bits)
+    assert peak < 3 * 2**16 * 16
 
 
 def test_derive_seed_is_stable_and_spreads():

@@ -4,8 +4,10 @@ Usage: python tools/seeded_outputs.py <outdir>
 
 Writes fixed inputs (a circuit, its OpenQASM export, a Hamiltonian and a
 graph) to <outdir>/inputs, then saves the stdout of each
-`--format json --seed 7` CLI run and of each demo under <outdir>. It runs the
-sources of the checkout it sits in (`src/` and `demos/` next to `tools/`).
+`--format json --seed 7` CLI run and of each demo under <outdir>, and
+`estimator.json`: `compute_energy_pauli` results for fixed seeds over random
+ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian. It runs
+the sources of the checkout it sits in (`src/` and `demos/` next to `tools/`).
 
 To show that a change leaves every seeded output as it was, copy this script
 into a checkout of the parent commit, run it there and here, and compare:
@@ -80,6 +82,34 @@ COMMANDS = {
 }
 
 
+# Run by the checkout's Python: estimates on one backend per case, term by
+# term, then the next coin on that backend (its random stream's position).
+ESTIMATOR = """\
+import json, random
+from qlin import RandomSource, StateVectorBackend, ansatz, coin, compute_energy_pauli
+
+H2_TERMS = ["ZIII", "IZII", "IIZI", "IIIZ", "ZZII", "IIZZ", "ZIIZ", "XXYY", "YYXX"]
+rng = random.Random(20211118)
+cases = []
+for case in range(24):
+    n = 4 if case < 6 else rng.randint(1, 6)
+    depth = rng.randint(0, 3)
+    params = [rng.uniform(0.0, 6.3) for _ in range(2 * n * depth)]
+    if n == 4 and case < 6:
+        terms = H2_TERMS
+    else:
+        terms = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(4)]
+        terms = [t for t in terms if set(t) != {"I"}] or ["Z" * n]
+    seed, n_samples = rng.getrandbits(62), rng.choice([1, 7, 100, 500])
+    backend = StateVectorBackend(seed=seed)
+    prepare = ansatz(n, depth, params)
+    energies = [compute_energy_pauli(backend, prepare, t, n_samples) for t in terms]
+    cases.append({"n": n, "depth": depth, "params": params, "seed": seed, "n_samples": n_samples,
+                  "terms": terms, "energies": energies, "next_coin": coin(backend)})
+print(json.dumps(cases, indent=1))
+"""
+
+
 def _run(argv: list[str], cwd: Path) -> str:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
     proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
@@ -103,6 +133,7 @@ def main(argv: list[str]) -> int:
     (inputs / "circuit.qasm").write_text(qasm)
     for name, args in COMMANDS.items():
         (out / name).write_text(_run(cli + args, inputs))
+    (out / "estimator.json").write_text(_run([sys.executable, "-c", ESTIMATOR], inputs))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (out / f"demo-{demo.stem}.txt").write_text(_run([sys.executable, str(demo)], inputs))
     return 0
