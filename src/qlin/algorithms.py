@@ -18,9 +18,7 @@ from .circuit import Circuit, ControlledNot, GateApp, Hadamard, Phase, adjoint, 
 from .device import (
     DeviceBackend,
     QubitHandle,
-    _measure_all,
     apply_circuit,
-    apply_h,
     execute,
     measure_qubit,
     new_qubits,
@@ -28,6 +26,7 @@ from .device import (
 )
 from .errors import AllIdentityTerm, ArityMismatch, ParamCountMismatch, RusIterationLimit
 from .simulator import RandomSource
+from .stdcircuits import h_gate
 
 Cut = tuple[int, ...]
 
@@ -100,17 +99,9 @@ class VqeRecord(NamedTuple):
 
 # quantum coin (allocate, H, measure)
 
-@qprogram
-def _coin_program():
-    q, = yield new_qubits(1)
-    q = yield apply_h(q)
-    bit = yield measure_qubit(q)
-    return bit
-
-
 def coin(backend: DeviceBackend) -> int:
     """Fair coin toss from one qubit in superposition."""
-    return execute(backend, _coin_program())
+    return backend.sample(h_gate(), 1)[0][0]
 
 
 # repeat-until-success
@@ -253,7 +244,7 @@ def qaoa_trajectory(
     for _ in range(k):
         betas, gammas = optimiser(graph, p, history, rand)
         circuit = qaoa_unitary(betas, gammas, graph)
-        cut = tuple(execute(backend, _measure_all(circuit)))
+        cut = tuple(backend.sample(circuit, 1)[0])
         history.append(QaoaRecord(tuple(betas), tuple(gammas), cut))
     return history
 

@@ -379,13 +379,13 @@ def optimise(c: Circuit) -> Circuit:
 
 def depth(c: Circuit) -> int:
     """Longest wire-wise dependency chain; a CNOT occupies both its wires."""
-    frontier = [0] * c.arity
+    frontier: dict[int, int] = {}  # touched wire -> its chain length; O(gates), not O(arity)
     for gate in c.gates:
         wires = gate.wires
-        step = 1 + max(frontier[w] for w in wires)
+        step = 1 + max(frontier.get(w, 0) for w in wires)
         for w in wires:
             frontier[w] = step
-    return max(frontier, default=0)
+    return max(frontier.values(), default=0)
 
 
 def gate_counts(c: Circuit) -> Counter[str]:

@@ -15,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 
 from .algorithms import (
     best_cut,
@@ -25,8 +26,7 @@ from .algorithms import (
     vqe_trajectory,
 )
 from .circuit import Circuit, depth, draw, export_qasm, format_angle, gate_counts, optimise
-from .device import _measure_all, execute
-from .errors import ParseError
+from .errors import CapacityExceeded, ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed
 from .stdcircuits import qft
@@ -35,6 +35,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_RUNTIME = 3
+
+# Most shots `simulate` asks the backend for at once, so memory stays bounded
+# whatever --shots is; the outcomes do not depend on it, since sample draws
+# in shot order.
+_SHOT_BATCH = 2**16
 
 
 class _UsageError(Exception):
@@ -147,12 +152,11 @@ def _cmd_simulate(args) -> None:
     _check(args.shots >= 1, "--shots must be at least 1")
     circuit = _load_circuit(args.circuit)
     seed = _resolve_seed(args)
-    program = _measure_all(circuit)
-    counts: dict[str, int] = {}
-    for shot in range(args.shots):
-        backend = StateVectorBackend(seed=derive_seed(seed, shot))
-        outcome = "".join(map(str, execute(backend, program)))
-        counts[outcome] = counts.get(outcome, 0) + 1
+    backend = StateVectorBackend(seed=seed)
+    counts: Counter[str] = Counter()
+    for done in range(0, args.shots, _SHOT_BATCH):
+        batch = backend.sample(circuit, min(_SHOT_BATCH, args.shots - done))
+        counts.update("".join(map(str, bits)) for bits in batch)
     lines = [
         f"{bits} {count} {count / args.shots:.4f}" for bits, count in sorted(counts.items())
     ]
@@ -250,6 +254,8 @@ def _cmd_qaoa(args) -> None:
     graph = parse_graph(_read(args.graph))
     seed = _resolve_seed(args)
     backend = StateVectorBackend(seed=derive_seed(seed, 0))
+    if graph.vertex_count > backend.max_qubits:  # before building any circuit
+        raise CapacityExceeded(graph.vertex_count, backend.max_qubits)
     rand = RandomSource(derive_seed(seed, 1))
     history = qaoa_trajectory(backend, args.k, args.p, graph, rand)
     cut, value = best_cut(graph, [record.cut for record in history])

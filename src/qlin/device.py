@@ -14,10 +14,12 @@ id from allocation to measurement, so sessions never rebind their qubits.
 
 A backend also offers `sample(circuit, shots)`: the outcomes of `shots`
 runs of the measure-all program (allocate, apply the circuit, measure every
-wire). The default executes that program once per shot. A backend may
-override it with a faster path, but the override must give the same
-outcomes, shot for shot, and leave the backend's randomness where the
-default would.
+wire). It is the one path for such shots: the coin, QAOA's cuts, the energy
+estimator and CLI `simulate` all take theirs from it, and only the default
+`sample` builds the measure-all program. The default executes that program
+once per shot. A backend may override it with a faster path, but the
+override must give the same outcomes, shot for shot, and leave the
+backend's randomness where the default would.
 
 Handle ids are hidden; tests may use the privileged `_handle_id` hook but
 production code has no business reading them.

@@ -63,7 +63,8 @@ def parse_angle(text: str, line: int) -> float:
     """Evaluate an angle literal or a +-*/ expression over `pi`."""
     try:
         return _eval_angle_node(ast.parse(text.strip(), mode="eval").body)
-    except (SyntaxError, ValueError, ZeroDivisionError):
+    # OverflowError: an integer literal too large for a float
+    except (SyntaxError, ValueError, ZeroDivisionError, OverflowError):
         raise ParseError(line, f"bad angle {text.strip()!r}") from None
     except (RecursionError, MemoryError):  # the evaluator's depth cap or ast.parse's limit
         raise ParseError(line, "angle expression nests too deeply") from None

@@ -8,6 +8,8 @@ index, matching the circuit module's matrix convention.
 
 Randomness is injected through RandomSource and never read from global
 state: the same seed and program give the same outcome sequence, bit for bit.
+`StateVectorBackend.sample` prepares a measure-all circuit once and draws
+every shot from that one state, in shot order, from the backend's stream.
 """
 from __future__ import annotations
 
@@ -30,7 +32,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Stable per-shot seed derivation (splitmix64 mixing)."""
+    """Stable seed of stream `index` split off `seed` (splitmix64 mixing).
+
+    The CLI's `vqe` and `qaoa` give the backend stream 0 and the optimiser
+    stream 1.
+    """
     x = (seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64

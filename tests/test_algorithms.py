@@ -103,6 +103,22 @@ def test_drivers_run_on_a_three_primitive_session():
         )
 
 
+class SampleOnlyBackend(StateVectorBackend):
+    def new_session(self):
+        raise AssertionError("measure-all shots are taken through sample")
+
+
+def test_coin_and_qaoa_take_their_shots_from_sample():
+    # no session can be opened, so every shot comes from sample; the
+    # outcomes still equal the three-primitive session's
+    for seed in range(3):
+        sampler, minimal = SampleOnlyBackend(seed=seed), MinimalBackend(seed)
+        assert [coin(sampler) for _ in range(8)] == [coin(minimal) for _ in range(8)]
+        assert qaoa_trajectory(sampler, 3, 1, k3(), RandomSource(seed)) == qaoa_trajectory(
+            minimal, 3, 1, k3(), RandomSource(seed)
+        )
+
+
 def test_estimator_shot_is_one_program_with_one_apply():
     backend = MinimalBackend(0)
     prepare = ansatz(3, 1, [0.1 * i for i in range(6)])

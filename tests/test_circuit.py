@@ -239,6 +239,9 @@ def test_depth_examples():
     assert depth(identity(5)) == 0
     assert depth(to_bell_basis()) == 2
     assert depth(tensor(h_gate(), h_gate())) == 1
+    # the cost follows the gates, not the arity
+    huge = 10**12
+    assert depth(Circuit(huge, [Hadamard(3), ControlledNot(3, huge - 1)])) == 2
 
 
 def test_gate_counts_bell():

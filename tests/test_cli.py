@@ -1,10 +1,12 @@
 """CLI behaviour: outputs, exit codes, determinism, format round-trips."""
 import json
+from collections import Counter
 
 import pytest
 
-from qlin import cli
+from qlin import StateVectorBackend, algorithms, cli
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
+from qlin.formats import parse_circuit
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
 K3 = "vertices 3\nedge 0 1\nedge 1 2\nedge 0 2\n"
@@ -31,6 +33,27 @@ def test_simulate_bell_histogram(tmp_path, capsys):
     assert set(counts) == {"00", "11"}
     assert sum(counts.values()) == 10000
     assert 0.48 <= counts["00"] / 10000 <= 0.52
+
+
+def test_simulate_counts_one_seeded_sample_stream_in_batches(tmp_path, capsys, monkeypatch):
+    batches = []
+
+    class SampleOnlyBackend(StateVectorBackend):
+        def new_session(self):
+            raise AssertionError("simulate takes its shots from sample")
+
+        def sample(self, circuit, shots):
+            batches.append(shots)
+            return super().sample(circuit, shots)
+
+    monkeypatch.setattr(cli, "StateVectorBackend", SampleOnlyBackend)
+    shots = cli._SHOT_BATCH + 1000
+    argv = ["simulate", circuit_file(tmp_path), "--shots", str(shots), "--seed", "3", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert batches == [cli._SHOT_BATCH, 1000]
+    drawn = StateVectorBackend(seed=3).sample(parse_circuit(BELL), shots)
+    assert json.loads(out) == Counter("".join(map(str, bits)) for bits in drawn)
 
 
 def test_simulate_identity_circuit(tmp_path, capsys):
@@ -135,8 +158,10 @@ def test_parse_errors(tmp_path, capsys):
         code, _, err = run(capsys, ["simulate", circuit_file(tmp_path, text, name), "--seed", "1"])
         assert code == EXIT_PARSE
         assert err.startswith("E_PARSE: line 3") and len(err.splitlines()) == 1
-    # '²' passes str.isdigit but not int(); deep angle expressions overflow the evaluator
+    # '²' passes str.isdigit but not int(); deep angle expressions overflow the
+    # evaluator; an integer angle of 400 nines overflows a float
     for command, text, line in [
+        ("simulate", "qubits 1\nP " + "9" * 400 + " 0\n", 2),
         ("simulate", "qubits 1\nH ²\n", 2),
         ("simulate", "qubits ²\n", 1),
         ("simulate", "OPENQASM 2.0;\nqreg q[²];\n", 2),
@@ -179,6 +204,19 @@ def test_internal_failure_is_one_runtime_line(monkeypatch, capsys, error, line):
     assert code == EXIT_RUNTIME
     assert out == ""
     assert err.splitlines() == [line]
+
+
+def test_qaoa_checks_the_qubit_cap_before_building_a_circuit(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a circuit was built for a graph over the cap")
+
+    monkeypatch.setattr(algorithms, "qaoa_unitary", never)
+    graph = circuit_file(tmp_path, "vertices 25\n", "g.txt")
+    code, out, err = run(capsys, ["qaoa", "--graph", graph, "--seed", "1"])
+    assert code == EXIT_RUNTIME and out == ""
+    assert err.splitlines() == [
+        "E_RUNTIME: CapacityExceeded: 25 qubits requested but the backend is capped at 24"
+    ]
 
 
 def test_coin_text_output(capsys):

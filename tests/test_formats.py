@@ -94,8 +94,13 @@ def test_parse_circuit_error_lines():
     assert err.value.line == 3
     assert "not finite" in err.value.reason
 
-    # str.isdigit accepts '²', which int() rejects
-    for text, line in [("qubits ²", 1), ("qubits 1\nH ²", 2), ("qubits 2\nCNOT 0 ²", 2)]:
+    # str.isdigit accepts '²', which int() rejects; 400 nines overflow a float
+    for text, line in [
+        ("qubits ²", 1),
+        ("qubits 1\nH ²", 2),
+        ("qubits 2\nCNOT 0 ²", 2),
+        ("qubits 1\nP " + "9" * 400 + " 0", 2),
+    ]:
         with pytest.raises(ParseError) as err:
             parse_circuit(text)
         assert err.value.line == line
@@ -139,7 +144,11 @@ def test_qasm_errors():
         parse_qasm('OPENQASM 2.0;\nqreg q[1];\nh q[0];\nu1(1e309) q[0];\nh q[0];')
     assert err.value.line == 4
     assert "not finite" in err.value.reason
-    for text, line in [("OPENQASM 2.0;\nqreg q[²];", 2), ("OPENQASM 2.0;\nqreg q[3];\nh q[²];", 3)]:
+    for text, line in [
+        ("OPENQASM 2.0;\nqreg q[²];", 2),
+        ("OPENQASM 2.0;\nqreg q[3];\nh q[²];", 3),
+        ("OPENQASM 2.0;\nqreg q[1];\nu1(" + "9" * 400 + ") q[0];", 3),
+    ]:
         with pytest.raises(ParseError) as err:
             parse_qasm(text)
         assert err.value.line == line
