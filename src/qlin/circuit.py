@@ -2,13 +2,13 @@
 
 A Circuit is an immutable ordered gate sequence on a fixed number of wires;
 an empty sequence is the identity. Gates are stored in temporal order, so the
-dense matrix of a circuit is the product of the per-gate embeddings folded
-left to right (the gate appended last is the leftmost factor).
+gate appended last is the leftmost factor of the circuit's matrix.
 
 Each gate kind is described once, in its class: the wires it touches, its
 validation against an arity, its remapping through a wire vector, its
-inverse, its controlled expansion over {H, P, CNOT}, its dense embedding for
-matrix_of, its glyphs for draw, and its spellings. Every text form of a gate
+inverse, its controlled expansion over {H, P, CNOT}, its glyphs for draw, and
+its spellings. Its action on amplitudes is written once too, in the kernels
+module, which matrix_of and the simulator share. Every text form of a gate
 has the shape (name, params, wires): the native line `P <a> <j>`, the QASM
 statement `u1(a) q[j]` and the JSON list `["P", a, j]`. The rest of the
 package reads these attributes rather than switching on the kind; only
@@ -22,7 +22,6 @@ All operations are pure and circuits are safe to share between threads.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -39,17 +38,9 @@ from .errors import (
     NonFiniteAngle,
     WireOutOfRange,
 )
+from .kernels import apply_gates
 
 MATRIX_ARITY_LIMIT = 12
-
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-
-
-def _embed_single(mat: np.ndarray, n: int, wire: int) -> np.ndarray:
-    left = np.eye(2**wire, dtype=complex)
-    right = np.eye(2 ** (n - wire - 1), dtype=complex)
-    return np.kron(np.kron(left, mat), right)
-
 
 class _Gate:
     """What every gate kind shares; each kind's own facts live in its class.
@@ -88,10 +79,6 @@ class _Gate:
 
     def controlled(self, ctl: int) -> list[GateApp]:
         """This gate controlled on wire `ctl`, expanded over {H, P, CNOT}."""
-        raise NotImplementedError
-
-    def matrix(self, n: int) -> np.ndarray:
-        """Dense 2^n x 2^n embedding of this gate."""
         raise NotImplementedError
 
 
@@ -136,9 +123,6 @@ class Hadamard(_Gate):
         tgt = self.wire
         return _ry_block(tgt, _QUARTER) + [ControlledNot(ctl, tgt)] + _ry_block(tgt, -_QUARTER)
 
-    def matrix(self, n: int) -> np.ndarray:
-        return _embed_single(_H_MATRIX, n, self.wire)
-
 
 @dataclass(frozen=True)
 class Phase(_Gate):
@@ -178,10 +162,6 @@ class Phase(_Gate):
             ControlledNot(ctl, tgt),
             Phase(half, ctl),
         ]
-
-    def matrix(self, n: int) -> np.ndarray:
-        single = np.array([[1, 0], [0, cmath.exp(1j * self.angle)]], dtype=complex)
-        return _embed_single(single, n, self.wire)
 
 
 @dataclass(frozen=True)
@@ -225,16 +205,6 @@ class ControlledNot(_Gate):
             Phase(-_QUARTER, b),
             ControlledNot(a, b),
         ]
-
-    def matrix(self, n: int) -> np.ndarray:
-        dim = 2**n
-        cbit = 1 << (n - 1 - self.control)
-        tbit = 1 << (n - 1 - self.target)
-        src = np.arange(dim)
-        dst = np.where(src & cbit, src ^ tbit, src)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[dst, src] = 1.0
-        return mat
 
 
 GateApp = Hadamard | Phase | ControlledNot
@@ -396,14 +366,16 @@ def gate_counts(c: Circuit) -> Counter[str]:
 def matrix_of(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit; the reference semantics for everything else.
 
-    Cost is O(8^arity) per gate, so arities above MATRIX_ARITY_LIMIT are
-    rejected rather than silently thrashing memory.
+    The gate kernels act on the identity with its columns as a batch axis, so
+    column j is U|j>. Cost is O(4^arity) per gate and the matrix itself takes
+    16 * 4^arity bytes, so arities above MATRIX_ARITY_LIMIT are rejected
+    before anything is allocated.
     """
-    if c.arity > MATRIX_ARITY_LIMIT:
-        raise ArityTooLarge(c.arity, MATRIX_ARITY_LIMIT)
-    mat = np.eye(2**c.arity, dtype=complex)
-    for gate in c.gates:
-        mat = gate.matrix(c.arity) @ mat
+    n = c.arity
+    if n > MATRIX_ARITY_LIMIT:
+        raise ArityTooLarge(n, MATRIX_ARITY_LIMIT)
+    mat = np.eye(2**n, dtype=complex)
+    apply_gates(mat.reshape([2] * n + [2**n]), c.gates, range(n))
     return mat
 
 

@@ -1,10 +1,11 @@
 """Exact state-vector simulation backend.
 
-Gates are applied directly to the 2^n amplitude vector (O(2^n) per gate); no
-2^n x 2^n matrix is ever materialised. Measurement collapses and physically
-contracts the measured wire out of the state, so the vector always has one
-axis per live qubit. Wire 0 is the most significant bit of an amplitude
-index, matching the circuit module's matrix convention.
+Gates are applied directly to the 2^n amplitude vector (O(2^n) per gate) by
+the kernels that matrix_of also uses; no 2^n x 2^n matrix is ever
+materialised. Measurement collapses and physically contracts the measured
+wire out of the state, so the vector always has one axis per live qubit.
+Wire 0 is the most significant bit of an amplitude index, matching the
+circuit module's matrix convention.
 
 Randomness is injected through RandomSource and never read from global
 state: the same seed and program give the same outcome sequence, bit for bit.
@@ -23,8 +24,7 @@ import numpy as np
 from .circuit import Circuit, GateApp
 from .device import DeviceBackend, DeviceSession, _exclusive
 from .errors import CapacityExceeded
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+from .kernels import apply_gates
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -125,50 +125,13 @@ class QuantumState:
         for offset, ident in enumerate(ids):
             self.registry[ident] = n + offset
 
-    def _tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape([2] * self.wire_count)
-
-    def _hadamard(self, wire: int) -> None:
-        t = self._tensor()
-        idx0 = [slice(None)] * self.wire_count
-        idx1 = list(idx0)
-        idx0[wire], idx1[wire] = 0, 1
-        idx0, idx1 = tuple(idx0), tuple(idx1)
-        a0 = t[idx0].copy()
-        a1 = t[idx1]
-        t[idx0] = (a0 + a1) * _INV_SQRT2
-        t[idx1] = (a0 - a1) * _INV_SQRT2
-
-    def _phase(self, angle: float, wire: int) -> None:
-        t = self._tensor()
-        idx1 = [slice(None)] * self.wire_count
-        idx1[wire] = 1
-        t[tuple(idx1)] *= complex(math.cos(angle), math.sin(angle))
-
-    def _cnot(self, control: int, target: int) -> None:
-        t = self._tensor()
-        i10 = [slice(None)] * self.wire_count
-        i11 = list(i10)
-        i10[control] = i11[control] = 1
-        i10[target], i11[target] = 0, 1
-        i10, i11 = tuple(i10), tuple(i11)
-        swapped = t[i10].copy()
-        t[i10] = t[i11]
-        t[i11] = swapped
-
-    # Kernel per gate kind, called with the gate's fields in order and its
-    # wires mapped to positions in this state.
-    _KERNELS = {"H": _hadamard, "P": _phase, "CNOT": _cnot}
-
     def apply_gate(self, gate: GateApp) -> None:
         """Apply one gate whose wire fields are positions in this state."""
         self._apply((gate,), range(self.wire_count))
 
     def _apply(self, gates: Sequence[GateApp], wires: Sequence[int]) -> None:
         """Apply gates in order, with a gate's wire k acting on position wires[k]."""
-        kernels = self._KERNELS
-        for gate in gates:
-            kernels[gate.name](self, *gate.fields_on(wires))
+        apply_gates(self.amplitudes.reshape([2] * self.wire_count), gates, wires)
 
     def measure_wire(self, ident: int, rand: RandomSource) -> int:
         """Measure the qubit named `ident`: collapse, renormalise, contract.

@@ -3,7 +3,17 @@ from __future__ import annotations
 
 import math
 
-from .circuit import Circuit, ControlledNot, Hadamard, add_cnot, add_h, add_p, controlled, identity
+from .circuit import (
+    Circuit,
+    ControlledNot,
+    Hadamard,
+    Phase,
+    add_cnot,
+    add_h,
+    add_p,
+    controlled,
+    identity,
+)
 
 
 def h_gate() -> Circuit:
@@ -48,5 +58,5 @@ def qft(n: int) -> Circuit:
         # control at distance d contributes P(2*pi / 2^(d+1)).
         gates.append(Hadamard(k))
         for m in range(2, n - k + 1):
-            gates += [g.remap((k + m - 1, k)) for g in c_rm(m).gates]
+            gates += Phase(2.0 * math.pi / 2**m, k).controlled(k + m - 1)
     return Circuit(n, gates)

@@ -72,6 +72,25 @@ def block_diag_controlled(mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_unitary(circuit: Circuit) -> np.ndarray:
+    """Product of every gate's brute-force embedding, the last gate leftmost.
+
+    H is H, P(a) is diag(1, e^(ia)) and CNOT is X controlled on its first
+    wire, each placed on the gate's wires by embed_matrix.
+    """
+    n = circuit.arity
+    out = np.eye(2**n, dtype=complex)
+    for gate in circuit.gates:
+        if gate.name == "H":
+            small = H
+        elif gate.name == "P":
+            small = np.diag([1.0, np.exp(1j * gate.params[0])])
+        else:
+            small = block_diag_controlled(X)
+        out = embed_matrix(small, n, list(gate.wires)) @ out
+    return out
+
+
 def bit_reversed_dft(n: int) -> np.ndarray:
     """(1/sqrt(2^n)) omega^(jk) with the output bit order reversed."""
     dim = 2**n

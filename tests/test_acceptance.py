@@ -53,6 +53,7 @@ from .oracles import (
     basis_state,
     bit_reversed_dft,
     block_diag_controlled,
+    dense_unitary,
     embed_matrix,
     normalise_phase,
     pauli_matrix,
@@ -95,6 +96,8 @@ def test_criterion_1_oracle_equivalence():
             state.apply_gate(gate)
         want = matrix_of(circuit) @ basis_state(n, 0)
         assert max_dev(state.amplitudes, want) <= TOL
+        # matrix_of runs the same kernels, so check against an independent oracle too
+        assert max_dev(state.amplitudes, dense_unitary(circuit)[:, 0]) <= TOL
     assert time.perf_counter() - start < 10.0
 
 

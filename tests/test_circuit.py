@@ -1,6 +1,7 @@
 """Circuit construction, algebra, metrics, and reference matrix semantics."""
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from .oracles import (
     assert_close,
     basis_state,
     block_diag_controlled,
+    dense_unitary,
     embed_matrix,
     kron_all,
     normalise_phase,
@@ -55,6 +57,7 @@ from .oracles import (
 # constructors
 
 def test_identity_matrices():
+    assert matrix_of(identity(0)).shape == (1, 1)
     assert_close(matrix_of(identity(0)), np.array([[1.0]]))
     assert_close(matrix_of(identity(1)), np.eye(2))
     assert_close(matrix_of(identity(2)), np.eye(4))
@@ -251,8 +254,15 @@ def test_gate_counts_bell():
 # matrix guard and drawing / export
 
 def test_matrix_arity_guard():
-    with pytest.raises(ArityTooLarge):
-        matrix_of(identity(13))
+    # a 13-wire matrix would take 1 GiB; the guard must come before it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArityTooLarge):
+            matrix_of(identity(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_matrix_of_bell_state():
@@ -295,6 +305,29 @@ circuits = st.builds(
     st.integers(1, 6),
     st.integers(0, 15),
 )
+
+
+def _gate_lists(n: int):
+    wire = st.integers(0, n - 1)
+    kinds = [
+        st.builds(Hadamard, wire),
+        st.builds(Phase, st.floats(-2 * math.pi, 2 * math.pi), wire),
+    ]
+    if n >= 2:  # a CNOT takes any ordered pair of wires, so both directions occur
+        pairs = st.lists(wire, min_size=2, max_size=2, unique=True)
+        kinds.append(pairs.map(lambda cw: ControlledNot(*cw)))
+    return st.lists(st.one_of(kinds), max_size=40) if n else st.just([])
+
+
+free_circuits = st.integers(0, 8).flatmap(lambda n: st.builds(Circuit, st.just(n), _gate_lists(n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(free_circuits)
+def test_matrix_of_matches_dense_oracle(c):
+    u = matrix_of(c)
+    assert u.shape == (2**c.arity, 2**c.arity)
+    assert_close(u, dense_unitary(c))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

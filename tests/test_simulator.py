@@ -29,7 +29,7 @@ from qlin.device import DeviceBackend
 from qlin.errors import CapacityExceeded
 from qlin.simulator import QuantumState, derive_seed
 
-from .oracles import FixedRandom, assert_close, basis_state, random_circuit
+from .oracles import FixedRandom, assert_close, basis_state, dense_unitary, random_circuit
 
 
 def bell_state_2q() -> QuantumState:
@@ -102,6 +102,8 @@ def test_apply_gate_agrees_with_matrix_embedding(seed):
     for gate in circuit.gates:
         state.apply_gate(gate)
     assert_close(state.amplitudes, matrix_of(circuit) @ start)
+    # matrix_of runs the same kernels, so check against an independent oracle too
+    assert_close(state.amplitudes, dense_unitary(circuit) @ start)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qlin import (
+    Circuit,
+    Hadamard,
     add_cnot,
     add_h,
     add_p,
@@ -74,6 +76,16 @@ def test_qft_gate_counts(n):
     # each controlled rotation expands to 3 P and 2 CNOT gates
     assert counts["CNOT"] == 2 * blocks
     assert counts["P"] == 3 * blocks
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_qft_equals_c_rm_cascade(n):
+    gates = []
+    for k in range(n):
+        gates.append(Hadamard(k))
+        for m in range(2, n - k + 1):
+            gates += [g.remap((k + m - 1, k)) for g in c_rm(m).gates]
+    assert qft(n) == Circuit(n, gates)
 
 
 def test_qft_construction_does_not_recurse():
