@@ -9,6 +9,7 @@ without touching the drivers.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -106,10 +107,14 @@ def coin(backend: DeviceBackend) -> int:
 
 # repeat-until-success
 
+@functools.cache
 def rus_example_unitary() -> Circuit:
     """Two-qubit trial unitary whose success branch is (I + 2iX)-like on the
     data wire and whose failure branch is the identity up to phase; the
-    ancilla is wire 0."""
+    ancilla is wire 0.
+
+    Circuits are immutable, so every call returns one instance, and the
+    simulator plans its kernel passes once."""
     return Circuit(2, [
         Hadamard(0),
         Phase(math.pi / 4, 0),

@@ -22,6 +22,7 @@ All operations are pure and circuits are safe to share between threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -38,7 +39,7 @@ from .errors import (
     NonFiniteAngle,
     WireOutOfRange,
 )
-from .kernels import apply_gates
+from .kernels import apply_plan, plan
 
 MATRIX_ARITY_LIMIT = 12
 
@@ -230,6 +231,11 @@ class Circuit:
         for gate in self.gates:
             gate.check(self.arity)
 
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        """The kernels' fused passes for the gates, planned on first use."""
+        return plan(self.gates)
+
 
 def identity(n: int) -> Circuit:
     """The identity circuit on n wires (no gates)."""
@@ -366,16 +372,17 @@ def gate_counts(c: Circuit) -> Counter[str]:
 def matrix_of(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit; the reference semantics for everything else.
 
-    The gate kernels act on the identity with its columns as a batch axis, so
-    column j is U|j>. Cost is O(4^arity) per gate and the matrix itself takes
-    16 * 4^arity bytes, so arities above MATRIX_ARITY_LIMIT are rejected
-    before anything is allocated.
+    The circuit's kernel plan runs on the identity in place, with its columns
+    as the batch, so column j is U|j>. Cost is O(4^arity) per pass, and the
+    matrix itself takes 16 * 4^arity bytes (the plan's buffer half as much),
+    so arities above MATRIX_ARITY_LIMIT are rejected before anything is
+    allocated.
     """
     n = c.arity
     if n > MATRIX_ARITY_LIMIT:
         raise ArityTooLarge(n, MATRIX_ARITY_LIMIT)
     mat = np.eye(2**n, dtype=complex)
-    apply_gates(mat.reshape([2] * n + [2**n]), c.gates, range(n))
+    apply_plan(mat, c._plan, range(n))
     return mat
 
 

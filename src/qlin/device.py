@@ -27,6 +27,7 @@ production code has no business reading them.
 from __future__ import annotations
 
 import functools
+import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from typing import Any, Generic, TypeVar
@@ -257,24 +258,28 @@ def _measure_all(circuit: Circuit):
 
 
 class _exclusive:
-    """Hold `backend` for one execution; a nested one on it raises DeviceError.
+    """Hold `backend` for one execution; a nested or concurrent one on it raises DeviceError.
 
-    A class rather than a generator-based context manager: it runs on every
-    execute, where the generator version cost about 2 us more.
+    Each backend gets one lock, taken without blocking. It lives in the
+    instance's __dict__, so subclasses that skip DeviceBackend.__init__ get
+    one too, and dict.setdefault makes two threads that create it at once
+    share the first. A class rather than a generator-based context manager:
+    it runs on every execute, where the generator version cost about 2 us
+    more.
     """
 
-    __slots__ = ("_backend",)
+    __slots__ = ("_lock",)
 
     def __init__(self, backend: DeviceBackend):
-        self._backend = backend
+        attrs = backend.__dict__
+        self._lock = attrs.get("_qlin_lock") or attrs.setdefault("_qlin_lock", threading.Lock())
 
     def __enter__(self) -> None:
-        if getattr(self._backend, "_qlin_executing", False):
+        if not self._lock.acquire(blocking=False):
             raise DeviceError("executions may not be nested on the same backend instance")
-        self._backend._qlin_executing = True
 
     def __exit__(self, *exc_info: object) -> None:
-        self._backend._qlin_executing = False
+        self._lock.release()
 
 
 def execute(backend: DeviceBackend, program: QuantumProgram[A]) -> A:

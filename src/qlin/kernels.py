@@ -1,11 +1,42 @@
-"""The action of each gate kind on a state tensor, written once.
+"""The action of each gate kind on a state, written once, and the plan that fuses
+a gate sequence into a few in-place passes over it.
 
-A state tensor has one axis of length 2 per wire, wire 0 first (the most
-significant bit of a basis index), followed by any trailing batch axes. Every
-kernel indexes only the axes up to the wires it names, so the trailing axes
-stay whole: the simulator passes its amplitudes with no batch axis, and
-matrix_of passes the identity with one batch axis over the columns. Kernels
-act in place, so the tensor must be a view of the array the caller keeps.
+A state is a C-contiguous array whose index, read in binary from its most
+significant digit, holds one digit per wire, wire 0 first, followed by any
+batch index: the simulator passes its amplitude vector, and matrix_of passes
+the identity, whose column index is the batch. Every kernel writes through a
+reshaped view of that array, so the caller's array is updated in place.
+
+`plan(gates)` turns a gate sequence into a tuple of passes, in the gates' own
+wire numbers, and `apply_plan(t, steps, wires)` runs it with a gate's wire k on
+wire wires[k] of the state; `Circuit` keeps its plan, so a circuit applied many
+times is planned once. Two kinds of run fold:
+
+- A maximal run of H and P gates on one wire becomes one 2x2 matrix, multiplied
+  out with Python complex numbers (on 2x2 arrays numpy costs more than the pass
+  it saves) and applied in one pass. A lone H, or a run of Ps only, keeps its
+  own cheaper kernel.
+- A maximal run of CNOT and P gates is a phase polynomial (Amy, Maslov and
+  Mosca, arXiv:1303.2042). Each wire holds the parity of a mask of the run's
+  input wires: CNOT(c, t) sets mask[t] ^= mask[c], and P(a) on w adds a to the
+  term of mask[w]. The run equals the diagonal exp(i * sum of a_m * parity_m(x))
+  followed by the run's CNOTs without its Ps, which are replayed only when the
+  masks do not end as the identity. Single-wire terms keep the phase kernel.
+  The other terms that share an angle a become one multiply by table[count(x)],
+  with table[k] = exp(iak) and count(x) the number of their masks of odd parity
+  on x, so a QAOA cost layer exp(-i*gamma*C) is one multiply (Farhi, Goldstone
+  and Gutmann, arXiv:1411.4028).
+
+count depends on the masks only, not on the angles. It is built with the
+plan, once for all the plan's runs of one shape (the layers of a QAOA circuit
+share one), and kept with it, so a circuit simulated again builds none.
+
+H, CNOT and the 2x2 act on a (2**w, 2, rest) view, in which [:, b] is the half
+where wire w reads b. apply_plan allocates one scratch buffer of half the
+state's size (a small state gets up to 64 KiB) and every pass reuses it; no
+pass allocates a temporary the size of the state: on a large state the 2x2
+runs in two halves so that its two products fit the buffer, and table[count]
+is gathered into it in halves.
 """
 from __future__ import annotations
 
@@ -15,38 +46,216 @@ from collections.abc import Sequence
 import numpy as np
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# the scratch buffer has at least this many entries (64 KiB), so a state of up
+# to as many runs each 2x2 in one pass: there, splitting it costs more numpy
+# calls than the memory it saves is worth
+_SMALL_STATE = 4096
 
 
-def _hadamard(t: np.ndarray, wire: int) -> None:
-    lead = (slice(None),) * wire
-    idx0, idx1 = lead + (0,), lead + (1,)
-    a0 = t[idx0].copy()
-    a1 = t[idx1]
-    t[idx0] = (a0 + a1) * _INV_SQRT2
-    t[idx1] = (a0 - a1) * _INV_SQRT2
+def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The start of the scratch buffer, shaped like `like`."""
+    return scratch[: like.size].reshape(like.shape)
 
 
-def _phase(t: np.ndarray, angle: float, wire: int) -> None:
-    t[(slice(None),) * wire + (1,)] *= complex(math.cos(angle), math.sin(angle))
+def _hadamard(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int]) -> None:
+    v = t.reshape(2 ** axes[0], 2, -1)
+    x0, x1 = v[:, 0], v[:, 1]
+    total = _buffer(scratch, x0)
+    np.add(x0, x1, out=total)
+    np.subtract(x0, x1, out=x1)
+    np.multiply(total, _INV_SQRT2, out=x0)
+    x1 *= _INV_SQRT2
 
 
-def _cnot(t: np.ndarray, control: int, target: int) -> None:
-    i10 = [slice(None)] * (max(control, target) + 1)
-    i10[control] = 1
-    i11 = list(i10)
-    i10[target], i11[target] = 0, 1
-    i10, i11 = tuple(i10), tuple(i11)
-    swapped = t[i10].copy()
-    t[i10] = t[i11]
-    t[i11] = swapped
+def _phase(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], phase: complex) -> None:
+    t.reshape(2 ** axes[0], 2, -1)[:, 1] *= phase
 
 
-# Kernel per gate kind, called with the gate's fields in order and its wires
-# mapped to axes of the tensor.
-_KERNELS = {"H": _hadamard, "P": _phase, "CNOT": _cnot}
+def _unitary(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], u: tuple) -> None:
+    """Multiply wire axes[0] by the 2x2 matrix u = (a, b, c, d), row by row."""
+    a, b, c, d = u
+    v = t.reshape(2 ** axes[0], 2, -1)
+    # in two halves when b*x1 and c*x0 together do not fit the buffer
+    if t.size <= scratch.size:
+        halves = (v,)
+    elif v.shape[0] > 1:
+        h = v.shape[0] // 2
+        halves = (v[:h], v[h:])
+    else:
+        h = v.shape[2] // 2
+        halves = (v[..., :h], v[..., h:])
+    for half in halves:
+        x0, x1 = half[:, 0], half[:, 1]
+        bx1 = _buffer(scratch, x0)
+        cx0 = _buffer(scratch[x0.size :], x0)
+        np.multiply(x1, b, out=bx1)
+        np.multiply(x0, c, out=cx0)
+        x0 *= a
+        x0 += bx1
+        x1 *= d
+        x1 += cx0
 
 
-def apply_gates(t: np.ndarray, gates: Sequence, wires: Sequence[int]) -> None:
-    """Apply gates to `t` in order, in place, with a gate's wire k on axis wires[k]."""
+def _cnot(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int]) -> None:
+    control, target = axes
+    lo, hi = sorted(axes)
+    v = t.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, -1)
+    if control < target:
+        x10, x11 = v[:, 1, :, 0], v[:, 1, :, 1]
+    else:
+        x10, x11 = v[:, 0, :, 1], v[:, 1, :, 1]
+    # both halves go through the buffer: numpy copies one view of an array
+    # into another of the same array through a temporary of its own
+    a10, a11 = _buffer(scratch, x10), _buffer(scratch[x10.size :], x11)
+    np.copyto(a10, x10)
+    np.copyto(a11, x11)
+    np.copyto(x10, a11)
+    np.copyto(x11, a10)
+
+
+def _parity_counts(k: int, masks: tuple[int, ...]) -> np.ndarray:
+    """count(x) on k wires, one axis each: how many masks have odd parity on x.
+
+    Bit p of a mask is wire p. Read-only, since plans that share it keep it.
+    """
+    digits = [np.arange(2, dtype=np.uint8).reshape([2 if a == p else 1 for a in range(k)])
+              for p in range(k)]
+    counts = np.zeros([2] * k, dtype=np.min_scalar_type(len(masks)))
+    for mask in masks:
+        parity = np.uint8(0)
+        for p in range(k):
+            if mask >> p & 1:
+                parity = parity ^ digits[p]
+        counts += parity
+    counts.flags.writeable = False
+    return counts
+
+
+def _diagonal(
+    t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], table: np.ndarray, counts: np.ndarray
+) -> None:
+    """Multiply basis state x by table[counts[x]], where counts has one axis per axes[p]."""
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    counts = counts.transpose(order)
+    ascending = [axes[p] for p in order]
+    last = ascending[-1]
+    # size-1 axes for the wires counts skips and one for the rest of the index
+    spread = [None] * (last + 2)
+    for a in ascending:
+        spread[a] = slice(None)
+    counts = counts[tuple(spread)]
+    v = t.reshape([2] * (last + 1) + [-1])
+    for bit in (0, 1):
+        half = (slice(None),) * ascending[0] + (bit,)
+        phases = _buffer(scratch, counts[half])
+        # mode="clip" writes into `phases` directly; the default buffers a copy
+        table.take(counts[half], out=phases, mode="clip")
+        v[half] *= phases
+
+
+def _fold_one_wire(run: Sequence) -> tuple:
+    """The pass for a run of H and P gates on one wire."""
+    wire = (run[0].wires[0],)
+    if len(run) == 1 and run[0].name == "H":
+        return (_hadamard, wire, ())
+    a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for gate in run:
+        if gate.name == "H":
+            a, b, c, d = (_INV_SQRT2 * (a + c), _INV_SQRT2 * (b + d),
+                          _INV_SQRT2 * (a - c), _INV_SQRT2 * (b - d))
+        else:
+            phase = complex(math.cos(gate.angle), math.sin(gate.angle))
+            c, d = c * phase, d * phase
+    if b == c == 0 and a == 1:  # Ps only
+        return (_phase, wire, (d,))
+    return (_unitary, wire, ((a, b, c, d),))
+
+
+def _fold_phase_polynomial(run: Sequence, built: dict) -> list[tuple]:
+    """The passes for a run of CNOT and P gates; `built` holds the plan's counts."""
+    masks: dict[int, int] = {}  # wire -> the input wires whose parity it holds
+    terms: dict[int, float] = {}  # mask -> its angle
+    cnots = []
+    for gate in run:
+        if gate.name == "CNOT":
+            c, t = gate.control, gate.target
+            masks[t] = masks.get(t, 1 << t) ^ masks.get(c, 1 << c)
+            cnots.append((_cnot, (c, t), ()))
+        else:
+            mask = masks.get(gate.wire, 1 << gate.wire)
+            terms[mask] = terms.get(mask, 0.0) + gate.angle
+    steps = []
+    groups: dict[float, list[int]] = {}
+    for mask, angle in terms.items():
+        if angle == 0.0:
+            continue
+        if mask & (mask - 1) == 0:
+            phase = complex(math.cos(angle), math.sin(angle))
+            steps.append((_phase, (mask.bit_length() - 1,), (phase,)))
+        else:
+            groups.setdefault(angle, []).append(mask)
+    for angle, group in groups.items():
+        union = 0
+        for mask in group:
+            union |= mask
+        wires = tuple(w for w in range(union.bit_length()) if union >> w & 1)
+        # the masks over positions in `wires`: runs of one shape, such as the
+        # layers of a QAOA circuit, share their counts
+        key = (len(wires), tuple(sorted(
+            sum(1 << p for p, w in enumerate(wires) if mask >> w & 1) for mask in group)))
+        if key not in built:
+            built[key] = _parity_counts(*key)
+        table = np.exp(1j * angle * np.arange(len(group) + 1))
+        steps.append((_diagonal, wires, (table, built[key])))
+    if any(mask != 1 << w for w, mask in masks.items()):
+        steps += cnots
+    return steps
+
+
+def plan(gates: Sequence) -> tuple[tuple, ...]:
+    """The passes that apply `gates` in order, in the gates' own wire numbers.
+
+    Each pass is (kernel, wires, params); see the module docstring for how
+    runs fold.
+    """
+    steps: list[tuple] = []
+    built: dict = {}
+    run: list = []
+    wire = None  # the one wire every gate of `run` acts on, if there is one
+    has_h = False
     for gate in gates:
-        _KERNELS[gate.name](t, *gate.fields_on(wires))
+        wires, is_h = gate.wires, gate.name == "H"
+        on_wire = wire is not None and wires == (wire,)
+        # a gate joins the run on the run's one wire, or when neither has an H
+        if run and not on_wire and (is_h or has_h):
+            steps += _fold(run, wire, built)
+            run = []
+        if not run:
+            wire = wires[0] if len(wires) == 1 else None
+            has_h = False
+        elif not on_wire:
+            wire = None
+        has_h = has_h or is_h
+        run.append(gate)
+    if run:
+        steps += _fold(run, wire, built)
+    return tuple(steps)
+
+
+def _fold(run: Sequence, wire: int | None, built: dict) -> list[tuple]:
+    if wire is not None:
+        return [_fold_one_wire(run)]
+    return _fold_phase_polynomial(run, built)
+
+
+def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int]) -> None:
+    """Run the passes of `plan(...)` on `t`, in place, with a gate's wire k on wires[k]."""
+    if not t.flags.c_contiguous:
+        raise ValueError("the state must be C-contiguous, since kernels write through views")
+    if not steps:
+        return
+    flat = t.reshape(-1)
+    # half the state, plus one entry so the 2x2's two halves of an odd batch fit
+    scratch = np.empty(max(flat.size // 2 + 1, _SMALL_STATE), dtype=t.dtype)
+    for kernel, step_wires, params in steps:
+        kernel(flat, scratch, [wires[w] for w in step_wires], *params)

@@ -1,7 +1,9 @@
 """Exact state-vector simulation backend.
 
-Gates are applied directly to the 2^n amplitude vector (O(2^n) per gate) by
-the kernels that matrix_of also uses; no 2^n x 2^n matrix is ever
+Circuits are applied directly to the 2^n amplitude vector by the kernel
+plan that matrix_of also runs (see the kernels module): each circuit is
+planned once into fused in-place passes of O(2^n) each, which share one
+scratch buffer of half the state's size, and no 2^n x 2^n matrix is ever
 materialised. Measurement collapses and physically contracts the measured
 wire out of the state, so the vector always has one axis per live qubit.
 Wire 0 is the most significant bit of an amplitude index, matching the
@@ -10,7 +12,8 @@ circuit module's matrix convention.
 Randomness is injected through RandomSource and never read from global
 state: the same seed and program give the same outcome sequence, bit for bit.
 `StateVectorBackend.sample` prepares a measure-all circuit once and draws
-every shot from that one state, in shot order, from the backend's stream.
+every shot from that one state, in shot order, from the backend's stream;
+the collapse tree it walks frees each state once its last child is built.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 from .circuit import Circuit, GateApp
 from .device import DeviceBackend, DeviceSession, _exclusive
 from .errors import CapacityExceeded
-from .kernels import apply_gates
+from .kernels import apply_plan, plan
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -66,33 +69,38 @@ def _p_one(t: np.ndarray, wire: int) -> float:
 def _collapse(t: np.ndarray, wire: int, bit: int, p_one: float) -> np.ndarray:
     """The normalised amplitude vector left after `wire` of `t` reads `bit`."""
     kept = np.take(t, bit, axis=wire).reshape(-1)
-    norm = math.sqrt(p_one if bit else 1.0 - p_one)
-    return kept / norm
+    kept /= math.sqrt(p_one if bit else 1.0 - p_one)
+    return kept
 
 
-def _sample_prepared(
-    t: np.ndarray, rows: np.ndarray, uniforms: np.ndarray, bits: np.ndarray
-) -> None:
-    """Measure every wire of the state tensor `t`, in order, for the shots `rows`.
+def _sample_prepared(nodes: list, uniforms: np.ndarray, bits: np.ndarray) -> None:
+    """Measure every wire of the collapse-tree nodes on the stack `nodes`, in order.
 
-    `uniforms[s, k]` is the draw shot s makes at wire k and `bits[s, k]`
-    receives its outcome; `t` is the state after the first
-    `bits.shape[1] - t.ndim` wires were measured. Shots that agree on their
-    first k bits share the state left after them, so the shots walk a
-    collapse tree: a node is built once, with the same helpers and floats as
-    `QuantumState.measure_wire`, and only if some shot reaches it. The walk
-    is depth first, so it holds one node per level: about two state vectors.
+    A node is (parent, bit, p_one, rows): the state tensor left after the
+    parent's wire 0 read `bit` with probability of 1 `p_one`, or the parent
+    itself when `bit` is None, for the shots `rows`. `uniforms[s, k]` is the
+    draw shot s makes at wire k and `bits[s, k]` receives its outcome. Shots
+    that agree on their first k bits share the state left after them, so a
+    node is built once, with the same helpers and floats as
+    `QuantumState.measure_wire`, and only if some shot reaches it. The walk is
+    depth first and takes the nodes over: a parent is freed once its last
+    child is built, so the stack holds at most about two state vectors, and a
+    single shot holds one node and the child being built.
     """
-    depth = bits.shape[1] - t.ndim
-    p_one = _p_one(t, 0)
-    ones = uniforms[rows, depth] < p_one
-    bits[rows, depth] = ones
-    if t.ndim > 1:
-        for bit, reached in ((0, rows[~ones]), (1, rows[ones])):
-            if len(reached):
-                child = _collapse(t, 0, bit, p_one).reshape(t.shape[1:])
-                _sample_prepared(child, reached, uniforms, bits)
-                del child  # before its sibling is built
+    wires = bits.shape[1]
+    while nodes:
+        t, bit, p_one, rows = nodes.pop()
+        if bit is not None:
+            t = _collapse(t, 0, bit, p_one).reshape(t.shape[1:])
+        depth = wires - t.ndim
+        p_one = _p_one(t, 0)
+        ones = uniforms[rows, depth] < p_one
+        bits[rows, depth] = ones
+        if t.ndim > 1:
+            # pushed 1 first, so the 0 child is built and walked first
+            for bit, reached in ((1, rows[ones]), (0, rows[~ones])):
+                if len(reached):
+                    nodes.append((t, bit, p_one, reached))
 
 
 class QuantumState:
@@ -121,17 +129,22 @@ class QuantumState:
         zeros = np.zeros(2**p, dtype=complex)
         zeros[0] = 1.0
         n = self.wire_count
-        self.amplitudes = np.kron(self.amplitudes, zeros)
+        if n:
+            # np.kron's products, without its per-call overhead
+            self.amplitudes = np.multiply.outer(self.amplitudes, zeros).reshape(-1)
+        else:  # the same entries, without a second state-sized array
+            zeros *= self.amplitudes[0]
+            self.amplitudes = zeros
         for offset, ident in enumerate(ids):
             self.registry[ident] = n + offset
 
     def apply_gate(self, gate: GateApp) -> None:
         """Apply one gate whose wire fields are positions in this state."""
-        self._apply((gate,), range(self.wire_count))
+        self._apply(plan((gate,)), range(self.wire_count))
 
-    def _apply(self, gates: Sequence[GateApp], wires: Sequence[int]) -> None:
-        """Apply gates in order, with a gate's wire k acting on position wires[k]."""
-        apply_gates(self.amplitudes.reshape([2] * self.wire_count), gates, wires)
+    def _apply(self, steps: Sequence[tuple], wires: Sequence[int]) -> None:
+        """Run a kernel plan, with a gate's wire k acting on position wires[k]."""
+        apply_plan(self.amplitudes, steps, wires)
 
     def measure_wire(self, ident: int, rand: RandomSource) -> int:
         """Measure the qubit named `ident`: collapse, renormalise, contract.
@@ -171,7 +184,7 @@ class _SimulatorSession(DeviceSession):
 
     def apply(self, ids: Sequence[int], circuit: Circuit) -> None:
         registry = self._state.registry
-        self._state._apply(circuit.gates, [registry[i] for i in ids])
+        self._state._apply(circuit._plan, [registry[i] for i in ids])
 
     def measure(self, ids: Sequence[int]) -> list[int]:
         return [self._state.measure_wire(i, self._random) for i in ids]
@@ -208,12 +221,14 @@ class StateVectorBackend(DeviceBackend):
                 raise CapacityExceeded(n, self.max_qubits)
             state = QuantumState()
             state.extend_with_zeros(range(n))
-            state._apply(circuit.gates, range(n))
+            state._apply(circuit._plan, range(n))
             # iter(f, None) calls f for each item and never stops by itself;
             # fromiter takes exactly `count` of them
             uniforms = np.fromiter(iter(self._random.uniform, None), float, shots * n)
             bits = np.zeros((shots, n), dtype=np.int8)
             if n:
-                t = state.amplitudes.reshape([2] * n)
-                _sample_prepared(t, np.arange(shots), uniforms.reshape(shots, n), bits)
+                # the stack holds the only reference to the state from here on
+                nodes = [(state.amplitudes.reshape([2] * n), None, 0.0, np.arange(shots))]
+                del state
+                _sample_prepared(nodes, uniforms.reshape(shots, n), bits)
         return bits.tolist()

@@ -265,6 +265,19 @@ def test_matrix_arity_guard():
     assert peak < 2**20
 
 
+def test_matrix_of_peak_is_its_result_and_the_half_size_buffer():
+    # the identity is updated in place and every pass shares one buffer of
+    # half its size; a kernel that copies a half per gate reaches twice the result
+    circuit = random_circuit(random.Random(10), 10, 120)
+    tracemalloc.start()
+    try:
+        mat = matrix_of(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * mat.nbytes
+
+
 def test_matrix_of_bell_state():
     state = matrix_of(to_bell_basis()) @ basis_state(2, 0)
     assert_close(state, (basis_state(2, 0b00) + basis_state(2, 0b11)) / math.sqrt(2))

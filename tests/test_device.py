@@ -1,4 +1,7 @@
 """Device interface: handle discipline, program sequencing, execution contract."""
+import threading
+import time
+
 import pytest
 
 from qlin import (
@@ -259,6 +262,56 @@ def test_sample_inside_execute_is_nested():
 
     with pytest.raises(DeviceError):
         execute(b, nested())
+
+
+class _RacingBackend(StateVectorBackend):
+    """Two threads execute on it at once: it lines them up on the guard and
+    keeps the first inside its session until released."""
+
+    def __init__(self):
+        super().__init__(seed=0)
+        self.looked = threading.Barrier(2)
+        self.inside: list[str] = []
+        self.leave = threading.Event()
+
+    def __getattr__(self, name):
+        # a guard that checks an attribute and then sets it looks it up here
+        # while it is unset; hold each thread until both have looked
+        try:
+            self.looked.wait(timeout=1)
+        except threading.BrokenBarrierError:
+            pass
+        raise AttributeError(name)
+
+    def new_session(self):
+        self.inside.append(threading.current_thread().name)
+        self.leave.wait(timeout=5)
+        return super().new_session()
+
+
+def test_two_threads_on_one_backend_get_one_device_error():
+    b = _RacingBackend()
+    done, refused = [], []
+
+    def run():
+        try:
+            done.append(execute(b, pure(1)))
+        except DeviceError as err:
+            refused.append(str(err))
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 5
+    while not (refused or len(b.inside) == 2) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    b.leave.set()
+    for thread in threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert done == [1]
+    assert refused == ["executions may not be nested on the same backend instance"]
+    assert execute(b, pure(7)) == 7
 
 
 def test_sample_capacity_error_releases_the_backend():

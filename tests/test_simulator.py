@@ -110,7 +110,8 @@ def test_apply_gate_agrees_with_matrix_embedding(seed):
 @given(st.integers(0, 10_000))
 def test_session_apply_matches_apply_gate_on_remapped_circuit(seed):
     # a session runs circuit wire k on the qubit named ids[k]; that must equal
-    # applying apply(c, identity(m), ids) gate by gate to the whole state
+    # applying apply(c, identity(m), ids) to the whole state: bit for bit as
+    # one circuit, whose fused passes are the same, and to rounding gate by gate
     rng = random.Random(seed)
     m = rng.randint(1, 6)
     n = rng.randint(1, m)
@@ -124,12 +125,19 @@ def test_session_apply_matches_apply_gate_on_remapped_circuit(seed):
     session._state.amplitudes = start.copy()
     session.apply(ids, circuit)
 
+    remapped = apply(circuit, identity(m), ids)
+    whole = QuantumState()
+    whole.extend_with_zeros(list(range(m)))
+    whole.amplitudes = start.copy()
+    whole._apply(remapped._plan, range(m))
+    assert np.array_equal(session._state.amplitudes, whole.amplitudes)
+
     reference = QuantumState()
     reference.extend_with_zeros(list(range(m)))
     reference.amplitudes = start.copy()
-    for gate in apply(circuit, identity(m), ids).gates:
+    for gate in remapped.gates:
         reference.apply_gate(gate)
-    assert np.array_equal(session._state.amplitudes, reference.amplitudes)
+    assert_close(session._state.amplitudes, reference.amplitudes, tol=1e-12)
 
 
 def test_normalisation_preserved():
@@ -287,6 +295,21 @@ def test_sample_keeps_about_two_state_vectors():
         tracemalloc.stop()
     assert len(bits) == 4000 and all(len(shot) == 16 for shot in bits)
     assert peak < 3 * 2**16 * 16
+
+
+def test_one_shot_frees_each_state_once_its_child_is_built():
+    # a single shot reaches one child per level; holding the parents (or the
+    # prepared state) while descending would approach two state vectors
+    n = 18
+    circuit = Circuit(n, [Hadamard(w) for w in range(n)])
+    tracemalloc.start()
+    try:
+        bits = StateVectorBackend(seed=5).sample(circuit, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bits == DeviceBackend.sample(StateVectorBackend(seed=5), circuit, 1)
+    assert peak < 1.75 * 2**n * 16
 
 
 def test_derive_seed_is_stable_and_spreads():
