@@ -18,18 +18,26 @@ times is planned once. Two kinds of run fold:
   own cheaper kernel.
 - A maximal run of CNOT and P gates is a phase polynomial (Amy, Maslov and
   Mosca, arXiv:1303.2042). Each wire holds the parity of a mask of the run's
-  input wires: CNOT(c, t) sets mask[t] ^= mask[c], and P(a) on w adds a to the
-  term of mask[w]. The run equals the diagonal exp(i * sum of a_m * parity_m(x))
-  followed by the run's CNOTs without its Ps, which are replayed only when the
-  masks do not end as the identity. Single-wire terms keep the phase kernel.
-  The other terms that share an angle a become one multiply by table[count(x)],
-  with table[k] = exp(iak) and count(x) the number of their masks of odd parity
-  on x, so a QAOA cost layer exp(-i*gamma*C) is one multiply (Farhi, Goldstone
-  and Gutmann, arXiv:1411.4028).
+  input wires: CNOT(c, t) sets mask[t] ^= mask[c], and P(a) on w multiplies
+  the term of mask[w] by exp(ia). The run equals the diagonal
+  prod_m term_m ** parity_m(x) followed by the run's CNOTs without its Ps,
+  which are replayed only when the masks do not end as the identity. Terms
+  are products of phases, not sums of angles, so no angle a circuit accepts
+  overflows or cancels away a small one. Single-wire terms keep the phase
+  kernel. The other terms that share a phase exp(ia), a in (-pi, pi], become
+  one multiply by table[count(x)], with table[k] = exp(iak) and count(x) the
+  number of their masks of odd parity on x, so a QAOA cost layer
+  exp(-i*gamma*C) is one multiply (Farhi, Goldstone and Gutmann,
+  arXiv:1411.4028).
 
 count depends on the masks only, not on the angles. It is built with the
 plan, once for all the plan's runs of one shape (the layers of a QAOA circuit
-share one), and kept with it, so a circuit simulated again builds none.
+share one), and kept with it, so a circuit simulated again builds none. The
+counts a plan keeps are bounded: at most 2**width bytes for gates on `width`
+wires, 1/16 of a state on them (or 64 KiB, if more); a run whose counts would
+take them past that is applied one gate at a time. That happens when many
+angles each have masks of a shape of their own on many wires, since each such
+angle needs counts of its own.
 
 H, CNOT and the 2x2 act on a (2**w, 2, rest) view, in which [:, b] is the half
 where wire w reads b. apply_plan allocates one scratch buffer of half the
@@ -40,6 +48,7 @@ is gathered into it in halves.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Sequence
 
@@ -50,6 +59,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # to as many runs each 2x2 in one pass: there, splitting it costs more numpy
 # calls than the memory it saves is worth
 _SMALL_STATE = 4096
+# a plan's parity counts hold at most max(2**width, this) bytes, 1/16 of a
+# state on its width; a run that would take them past it is not folded
+_COUNTS_FLOOR = 1 << 16
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -153,6 +165,11 @@ def _diagonal(
         v[half] *= phases
 
 
+def _unit(angle: float) -> complex:
+    """e^(i*angle), as the phase kernel of one P gate multiplies by it."""
+    return complex(math.cos(angle), math.sin(angle))
+
+
 def _fold_one_wire(run: Sequence) -> tuple:
     """The pass for a run of H and P gates on one wire."""
     wire = (run[0].wires[0],)
@@ -164,17 +181,21 @@ def _fold_one_wire(run: Sequence) -> tuple:
             a, b, c, d = (_INV_SQRT2 * (a + c), _INV_SQRT2 * (b + d),
                           _INV_SQRT2 * (a - c), _INV_SQRT2 * (b - d))
         else:
-            phase = complex(math.cos(gate.angle), math.sin(gate.angle))
+            phase = _unit(gate.angle)
             c, d = c * phase, d * phase
     if b == c == 0 and a == 1:  # Ps only
         return (_phase, wire, (d,))
     return (_unitary, wire, ((a, b, c, d),))
 
 
-def _fold_phase_polynomial(run: Sequence, built: dict) -> list[tuple]:
-    """The passes for a run of CNOT and P gates; `built` holds the plan's counts."""
+def _fold_phase_polynomial(run: Sequence, built: dict, budget: int) -> list[tuple]:
+    """The passes for a run of CNOT and P gates.
+
+    `built` holds the plan's counts; a run whose new counts would take them
+    past `budget` bytes is applied one gate at a time instead.
+    """
     masks: dict[int, int] = {}  # wire -> the input wires whose parity it holds
-    terms: dict[int, float] = {}  # mask -> its angle
+    terms: dict[int, complex] = {}  # mask -> the product of its phases
     cnots = []
     for gate in run:
         if gate.name == "CNOT":
@@ -183,18 +204,20 @@ def _fold_phase_polynomial(run: Sequence, built: dict) -> list[tuple]:
             cnots.append((_cnot, (c, t), ()))
         else:
             mask = masks.get(gate.wire, 1 << gate.wire)
-            terms[mask] = terms.get(mask, 0.0) + gate.angle
+            # phases, not angles, multiply up: a sum of angles can overflow
+            # or cancel away a small one, and a product of phases cannot
+            terms[mask] = terms.get(mask, 1.0) * _unit(gate.angle)
     steps = []
-    groups: dict[float, list[int]] = {}
-    for mask, angle in terms.items():
-        if angle == 0.0:
+    groups: dict[complex, list[int]] = {}
+    for mask, phase in terms.items():
+        if phase == 1:
             continue
         if mask & (mask - 1) == 0:
-            phase = complex(math.cos(angle), math.sin(angle))
             steps.append((_phase, (mask.bit_length() - 1,), (phase,)))
         else:
-            groups.setdefault(angle, []).append(mask)
-    for angle, group in groups.items():
+            groups.setdefault(phase, []).append(mask)
+    diagonals = []
+    for phase, group in groups.items():
         union = 0
         for mask in group:
             union |= mask
@@ -203,9 +226,18 @@ def _fold_phase_polynomial(run: Sequence, built: dict) -> list[tuple]:
         # layers of a QAOA circuit, share their counts
         key = (len(wires), tuple(sorted(
             sum(1 << p for p, w in enumerate(wires) if mask >> w & 1) for mask in group)))
+        # |angle| <= pi, so table's largest angle is finite
+        table = np.exp(1j * cmath.phase(phase) * np.arange(len(group) + 1))
+        diagonals.append((wires, key, table))
+    new = {key for _, key, _ in diagonals if key not in built}
+    held = sum(counts.nbytes for counts in built.values())
+    held += sum(2**k * np.min_scalar_type(len(m)).itemsize for k, m in new)
+    if held > budget:
+        return [(_cnot, gate.wires, ()) if gate.name == "CNOT"
+                else (_phase, gate.wires, (_unit(gate.angle),)) for gate in run]
+    for wires, key, table in diagonals:
         if key not in built:
             built[key] = _parity_counts(*key)
-        table = np.exp(1j * angle * np.arange(len(group) + 1))
         steps.append((_diagonal, wires, (table, built[key])))
     if any(mask != 1 << w for w, mask in masks.items()):
         steps += cnots
@@ -220,6 +252,8 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
     """
     steps: list[tuple] = []
     built: dict = {}
+    width = max((w for gate in gates for w in gate.wires), default=-1) + 1
+    budget = max(2**width, _COUNTS_FLOOR)
     run: list = []
     wire = None  # the one wire every gate of `run` acts on, if there is one
     has_h = False
@@ -228,7 +262,7 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
         on_wire = wire is not None and wires == (wire,)
         # a gate joins the run on the run's one wire, or when neither has an H
         if run and not on_wire and (is_h or has_h):
-            steps += _fold(run, wire, built)
+            steps += _fold(run, wire, built, budget)
             run = []
         if not run:
             wire = wires[0] if len(wires) == 1 else None
@@ -238,14 +272,14 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
         has_h = has_h or is_h
         run.append(gate)
     if run:
-        steps += _fold(run, wire, built)
+        steps += _fold(run, wire, built, budget)
     return tuple(steps)
 
 
-def _fold(run: Sequence, wire: int | None, built: dict) -> list[tuple]:
+def _fold(run: Sequence, wire: int | None, built: dict, budget: int) -> list[tuple]:
     if wire is not None:
         return [_fold_one_wire(run)]
-    return _fold_phase_polynomial(run, built)
+    return _fold_phase_polynomial(run, built, budget)
 
 
 def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int]) -> None:

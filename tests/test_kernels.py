@@ -1,18 +1,22 @@
 """Fused kernel plans: the same action as the gates one at a time and as the dense oracle."""
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlin import Graph, apply, identity, qaoa_unitary
+from qlin import Graph, apply, identity, matrix_of, qaoa_unitary
 from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
 from qlin.kernels import apply_plan, plan
 
 from .oracles import assert_close, dense_unitary
 
+# the large angles overflow when two of them are summed (1e308) or cancel
+# away a small angle summed between them (1e17)
 ANGLES = st.one_of(
     st.sampled_from([0.0, math.pi, -math.pi, math.pi / 2, math.pi / 4]),
+    st.sampled_from([1e308, -1e308, 1e17, -1e17]),
     st.floats(-7.0, 7.0, allow_nan=False),
 )
 
@@ -126,3 +130,46 @@ def test_qaoa_plan_is_one_diagonal_and_one_pass_per_wire_per_layer():
     steps = plan(qaoa_unitary([0.3, 0.5], [0.7, 1.1], graph).gates)
     kinds = [kernel.__name__ for kernel, _, _ in steps]
     assert kinds == ["_hadamard"] * 4 + (["_diagonal"] + ["_unitary"] * 4) * 2
+
+
+def test_large_angles_neither_overflow_nor_cancel_a_small_one():
+    circuits = [
+        # the two 1e308 phases of wire 0 sum to inf as angles
+        Circuit(2, [Phase(1e308, 0), Phase(1e308, 0), Phase(0.1, 1)]),
+        # two gadgets on one mask sharing 1e308: 2e308 in the table
+        Circuit(3, [ControlledNot(0, 1), Phase(1e308, 1), ControlledNot(0, 1),
+                    ControlledNot(0, 1), Phase(1e308, 1), ControlledNot(0, 1),
+                    ControlledNot(1, 2), Phase(1e308, 2), ControlledNot(1, 2)]),
+        # 0.5 + 1e17 - 1e17 is 0 as a sum of angles
+        Circuit(2, [ControlledNot(0, 1), Phase(0.5, 1), Phase(1e17, 1), Phase(-1e17, 1),
+                    ControlledNot(0, 1)]),
+    ]
+    for circuit in circuits:
+        assert_close(matrix_of(circuit), dense_unitary(circuit), tol=1e-12)
+
+
+def test_plan_keeps_counts_bounded_for_distinct_angle_terms():
+    # one run of Pauli-Z exponentials (CNOT ladder, P, inverse ladder) on 16
+    # wires, where angle j is shared by the string on every wire but j and
+    # the one on j and j + 1: each angle's pair of strings has a shape of its
+    # own, so folded, each would need counts on all 16 wires
+    n = 16
+    gates = []
+    for j in range(n):
+        for wires in ([w for w in range(n) if w != j], [j, (j + 1) % n]):
+            ladder = [ControlledNot(a, b) for a, b in zip(wires, wires[1:])]
+            gates += ladder + [Phase(0.1 + 0.01 * j, wires[-1])] + ladder[::-1]
+    state = np.random.default_rng(2).normal(size=2**n).astype(complex)
+    tracemalloc.start()
+    try:
+        steps = plan(gates)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # unbounded, the 16 counts of 2**16 bytes held as much as the state
+    assert held < state.nbytes / 8
+    fused, unfused = state.copy(), state.copy()
+    apply_plan(fused, steps, range(n))
+    for gate in gates:
+        apply_plan(unfused, plan([gate]), range(n))
+    assert_close(fused, unfused, tol=1e-12)
