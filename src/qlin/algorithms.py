@@ -19,6 +19,7 @@ from .circuit import Circuit, ControlledNot, GateApp, Hadamard, Phase, adjoint, 
 from .device import (
     DeviceBackend,
     QubitHandle,
+    _shots,
     apply_circuit,
     execute,
     measure_qubit,
@@ -305,7 +306,7 @@ def compute_energy_pauli(
         )
     circuit = compose(encoding_unitary(term), ansatz_circuit)
     target = next(i for i, op in enumerate(term) if op != "I")
-    ones = sum(bits[target] for bits in backend.sample(circuit, n_samples))
+    ones = sum(bits[target] for bits in _shots(backend, circuit, n_samples))
     return (n_samples - 2 * ones) / n_samples
 
 

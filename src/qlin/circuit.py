@@ -307,49 +307,54 @@ def controlled(c: Circuit) -> Circuit:
     return Circuit(c.arity + 1, [g for gate in c.gates for g in gate.remap(up).controlled(0)])
 
 
+# A finite float is a whole number of steps of 2**-1074, so optimise keeps each
+# merged angle exactly as an integer count of them; one division rounds it.
+_STEPS = 2**1074
+
+
 def optimise(c: Circuit) -> Circuit:
-    """Peephole cleanup, iterated to a fixpoint.
+    """Peephole cleanup in one pass over the gates.
 
     Rules: cancel a gate followed by its inverse (H.H, identical CNOTs,
     P(a).P(-a)), merge P(a).P(b) into P(a+b), drop P(0). "Adjacent" is
-    per-wire: gates on disjoint wires never block a rule. Preserves the
-    matrix (up to rounding in merged angles) and never increases the gate
-    count.
+    per-wire: gates on disjoint wires never block a rule, and a new gate
+    meets only the last kept gate on each of its wires. Merged angles are
+    summed exactly and rounded once, so the result does not depend on the
+    order of merges and is its own optimise. Preserves the matrix (up to
+    rounding in merged angles) and never increases the gate count.
     """
-    gates = [g for g in c.gates if not (isinstance(g, Phase) and g.angle == 0.0)]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(gates):
-            gate = gates[i]
-            wires = set(gate.wires)
-            partner = None
-            for j in range(i + 1, len(gates)):
-                if wires.intersection(gates[j].wires):
-                    partner = j
+    kept: dict[int, GateApp] = {}  # input position -> kept gate, in order
+    sums: dict[int, int] = {}  # position of a kept P -> its angle in steps
+    stacks = [[-1] for _ in range(c.arity)]  # wire -> kept positions, over a floor of -1
+    for i, gate in enumerate(c.gates):
+        wires = gate.wires
+        if not isinstance(gate, Phase):
+            top = stacks[wires[0]][-1]
+            if kept.get(top) == gate.inverse() and all(stacks[w][-1] == top for w in wires):
+                del kept[top]
+                for w in wires:
+                    stacks[w].pop()
+            else:
+                kept[i] = gate
+                for w in wires:
+                    stacks[w].append(i)
+        elif gate.angle != 0.0:
+            stack = stacks[gate.wire]
+            num, den = gate.angle.as_integer_ratio()  # den is a power of two
+            kept[i], sums[i] = gate, num * (_STEPS // den)
+            stack.append(i)
+            while stack[-1] in sums and stack[-2] in sums:  # a P right above a P
+                below, top = stack[-2:]
+                total = sums[below] + sums[top]
+                try:
+                    total / _STEPS
+                except OverflowError:  # no finite float, so the pair stays split
                     break
-            if partner is not None:
-                other = gates[partner]
-                if other == gate.inverse():
-                    del gates[partner], gates[i]
-                    changed = True
-                    continue
-                # the partner of a P is on its wire; a sum that overflows stays split
-                if (
-                    isinstance(gate, Phase)
-                    and isinstance(other, Phase)
-                    and math.isfinite(gate.angle + other.angle)
-                ):
-                    merged = gate.angle + other.angle
-                    del gates[partner]
-                    if merged == 0.0:
-                        del gates[i]
-                    else:
-                        gates[i] = Phase(merged, gate.wire)
-                    changed = True
-                    continue
-            i += 1
+                del kept[top], sums[top], stack[-1]
+                sums[below] = total
+                if total == 0:
+                    del kept[below], sums[below], stack[-1]
+    gates = (Phase(sums[i] / _STEPS, g.wire) if i in sums else g for i, g in kept.items())
     return Circuit(c.arity, tuple(gates))
 
 

@@ -26,6 +26,7 @@ from .algorithms import (
     vqe_trajectory,
 )
 from .circuit import Circuit, depth, draw, export_qasm, format_angle, gate_counts, optimise
+from .device import _shots
 from .errors import CapacityExceeded, ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed
@@ -35,11 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_RUNTIME = 3
-
-# Most shots `simulate` asks the backend for at once, so memory stays bounded
-# whatever --shots is; the outcomes do not depend on it, since sample draws
-# in shot order.
-_SHOT_BATCH = 2**16
 
 
 class _UsageError(Exception):
@@ -110,8 +106,7 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _load_circuit(path: str) -> Circuit:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(path)
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith(("#", "//")):
@@ -153,10 +148,7 @@ def _cmd_simulate(args) -> None:
     circuit = _load_circuit(args.circuit)
     seed = _resolve_seed(args)
     backend = StateVectorBackend(seed=seed)
-    counts: Counter[str] = Counter()
-    for done in range(0, args.shots, _SHOT_BATCH):
-        batch = backend.sample(circuit, min(_SHOT_BATCH, args.shots - done))
-        counts.update("".join(map(str, bits)) for bits in batch)
+    counts = Counter("".join(map(str, bits)) for bits in _shots(backend, circuit, args.shots))
     lines = [
         f"{bits} {count} {count / args.shots:.4f}" for bits, count in sorted(counts.items())
     ]
@@ -166,16 +158,17 @@ def _cmd_simulate(args) -> None:
 def _cmd_stats(args) -> None:
     circuit = _load_circuit(args.circuit)
     counts = gate_counts(circuit)
+    layers = depth(circuit)
     lines = [
         f"qubits {circuit.arity}",
         f"gates {len(circuit.gates)}",
-        f"depth {depth(circuit)}",
+        f"depth {layers}",
     ]
     lines += [f"{kind} {counts[kind]}" for kind in ("H", "P", "CNOT") if counts[kind]]
     _emit(args, lines, {
         "qubits": circuit.arity,
         "gates": len(circuit.gates),
-        "depth": depth(circuit),
+        "depth": layers,
         "counts": dict(counts),
     })
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import threading
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import Any, Generic, TypeVar
 
 from .circuit import Circuit
@@ -98,6 +98,18 @@ class DeviceBackend(ABC):
         """
         program = _measure_all(circuit)
         return [execute(self, program) for _ in range(shots)]
+
+
+# Most shots `_shots` asks a backend's `sample` for at once, so memory stays
+# bounded whatever the shot count; the outcomes do not depend on it, since
+# sample draws in shot order.
+_SHOT_BATCH = 2**16
+
+
+def _shots(backend: DeviceBackend, circuit: Circuit, shots: int) -> Iterator[list[int]]:
+    """The shots of `backend.sample(circuit, shots)`, one at a time, sampled in batches."""
+    for done in range(0, shots, _SHOT_BATCH):
+        yield from backend.sample(circuit, min(_SHOT_BATCH, shots - done))
 
 
 class _Execution:

@@ -58,6 +58,11 @@ class RandomSource:
     def uniform(self) -> float:
         return self._rng.random()
 
+    def uniforms(self, k: int) -> np.ndarray:
+        """The next k draws of `uniform`, in order, as one array."""
+        # iter(f, None) never stops by itself; fromiter takes exactly k items
+        return np.fromiter(iter(self._rng.random, None), float, k)
+
 
 def _p_one(t: np.ndarray, wire: int) -> float:
     """Probability that measuring `wire` of the state tensor `t` gives 1."""
@@ -222,9 +227,7 @@ class StateVectorBackend(DeviceBackend):
             state = QuantumState()
             state.extend_with_zeros(range(n))
             state._apply(circuit._plan, range(n))
-            # iter(f, None) calls f for each item and never stops by itself;
-            # fromiter takes exactly `count` of them
-            uniforms = np.fromiter(iter(self._random.uniform, None), float, shots * n)
+            uniforms = self._random.uniforms(shots * n)
             bits = np.zeros((shots, n), dtype=np.int8)
             if n:
                 # the stack holds the only reference to the state from here on

@@ -138,3 +138,6 @@ class FixedRandom:
 
     def uniform(self) -> float:
         return self._values.pop(0)
+
+    def uniforms(self, k: int) -> np.ndarray:
+        return np.array([self.uniform() for _ in range(k)], dtype=float)

@@ -1,6 +1,7 @@
 """Algorithm drivers: coin, RUS, QAOA pieces, Hamiltonian averaging, VQE."""
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -380,6 +381,24 @@ def test_compute_energy_identity_shortcut():
     backend = CountingBackend()
     assert compute_energy(backend, identity(1), Hamiltonian(((2.0, "I"),)), 100) == 2.0
     assert backend.sessions == 0
+
+
+def test_estimator_memory_does_not_grow_with_samples():
+    # asking sample for every shot at once would hold about 126 B per shot
+    # here; the slack covers the collapse tree's row arrays, whose sizes
+    # follow the draws
+    rng = random.Random(3)
+    prepare = ansatz(4, 2, [rng.uniform(0, 2 * math.pi) for _ in range(16)])
+    peaks = []
+    for n_samples in (10**5, 4 * 10**5):
+        backend = StateVectorBackend(seed=1)
+        tracemalloc.start()
+        try:
+            compute_energy_pauli(backend, prepare, "ZZIX", n_samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.01 * peaks[0]
 
 
 @pytest.mark.parametrize("term", ["ZI", "XI", "ZZ", "XY"])

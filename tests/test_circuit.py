@@ -1,6 +1,7 @@
 """Circuit construction, algebra, metrics, and reference matrix semantics."""
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -320,11 +321,11 @@ circuits = st.builds(
 )
 
 
-def _gate_lists(n: int):
+def _gate_lists(n: int, angles=st.floats(-2 * math.pi, 2 * math.pi)):
     wire = st.integers(0, n - 1)
     kinds = [
         st.builds(Hadamard, wire),
-        st.builds(Phase, st.floats(-2 * math.pi, 2 * math.pi), wire),
+        st.builds(Phase, angles, wire),
     ]
     if n >= 2:  # a CNOT takes any ordered pair of wires, so both directions occur
         pairs = st.lists(wire, min_size=2, max_size=2, unique=True)
@@ -333,6 +334,14 @@ def _gate_lists(n: int):
 
 
 free_circuits = st.integers(0, 8).flatmap(lambda n: st.builds(Circuit, st.just(n), _gate_lists(n)))
+
+# angles whose sums overflow, absorb small terms or sit at the smallest subnormal
+_extreme_angles = st.floats(-2 * math.pi, 2 * math.pi) | st.sampled_from(
+    [1e308, -1e308, 1e17, -1e17, 5e-324, -5e-324]
+)
+extreme_circuits = st.integers(0, 8).flatmap(
+    lambda n: st.builds(Circuit, st.just(n), _gate_lists(n, _extreme_angles))
+)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -398,3 +407,26 @@ def test_optimise_preserves_semantics_and_count(c):
     assert_close(
         normalise_phase(matrix_of(slimmed)), normalise_phase(matrix_of(c))
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extreme_circuits)
+def test_optimise_is_idempotent(c):
+    once = optimise(c)
+    assert optimise(once) == once
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(free_circuits)
+def test_optimise_reduces_circuit_then_adjoint_to_identity(c):
+    assert optimise(compose(adjoint(c), c)) == identity(c.arity)
+
+
+def test_optimise_reduces_long_nested_palindrome_in_one_pass():
+    # each pair only meets its partner once the pairs inside it are gone, so
+    # a rescan from the first gate would remove one pair per pass
+    half = [g for k in range(5000) for g in (Hadamard(0), Phase(0.1 + k * 1e-4, 0))]
+    c = Circuit(1, half + [g.inverse() for g in reversed(half)])
+    start = time.perf_counter()
+    assert optimise(c) == identity(1)
+    assert time.perf_counter() - start < 2.0

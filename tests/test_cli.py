@@ -6,6 +6,7 @@ import pytest
 
 from qlin import StateVectorBackend, algorithms, cli
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
+from qlin.device import _SHOT_BATCH
 from qlin.formats import parse_circuit
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
@@ -47,11 +48,11 @@ def test_simulate_counts_one_seeded_sample_stream_in_batches(tmp_path, capsys, m
             return super().sample(circuit, shots)
 
     monkeypatch.setattr(cli, "StateVectorBackend", SampleOnlyBackend)
-    shots = cli._SHOT_BATCH + 1000
+    shots = _SHOT_BATCH + 1000
     argv = ["simulate", circuit_file(tmp_path), "--shots", str(shots), "--seed", "3", "--format", "json"]
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
-    assert batches == [cli._SHOT_BATCH, 1000]
+    assert batches == [_SHOT_BATCH, 1000]
     drawn = StateVectorBackend(seed=3).sample(parse_circuit(BELL), shots)
     assert json.loads(out) == Counter("".join(map(str, bits)) for bits in drawn)
 

@@ -321,6 +321,8 @@ def test_random_source_determinism():
     a = RandomSource(5)
     b = RandomSource(5)
     assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+    assert a.uniforms(1000).tolist() == [b.uniform() for _ in range(1000)]
+    assert a.uniform() == b.uniform()
 
 
 def test_debug_dump_json():
