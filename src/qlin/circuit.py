@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
@@ -310,6 +310,15 @@ def controlled(c: Circuit) -> Circuit:
 # A finite float is a whole number of steps of 2**-1074, so optimise keeps each
 # merged angle exactly as an integer count of them; one division rounds it.
 _STEPS = 2**1074
+# A P pair whose exact sum reaches _FINITE is summed again from its angles as
+# rounded for output, and stays split only if that sum reaches it too; so the
+# split pairs of a result stay split when the result is optimised again.
+_FINITE = (2**1024 - 2**970) * _STEPS  # steps from which rounding reaches inf
+
+
+def _steps(angle: float) -> int:
+    num, den = angle.as_integer_ratio()  # den is a power of two
+    return num * (_STEPS // den)
 
 
 def optimise(c: Circuit) -> Circuit:
@@ -319,13 +328,14 @@ def optimise(c: Circuit) -> Circuit:
     P(a).P(-a)), merge P(a).P(b) into P(a+b), drop P(0). "Adjacent" is
     per-wire: gates on disjoint wires never block a rule, and a new gate
     meets only the last kept gate on each of its wires. Merged angles are
-    summed exactly and rounded once, so the result does not depend on the
-    order of merges and is its own optimise. Preserves the matrix (up to
+    summed exactly and rounded once, so the result is its own optimise and,
+    within the float range, does not depend on the order of merges; a pair
+    whose sum has no finite float stays split. Preserves the matrix (up to
     rounding in merged angles) and never increases the gate count.
     """
     kept: dict[int, GateApp] = {}  # input position -> kept gate, in order
     sums: dict[int, int] = {}  # position of a kept P -> its angle in steps
-    stacks = [[-1] for _ in range(c.arity)]  # wire -> kept positions, over a floor of -1
+    stacks: dict[int, list[int]] = defaultdict(lambda: [-1])  # touched wire -> kept positions
     for i, gate in enumerate(c.gates):
         wires = gate.wires
         if not isinstance(gate, Phase):
@@ -340,16 +350,15 @@ def optimise(c: Circuit) -> Circuit:
                     stacks[w].append(i)
         elif gate.angle != 0.0:
             stack = stacks[gate.wire]
-            num, den = gate.angle.as_integer_ratio()  # den is a power of two
-            kept[i], sums[i] = gate, num * (_STEPS // den)
+            kept[i], sums[i] = gate, _steps(gate.angle)
             stack.append(i)
             while stack[-1] in sums and stack[-2] in sums:  # a P right above a P
                 below, top = stack[-2:]
                 total = sums[below] + sums[top]
-                try:
-                    total / _STEPS
-                except OverflowError:  # no finite float, so the pair stays split
-                    break
+                if abs(total) >= _FINITE:  # past inf: try the rounded angles
+                    total = _steps(sums[below] / _STEPS) + _steps(sums[top] / _STEPS)
+                    if abs(total) >= _FINITE:  # no finite float, so the pair stays split
+                        break
                 del kept[top], sums[top], stack[-1]
                 sums[below] = total
                 if total == 0:

@@ -335,9 +335,11 @@ def _gate_lists(n: int, angles=st.floats(-2 * math.pi, 2 * math.pi)):
 
 free_circuits = st.integers(0, 8).flatmap(lambda n: st.builds(Circuit, st.just(n), _gate_lists(n)))
 
-# angles whose sums overflow, absorb small terms or sit at the smallest subnormal
+# angles whose sums overflow, absorb small terms, round up to inf within half
+# an ulp of the largest float, or sit at the smallest subnormal
+_LARGEST = 1.7976931348623157e308
 _extreme_angles = st.floats(-2 * math.pi, 2 * math.pi) | st.sampled_from(
-    [1e308, -1e308, 1e17, -1e17, 5e-324, -5e-324]
+    [1e308, -1e308, 1e17, -1e17, 5e-324, -5e-324, _LARGEST, -_LARGEST, 2.0**969, -2.0**969]
 )
 extreme_circuits = st.integers(0, 8).flatmap(
     lambda n: st.builds(Circuit, st.just(n), _gate_lists(n, _extreme_angles))
@@ -430,3 +432,19 @@ def test_optimise_reduces_long_nested_palindrome_in_one_pass():
     start = time.perf_counter()
     assert optimise(c) == identity(1)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_optimise_is_idempotent_half_an_ulp_below_inf(sign):
+    # the exact sum of all three rounds to inf, but their rounded sums do not
+    for angles in ([_LARGEST, 2.0**969, 2.0**969], [2.0**969, 2.0**969, _LARGEST]):
+        c = Circuit(1, [Phase(sign * a, 0) for a in angles])
+        once = optimise(c)
+        assert optimise(once) == once
+        assert len(once.gates) <= 2 and all(math.isfinite(g.angle) for g in once.gates)
+
+
+def test_optimise_cost_follows_the_gates_not_the_arity():
+    huge = 10**12
+    assert optimise(Circuit(huge, [Hadamard(3), Hadamard(3)])) == Circuit(huge)
+    assert optimise(Circuit(huge, [Phase(0.5, huge - 1)])) == Circuit(huge, [Phase(0.5, huge - 1)])
