@@ -15,11 +15,21 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .circuit import Circuit, ControlledNot, GateApp, Hadamard, Phase, adjoint, compose, identity
+from .circuit import (
+    Circuit,
+    ControlledNot,
+    GateApp,
+    Hadamard,
+    Phase,
+    _check_gate_count,
+    adjoint,
+    compose,
+    identity,
+)
 from .device import (
     DeviceBackend,
     QubitHandle,
-    _shots,
+    _shot_batches,
     apply_circuit,
     execute,
     measure_qubit,
@@ -195,6 +205,13 @@ def best_cut(graph: Graph, cuts: Sequence[Sequence[int]]) -> tuple[Cut, int]:
     return best, best_value
 
 
+def _qaoa_gates(graph: Graph, p: int) -> int:
+    """Gates of a p-layer qaoa_unitary; a layer counts as at least one gate,
+    so the layers of an empty graph, and their angles, are bounded too."""
+    n = graph.vertex_count
+    return n + p * max(3 * len(graph.edges) + 3 * n, 1)
+
+
 def qaoa_unitary(
     betas: Sequence[float], gammas: Sequence[float], graph: Graph
 ) -> Circuit:
@@ -203,10 +220,12 @@ def qaoa_unitary(
     Starts with H on every wire, then per layer: for each edge (u, v) the
     diagonal gadget CNOT(u,v), P(-2*gamma) on v, CNOT(u,v), which phases
     |x> by exp(-2i*gamma*[x_u != x_v]); then the mixer H, P(2*beta), H on
-    every wire (an X rotation up to global phase).
+    every wire (an X rotation up to global phase). Raises TooManyGates
+    before building when its gates pass BUILD_GATE_LIMIT.
     """
     if len(betas) != len(gammas):
         raise ParamCountMismatch(len(betas), len(gammas))
+    _check_gate_count(_qaoa_gates(graph, len(betas)))
     n = graph.vertex_count
     gates: list[GateApp] = [Hadamard(w) for w in range(n)]
     for beta, gamma in zip(betas, gammas):
@@ -246,6 +265,7 @@ def qaoa_trajectory(
     """k rounds of propose-parameters, run the circuit once, record the cut."""
     if k < 1:
         raise ValueError("iteration count must be at least 1")
+    _check_gate_count(_qaoa_gates(graph, p))
     history: list[QaoaRecord] = []
     for _ in range(k):
         betas, gammas = optimiser(graph, p, history, rand)
@@ -306,7 +326,10 @@ def compute_energy_pauli(
         )
     circuit = compose(encoding_unitary(term), ansatz_circuit)
     target = next(i for i, op in enumerate(term) if op != "I")
-    ones = sum(bits[target] for bits in _shots(backend, circuit, n_samples))
+    ones = 0
+    for bits in _shot_batches(backend, circuit, n_samples):
+        ones += int(bits[:, target].sum())
+        del bits  # so the next batch is drawn without this one
     return (n_samples - 2 * ones) / n_samples
 
 
@@ -330,12 +353,19 @@ def compute_energy(
     return total
 
 
+def _ansatz_gates(n: int, depth: int) -> int:
+    """Gates of ansatz(n, depth, ...); a layer counts as at least one gate."""
+    return depth * max(5 * n - 1, 1)
+
+
 def ansatz(n: int, depth: int, params: Sequence[float]) -> Circuit:
     """Hardware-efficient ansatz over {H, P, CNOT}.
 
     Per layer: on each wire the rotation block H, P(theta), H, P(phi)
-    (two angles per wire), then the entangling chain CNOT(i, i+1).
+    (two angles per wire), then the entangling chain CNOT(i, i+1). Raises
+    TooManyGates before building when its gates pass BUILD_GATE_LIMIT.
     """
+    _check_gate_count(_ansatz_gates(n, depth))
     params = list(params)
     if len(params) != n * depth * 2:
         raise ParamCountMismatch(n * depth * 2, len(params))
@@ -377,6 +407,7 @@ def vqe_trajectory(
     if k < 1:
         raise ValueError("iteration count must be at least 1")
     n = hamiltonian.arity
+    _check_gate_count(_ansatz_gates(n, depth))
     count = n * depth * 2
     history: list[VqeRecord] = []
     for _ in range(k):

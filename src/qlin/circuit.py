@@ -37,11 +37,25 @@ from .errors import (
     ControlEqualsTarget,
     DuplicateWire,
     NonFiniteAngle,
+    TooManyGates,
     WireOutOfRange,
 )
 from .kernels import apply_plan, plan
 
 MATRIX_ARITY_LIMIT = 12
+
+# Most gates the circuit builders (ansatz, qaoa_unitary, qft) may make. A gate
+# is a Python object of about 100 bytes, and 10**6 of them take some seconds
+# to build, so each builder checks its closed-form gate count against this
+# before it draws an angle or builds a gate.
+BUILD_GATE_LIMIT = 10**6
+
+
+def _check_gate_count(count: int) -> None:
+    """Raise TooManyGates if a builder's gate count passes BUILD_GATE_LIMIT."""
+    if count > BUILD_GATE_LIMIT:
+        raise TooManyGates(count, BUILD_GATE_LIMIT)
+
 
 class _Gate:
     """What every gate kind shares; each kind's own facts live in its class.

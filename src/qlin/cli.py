@@ -17,6 +17,8 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
+
 from .algorithms import (
     best_cut,
     coin,
@@ -26,7 +28,7 @@ from .algorithms import (
     vqe_trajectory,
 )
 from .circuit import Circuit, depth, draw, export_qasm, format_angle, gate_counts, optimise
-from .device import _shots
+from .device import _shot_batches
 from .errors import CapacityExceeded, ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed
@@ -148,7 +150,12 @@ def _cmd_simulate(args) -> None:
     circuit = _load_circuit(args.circuit)
     seed = _resolve_seed(args)
     backend = StateVectorBackend(seed=seed)
-    counts = Counter("".join(map(str, bits)) for bits in _shots(backend, circuit, args.shots))
+    counts: Counter[str] = Counter()
+    for bits in _shot_batches(backend, circuit, args.shots):
+        rows, freq = np.unique(bits, axis=0, return_counts=True)
+        for row, count in zip(rows.tolist(), freq.tolist()):
+            counts["".join(map(str, row))] += count
+        del bits, rows  # so the next batch is drawn without this one
     lines = [
         f"{bits} {count} {count / args.shots:.4f}" for bits, count in sorted(counts.items())
     ]

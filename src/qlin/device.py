@@ -21,6 +21,13 @@ once per shot. A backend may override it with a faster path, but the
 override must give the same outcomes, shot for shot, and leave the
 backend's randomness where the default would.
 
+The estimator and CLI `simulate` read their shots as int8 bit arrays, one
+row per shot, through `_shot_batches`, which asks a backend's private
+`_sample_bits` for at most `_SHOT_BATCH` shots at a time. The default
+`_sample_bits` is `sample`'s lists as an array, so a backend that defines
+only `sample` is honoured; a backend may override it with a path that never
+builds the per-shot lists.
+
 Handle ids are hidden; tests may use the privileged `_handle_id` hook but
 production code has no business reading them.
 """
@@ -31,6 +38,8 @@ import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any, Generic, TypeVar
+
+import numpy as np
 
 from .circuit import Circuit
 from .errors import ArityMismatch, DanglingQubits, DeviceError, DuplicateHandle, UseAfterConsume
@@ -99,17 +108,29 @@ class DeviceBackend(ABC):
         program = _measure_all(circuit)
         return [execute(self, program) for _ in range(shots)]
 
+    def _sample_bits(self, circuit: Circuit, shots: int) -> np.ndarray:
+        """`sample(circuit, shots)` as an int8 array of shape (shots, circuit.arity).
 
-# Most shots `_shots` asks a backend's `sample` for at once, so memory stays
+        A backend may override this with a path that never builds the lists,
+        as long as it returns what its `sample` would.
+        """
+        return np.array(self.sample(circuit, shots), dtype=np.int8).reshape(shots, circuit.arity)
+
+
+# Most shots `_shot_batches` asks a backend for at once, so memory stays
 # bounded whatever the shot count; the outcomes do not depend on it, since
 # sample draws in shot order.
 _SHOT_BATCH = 2**16
 
 
-def _shots(backend: DeviceBackend, circuit: Circuit, shots: int) -> Iterator[list[int]]:
-    """The shots of `backend.sample(circuit, shots)`, one at a time, sampled in batches."""
+def _shot_batches(backend: DeviceBackend, circuit: Circuit, shots: int) -> Iterator[np.ndarray]:
+    """The shots of `backend.sample(circuit, shots)` as bit arrays of at most _SHOT_BATCH rows.
+
+    A caller that drops each batch before asking for the next holds one
+    batch at a time.
+    """
     for done in range(0, shots, _SHOT_BATCH):
-        yield from backend.sample(circuit, min(_SHOT_BATCH, shots - done))
+        yield backend._sample_bits(circuit, min(_SHOT_BATCH, shots - done))
 
 
 class _Execution:

@@ -53,6 +53,13 @@ class ArityTooLarge(CircuitError):
         self.limit = limit
 
 
+class TooManyGates(CircuitError):
+    def __init__(self, count: int, limit: int):
+        super().__init__(f"{count} gates exceed the circuit builders' limit of {limit}")
+        self.count = count
+        self.limit = limit
+
+
 # device / execution
 
 class DeviceError(QlinError):

@@ -11,9 +11,15 @@ circuit module's matrix convention.
 
 Randomness is injected through RandomSource and never read from global
 state: the same seed and program give the same outcome sequence, bit for bit.
+`RandomSource.uniforms` draws many uniforms at once, equal to as many
+`uniform` calls; it takes them from Python's own generator, and never from
+numpy.random, whose import alone costs several MB of resident memory.
 `StateVectorBackend.sample` prepares a measure-all circuit once and draws
-every shot from that one state, in shot order, from the backend's stream;
-the collapse tree it walks frees each state once its last child is built.
+every shot from that one state, in shot order, from the backend's stream.
+Its collapse walk measures one wire at a time for all shots at once, over
+the states the shots have reached so far, and returns the bits as one int8
+array; `sample` hands them out as lists, and the estimator and CLI
+`simulate` read the array itself.
 """
 from __future__ import annotations
 
@@ -60,15 +66,32 @@ class RandomSource:
 
     def uniforms(self, k: int) -> np.ndarray:
         """The next k draws of `uniform`, in order, as one array."""
-        # iter(f, None) never stops by itself; fromiter takes exactly k items
-        return np.fromiter(iter(self._rng.random, None), float, k)
+        # random.random's own formula, (a >> 5) * 2**26 + (b >> 6) over 2**53
+        # from two 32-bit outputs a and b, applied to the same outputs, which
+        # getrandbits packs least significant word first: the same floats,
+        # and the same position in the stream afterwards
+        words = np.frombuffer(self._rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+        draws = (words[0::2] >> 5) * 67108864.0
+        draws += words[1::2] >> 6
+        draws /= 9007199254740992.0
+        return draws
+
+
+def _p_ones(states: np.ndarray, wire: int = 0) -> np.ndarray:
+    """Probability that measuring `wire` gives 1, for each row of `states`.
+
+    Each row is one state's amplitude vector. The per-shot measurement and
+    the collapse walk of `sample` both take their probabilities from here,
+    so they agree float for float; the sum always runs over an array, since
+    numpy's scalar path can round a lone amplitude's |a|^2 differently.
+    """
+    ones = states.reshape(len(states), 2**wire, 2, -1)[:, :, 1]
+    return np.sum(np.abs(ones) ** 2, axis=(1, 2))
 
 
 def _p_one(t: np.ndarray, wire: int) -> float:
-    """Probability that measuring `wire` of the state tensor `t` gives 1."""
-    idx1 = [slice(None)] * t.ndim
-    idx1[wire] = 1
-    return float(np.sum(np.abs(t[tuple(idx1)]) ** 2))
+    """Probability that measuring `wire` of the state `t` gives 1."""
+    return float(_p_ones(t.reshape(1, -1), wire)[0])
 
 
 def _collapse(t: np.ndarray, wire: int, bit: int, p_one: float) -> np.ndarray:
@@ -78,34 +101,40 @@ def _collapse(t: np.ndarray, wire: int, bit: int, p_one: float) -> np.ndarray:
     return kept
 
 
-def _sample_prepared(nodes: list, uniforms: np.ndarray, bits: np.ndarray) -> None:
-    """Measure every wire of the collapse-tree nodes on the stack `nodes`, in order.
+def _sample_prepared(state: QuantumState, uniforms: np.ndarray) -> np.ndarray:
+    """Measure every wire of `state`, once per row of `uniforms`, in wire order.
 
-    A node is (parent, bit, p_one, rows): the state tensor left after the
-    parent's wire 0 read `bit` with probability of 1 `p_one`, or the parent
-    itself when `bit` is None, for the shots `rows`. `uniforms[s, k]` is the
-    draw shot s makes at wire k and `bits[s, k]` receives its outcome. Shots
-    that agree on their first k bits share the state left after them, so a
-    node is built once, with the same helpers and floats as
-    `QuantumState.measure_wire`, and only if some shot reaches it. The walk is
-    depth first and takes the nodes over: a parent is freed once its last
-    child is built, so the stack holds at most about two state vectors, and a
-    single shot holds one node and the child being built.
+    `uniforms[s, d]` is the draw shot s makes at wire d, and row s of the
+    result holds its bits. Shots that agree on their first d bits share the
+    state left after them, so the walk goes one wire at a time and keeps the
+    states the shots have reached as the rows of one array: the state's
+    leading wire is measured for every row at once, with the probabilities
+    of `_p_ones` and the same complex division by sqrt(p) as `_collapse`, so
+    the floats equal `QuantumState.measure_wire`'s. A row is built only if some shot reaches
+    it, and the walk takes the amplitudes of `state` over: each level's rows
+    are freed once the next level's are built, and both hold at most one
+    state's worth each.
     """
-    wires = bits.shape[1]
-    while nodes:
-        t, bit, p_one, rows = nodes.pop()
-        if bit is not None:
-            t = _collapse(t, 0, bit, p_one).reshape(t.shape[1:])
-        depth = wires - t.ndim
-        p_one = _p_one(t, 0)
-        ones = uniforms[rows, depth] < p_one
-        bits[rows, depth] = ones
-        if t.ndim > 1:
-            # pushed 1 first, so the 0 child is built and walked first
-            for bit, reached in ((1, rows[ones]), (0, rows[~ones])):
-                if len(reached):
-                    nodes.append((t, bit, p_one, reached))
+    shots, wires = uniforms.shape
+    bits = np.empty((shots, wires), dtype=np.int8)
+    states, state.amplitudes = state.amplitudes.reshape(1, -1), None
+    reached = np.zeros(shots, dtype=np.intp)  # each shot's row of `states`
+    for depth in range(wires):
+        p_one = _p_ones(states)
+        ones = uniforms[:, depth] < p_one[reached]
+        bits[:, depth] = ones
+        if depth + 1 == wires:
+            break
+        # child 2 * row + bit; keep the children some shot reaches, in order
+        child = 2 * reached + ones
+        hit = np.zeros(2 * len(states), dtype=bool)
+        hit[child] = True
+        kept = np.flatnonzero(hit)
+        reached = (np.cumsum(hit) - 1)[child]
+        rows, bit = np.divmod(kept, 2)
+        states = states.reshape(len(states), 2, -1)[rows, bit]
+        states /= np.sqrt(np.where(bit, p_one[rows], 1.0 - p_one[rows]))[:, None]
+    return bits
 
 
 class QuantumState:
@@ -215,23 +244,28 @@ class StateVectorBackend(DeviceBackend):
 
         Each shot draws `circuit.arity` uniforms in wire order, as a session
         measuring every wire does, and the outcomes come from the collapse
-        tree of the one prepared state; the bits and the position of the
+        walk over the one prepared state; the bits and the position of the
         random stream afterwards equal the per-shot loop's.
         """
-        if shots < 1:
-            return []  # the default runs no execution, so it neither fails nor draws
+        return self._prepared_bits(circuit, shots).tolist()
+
+    def _sample_bits(self, circuit: Circuit, shots: int) -> np.ndarray:
+        if type(self).sample is not StateVectorBackend.sample:
+            return super()._sample_bits(circuit, shots)  # an overriding sample has the say
+        return self._prepared_bits(circuit, shots)
+
+    def _prepared_bits(self, circuit: Circuit, shots: int) -> np.ndarray:
+        """The bits `sample` returns, as an int8 array of shape (shots, arity)."""
         n = circuit.arity
+        if shots < 1:
+            # the default runs no execution, so it neither fails nor draws
+            return np.zeros((0, n), dtype=np.int8)
         with _exclusive(self):
             if n > self.max_qubits:
                 raise CapacityExceeded(n, self.max_qubits)
+            # drawn before the state exists, so the draw's temporaries never sit beside it
+            uniforms = self._random.uniforms(shots * n).reshape(shots, n)
             state = QuantumState()
             state.extend_with_zeros(range(n))
             state._apply(circuit._plan, range(n))
-            uniforms = self._random.uniforms(shots * n)
-            bits = np.zeros((shots, n), dtype=np.int8)
-            if n:
-                # the stack holds the only reference to the state from here on
-                nodes = [(state.amplitudes.reshape([2] * n), None, 0.0, np.arange(shots))]
-                del state
-                _sample_prepared(nodes, uniforms.reshape(shots, n), bits)
-        return bits.tolist()
+            return _sample_prepared(state, uniforms)

@@ -8,6 +8,7 @@ from .circuit import (
     ControlledNot,
     Hadamard,
     Phase,
+    _check_gate_count,
     add_cnot,
     add_h,
     add_p,
@@ -51,7 +52,10 @@ def qft(n: int) -> Circuit:
     """Quantum Fourier transform on n wires, without a final swap layer.
 
     The matrix equals the DFT of size 2^n with the output bit order reversed.
+    Raises TooManyGates before building when its n + 5 * n * (n - 1) / 2
+    gates pass BUILD_GATE_LIMIT.
     """
+    _check_gate_count(n + 5 * (n * (n - 1) // 2))  # a controlled P is 5 gates
     gates = []
     for k in range(n):
         # H on wire k followed by controlled rotations onto wire k: the

@@ -37,9 +37,16 @@ from qlin import (
     vqe,
     vqe_trajectory,
 )
+from qlin import circuit, device
 from qlin.algorithms import random_ansatz_params
 from qlin.device import DeviceBackend, DeviceSession
-from qlin.errors import AllIdentityTerm, ArityMismatch, ParamCountMismatch, RusIterationLimit
+from qlin.errors import (
+    AllIdentityTerm,
+    ArityMismatch,
+    ParamCountMismatch,
+    RusIterationLimit,
+    TooManyGates,
+)
 from qlin.stdcircuits import h_gate
 
 from .oracles import assert_close, basis_state, pauli_matrix
@@ -118,6 +125,36 @@ def test_coin_and_qaoa_take_their_shots_from_sample():
         assert qaoa_trajectory(sampler, 3, 1, k3(), RandomSource(seed)) == qaoa_trajectory(
             minimal, 3, 1, k3(), RandomSource(seed)
         )
+
+
+class RecordingMinimalBackend(MinimalBackend):
+    """A backend with only new_session, whose sample records each call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.batches = []
+
+    def sample(self, circuit, shots):
+        self.batches.append(shots)
+        return super().sample(circuit, shots)
+
+
+class OnesBackend(StateVectorBackend):
+    """A simulator whose sample is overridden: every shot reads all ones."""
+
+    def sample(self, circuit, shots):
+        return [[1] * circuit.arity for _ in range(shots)]
+
+
+def test_estimator_takes_its_shots_from_an_overriding_sample(monkeypatch):
+    monkeypatch.setattr(device, "_SHOT_BATCH", 16)
+    prepare = ansatz(2, 1, [0.3, 1.1, 2.0, 0.4])
+    recording = RecordingMinimalBackend(3)
+    assert compute_energy_pauli(recording, prepare, "XY", 50) == compute_energy_pauli(
+        StateVectorBackend(seed=3), prepare, "XY", 50
+    )
+    assert recording.batches == [16, 16, 16, 2]
+    assert compute_energy_pauli(OnesBackend(seed=3), prepare, "XY", 50) == -1.0
 
 
 def test_estimator_shot_is_one_program_with_one_apply():
@@ -309,6 +346,37 @@ def test_qaoa_single_iteration_single_execution():
     history = qaoa_trajectory(backend, 1, 1, k3(), RandomSource(4))
     assert backend.sessions == 1
     assert len(history) == 1
+
+
+def test_trajectories_check_the_gate_cap_before_proposing_angles():
+    def never(*args):
+        raise AssertionError("angles were proposed for a circuit over the gate cap")
+
+    # 10**9 layers: their angles alone would exhaust memory
+    backend, rand = StateVectorBackend(seed=1), RandomSource(1)
+    with pytest.raises(TooManyGates):
+        vqe_trajectory(backend, Hamiltonian(((1.0, "ZZ"),)), 10**9, 1, 10, rand, never)
+    for graph in (k3(), Graph(0, ())):  # an empty graph's layers count too
+        with pytest.raises(TooManyGates):
+            qaoa_trajectory(backend, 1, 10**9, graph, rand, never)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ansatz(3, 2, [0.1 * i for i in range(12)]),
+        lambda: ansatz(1, 3, [0.1 * i for i in range(6)]),
+        lambda: qaoa_unitary([0.1, 0.2], [0.3, 0.4], k3()),
+        lambda: qaoa_unitary([0.1], [0.3], Graph(4, ())),
+    ],
+)
+def test_builders_check_their_exact_gate_count(build, monkeypatch):
+    gates = len(build().gates)
+    monkeypatch.setattr(circuit, "BUILD_GATE_LIMIT", gates)
+    assert len(build().gates) == gates
+    monkeypatch.setattr(circuit, "BUILD_GATE_LIMIT", gates - 1)
+    with pytest.raises(TooManyGates):
+        build()
 
 
 def test_random_qaoa_params():

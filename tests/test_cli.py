@@ -1,10 +1,12 @@
 """CLI behaviour: outputs, exit codes, determinism, format round-trips."""
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from qlin import StateVectorBackend, algorithms, cli
+from qlin.circuit import BUILD_GATE_LIMIT
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
 from qlin.device import _SHOT_BATCH
 from qlin.formats import parse_circuit
@@ -55,6 +57,34 @@ def test_simulate_counts_one_seeded_sample_stream_in_batches(tmp_path, capsys, m
     assert batches == [_SHOT_BATCH, 1000]
     drawn = StateVectorBackend(seed=3).sample(parse_circuit(BELL), shots)
     assert json.loads(out) == Counter("".join(map(str, bits)) for bits in drawn)
+
+
+def test_simulate_takes_its_shots_from_an_overriding_sample(tmp_path, capsys, monkeypatch):
+    class PatternBackend(StateVectorBackend):
+        def sample(self, circuit, shots):
+            return [[s % 2, int(s % 3 == 0)] for s in range(shots)]
+
+    monkeypatch.setattr(cli, "StateVectorBackend", PatternBackend)
+    argv = ["simulate", circuit_file(tmp_path), "--shots", "12", "--seed", "3", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert json.loads(out) == {"01": 2, "00": 4, "11": 2, "10": 4}
+
+
+def test_simulate_memory_does_not_grow_with_shots(tmp_path, capsys):
+    # holding a batch while the next one is drawn would raise the peak once
+    # there are more than two batches
+    path = circuit_file(tmp_path, "qubits 8\n" + "".join(f"H {w}\n" for w in range(8)))
+    peaks = []
+    for shots in (10**5, 4 * 10**5):
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, ["simulate", path, "--shots", str(shots), "--seed", "1"])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    assert peaks[1] <= 1.01 * peaks[0]
 
 
 def test_simulate_identity_circuit(tmp_path, capsys):
@@ -218,6 +248,29 @@ def test_qaoa_checks_the_qubit_cap_before_building_a_circuit(tmp_path, capsys, m
     assert err.splitlines() == [
         "E_RUNTIME: CapacityExceeded: 25 qubits requested but the backend is capped at 24"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qft", "--n", "100000"],
+        ["vqe", "--ham", "HAM", "--depth", str(10**9), "--seed", "1"],
+        ["qaoa", "--graph", "K3", "--p", str(10**9), "--seed", "1"],
+        ["qaoa", "--graph", "EMPTY", "--p", str(10**9), "--seed", "1"],
+    ],
+)
+def test_builders_refuse_too_many_gates_before_any_work(tmp_path, capsys, argv):
+    # each would build billions of gates or angles before failing
+    files = {
+        "HAM": circuit_file(tmp_path, HAM_Z, "ham.txt"),
+        "K3": circuit_file(tmp_path, K3, "k3.txt"),
+        "EMPTY": circuit_file(tmp_path, "vertices 0\n", "empty.txt"),
+    }
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert code == EXIT_RUNTIME and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("E_RUNTIME: TooManyGates: ")
+    assert err.rstrip("\n").endswith(f"limit of {BUILD_GATE_LIMIT}")
 
 
 def test_coin_text_output(capsys):

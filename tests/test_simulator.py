@@ -1,7 +1,10 @@
 """State-vector backend: state ops, oracle agreement, statistics, determinism."""
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlin
 from qlin import (
     RandomSource,
     StateVectorBackend,
@@ -27,6 +31,7 @@ from qlin import (
 from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
 from qlin.device import DeviceBackend
 from qlin.errors import CapacityExceeded
+from qlin import simulator
 from qlin.simulator import QuantumState, derive_seed
 
 from .oracles import FixedRandom, assert_close, basis_state, dense_unitary, random_circuit
@@ -312,6 +317,51 @@ def test_one_shot_frees_each_state_once_its_child_is_built():
     assert peak < 1.75 * 2**n * 16
 
 
+@pytest.mark.parametrize("arity", range(1, 13))
+def test_walk_probabilities_equal_the_per_shot_ones(arity, monkeypatch):
+    # every row's p1 in the collapse walk is the float the per-shot
+    # measurement computes on that row's state; at the last wire each row
+    # holds one amplitude per outcome, where a scalar |a|^2 could differ
+    levels = []
+    p_ones = simulator._p_ones
+
+    def recorded(states, wire=0):
+        levels.append((states, p_ones(states, wire)))
+        return levels[-1][1]
+
+    monkeypatch.setattr(simulator, "_p_ones", recorded)
+    rng = random.Random(arity)
+    for seed in range(8):
+        StateVectorBackend(seed=seed).sample(random_circuit(rng, arity, 12 * arity), 3000)
+    monkeypatch.undo()
+    assert len(levels) == 8 * arity
+    for states, p in levels:
+        assert [simulator._p_one(row, 0) for row in states] == p.tolist()
+
+
+def test_walk_states_equal_the_per_shot_collapse(monkeypatch):
+    # a one-shot walk's row at each wire is the state measure_wire leaves
+    # there, float for float, so the two paths renormalise alike
+    levels = []
+    p_ones = simulator._p_ones
+    monkeypatch.setattr(simulator, "_p_ones", lambda states, wire=0: levels.append(states) or p_ones(states, wire))
+    rng = random.Random(5)
+    for arity in range(1, 9):
+        circuit = random_circuit(rng, arity, 12 * arity)
+        for seed in range(4):
+            levels.clear()
+            StateVectorBackend(seed=seed).sample(circuit, 1)
+            walked = levels[:]
+            state, rand = QuantumState(), RandomSource(seed)
+            state.extend_with_zeros(range(arity))
+            state._apply(circuit._plan, range(arity))
+            assert len(walked) == arity
+            for ident, states in enumerate(walked):
+                assert states.shape == (1, 2 ** (arity - ident))
+                assert states[0].tobytes() == state.amplitudes.tobytes()
+                state.measure_wire(ident, rand)
+
+
 def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(7, 0) == derive_seed(7, 0)
     assert len({derive_seed(7, i) for i in range(1000)}) == 1000
@@ -323,6 +373,43 @@ def test_random_source_determinism():
     assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
     assert a.uniforms(1000).tolist() == [b.uniform() for _ in range(1000)]
     assert a.uniform() == b.uniform()
+
+
+# Mersenne Twister refills its 624 words every 312 uniforms
+_block_edges = st.sampled_from([0, 1, 311, 312, 313, 623, 624, 625])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(_block_edges, st.integers(0, 10**5)),
+    st.one_of(_block_edges, st.integers(0, 700)),
+    st.one_of(st.none(), st.integers()),
+)
+def test_uniforms_equal_that_many_uniform_calls_bit_for_bit(k, skip, seed):
+    a = RandomSource(seed)
+    b = RandomSource()
+    b._rng.setstate(a._rng.getstate())  # a seed of None seeds from the OS
+    assert [a.uniform() for _ in range(skip)] == [b.uniform() for _ in range(skip)]
+    drawn = a.uniforms(k)
+    assert drawn.dtype == np.float64 and drawn.shape == (k,)
+    assert drawn.tobytes() == np.array([b.uniform() for _ in range(k)], dtype=float).tobytes()
+    assert a.uniform() == b.uniform()
+
+
+def test_sampling_does_not_import_numpy_random():
+    # importing numpy.random alone costs several MB of resident memory
+    code = (
+        "import sys, qlin\n"
+        "backend = qlin.StateVectorBackend(seed=1)\n"
+        "backend.sample(qlin.to_bell_basis(), 100)\n"
+        "qlin.compute_energy_pauli(backend, qlin.ansatz(2, 1, [0.1, 0.2, 0.3, 0.4]), 'XZ', 100)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qlin.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_debug_dump_json():

@@ -17,6 +17,9 @@ from qlin import (
     identity,
     matrix_of,
 )
+from qlin import circuit
+from qlin.circuit import BUILD_GATE_LIMIT
+from qlin.errors import TooManyGates
 from qlin.stdcircuits import c_rm, cnot_gate, h_gate, p_gate, qft, rm, t_gate, to_bell_basis
 
 from .oracles import assert_close, basis_state, bit_reversed_dft
@@ -97,3 +100,17 @@ def test_qft_construction_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert counts == {"H": 150, "P": 3 * 150 * 149 // 2, "CNOT": 150 * 149}
+
+
+def test_qft_checks_the_gate_cap_before_building(monkeypatch):
+    n = 100_000  # about 2.5e10 gates: building them would exhaust memory
+    with pytest.raises(TooManyGates) as caught:
+        qft(n)
+    assert (caught.value.count, caught.value.limit) == (n + 5 * n * (n - 1) // 2, BUILD_GATE_LIMIT)
+    # the checked count is exact: qft(9) builds at a cap of its size, not below
+    gates = len(qft(9).gates)
+    monkeypatch.setattr(circuit, "BUILD_GATE_LIMIT", gates)
+    assert len(qft(9).gates) == gates
+    monkeypatch.setattr(circuit, "BUILD_GATE_LIMIT", gates - 1)
+    with pytest.raises(TooManyGates):
+        qft(9)

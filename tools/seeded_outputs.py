@@ -72,6 +72,8 @@ SEEDED = ["--seed", "7", "--format", "json"]
 COMMANDS = {
     "simulate.json": ["simulate", "circuit.txt", "--shots", "500", *SEEDED],
     "simulate-qasm.json": ["simulate", "circuit.qasm", "--shots", "500", *SEEDED],
+    # more shots than one sample batch (2**16), so the batch boundary shows
+    "simulate-70000.json": ["simulate", "circuit.txt", "--shots", "70000", *SEEDED],
     "stats.json": ["stats", "circuit.txt", "--format", "json"],
     "optimise.json": ["optimise", "circuit.txt", "--format", "json"],
     "qft-8.json": ["qft", "--n", "8", "--format", "json"],
