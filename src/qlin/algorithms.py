@@ -113,7 +113,7 @@ class VqeRecord(NamedTuple):
 
 def coin(backend: DeviceBackend) -> int:
     """Fair coin toss from one qubit in superposition."""
-    return backend.sample(h_gate(), 1)[0][0]
+    return int(backend.sample(h_gate(), 1)[0][0])
 
 
 # repeat-until-success
@@ -270,7 +270,7 @@ def qaoa_trajectory(
     for _ in range(k):
         betas, gammas = optimiser(graph, p, history, rand)
         circuit = qaoa_unitary(betas, gammas, graph)
-        cut = tuple(backend.sample(circuit, 1)[0])
+        cut = tuple(map(int, backend.sample(circuit, 1)[0]))
         history.append(QaoaRecord(tuple(betas), tuple(gammas), cut))
     return history
 

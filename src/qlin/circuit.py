@@ -37,6 +37,7 @@ from .errors import (
     ControlEqualsTarget,
     DuplicateWire,
     NonFiniteAngle,
+    TooManyCells,
     TooManyGates,
     WireOutOfRange,
 )
@@ -49,6 +50,13 @@ MATRIX_ARITY_LIMIT = 12
 # to build, so each builder checks its closed-form gate count against this
 # before it draws an angle or builds a gate.
 BUILD_GATE_LIMIT = 10**6
+
+
+# Most cells `draw` may build: a label per wire plus a cell per wire per gate.
+# A row costs about 200 bytes even with no gates, so 10**6 cells peak at about
+# 200 MB (10**6 empty rows); draw checks its count against this before it
+# builds any row.
+DRAW_CELL_LIMIT = 10**6
 
 
 def _check_gate_count(count: int) -> None:
@@ -415,7 +423,13 @@ def matrix_of(c: Circuit) -> np.ndarray:
 
 
 def draw(c: Circuit) -> str:
-    """ASCII rendering, one row per wire, one column per gate in temporal order."""
+    """ASCII rendering, one row per wire, one column per gate in temporal order.
+
+    Raises TooManyCells when arity * (gates + 1) passes DRAW_CELL_LIMIT.
+    """
+    count = c.arity * (len(c.gates) + 1)
+    if count > DRAW_CELL_LIMIT:
+        raise TooManyCells(count, DRAW_CELL_LIMIT)
     rows = [[f"q{w}: "] for w in range(c.arity)]
     for gate in c.gates:
         wires = gate.wires

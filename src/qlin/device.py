@@ -12,21 +12,15 @@ A backend session implements three primitives: allocate, apply and measure.
 Handles are fresh after every operation, but the qubit behind them keeps one
 id from allocation to measurement, so sessions never rebind their qubits.
 
-A backend also offers `sample(circuit, shots)`: the outcomes of `shots`
-runs of the measure-all program (allocate, apply the circuit, measure every
-wire). It is the one path for such shots: the coin, QAOA's cuts, the energy
-estimator and CLI `simulate` all take theirs from it, and only the default
-`sample` builds the measure-all program. The default executes that program
-once per shot. A backend may override it with a faster path, but the
-override must give the same outcomes, shot for shot, and leave the
-backend's randomness where the default would.
-
-The estimator and CLI `simulate` read their shots as int8 bit arrays, one
-row per shot, through `_shot_batches`, which asks a backend's private
-`_sample_bits` for at most `_SHOT_BATCH` shots at a time. The default
-`_sample_bits` is `sample`'s lists as an array, so a backend that defines
-only `sample` is honoured; a backend may override it with a path that never
-builds the per-shot lists.
+A backend also offers `sample(circuit, shots)`: the bits of `shots` runs of
+the measure-all program (allocate, apply the circuit, measure every wire), as
+an int8 array with one row per shot. It is the one path for such shots: the
+coin, QAOA's cuts, the energy estimator and CLI `simulate` all take theirs
+from it, the last two through `_shot_batches`, at most `_SHOT_BATCH` shots at
+a time. The default executes the measure-all program once per shot. A
+backend may override it with a faster path, but the override must give the
+same outcomes, shot for shot, and leave the backend's randomness where the
+default would.
 
 Handle ids are hidden; tests may use the privileged `_handle_id` hook but
 production code has no business reading them.
@@ -99,22 +93,17 @@ class DeviceBackend(ABC):
     def new_session(self) -> DeviceSession:
         ...
 
-    def sample(self, circuit: Circuit, shots: int) -> list[list[int]]:
-        """Bits of `shots` runs of the measure-all program of `circuit`, one list per shot.
+    def sample(self, circuit: Circuit, shots: int) -> np.ndarray:
+        """Bits of `shots` runs of the measure-all program of `circuit`.
 
-        Overrides must return exactly what this loop returns for the same
-        backend state, and consume the backend's randomness the same way.
+        Returns an int8 array of shape (shots, circuit.arity); row s holds
+        shot s's bits in wire order. Overrides must return exactly what this
+        loop returns for the same backend state, and consume the backend's
+        randomness the same way.
         """
         program = _measure_all(circuit)
-        return [execute(self, program) for _ in range(shots)]
-
-    def _sample_bits(self, circuit: Circuit, shots: int) -> np.ndarray:
-        """`sample(circuit, shots)` as an int8 array of shape (shots, circuit.arity).
-
-        A backend may override this with a path that never builds the lists,
-        as long as it returns what its `sample` would.
-        """
-        return np.array(self.sample(circuit, shots), dtype=np.int8).reshape(shots, circuit.arity)
+        bits = [execute(self, program) for _ in range(shots)]
+        return np.array(bits, dtype=np.int8).reshape(shots, circuit.arity)
 
 
 # Most shots `_shot_batches` asks a backend for at once, so memory stays
@@ -127,10 +116,11 @@ def _shot_batches(backend: DeviceBackend, circuit: Circuit, shots: int) -> Itera
     """The shots of `backend.sample(circuit, shots)` as bit arrays of at most _SHOT_BATCH rows.
 
     A caller that drops each batch before asking for the next holds one
-    batch at a time.
+    batch at a time. An overriding `sample` that returns lists of bits is
+    read as an array too; an int8 array passes through uncopied.
     """
     for done in range(0, shots, _SHOT_BATCH):
-        yield backend._sample_bits(circuit, min(_SHOT_BATCH, shots - done))
+        yield np.asarray(backend.sample(circuit, min(_SHOT_BATCH, shots - done)), dtype=np.int8)
 
 
 class _Execution:

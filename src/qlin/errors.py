@@ -60,6 +60,13 @@ class TooManyGates(CircuitError):
         self.limit = limit
 
 
+class TooManyCells(CircuitError):
+    def __init__(self, count: int, limit: int):
+        super().__init__(f"drawing {count} cells exceeds draw's limit of {limit}")
+        self.count = count
+        self.limit = limit
+
+
 # device / execution
 
 class DeviceError(QlinError):

@@ -14,12 +14,9 @@ state: the same seed and program give the same outcome sequence, bit for bit.
 `RandomSource.uniforms` draws many uniforms at once, equal to as many
 `uniform` calls; it takes them from Python's own generator, and never from
 numpy.random, whose import alone costs several MB of resident memory.
-`StateVectorBackend.sample` prepares a measure-all circuit once and draws
-every shot from that one state, in shot order, from the backend's stream.
-Its collapse walk measures one wire at a time for all shots at once, over
-the states the shots have reached so far, and returns the bits as one int8
-array; `sample` hands them out as lists, and the estimator and CLI
-`simulate` read the array itself.
+`StateVectorBackend.sample` prepares a measure-all circuit once and walks
+its collapse one wire at a time for all shots at once, drawing in shot order
+from the backend's stream.
 """
 from __future__ import annotations
 
@@ -239,7 +236,7 @@ class StateVectorBackend(DeviceBackend):
     def new_session(self) -> _SimulatorSession:
         return _SimulatorSession(self._random, self.max_qubits)
 
-    def sample(self, circuit: Circuit, shots: int) -> list[list[int]]:
+    def sample(self, circuit: Circuit, shots: int) -> np.ndarray:
         """As `DeviceBackend.sample`, preparing the circuit's state once.
 
         Each shot draws `circuit.arity` uniforms in wire order, as a session
@@ -247,15 +244,6 @@ class StateVectorBackend(DeviceBackend):
         walk over the one prepared state; the bits and the position of the
         random stream afterwards equal the per-shot loop's.
         """
-        return self._prepared_bits(circuit, shots).tolist()
-
-    def _sample_bits(self, circuit: Circuit, shots: int) -> np.ndarray:
-        if type(self).sample is not StateVectorBackend.sample:
-            return super()._sample_bits(circuit, shots)  # an overriding sample has the say
-        return self._prepared_bits(circuit, shots)
-
-    def _prepared_bits(self, circuit: Circuit, shots: int) -> np.ndarray:
-        """The bits `sample` returns, as an int8 array of shape (shots, arity)."""
         n = circuit.arity
         if shots < 1:
             # the default runs no execution, so it neither fails nor draws

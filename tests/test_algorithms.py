@@ -127,6 +127,14 @@ def test_coin_and_qaoa_take_their_shots_from_sample():
         )
 
 
+def test_coin_and_qaoa_cuts_are_plain_ints():
+    # numpy's int8 would not survive `--format json`
+    for backend in (MinimalBackend(2), StateVectorBackend(seed=2)):
+        assert type(coin(backend)) is int
+        for record in qaoa_trajectory(backend, 3, 1, k3(), RandomSource(2)):
+            assert all(type(bit) is int for bit in record.cut)
+
+
 class RecordingMinimalBackend(MinimalBackend):
     """A backend with only new_session, whose sample records each call."""
 

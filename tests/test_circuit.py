@@ -36,8 +36,10 @@ from qlin.errors import (
     ControlEqualsTarget,
     DuplicateWire,
     NonFiniteAngle,
+    TooManyCells,
     WireOutOfRange,
 )
+from qlin import circuit as circuit_module
 from qlin.formats import parse_qasm
 from qlin.stdcircuits import h_gate, p_gate, qft, to_bell_basis
 
@@ -290,6 +292,17 @@ def test_draw_identity_rows():
 
 def test_draw_bell():
     assert draw(to_bell_basis()) == "q0: -H--o-\nq1: ----X-"
+
+
+def test_draw_refuses_more_cells_than_its_limit(monkeypatch):
+    # a row per wire plus a cell per wire per gate, counted before any row is built
+    monkeypatch.setattr(circuit_module, "DRAW_CELL_LIMIT", 12)
+    assert draw(Circuit(3, [Hadamard(0)] * 3)).splitlines()[0] == "q0: -H--H--H-"
+    with pytest.raises(TooManyCells):
+        draw(Circuit(3, [Hadamard(0)] * 4))
+    assert draw(identity(12)).count("\n") == 11
+    with pytest.raises(TooManyCells):
+        draw(identity(13))
 
 
 def test_export_qasm_bell():

@@ -1,12 +1,16 @@
 """CLI behaviour: outputs, exit codes, determinism, format round-trips."""
+import io
 import json
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlin import StateVectorBackend, algorithms, cli
-from qlin.circuit import BUILD_GATE_LIMIT
+from qlin import StateVectorBackend, algorithms, cli, errors
+from qlin.circuit import BUILD_GATE_LIMIT, DRAW_CELL_LIMIT
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
 from qlin.device import _SHOT_BATCH
 from qlin.formats import parse_circuit
@@ -142,6 +146,16 @@ def test_draw_bell(tmp_path, capsys):
     code, out, _ = run(capsys, ["draw", circuit_file(tmp_path)])
     assert code == EXIT_OK
     assert out == "q0: -H--o-\nq1: ----X-\n"
+
+
+def test_draw_refuses_ten_million_wires_before_any_row(tmp_path, capsys):
+    # one row per wire would take about 2 GB
+    path = circuit_file(tmp_path, "qubits 10000000\nH 0\n")
+    code, out, err = run(capsys, ["draw", path])
+    assert code == EXIT_RUNTIME and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("E_RUNTIME: TooManyCells: ")
+    assert err.rstrip("\n").endswith(f"limit of {DRAW_CELL_LIMIT}")
 
 
 def test_optimise_reports_counts(tmp_path, capsys):
@@ -302,3 +316,80 @@ def test_qaoa_solves_k3(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["best_value"] == 2
     assert len(payload["history"]) == 50
+
+
+# CLI contract over generated input, for the pure subcommands only: simulate,
+# coin, rus, vqe and qaoa take --shots, --nsamples or --k, which have no cap
+# yet, so an extreme value there would run for hours instead of failing.
+_ANGLES = ["0", "pi/4", "-3*pi/8", "-1e300"]
+_BAD_HEADERS = ["-1", "x", ""]
+# malformed gates: bad wires or angles, an unknown kind, missing operands
+_BAD_GATES = [
+    ("H", "-1"), ("H", str(2**63)), ("H", "1.0"), ("CNOT", "0", "0"), ("X", "0"), ("H",),
+    ("P", "1e309", "0"), ("P", "nan", "0"), ("P", "2**9999", "0"), ("P", "pi*", "0"),
+]
+
+
+@st.composite
+def circuit_texts(draw):
+    """A native or QASM circuit file, valid or with one malformed line."""
+    size = draw(st.sampled_from([0, 1, 3, 2**63]))
+    wires = st.integers(0, min(size, 3) - 1).map(str)
+    kinds = [
+        st.tuples(st.just("H"), wires),
+        st.tuples(st.just("P"), st.sampled_from(_ANGLES), wires),
+    ]
+    if size > 1:
+        kinds.append(st.tuples(st.just("CNOT"), wires, wires).filter(lambda g: g[1] != g[2]))
+    gates = draw(st.lists(st.one_of(kinds), max_size=6)) if size else []
+    flaw = draw(st.sampled_from(["none", "header", "gate", "text"]))
+    if flaw == "text":
+        return draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
+    if flaw == "header":
+        size = draw(st.sampled_from(_BAD_HEADERS))
+    if flaw == "gate":
+        gates.insert(draw(st.integers(0, len(gates))), draw(st.sampled_from(_BAD_GATES)))
+    if draw(st.booleans()):
+        return "".join(f"{line}\n" for line in [f"qubits {size}", *map(" ".join, gates)])
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{size}];"]
+    for name, *args in gates:
+        angle = f"({args.pop(0)})" if name == "P" else ""
+        operands = ",".join(f"q[{wire}]" for wire in args)
+        lines.append(f"{dict(H='h', P='u1', CNOT='cx').get(name, 'x')}{angle} {operands};")
+    return "\n".join(lines) + "\n"
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_PREFIXES = {EXIT_USAGE: "E_USAGE: ", EXIT_PARSE: "E_PARSE: ", EXIT_RUNTIME: "E_RUNTIME: "}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["stats", "draw", "export-qasm", "optimise", "qft"]),
+    circuit_texts(),
+    st.sampled_from([-1, 0, 1, 5, 2**63]),
+    st.sampled_from(["text", "json"]),
+)
+def test_pure_commands_keep_the_cli_contract(tmp_path_factory, command, text, n, fmt):
+    path = tmp_path_factory.getbasetemp() / "contract.txt"
+    path.write_text(text, encoding="utf-8")
+    operand = ["--n", str(n)] if command == "qft" else [str(path)]
+    argv = [command, *operand, "--format", fmt]
+    code, out, err = first = run_quietly(argv)
+    assert run_quietly(argv) == first
+    assert code == EXIT_OK or code in _PREFIXES
+    if code == EXIT_OK:
+        assert err == ""
+        return
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(_PREFIXES[code])
+    if code == EXIT_RUNTIME:  # a typed error, not an internal failure
+        kind = getattr(errors, err.split(": ")[1], None)
+        assert isinstance(kind, type) and issubclass(kind, errors.QlinError), err

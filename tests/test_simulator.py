@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlin
@@ -273,9 +273,15 @@ sample_circuits = st.one_of(
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(sample_circuits, st.integers(0, 50), st.integers())
+@example(identity(0), 0, 1)
+@example(identity(0), 3, 1)
+@example(identity(2), 0, 1)
 def test_sample_matches_the_per_shot_default(circuit, shots, seed):
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
-    assert fast.sample(circuit, shots) == DeviceBackend.sample(default, circuit, shots)
+    bits, reference = fast.sample(circuit, shots), DeviceBackend.sample(default, circuit, shots)
+    for drawn in (bits, reference):
+        assert drawn.dtype == np.int8 and drawn.shape == (shots, circuit.arity)
+    assert bits.tolist() == reference.tolist()
     # both drew the same number of uniforms, so their streams go on alike
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
 
@@ -284,7 +290,7 @@ def test_sample_decision_rule():
     # shot by shot, wire by wire; 1 iff u < p1, so u = 0 at p1 = 0 reads 0
     backend = StateVectorBackend()
     backend._random = FixedRandom([0.0, 0.3, 0.7, 0.0])
-    assert backend.sample(Circuit(2, [Hadamard(0)]), 2) == [[1, 0], [0, 0]]
+    assert backend.sample(Circuit(2, [Hadamard(0)]), 2).tolist() == [[1, 0], [0, 0]]
 
 
 def test_sample_keeps_about_two_state_vectors():
@@ -313,7 +319,7 @@ def test_one_shot_frees_each_state_once_its_child_is_built():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert bits == DeviceBackend.sample(StateVectorBackend(seed=5), circuit, 1)
+    assert bits.tolist() == DeviceBackend.sample(StateVectorBackend(seed=5), circuit, 1).tolist()
     assert peak < 1.75 * 2**n * 16
 
 

@@ -75,6 +75,7 @@ COMMANDS = {
     # more shots than one sample batch (2**16), so the batch boundary shows
     "simulate-70000.json": ["simulate", "circuit.txt", "--shots", "70000", *SEEDED],
     "stats.json": ["stats", "circuit.txt", "--format", "json"],
+    "draw.json": ["draw", "circuit.txt", "--format", "json"],
     "optimise.json": ["optimise", "circuit.txt", "--format", "json"],
     "qft-8.json": ["qft", "--n", "8", "--format", "json"],
     "coin.json": ["coin", *SEEDED],
