@@ -141,3 +141,44 @@ class FixedRandom:
 
     def uniforms(self, k: int) -> np.ndarray:
         return np.array([self.uniform() for _ in range(k)], dtype=float)
+
+
+class DenseSession:
+    """Reference device session: one dense vector over the live qubits.
+
+    Qubits sit in allocation order, the earliest live one as the most
+    significant bit of a basis index. Allocation appends |0> qubits as new
+    least significant bits; a circuit acts through embed_matrix of its
+    dense_unitary; measuring a qubit draws one `uniform()`, reads 1 iff that
+    draw is below the qubit's probability of 1, keeps the basis states that
+    agree with the bit, drops the bit from their indices and renormalises.
+    """
+
+    def __init__(self, uniform):
+        self._uniform = uniform
+        self.qubits: list = []
+        self.vector = np.ones(1, dtype=complex)
+
+    def allocate(self, names) -> None:
+        for name in names:
+            self.vector = np.kron(self.vector, basis_state(1, 0))
+            self.qubits.append(name)
+
+    def apply(self, names, circuit: Circuit) -> None:
+        wires = [self.qubits.index(name) for name in names]
+        self.vector = embed_matrix(dense_unitary(circuit), len(self.qubits), wires) @ self.vector
+
+    def measure(self, names) -> list[int]:
+        return [self._measure_one(name) for name in names]
+
+    def _measure_one(self, name) -> int:
+        n = len(self.qubits)
+        shift = n - 1 - self.qubits.index(name)
+        p_one = sum(abs(self.vector[i]) ** 2 for i in range(2**n) if (i >> shift) & 1)
+        bit = int(self._uniform() < p_one)
+        # increasing indices with the bit dropped stay increasing, so the
+        # kept amplitudes are already in the order of the smaller state
+        kept = [self.vector[i] for i in range(2**n) if (i >> shift) & 1 == bit]
+        self.vector = np.array(kept, dtype=complex) / math.sqrt(p_one if bit else 1.0 - p_one)
+        self.qubits.remove(name)
+        return bit

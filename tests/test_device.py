@@ -1,8 +1,14 @@
 """Device interface: handle discipline, program sequencing, execution contract."""
+import queue
+import random
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from qlin import (
     QubitHandle,
@@ -31,6 +37,8 @@ from qlin.errors import (
     UseAfterConsume,
 )
 from qlin.stdcircuits import h_gate
+
+from .oracles import DenseSession, random_circuit
 
 
 def backend(seed=0):
@@ -374,3 +382,195 @@ def test_map_transforms_result_only():
     result, trace = execute_with_trace(backend(0), program)
     assert result == (0, 0)
     assert trace == [("new", 2), ("measure", 2)]
+
+
+# a stateful property: random device operations against a model
+
+class _RecordingBackend(StateVectorBackend):
+    """A StateVectorBackend that keeps its latest session, to read its state."""
+
+    def new_session(self):
+        self.session = super().new_session()
+        return self.session
+
+
+class _Stepper:
+    """One `execute` on a worker thread, running the operations sent to it one at a time.
+
+    `step(op)` runs the program `op` as the execution's next operation and
+    returns its result, or the exception that ended the execution. `finish()`
+    lets the program return, and gives what `execute` then returned or raised.
+    """
+
+    TIMEOUT = 30.0
+
+    def __init__(self, backend):
+        self._ops: queue.Queue = queue.Queue()
+        self._results: queue.Queue = queue.Queue()
+        self._thread = threading.Thread(target=self._run, args=(backend,), daemon=True)
+        self._thread.start()
+
+    def _run(self, backend):
+        try:
+            outcome = execute(backend, self._program())
+        except Exception as err:  # handed to the test thread, which checks its type
+            outcome = err
+        self._results.put(outcome)
+
+    @qprogram
+    def _program(self):
+        while (op := self._ops.get(timeout=self.TIMEOUT)) is not None:
+            self._results.put((yield op))
+        return "returned"
+
+    def step(self, op):
+        self._ops.put(op)
+        outcome = self._results.get(timeout=self.TIMEOUT)
+        if isinstance(outcome, Exception):
+            self._join()
+        return outcome
+
+    def finish(self):
+        outcome = self.step(None)
+        self._join()
+        return outcome
+
+    def _join(self):
+        self._thread.join(self.TIMEOUT)
+        assert not self._thread.is_alive()
+
+
+class DeviceMachine(RuleBasedStateMachine):
+    """Allocate, apply and measure on one backend, faults included.
+
+    A model of live handles predicts each typed error and which of several
+    faults is reported first: `_consume` looks at the handles in order (a
+    foreign one, then one repeated within the call, then a consumed one),
+    and at the arity last. A dense reference session, drawing from a copy of
+    the backend's random stream, predicts every bit exactly and the state
+    within rounding. An error ends the execution, as it does in `execute`,
+    and the next operation starts a new one.
+    """
+
+    CAP = 5
+
+    @initialize(seed=st.integers(0, 2**64 - 1))
+    def start(self, seed):
+        self.backend = _RecordingBackend(seed=seed, max_qubits=self.CAP)
+        self.uniform = random.Random(seed).random
+        self.foreign: list = []  # handles of earlier executions
+        self.stepper = None
+
+    def _execution(self) -> _Stepper:
+        if self.stepper is None:
+            self.stepper = _Stepper(self.backend)
+            self.reference = DenseSession(self.uniform)
+            self.live: dict = {}  # live handle -> the qubit it names
+            self.spent: list = []  # handles consumed in this execution
+            self.names = 0
+        return self.stepper
+
+    def _end(self):
+        self.foreign += [*self.live, *self.spent]
+        self.stepper = None
+
+    def _pick(self, data) -> list:
+        """Distinct live handles, sometimes with stale, repeated or foreign ones among them."""
+        handles = data.draw(st.lists(st.sampled_from(list(self.live)), unique=True)) if self.live else []
+        for _ in range(data.draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2]))):
+            faults = {"stale": self.spent, "repeated": handles, "foreign": self.foreign}
+            pool = data.draw(st.sampled_from([pool for pool in faults.values() if pool] or [[]]))
+            if pool:
+                handles.insert(data.draw(st.integers(0, len(handles))), data.draw(st.sampled_from(pool)))
+        return handles
+
+    def _error(self, handles, arity=None):
+        """The error `_consume` should raise for `handles`, or None."""
+        seen = set()
+        for handle in handles:
+            if handle in self.foreign:
+                return UseAfterConsume
+            if handle in seen:
+                return DuplicateHandle
+            seen.add(handle)
+            if handle not in self.live:
+                return UseAfterConsume
+        if arity is not None and arity != len(handles):
+            return ArityMismatch
+        return None
+
+    def _outcome(self, op, error):
+        """Run `op`; if `error` is expected, check that the execution ended with it."""
+        outcome = self._execution().step(op)
+        if isinstance(outcome, Exception):
+            self._end()
+        assert type(outcome) is error if error else not isinstance(outcome, Exception), outcome
+        return None if error else outcome
+
+    def _issued(self, handles, names):
+        known = [*self.live, *self.spent, *self.foreign]
+        assert len(handles) == len(names) == len(set(handles))
+        assert not any(h in known for h in handles)
+        self.live.update(zip(handles, names))
+
+    def _consumed(self, handles) -> list:
+        self.spent += handles
+        return [self.live.pop(h) for h in handles]
+
+    def _check_state(self):
+        amplitudes = self.backend.session._state.amplitudes
+        np.testing.assert_allclose(amplitudes, self.reference.vector, rtol=0, atol=1e-9)
+
+    @rule(p=st.integers(0, 3))
+    def allocate(self, p):
+        self._execution()
+        requested = len(self.live) + p
+        handles = self._outcome(new_qubits(p), CapacityExceeded if requested > self.CAP else None)
+        if handles is not None:
+            names = list(range(self.names, self.names + p))
+            self.names += p
+            self.reference.allocate(names)
+            self._issued(handles, names)
+            self._check_state()
+
+    @rule(data=st.data())
+    def apply(self, data):
+        self._execution()
+        handles = self._pick(data)
+        arity = max(0, len(handles) + data.draw(st.sampled_from([0, 0, 0, 1, -1])))
+        circuit = random_circuit(random.Random(data.draw(st.integers(0, 2**32))), arity, data.draw(st.integers(0, 6)))
+        fresh = self._outcome(apply_circuit(handles, circuit), self._error(handles, arity))
+        if fresh is not None:
+            names = self._consumed(handles)
+            self.reference.apply(names, circuit)
+            self._issued(fresh, names)
+            self._check_state()
+
+    @rule(data=st.data())
+    def measure(self, data):
+        self._execution()
+        handles = self._pick(data)
+        bits = self._outcome(measure(handles), self._error(handles))
+        if bits is not None:
+            assert bits == self.reference.measure(self._consumed(handles))
+            self._check_state()
+
+    @rule()
+    def finish(self):
+        outcome = self._execution().finish()
+        live = len(self.live)
+        self._end()
+        if live:
+            assert type(outcome) is DanglingQubits and outcome.count == live, outcome
+        else:
+            assert outcome == "returned", outcome
+
+    def teardown(self):
+        if getattr(self, "stepper", None) is not None:
+            self.stepper.finish()
+
+
+DeviceMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None, derandomize=True
+)
+TestDeviceMachine = DeviceMachine.TestCase
