@@ -6,7 +6,10 @@ Writes fixed inputs (a circuit, its OpenQASM export, a Hamiltonian and a
 graph) to <outdir>/inputs, then saves the stdout of each
 `--format json --seed 7` CLI run and of each demo under <outdir>, and
 `estimator.json`: `compute_energy_pauli` results for fixed seeds over random
-ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian. It runs
+ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian, and
+`measure-order.json`: the bits of seeded programs on 3 to 6 qubits that
+measure one wire at a time in a shuffled order and allocate again after a
+measurement, as RUS does. It runs
 the sources of the checkout it sits in (`src/` and `demos/` next to `tools/`).
 
 To show that a change leaves every seeded output as it was, copy this script
@@ -113,6 +116,59 @@ print(json.dumps(cases, indent=1))
 """
 
 
+# Run by the checkout's Python: random states measured one qubit per
+# operation in a shuffled order, so every wire position, first, middle and
+# last, is measured mid-state; a fresh qubit joins the survivors half way.
+# Then the next coin on that backend (its random stream's position).
+MEASURE_ORDER = """\
+import json, random
+from qlin import (Circuit, ControlledNot, Hadamard, Phase, StateVectorBackend, apply_circuit, coin,
+                  execute, measure, new_qubits, qprogram)
+
+def random_circuit(rng, n, count):
+    gates = []
+    for _ in range(count):
+        kind = rng.choice("HPC" if n > 1 else "HP")
+        if kind == "H":
+            gates.append(Hadamard(rng.randrange(n)))
+        elif kind == "P":
+            gates.append(Phase(rng.uniform(-6.3, 6.3), rng.randrange(n)))
+        else:
+            gates.append(ControlledNot(*rng.sample(range(n), 2)))
+    return Circuit(n, gates)
+
+@qprogram
+def program(prepare, first, again, last):
+    qs = yield new_qubits(prepare.arity)
+    qs = yield apply_circuit(qs, prepare)
+    bits = []
+    for k in first:
+        bits += (yield measure([qs[k]]))
+    kept = [qs[k] for k in range(len(qs)) if k not in first]
+    fresh = yield new_qubits(1)
+    qs = yield apply_circuit(fresh + kept, again)
+    for k in last:
+        bits += (yield measure([qs[k]]))
+    return bits
+
+rng = random.Random(20261018)
+cases = []
+for case in range(30):
+    n = rng.randint(3, 6)
+    order = rng.sample(range(n), n)
+    first = order[:rng.randint(1, n - 1)]
+    prepare = random_circuit(rng, n, 6 * n)
+    again = random_circuit(rng, n - len(first) + 1, 4 * n)
+    last = rng.sample(range(again.arity), again.arity)
+    seed, runs = rng.getrandbits(62), rng.choice([1, 5, 40])
+    backend = StateVectorBackend(seed=seed)
+    bits = [execute(backend, program(prepare, first, again, last)) for _ in range(runs)]
+    cases.append({"n": n, "first": first, "last": last, "seed": seed, "bits": bits,
+                  "next_coin": coin(backend)})
+print(json.dumps(cases, indent=1))
+"""
+
+
 def _run(argv: list[str], cwd: Path) -> str:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
     proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
@@ -137,6 +193,7 @@ def main(argv: list[str]) -> int:
     for name, args in COMMANDS.items():
         (out / name).write_text(_run(cli + args, inputs))
     (out / "estimator.json").write_text(_run([sys.executable, "-c", ESTIMATOR], inputs))
+    (out / "measure-order.json").write_text(_run([sys.executable, "-c", MEASURE_ORDER], inputs))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (out / f"demo-{demo.stem}.txt").write_text(_run([sys.executable, str(demo)], inputs))
     return 0
