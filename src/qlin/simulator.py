@@ -15,8 +15,9 @@ state: the same seed and program give the same outcome sequence, bit for bit.
 `uniform` calls; it takes them from Python's own generator, and never from
 numpy.random, whose import alone costs several MB of resident memory.
 `StateVectorBackend.sample` prepares a measure-all circuit once and walks
-its collapse one wire at a time for all shots at once, drawing in shot order
-from the backend's stream.
+its collapse one wire at a time for all shots at once, drawing in shot
+order. That walk and a session's measurement both take p1 from `_p_ones`
+and the renormalised state from `_collapse`.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .kernels import apply_plan, plan
 DEFAULT_MAX_QUBITS = 24
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -77,24 +79,23 @@ class RandomSource:
 def _p_ones(states: np.ndarray, wire: int = 0) -> np.ndarray:
     """Probability that measuring `wire` gives 1, for each row of `states`.
 
-    Each row is one state's amplitude vector. The per-shot measurement and
-    the collapse walk of `sample` both take their probabilities from here,
-    so they agree float for float; the sum always runs over an array, since
-    numpy's scalar path can round a lone amplitude's |a|^2 differently.
+    Each row is one state's amplitude vector. Both measurement paths take p1
+    from here and the state left from `_collapse`, so they agree float for
+    float. The sum always runs over an array, since numpy's scalar path can
+    round a lone amplitude's |a|^2 differently.
     """
     ones = states.reshape(len(states), 2**wire, 2, -1)[:, :, 1]
     return np.sum(np.abs(ones) ** 2, axis=(1, 2))
 
 
-def _p_one(t: np.ndarray, wire: int) -> float:
-    """Probability that measuring `wire` of the state `t` gives 1."""
-    return float(_p_ones(t.reshape(1, -1), wire)[0])
+def _collapse(states: np.ndarray, wire: int, rows: np.ndarray, bits, norms) -> np.ndarray:
+    """Row k: row rows[k] of `states` where `wire` reads bits[k], over norms[k].
 
-
-def _collapse(t: np.ndarray, wire: int, bit: int, p_one: float) -> np.ndarray:
-    """The normalised amplitude vector left after `wire` of `t` reads `bit`."""
-    kept = np.take(t, bit, axis=wire).reshape(-1)
-    kept /= math.sqrt(p_one if bit else 1.0 - p_one)
+    Both measurement paths renormalise here, by sqrt(p) of the outcome read.
+    `rows` is an index array, so the gather copies and `states` is left as is.
+    """
+    kept = states.reshape(len(states), 2**wire, 2, -1)[rows, :, bits].reshape(len(rows), -1)
+    kept /= norms
     return kept
 
 
@@ -104,13 +105,11 @@ def _sample_prepared(state: QuantumState, uniforms: np.ndarray) -> np.ndarray:
     `uniforms[s, d]` is the draw shot s makes at wire d, and row s of the
     result holds its bits. Shots that agree on their first d bits share the
     state left after them, so the walk goes one wire at a time and keeps the
-    states the shots have reached as the rows of one array: the state's
-    leading wire is measured for every row at once, with the probabilities
-    of `_p_ones` and the same complex division by sqrt(p) as `_collapse`, so
-    the floats equal `QuantumState.measure_wire`'s. A row is built only if some shot reaches
-    it, and the walk takes the amplitudes of `state` over: each level's rows
-    are freed once the next level's are built, and both hold at most one
-    state's worth each.
+    states the shots have reached as the rows of one array, taking p1 and
+    the renormalised rows from `_p_ones` and `_collapse`. A row is built only
+    if some shot reaches it, and the walk takes the amplitudes of `state`
+    over: each level's rows are freed once the next level's are built, and
+    both hold at most one state's worth each.
     """
     shots, wires = uniforms.shape
     bits = np.empty((shots, wires), dtype=np.int8)
@@ -129,8 +128,8 @@ def _sample_prepared(state: QuantumState, uniforms: np.ndarray) -> np.ndarray:
         kept = np.flatnonzero(hit)
         reached = (np.cumsum(hit) - 1)[child]
         rows, bit = np.divmod(kept, 2)
-        states = states.reshape(len(states), 2, -1)[rows, bit]
-        states /= np.sqrt(np.where(bit, p_one[rows], 1.0 - p_one[rows]))[:, None]
+        norms = np.sqrt(np.where(bit, p_one[rows], 1.0 - p_one[rows]))[:, None]
+        states = _collapse(states, 0, rows, bit, norms)
     return bits
 
 
@@ -186,10 +185,10 @@ class QuantumState:
         """
         registry = self.registry
         wire = registry[ident]
-        t = self.amplitudes.reshape([2] * len(registry))
-        p_one = _p_one(t, wire)
-        bit = 1 if rand.uniform() < p_one else 0
-        self.amplitudes = _collapse(t, wire, bit, p_one)
+        t = self.amplitudes.reshape(1, -1)
+        p1 = float(_p_ones(t, wire)[0])
+        bit = 1 if rand.uniform() < p1 else 0
+        self.amplitudes = _collapse(t, wire, _ONE_ROW, bit, math.sqrt(p1 if bit else 1 - p1))[0]
         del registry[ident]
         for other, w in registry.items():
             if w > wire:

@@ -342,7 +342,7 @@ def test_walk_probabilities_equal_the_per_shot_ones(arity, monkeypatch):
     monkeypatch.undo()
     assert len(levels) == 8 * arity
     for states, p in levels:
-        assert [simulator._p_one(row, 0) for row in states] == p.tolist()
+        assert [float(simulator._p_ones(row.reshape(1, -1))[0]) for row in states] == p.tolist()
 
 
 def test_walk_states_equal_the_per_shot_collapse(monkeypatch):
