@@ -22,6 +22,8 @@ from .circuit import (
     Hadamard,
     Phase,
     _check_gate_count,
+    _check_round_count,
+    _check_shot_count,
     adjoint,
     compose,
     identity,
@@ -262,10 +264,15 @@ def qaoa_trajectory(
     rand: RandomSource,
     optimiser: QaoaOptimiser = random_qaoa_params,
 ) -> list[QaoaRecord]:
-    """k rounds of propose-parameters, run the circuit once, record the cut."""
+    """k rounds of propose-parameters, run the circuit once, record the cut.
+
+    Raises TooManyGates or TooManyRounds before the first round when its
+    circuit passes BUILD_GATE_LIMIT or k passes ROUND_LIMIT.
+    """
     if k < 1:
         raise ValueError("iteration count must be at least 1")
     _check_gate_count(_qaoa_gates(graph, p))
+    _check_round_count(k)
     history: list[QaoaRecord] = []
     for _ in range(k):
         betas, gammas = optimiser(graph, p, history, rand)
@@ -403,11 +410,18 @@ def vqe_trajectory(
     rand: RandomSource,
     optimiser: VqeOptimiser = random_ansatz_params,
 ) -> list[VqeRecord]:
-    """k rounds of propose-angles, estimate the energy, record the pair."""
+    """k rounds of propose-angles, estimate the energy, record the pair.
+
+    Raises TooManyGates, TooManyRounds or TooManyShots before the first
+    round when the ansatz passes BUILD_GATE_LIMIT, k passes ROUND_LIMIT, or
+    the k * n_samples shots of each measured term pass SHOT_LIMIT.
+    """
     if k < 1:
         raise ValueError("iteration count must be at least 1")
     n = hamiltonian.arity
     _check_gate_count(_ansatz_gates(n, depth))
+    _check_round_count(k)
+    _check_shot_count(k * n_samples * sum(set(term) != {"I"} for _, term in hamiltonian.terms))
     count = n * depth * 2
     history: list[VqeRecord] = []
     for _ in range(k):

@@ -39,6 +39,8 @@ from .errors import (
     NonFiniteAngle,
     TooManyCells,
     TooManyGates,
+    TooManyRounds,
+    TooManyShots,
     WireOutOfRange,
 )
 from .kernels import apply_plan, plan
@@ -59,10 +61,36 @@ BUILD_GATE_LIMIT = 10**6
 DRAW_CELL_LIMIT = 10**6
 
 
+# Most shots one run may draw: `simulate --shots`, or a VQE trajectory's
+# rounds * measured terms * samples per term. Shots are read in bounded
+# batches, so memory does not grow with the count, but time does: 10**6
+# shots of four wires take about 2 s on a 2-core host, so 10**8 take a few
+# minutes. Checked before any shot is drawn.
+SHOT_LIMIT = 10**8
+
+
+# Most optimiser rounds a VQE or QAOA trajectory may run (`--k`). Each round
+# builds and runs at least one circuit: 10**5 rounds on three wires take
+# about a minute on a 2-core host. Checked before the first round.
+ROUND_LIMIT = 10**5
+
+
 def _check_gate_count(count: int) -> None:
     """Raise TooManyGates if a builder's gate count passes BUILD_GATE_LIMIT."""
     if count > BUILD_GATE_LIMIT:
         raise TooManyGates(count, BUILD_GATE_LIMIT)
+
+
+def _check_shot_count(count: int) -> None:
+    """Raise TooManyShots if a run's shot count passes SHOT_LIMIT."""
+    if count > SHOT_LIMIT:
+        raise TooManyShots(count, SHOT_LIMIT)
+
+
+def _check_round_count(count: int) -> None:
+    """Raise TooManyRounds if a trajectory's round count passes ROUND_LIMIT."""
+    if count > ROUND_LIMIT:
+        raise TooManyRounds(count, ROUND_LIMIT)
 
 
 class _Gate:

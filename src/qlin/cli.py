@@ -27,7 +27,16 @@ from .algorithms import (
     run_rus,
     vqe_trajectory,
 )
-from .circuit import Circuit, depth, draw, export_qasm, format_angle, gate_counts, optimise
+from .circuit import (
+    Circuit,
+    _check_shot_count,
+    depth,
+    draw,
+    export_qasm,
+    format_angle,
+    gate_counts,
+    optimise,
+)
 from .device import _shot_batches
 from .errors import CapacityExceeded, ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
@@ -147,6 +156,7 @@ def _resolve_seed(args) -> int:
 
 def _cmd_simulate(args) -> None:
     _check(args.shots >= 1, "--shots must be at least 1")
+    _check_shot_count(args.shots)
     circuit = _load_circuit(args.circuit)
     seed = _resolve_seed(args)
     backend = StateVectorBackend(seed=seed)

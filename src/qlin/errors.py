@@ -96,6 +96,20 @@ class CapacityExceeded(DeviceError):
 
 # algorithms
 
+class TooManyShots(QlinError):
+    def __init__(self, count: int, limit: int):
+        super().__init__(f"{count} shots exceed the limit of {limit}")
+        self.count = count
+        self.limit = limit
+
+
+class TooManyRounds(QlinError):
+    def __init__(self, count: int, limit: int):
+        super().__init__(f"{count} optimiser rounds exceed the limit of {limit}")
+        self.count = count
+        self.limit = limit
+
+
 class ParamCountMismatch(QlinError):
     def __init__(self, expected: int, got: int):
         super().__init__(f"expected {expected} parameters, got {got}")

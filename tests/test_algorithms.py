@@ -46,6 +46,8 @@ from qlin.errors import (
     ParamCountMismatch,
     RusIterationLimit,
     TooManyGates,
+    TooManyRounds,
+    TooManyShots,
 )
 from qlin.stdcircuits import h_gate
 
@@ -367,6 +369,48 @@ def test_trajectories_check_the_gate_cap_before_proposing_angles():
     for graph in (k3(), Graph(0, ())):  # an empty graph's layers count too
         with pytest.raises(TooManyGates):
             qaoa_trajectory(backend, 1, 10**9, graph, rand, never)
+
+
+def test_trajectories_check_their_rounds_and_shots_before_any_work():
+    def never(*args):
+        raise AssertionError("a round began for a trajectory over a cap")
+
+    backend, rand = StateVectorBackend(seed=1), RandomSource(1)
+    ham = Hamiltonian(((1.0, "ZZ"),))
+    with pytest.raises(TooManyRounds):
+        vqe_trajectory(backend, ham, 1, 10**12, 10, rand, never)
+    with pytest.raises(TooManyShots):
+        vqe_trajectory(backend, ham, 1, 1, 10**12, rand, never)
+    with pytest.raises(TooManyRounds):
+        qaoa_trajectory(backend, 10**12, 1, k3(), rand, never)
+
+
+@pytest.mark.parametrize(
+    "ham",
+    [
+        Hamiltonian(((1.0, "ZZ"), (0.5, "XI"))),
+        Hamiltonian(((2.0, "II"), (1.0, "ZI"), (0.5, "XY"), (0.3, "YY"))),
+    ],
+)
+def test_vqe_counts_every_shot_of_every_round_against_the_cap(ham, monkeypatch):
+    # 3 rounds of 5 shots per measured term; identity terms draw no shots
+    shots = 3 * 5 * sum(1 for _, term in ham.terms if set(term) != {"I"})
+    monkeypatch.setattr(circuit, "SHOT_LIMIT", shots)
+    assert len(vqe_trajectory(StateVectorBackend(seed=2), ham, 1, 3, 5, RandomSource(2))) == 3
+    monkeypatch.setattr(circuit, "SHOT_LIMIT", shots - 1)
+    with pytest.raises(TooManyShots):
+        vqe_trajectory(StateVectorBackend(seed=2), ham, 1, 3, 5, RandomSource(2))
+
+
+def test_trajectories_check_their_exact_round_count(monkeypatch):
+    monkeypatch.setattr(circuit, "ROUND_LIMIT", 4)
+    ham, rand = Hamiltonian(((1.0, "Z"),)), RandomSource(3)
+    assert len(vqe_trajectory(StateVectorBackend(seed=3), ham, 1, 4, 2, rand)) == 4
+    assert len(qaoa_trajectory(StateVectorBackend(seed=3), 4, 1, k3(), rand)) == 4
+    with pytest.raises(TooManyRounds):
+        vqe_trajectory(StateVectorBackend(seed=3), ham, 1, 5, 2, rand)
+    with pytest.raises(TooManyRounds):
+        qaoa_trajectory(StateVectorBackend(seed=3), 5, 1, k3(), rand)
 
 
 @pytest.mark.parametrize(

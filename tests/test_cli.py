@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlin import StateVectorBackend, algorithms, cli, errors
-from qlin.circuit import BUILD_GATE_LIMIT, DRAW_CELL_LIMIT
+from qlin.circuit import BUILD_GATE_LIMIT, DRAW_CELL_LIMIT, ROUND_LIMIT, SHOT_LIMIT
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
 from qlin.device import _SHOT_BATCH
 from qlin.formats import parse_circuit
@@ -287,6 +287,34 @@ def test_builders_refuse_too_many_gates_before_any_work(tmp_path, capsys, argv):
     assert err.rstrip("\n").endswith(f"limit of {BUILD_GATE_LIMIT}")
 
 
+@pytest.mark.parametrize(
+    "argv, error, limit",
+    [
+        (["simulate", "BELL", "--shots", str(2**62)], "TooManyShots", SHOT_LIMIT),
+        (["vqe", "--ham", "HAM", "--nsamples", str(10**12)], "TooManyShots", SHOT_LIMIT),
+        (["vqe", "--ham", "HAM", "--k", str(10**12)], "TooManyRounds", ROUND_LIMIT),
+        (["qaoa", "--graph", "K3", "--k", str(10**12)], "TooManyRounds", ROUND_LIMIT),
+    ],
+)
+def test_stochastic_commands_refuse_too_much_work_before_any(tmp_path, capsys, monkeypatch, argv, error, limit):
+    # each would run for years before failing
+    def never(*args):
+        raise AssertionError("work began past a cap")
+
+    for module, name in [(cli, "_shot_batches"), (algorithms, "ansatz"), (algorithms, "qaoa_unitary")]:
+        monkeypatch.setattr(module, name, never)
+    files = {
+        "BELL": circuit_file(tmp_path),
+        "HAM": circuit_file(tmp_path, HAM_Z, "ham.txt"),
+        "K3": circuit_file(tmp_path, K3, "k3.txt"),
+    }
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in argv] + ["--seed", "1"])
+    assert code == EXIT_RUNTIME and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"E_RUNTIME: {error}: ")
+    assert err.rstrip("\n").endswith(f"limit of {limit}")
+
+
 def test_coin_text_output(capsys):
     code, out, _ = run(capsys, ["coin", "--seed", "7"])
     assert code == EXIT_OK
@@ -386,6 +414,64 @@ def test_pure_commands_keep_the_cli_contract(tmp_path_factory, command, text, n,
     assert code == EXIT_OK or code in _PREFIXES
     if code == EXIT_OK:
         assert err == ""
+        return
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith(_PREFIXES[code])
+    if code == EXIT_RUNTIME:  # a typed error, not an internal failure
+        kind = getattr(errors, err.split(": ")[1], None)
+        assert isinstance(kind, type) and issubclass(kind, errors.QlinError), err
+
+
+# valid inputs first, then malformed ones
+_HAMILTONIANS = st.sampled_from(["1.0 Z\n", "0.5 ZZ\n-0.25 XI\n", "2.0 II\n"]) | st.sampled_from(
+    ["1.0 Q\n", "x ZZ\n", "1.0 Z\n1.0 ZZ\n", ""])
+_GRAPHS = st.sampled_from([K3, "vertices 0\n", "vertices 2\nedge 0 1\n"]) | st.sampled_from(
+    ["vertices 2\nedge 0 0\n", "vertices 3\nedge 0 5\n", "edge\n"])
+# each command's input file and numeric options; --seed goes with all of them
+_OPERANDS = {"simulate": ["FILE"], "coin": [], "rus": [], "vqe": ["--ham", "FILE"], "qaoa": ["--graph", "FILE"]}
+_OPTIONS = {"simulate": ["--shots"], "coin": [], "rus": ["--max-iter"], "vqe": ["--depth", "--k", "--nsamples"],
+            "qaoa": ["--p", "--k"]}
+_GOOD = {"--shots": ["1", "5"], "--max-iter": ["1", "3"], "--depth": ["0", "1"], "--k": ["1", "3"],
+         "--nsamples": ["1", "20"], "--p": ["0", "1"], "--seed": ["0", "7", str(2**63)]}
+# below the minimum, or past a cap
+_BAD = {"--shots": ["-1", "0", str(2**63)], "--max-iter": ["-1", "0"], "--depth": ["-1", str(2**63)],
+        "--k": ["-1", "0", str(2**63)], "--nsamples": ["-1", "0", str(2**63)], "--p": ["-1", str(2**63)],
+        "--seed": ["-1", None]}
+
+
+@st.composite
+def stochastic_runs(draw):
+    """A stochastic command's arguments, naming its input file FILE, and that file's text.
+
+    Every option is small and valid but for at most one, which is below its
+    minimum or past a cap, or a missing seed.
+    """
+    command = draw(st.sampled_from(["simulate", "coin", "rus", "vqe", "vqe", "qaoa", "qaoa"]))
+    options = [*_OPTIONS[command], "--seed"]
+    spoilt = draw(st.sampled_from([None, None, *options]))
+    argv = [command, *_OPERANDS[command]]
+    for option in options:
+        value = draw(st.sampled_from((_BAD if option == spoilt else _GOOD)[option]))
+        argv += [] if value is None else [option, value]
+    argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    texts = {"simulate": circuit_texts(), "vqe": _HAMILTONIANS, "qaoa": _GRAPHS}
+    return argv, draw(texts.get(command, st.just("")))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stochastic_runs())
+def test_stochastic_commands_keep_the_cli_contract(tmp_path_factory, run_and_text):
+    argv, text = run_and_text
+    path = tmp_path_factory.getbasetemp() / "stochastic.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    code, out, err = first = run_quietly(argv)
+    if "--seed" in argv:  # and so with --format json, or it fails alike twice
+        assert run_quietly(argv) == first
+    assert code == EXIT_OK or code in _PREFIXES
+    if code == EXIT_OK:
+        assert err == "" and out.endswith("\n")
         return
     assert out == ""
     assert len(err.splitlines()) == 1 and err.endswith("\n")
