@@ -296,7 +296,9 @@ def test_builders_refuse_too_many_gates_before_any_work(tmp_path, capsys, argv):
         (["qaoa", "--graph", "K3", "--k", str(10**12)], "TooManyRounds", ROUND_LIMIT),
     ],
 )
-def test_stochastic_commands_refuse_too_much_work_before_any(tmp_path, capsys, monkeypatch, argv, error, limit):
+def test_stochastic_commands_refuse_too_much_work_before_any(
+    tmp_path, capsys, monkeypatch, argv, error, limit
+):
     # each would run for years before failing
     def never(*args):
         raise AssertionError("work began past a cap")

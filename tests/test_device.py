@@ -478,10 +478,10 @@ class DeviceMachine(RuleBasedStateMachine):
         """Distinct live handles, sometimes with stale, repeated or foreign ones among them."""
         handles = data.draw(st.lists(st.sampled_from(list(self.live)), unique=True)) if self.live else []
         for _ in range(data.draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2]))):
-            faults = {"stale": self.spent, "repeated": handles, "foreign": self.foreign}
-            pool = data.draw(st.sampled_from([pool for pool in faults.values() if pool] or [[]]))
-            if pool:
-                handles.insert(data.draw(st.integers(0, len(handles))), data.draw(st.sampled_from(pool)))
+            pools = [pool for pool in (self.spent, handles, self.foreign) if pool]
+            if pools:
+                bad = data.draw(st.sampled_from(data.draw(st.sampled_from(pools))))
+                handles.insert(data.draw(st.integers(0, len(handles))), bad)
         return handles
 
     def _error(self, handles, arity=None):
@@ -538,7 +538,8 @@ class DeviceMachine(RuleBasedStateMachine):
         self._execution()
         handles = self._pick(data)
         arity = max(0, len(handles) + data.draw(st.sampled_from([0, 0, 0, 1, -1])))
-        circuit = random_circuit(random.Random(data.draw(st.integers(0, 2**32))), arity, data.draw(st.integers(0, 6)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        circuit = random_circuit(rng, arity, data.draw(st.integers(0, 6)))
         fresh = self._outcome(apply_circuit(handles, circuit), self._error(handles, arity))
         if fresh is not None:
             names = self._consumed(handles)

@@ -118,7 +118,8 @@ print(json.dumps(cases, indent=1))
 
 # Run by the checkout's Python: random states measured one qubit per
 # operation in a shuffled order, so every wire position, first, middle and
-# last, is measured mid-state; a fresh qubit joins the survivors half way.
+# last, is measured mid-state; a fresh qubit joins the survivors after the
+# first measurements.
 # Then the next coin on that backend (its random stream's position).
 MEASURE_ORDER = """\
 import json, random
