@@ -73,6 +73,8 @@ class DeviceSession(ABC):
     only have to move quantum state around.
     """
 
+    __slots__ = ()
+
     @abstractmethod
     def allocate(self, ids: Sequence[int]) -> None:
         """Add one |0> qubit per id."""

@@ -14,10 +14,13 @@ state: the same seed and program give the same outcome sequence, bit for bit.
 `RandomSource.uniforms` draws many uniforms at once, equal to as many
 `uniform` calls; it takes them from Python's own generator, and never from
 numpy.random, whose import alone costs several MB of resident memory.
-`StateVectorBackend.sample` prepares a measure-all circuit once and walks
-its collapse one wire at a time for all shots at once, drawing in shot
-order. That walk and a session's measurement both take p1 from `_p_ones`
-and the renormalised state from `_collapse`.
+`QuantumState` is the backend's session: its `allocate`, `apply` and
+`measure` are the three device primitives, and every state is created and
+changed through them. `StateVectorBackend.sample` prepares a measure-all
+circuit once, through the same `allocate` and `apply`, and walks its
+collapse one wire at a time for all shots at once, drawing in shot order.
+That walk and a session's measurement both take p1 from `_p_ones` and the
+renormalised state from `_collapse`.
 """
 from __future__ import annotations
 
@@ -133,23 +136,40 @@ def _sample_prepared(state: QuantumState, uniforms: np.ndarray) -> np.ndarray:
     return bits
 
 
-class QuantumState:
-    """Amplitude vector plus the registry mapping live qubit ids to wires.
+class QuantumState(DeviceSession):
+    """The simulator's session: amplitude vector plus a registry of live qubit ids.
 
     The registry is a bijection between live ids and wire positions in
     [0, wire_count); measurement removes an id and shifts the wires above it
-    down by one.
+    down by one. `allocate`, `apply` and `measure` are the device primitives,
+    drawing from `rand` and capped at `max_qubits` wires; `QuantumState()`
+    is a bare state with no random source, measured through `measure_wire`.
     """
 
-    __slots__ = ("amplitudes", "registry")
+    __slots__ = ("amplitudes", "registry", "max_qubits", "_random")
 
-    def __init__(self):
+    def __init__(self, rand: RandomSource | None = None, max_qubits: int = DEFAULT_MAX_QUBITS):
         self.amplitudes = np.ones(1, dtype=complex)
         self.registry: dict[int, int] = {}
+        self.max_qubits = max_qubits
+        self._random = rand
 
     @property
     def wire_count(self) -> int:
         return len(self.registry)
+
+    def allocate(self, ids: Sequence[int]) -> None:
+        requested = self.wire_count + len(ids)
+        if requested > self.max_qubits:
+            raise CapacityExceeded(requested, self.max_qubits)
+        self.extend_with_zeros(ids)
+
+    def apply(self, ids: Sequence[int], circuit: Circuit) -> None:
+        registry = self.registry
+        apply_plan(self.amplitudes, circuit._plan, [registry[i] for i in ids])
+
+    def measure(self, ids: Sequence[int]) -> list[int]:
+        return [self.measure_wire(i, self._random) for i in ids]
 
     def extend_with_zeros(self, ids: Sequence[int]) -> None:
         """Append one |0> wire per id, as new least significant bits."""
@@ -170,11 +190,7 @@ class QuantumState:
 
     def apply_gate(self, gate: GateApp) -> None:
         """Apply one gate whose wire fields are positions in this state."""
-        self._apply(plan((gate,)), range(self.wire_count))
-
-    def _apply(self, steps: Sequence[tuple], wires: Sequence[int]) -> None:
-        """Run a kernel plan, with a gate's wire k acting on position wires[k]."""
-        apply_plan(self.amplitudes, steps, wires)
+        apply_plan(self.amplitudes, plan((gate,)), range(self.wire_count))
 
     def measure_wire(self, ident: int, rand: RandomSource) -> int:
         """Measure the qubit named `ident`: collapse, renormalise, contract.
@@ -200,26 +216,6 @@ class QuantumState:
         return json.dumps([[z.real, z.imag] for z in self.amplitudes])
 
 
-class _SimulatorSession(DeviceSession):
-    def __init__(self, rand: RandomSource, max_qubits: int):
-        self._state = QuantumState()
-        self._random = rand
-        self._max_qubits = max_qubits
-
-    def allocate(self, ids: Sequence[int]) -> None:
-        requested = self._state.wire_count + len(ids)
-        if requested > self._max_qubits:
-            raise CapacityExceeded(requested, self._max_qubits)
-        self._state.extend_with_zeros(ids)
-
-    def apply(self, ids: Sequence[int], circuit: Circuit) -> None:
-        registry = self._state.registry
-        self._state._apply(circuit._plan, [registry[i] for i in ids])
-
-    def measure(self, ids: Sequence[int]) -> list[int]:
-        return [self._state.measure_wire(i, self._random) for i in ids]
-
-
 class StateVectorBackend(DeviceBackend):
     """DeviceBackend running exact state-vector simulation.
 
@@ -232,8 +228,8 @@ class StateVectorBackend(DeviceBackend):
         self._random = RandomSource(seed)
         self.max_qubits = max_qubits
 
-    def new_session(self) -> _SimulatorSession:
-        return _SimulatorSession(self._random, self.max_qubits)
+    def new_session(self) -> QuantumState:
+        return QuantumState(self._random, self.max_qubits)
 
     def sample(self, circuit: Circuit, shots: int) -> np.ndarray:
         """As `DeviceBackend.sample`, preparing the circuit's state once.
@@ -252,7 +248,8 @@ class StateVectorBackend(DeviceBackend):
                 raise CapacityExceeded(n, self.max_qubits)
             # drawn before the state exists, so the draw's temporaries never sit beside it
             uniforms = self._random.uniforms(shots * n).reshape(shots, n)
-            state = QuantumState()
-            state.extend_with_zeros(range(n))
-            state._apply(circuit._plan, range(n))
+            # the class's own session, which a subclass that refuses sessions still has
+            state = StateVectorBackend.new_session(self)
+            state.allocate(range(n))
+            state.apply(range(n), circuit)
             return _sample_prepared(state, uniforms)

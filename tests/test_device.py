@@ -518,7 +518,7 @@ class DeviceMachine(RuleBasedStateMachine):
         return [self.live.pop(h) for h in handles]
 
     def _check_state(self):
-        amplitudes = self.backend.session._state.amplitudes
+        amplitudes = self.backend.session.amplitudes
         np.testing.assert_allclose(amplitudes, self.reference.vector, rtol=0, atol=1e-9)
 
     @rule(p=st.integers(0, 3))

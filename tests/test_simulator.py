@@ -127,22 +127,22 @@ def test_session_apply_matches_apply_gate_on_remapped_circuit(seed):
 
     session = StateVectorBackend(seed=0).new_session()
     session.allocate(list(range(m)))
-    session._state.amplitudes = start.copy()
+    session.amplitudes = start.copy()
     session.apply(ids, circuit)
 
     remapped = apply(circuit, identity(m), ids)
     whole = QuantumState()
     whole.extend_with_zeros(list(range(m)))
     whole.amplitudes = start.copy()
-    whole._apply(remapped._plan, range(m))
-    assert np.array_equal(session._state.amplitudes, whole.amplitudes)
+    whole.apply(range(m), remapped)
+    assert np.array_equal(session.amplitudes, whole.amplitudes)
 
     reference = QuantumState()
     reference.extend_with_zeros(list(range(m)))
     reference.amplitudes = start.copy()
     for gate in remapped.gates:
         reference.apply_gate(gate)
-    assert_close(session._state.amplitudes, reference.amplitudes, tol=1e-12)
+    assert_close(session.amplitudes, reference.amplitudes, tol=1e-12)
 
 
 def test_normalisation_preserved():
@@ -360,7 +360,7 @@ def test_walk_states_equal_the_per_shot_collapse(monkeypatch):
             walked = levels[:]
             state, rand = QuantumState(), RandomSource(seed)
             state.extend_with_zeros(range(arity))
-            state._apply(circuit._plan, range(arity))
+            state.apply(range(arity), circuit)
             assert len(walked) == arity
             for ident, states in enumerate(walked):
                 assert states.shape == (1, 2 ** (arity - ident))
