@@ -46,7 +46,7 @@ def _eval_angle_node(root: ast.expr) -> float:
                 values.append(_BINARY_OPS[type(node)](values.pop(), right))
         elif depth > _MAX_ANGLE_DEPTH:
             raise RecursionError("angle expression nests too deeply")
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):  # not bool
             values.append(float(node.value))
         elif isinstance(node, ast.Name) and node.id == "pi":
             values.append(math.pi)

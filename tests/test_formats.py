@@ -68,6 +68,17 @@ def test_parse_circuit_angle_expressions():
     assert circuit.gates[0].angle == pytest.approx(-3 * math.pi / 4)
 
 
+@pytest.mark.parametrize("angle", ["True", "False", "pi*True", "-False", "1+True"])
+def test_parse_angle_rejects_booleans(angle):
+    # bool is an int, but True is not an angle in either format
+    with pytest.raises(ParseError) as err:
+        parse_circuit(f"qubits 1\nH 0\nP {angle} 0")
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        parse_qasm(f'OPENQASM 2.0;\nqreg q[1];\nu1({angle}) q[0];')
+    assert err.value.line == 3
+
+
 def test_parse_circuit_error_lines():
     with pytest.raises(ParseError) as err:
         parse_circuit("qubits 1\nCNOT 0 0")
