@@ -169,7 +169,8 @@ class _Execution:
         return len(self._live)
 
     def new_qubits(self, p: int) -> list[QubitHandle]:
-        qubits = list(range(self._next_id, self._next_id + p))
+        # a range, so a p past the session's cap costs nothing before it is refused
+        qubits = range(self._next_id, self._next_id + p)
         self._session.allocate(qubits)
         self.trace.append(("new", p))
         return self._hand_out(qubits)

@@ -79,6 +79,13 @@ class RandomSource:
         return draws
 
 
+def _count(ids: Sequence[int]) -> int:
+    """len(ids), also for a range longer than sys.maxsize, whose len raises OverflowError."""
+    if isinstance(ids, range):
+        return max(0, -((ids.start - ids.stop) // ids.step))  # the ceiling of (stop - start) / step
+    return len(ids)
+
+
 def _p_ones(states: np.ndarray, wire: int = 0) -> np.ndarray:
     """Probability that measuring `wire` gives 1, for each row of `states`.
 
@@ -159,7 +166,7 @@ class QuantumState(DeviceSession):
         return len(self.registry)
 
     def allocate(self, ids: Sequence[int]) -> None:
-        requested = self.wire_count + len(ids)
+        requested = self.wire_count + _count(ids)
         if requested > self.max_qubits:
             raise CapacityExceeded(requested, self.max_qubits)
         self.extend_with_zeros(ids)

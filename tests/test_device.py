@@ -3,6 +3,7 @@ import queue
 import random
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qlin import (
     apply_cnot,
     apply_h,
     apply_p,
+    coin,
     execute,
     execute_with_trace,
     identity,
@@ -336,6 +338,22 @@ def test_sample_capacity_error_draws_nothing():
         b.sample(identity(3), 5)
     bell = to_bell_basis()
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
+
+
+@pytest.mark.parametrize("p", [25, 10**6, 10**12, 2**63, 2**100])
+def test_new_qubits_past_the_cap_fails_before_building_ids(p):
+    # the session sees a range, so no p costs memory or overflows before the cap refuses it
+    b = backend(4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded) as err:
+            execute(b, _alloc_and_measure(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.requested, err.value.limit) == (p, 24)
+    assert peak < 2**20
+    assert coin(b) == coin(backend(4))
 
 
 def test_programs_are_reusable_values():
