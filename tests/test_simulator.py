@@ -1,4 +1,5 @@
 """State-vector backend: state ops, oracle agreement, statistics, determinism."""
+import itertools
 import json
 import math
 import os
@@ -251,6 +252,14 @@ def test_capacity_cap():
         execute(backend, program())
 
 
+def test_allocate_counts_a_range_as_len_does():
+    # and also past sys.maxsize, where len raises; new_qubits hands the session a range
+    for start, stop, step in itertools.product(range(-5, 6), range(-5, 6), (-3, -1, 1, 2)):
+        ids = range(start, stop, step)
+        assert simulator._count(ids) == len(ids)
+    assert simulator._count(range(7, 7 + 2**100)) == 2**100
+
+
 # sampling one prepared state
 
 def _basis_circuit(bits):
@@ -284,6 +293,28 @@ def test_sample_matches_the_per_shot_default(circuit, shots, seed):
     assert bits.tolist() == reference.tolist()
     # both drew the same number of uniforms, so their streams go on alike
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
+
+
+def test_sample_prepares_through_allocate_and_apply(monkeypatch):
+    # one preparation path: what wraps the backend's session and its
+    # primitives, such as a tracer, sees sample's state too
+    calls = []
+
+    def recorder(cls, name):
+        method = getattr(cls, name)
+
+        def record(self, *args):
+            calls.append((name, *[list(ids) for ids in args[:1]]))
+            return method(self, *args)
+
+        return record
+
+    for cls, name in [(StateVectorBackend, "new_session"), (QuantumState, "allocate"), (QuantumState, "apply")]:
+        monkeypatch.setattr(cls, name, recorder(cls, name))
+    circuit = random_circuit(random.Random(2), 4, 20)
+    bits = StateVectorBackend(seed=9).sample(circuit, 50)
+    assert calls == [("new_session",), ("allocate", [0, 1, 2, 3]), ("apply", [0, 1, 2, 3])]
+    assert bits.tolist() == DeviceBackend.sample(StateVectorBackend(seed=9), circuit, 50).tolist()
 
 
 def test_sample_decision_rule():
