@@ -252,8 +252,9 @@ def test_capacity_cap():
         execute(backend, program())
 
 
-def test_allocate_counts_a_range_as_len_does():
-    # and also past sys.maxsize, where len raises; new_qubits hands the session a range
+def test_count_of_a_range_equals_its_len():
+    # allocate counts ids with it, since new_qubits hands the session a range,
+    # and len raises OverflowError for one past sys.maxsize
     for start, stop, step in itertools.product(range(-5, 6), range(-5, 6), (-3, -1, 1, 2)):
         ids = range(start, stop, step)
         assert simulator._count(ids) == len(ids)
