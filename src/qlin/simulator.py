@@ -24,17 +24,16 @@ renormalised state from `_collapse`.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections.abc import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateApp
+from .circuit import Circuit
 from .device import DeviceBackend, DeviceSession, _exclusive
 from .errors import CapacityExceeded
-from .kernels import apply_plan, plan
+from .kernels import apply_plan
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -147,45 +146,30 @@ class QuantumState(DeviceSession):
     """The simulator's session: amplitude vector plus a registry of live qubit ids.
 
     The registry is a bijection between live ids and wire positions in
-    [0, wire_count); measurement removes an id and shifts the wires above it
-    down by one. `allocate`, `apply` and `measure` are the device primitives,
-    drawing from `rand` and capped at `max_qubits` wires; `QuantumState()`
-    is a bare state with no random source, measured through `measure_wire`.
+    [0, len(registry)); measurement removes an id and shifts the wires above
+    it down by one. `allocate`, `apply` and `measure` are the device
+    primitives and the whole of the state's behaviour, drawing from `rand`
+    and capped at `max_qubits` wires.
     """
 
     __slots__ = ("amplitudes", "registry", "max_qubits", "_random")
 
-    def __init__(self, rand: RandomSource | None = None, max_qubits: int = DEFAULT_MAX_QUBITS):
+    def __init__(self, rand: RandomSource, max_qubits: int = DEFAULT_MAX_QUBITS):
         self.amplitudes = np.ones(1, dtype=complex)
         self.registry: dict[int, int] = {}
         self.max_qubits = max_qubits
         self._random = rand
 
-    @property
-    def wire_count(self) -> int:
-        return len(self.registry)
-
     def allocate(self, ids: Sequence[int]) -> None:
-        requested = self.wire_count + _count(ids)
-        if requested > self.max_qubits:
-            raise CapacityExceeded(requested, self.max_qubits)
-        self.extend_with_zeros(ids)
-
-    def apply(self, ids: Sequence[int], circuit: Circuit) -> None:
-        registry = self.registry
-        apply_plan(self.amplitudes, circuit._plan, [registry[i] for i in ids])
-
-    def measure(self, ids: Sequence[int]) -> list[int]:
-        return [self.measure_wire(i, self._random) for i in ids]
-
-    def extend_with_zeros(self, ids: Sequence[int]) -> None:
         """Append one |0> wire per id, as new least significant bits."""
-        p = len(ids)
+        n = len(self.registry)
+        p = _count(ids)
+        if n + p > self.max_qubits:
+            raise CapacityExceeded(n + p, self.max_qubits)
         if p == 0:
             return
         zeros = np.zeros(2**p, dtype=complex)
         zeros[0] = 1.0
-        n = self.wire_count
         if n:
             # np.kron's products, without its per-call overhead
             self.amplitudes = np.multiply.outer(self.amplitudes, zeros).reshape(-1)
@@ -195,32 +179,29 @@ class QuantumState(DeviceSession):
         for offset, ident in enumerate(ids):
             self.registry[ident] = n + offset
 
-    def apply_gate(self, gate: GateApp) -> None:
-        """Apply one gate whose wire fields are positions in this state."""
-        apply_plan(self.amplitudes, plan((gate,)), range(self.wire_count))
+    def apply(self, ids: Sequence[int], circuit: Circuit) -> None:
+        registry = self.registry
+        apply_plan(self.amplitudes, circuit._plan, [registry[i] for i in ids])
 
-    def measure_wire(self, ident: int, rand: RandomSource) -> int:
-        """Measure the qubit named `ident`: collapse, renormalise, contract.
+    def measure(self, ids: Sequence[int]) -> list[int]:
+        """Measure each named qubit in turn: collapse, renormalise, contract.
 
-        The outcome is 1 exactly when the drawn uniform is below the
-        probability of 1, so basis states measure deterministically for any
-        seed.
+        An outcome is 1 exactly when its uniform is below the probability of
+        1, so basis states measure deterministically for any seed.
         """
         registry = self.registry
-        wire = registry[ident]
-        t = self.amplitudes.reshape(1, -1)
-        p1 = float(_p_ones(t, wire)[0])
-        bit = 1 if rand.uniform() < p1 else 0
-        self.amplitudes = _collapse(t, wire, _ONE_ROW, bit, math.sqrt(p1 if bit else 1 - p1))[0]
-        del registry[ident]
-        for other, w in registry.items():
-            if w > wire:
-                registry[other] = w - 1
-        return bit
-
-    def debug_dump(self) -> str:
-        """Amplitudes as a JSON array of [re, im] pairs (test hook)."""
-        return json.dumps([[z.real, z.imag] for z in self.amplitudes])
+        bits = []
+        for ident in ids:
+            wire = registry.pop(ident)
+            t = self.amplitudes.reshape(1, -1)
+            p1 = float(_p_ones(t, wire)[0])
+            bit = 1 if self._random.uniform() < p1 else 0
+            self.amplitudes = _collapse(t, wire, _ONE_ROW, bit, math.sqrt(p1 if bit else 1 - p1))[0]
+            for other, w in registry.items():
+                if w > wire:
+                    registry[other] = w - 1
+            bits.append(bit)
+        return bits
 
 
 class StateVectorBackend(DeviceBackend):

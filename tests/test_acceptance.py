@@ -44,6 +44,7 @@ from qlin import (
     to_bell_basis,
     vqe,
 )
+from qlin.circuit import Circuit
 from qlin.cli import EXIT_OK, main
 from qlin.errors import DanglingQubits, DuplicateHandle, UseAfterConsume
 from qlin.simulator import QuantumState
@@ -90,10 +91,10 @@ def test_criterion_1_oracle_equivalence():
     for _ in range(200):
         n = rng.randint(1, 5)
         circuit = random_circuit(rng, n, rng.randint(0, 20))
-        state = QuantumState()
-        state.extend_with_zeros(list(range(n)))
+        state = QuantumState(RandomSource(0))
+        state.allocate(range(n))
         for gate in circuit.gates:
-            state.apply_gate(gate)
+            state.apply(range(n), Circuit(n, [gate]))
         want = matrix_of(circuit) @ basis_state(n, 0)
         assert max_dev(state.amplitudes, want) <= TOL
         # matrix_of runs the same kernels, so check against an independent oracle too

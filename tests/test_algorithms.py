@@ -39,6 +39,7 @@ from qlin import (
 )
 from qlin import circuit, device
 from qlin.algorithms import random_ansatz_params
+from qlin.circuit import Circuit
 from qlin.device import DeviceBackend, DeviceSession
 from qlin.errors import (
     AllIdentityTerm,
@@ -70,23 +71,21 @@ class MinimalSession(DeviceSession):
     """Only the three primitives, over a QuantumState; logs every call."""
 
     def __init__(self, rand, log):
-        self.state = QuantumState()
-        self.rand = rand
+        self.state = QuantumState(rand)
         self.log = log
 
     def allocate(self, ids):
         self.log.append(("new", len(ids)))
-        self.state.extend_with_zeros(ids)
+        self.state.allocate(ids)
 
     def apply(self, ids, circuit):
         self.log.append(("apply", len(ids), circuit.gates))
-        positions = [self.state.registry[i] for i in ids]
         for gate in circuit.gates:
-            self.state.apply_gate(gate.remap(positions))
+            self.state.apply(ids, Circuit(circuit.arity, [gate]))
 
     def measure(self, ids):
         self.log.append(("measure", len(ids)))
-        return [self.state.measure_wire(i, self.rand) for i in ids]
+        return self.state.measure(ids)
 
 
 class MinimalBackend(DeviceBackend):

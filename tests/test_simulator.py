@@ -1,6 +1,5 @@
 """State-vector backend: state ops, oracle agreement, statistics, determinism."""
 import itertools
-import json
 import math
 import os
 import random
@@ -38,60 +37,68 @@ from qlin.simulator import QuantumState, derive_seed
 from .oracles import FixedRandom, assert_close, basis_state, dense_unitary, random_circuit
 
 
-def bell_state_2q() -> QuantumState:
-    state = QuantumState()
-    state.extend_with_zeros([0, 1])
-    state.apply_gate(Hadamard(0))
-    state.apply_gate(ControlledNot(0, 1))
+def fresh_state(ids, rand=None) -> QuantumState:
+    state = QuantumState(rand or RandomSource(0))
+    state.allocate(ids)
     return state
 
 
-# extend_with_zeros
+def gate_by_gate(state: QuantumState, gates) -> None:
+    """Apply each gate as a one-gate circuit over all of the state's wires."""
+    n = len(state.registry)
+    for gate in gates:
+        state.apply(range(n), Circuit(n, [gate]))
+
+
+def bell_state_2q(rand=None) -> QuantumState:
+    state = fresh_state([0, 1], rand)
+    gate_by_gate(state, [Hadamard(0), ControlledNot(0, 1)])
+    return state
+
+
+# allocate
 
 def test_extend_from_empty():
-    state = QuantumState()
-    state.extend_with_zeros([0, 1])
+    state = fresh_state([0, 1])
     assert_close(state.amplitudes, [1, 0, 0, 0])
     assert state.registry == {0: 0, 1: 1}
 
 
 def test_extend_bell_by_one():
     state = bell_state_2q()
-    state.extend_with_zeros([2])
+    state.allocate([2])
     want = np.zeros(8, dtype=complex)
     want[0b000] = want[0b110] = 1 / math.sqrt(2)
     assert_close(state.amplitudes, want)
+    assert state.registry == {0: 0, 1: 1, 2: 2}
 
 
 def test_extend_by_zero_is_noop():
     state = bell_state_2q()
     before = state.amplitudes.copy()
-    state.extend_with_zeros([])
+    state.allocate([])
     assert_close(state.amplitudes, before)
+    assert state.registry == {0: 0, 1: 1}
 
 
-# apply_gate
+# apply, one gate at a time
 
 def test_hadamard_on_zero():
-    state = QuantumState()
-    state.extend_with_zeros([0])
-    state.apply_gate(Hadamard(0))
+    state = fresh_state([0])
+    gate_by_gate(state, [Hadamard(0)])
     assert_close(state.amplitudes, np.array([1, 1]) / math.sqrt(2))
 
 
 def test_phase_pi_flips_sign():
-    state = QuantumState()
-    state.extend_with_zeros([0])
-    state.apply_gate(Hadamard(0))
-    state.apply_gate(Phase(math.pi, 0))
+    state = fresh_state([0])
+    gate_by_gate(state, [Hadamard(0), Phase(math.pi, 0)])
     assert_close(state.amplitudes, np.array([1, -1]) / math.sqrt(2))
 
 
 def test_cnot_permutes_basis():
-    state = QuantumState()
-    state.extend_with_zeros([0, 1])
+    state = fresh_state([0, 1])
     state.amplitudes = basis_state(2, 0b10)
-    state.apply_gate(ControlledNot(0, 1))
+    gate_by_gate(state, [ControlledNot(0, 1)])
     assert_close(state.amplitudes, basis_state(2, 0b11))
 
 
@@ -100,13 +107,11 @@ def test_apply_gate_agrees_with_matrix_embedding(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 5)
     circuit = random_circuit(rng, n, 12)
-    state = QuantumState()
-    state.extend_with_zeros(list(range(n)))
+    state = fresh_state(range(n))
     start = np.array([rng.gauss(0, 1) + 1j * rng.gauss(0, 1) for _ in range(2**n)])
     start /= np.linalg.norm(start)
     state.amplitudes = start.copy()
-    for gate in circuit.gates:
-        state.apply_gate(gate)
+    gate_by_gate(state, circuit.gates)
     assert_close(state.amplitudes, matrix_of(circuit) @ start)
     # matrix_of runs the same kernels, so check against an independent oracle too
     assert_close(state.amplitudes, dense_unitary(circuit) @ start)
@@ -132,63 +137,62 @@ def test_session_apply_matches_apply_gate_on_remapped_circuit(seed):
     session.apply(ids, circuit)
 
     remapped = apply(circuit, identity(m), ids)
-    whole = QuantumState()
-    whole.extend_with_zeros(list(range(m)))
+    whole = fresh_state(range(m))
     whole.amplitudes = start.copy()
     whole.apply(range(m), remapped)
     assert np.array_equal(session.amplitudes, whole.amplitudes)
 
-    reference = QuantumState()
-    reference.extend_with_zeros(list(range(m)))
+    reference = fresh_state(range(m))
     reference.amplitudes = start.copy()
-    for gate in remapped.gates:
-        reference.apply_gate(gate)
+    gate_by_gate(reference, remapped.gates)
     assert_close(session.amplitudes, reference.amplitudes, tol=1e-12)
 
 
 def test_normalisation_preserved():
     rng = random.Random(99)
-    state = QuantumState()
-    state.extend_with_zeros([0, 1, 2])
+    state = fresh_state([0, 1, 2])
     for gate in random_circuit(rng, 3, 40).gates:
-        state.apply_gate(gate)
+        gate_by_gate(state, [gate])
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9
 
 
-# measure_wire
+# measure
 
 def test_measure_basis_state_deterministic():
     for scripted in ([0.0], [0.999999]):
-        state = QuantumState()
-        state.extend_with_zeros([7])
-        bit = state.measure_wire(7, FixedRandom(scripted))
-        assert bit == 0
+        state = fresh_state([7], FixedRandom(scripted))
+        assert state.measure([7]) == [0]
         assert_close(state.amplitudes, [1.0])
         assert state.registry == {}
 
 
 def test_measure_decision_rule():
-    state = QuantumState()
-    state.extend_with_zeros([0])
-    state.apply_gate(Hadamard(0))
-    bit = state.measure_wire(0, FixedRandom([0.3]))
-    assert bit == 1  # u < p1 with u=0.3, p1=0.5
+    state = fresh_state([0], FixedRandom([0.3]))
+    gate_by_gate(state, [Hadamard(0)])
+    assert state.measure([0]) == [1]  # u < p1 with u=0.3, p1=0.5
     assert_close(state.amplitudes, [1.0])
 
 
 def test_measure_bell_wire_collapses_partner():
-    state = bell_state_2q()
-    bit = state.measure_wire(0, FixedRandom([0.7]))  # u >= 0.5 picks outcome 0
-    assert bit == 0
+    state = bell_state_2q(FixedRandom([0.7]))
+    assert state.measure([0]) == [0]  # u >= 0.5 picks outcome 0
     assert_close(state.amplitudes, [1, 0])
     assert state.registry == {1: 0}
 
 
 def test_registry_reindexes_after_middle_measurement():
-    state = QuantumState()
-    state.extend_with_zeros([10, 11, 12])
-    state.measure_wire(11, FixedRandom([0.5]))
+    state = fresh_state([10, 11, 12], FixedRandom([0.5]))
+    state.measure([11])
     assert state.registry == {10: 0, 12: 1}
+
+
+def test_quantum_state_has_only_the_three_primitives():
+    # the state is reached through the device primitives alone, so a wrapper
+    # around the session class sees one span per primitive
+    public = {name for name, value in vars(QuantumState).items() if callable(value) and not name.startswith("_")}
+    assert public == {"allocate", "apply", "measure"}
+    with pytest.raises(TypeError):
+        QuantumState()
 
 
 # backend behaviour
@@ -378,7 +382,7 @@ def test_walk_probabilities_equal_the_per_shot_ones(arity, monkeypatch):
 
 
 def test_walk_states_equal_the_per_shot_collapse(monkeypatch):
-    # a one-shot walk's row at each wire is the state measure_wire leaves
+    # a one-shot walk's row at each wire is the state a session's measure leaves
     # there, float for float, so the two paths renormalise alike
     levels = []
     p_ones = simulator._p_ones
@@ -390,14 +394,13 @@ def test_walk_states_equal_the_per_shot_collapse(monkeypatch):
             levels.clear()
             StateVectorBackend(seed=seed).sample(circuit, 1)
             walked = levels[:]
-            state, rand = QuantumState(), RandomSource(seed)
-            state.extend_with_zeros(range(arity))
+            state = fresh_state(range(arity), RandomSource(seed))
             state.apply(range(arity), circuit)
             assert len(walked) == arity
             for ident, states in enumerate(walked):
                 assert states.shape == (1, 2 ** (arity - ident))
                 assert states[0].tobytes() == state.amplitudes.tobytes()
-                state.measure_wire(ident, rand)
+                state.measure([ident])
 
 
 def test_derive_seed_is_stable_and_spreads():
@@ -449,8 +452,3 @@ def test_sampling_does_not_import_numpy_random():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
-
-def test_debug_dump_json():
-    state = bell_state_2q()
-    pairs = json.loads(state.debug_dump())
-    assert_close([complex(re, im) for re, im in pairs], state.amplitudes)
