@@ -164,10 +164,6 @@ class _Execution:
             raise ArityMismatch(f"circuit arity {arity} does not match {len(ids)} handle(s)")
         return [live.pop(ident) for ident in ids]
 
-    @property
-    def live_count(self) -> int:
-        return len(self._live)
-
     def new_qubits(self, p: int) -> list[QubitHandle]:
         # a range, so a p past the session's cap costs nothing before it is refused
         qubits = range(self._next_id, self._next_id + p)
@@ -325,6 +321,6 @@ def execute_with_trace(
     with _exclusive(backend):
         ex = _Execution(backend.new_session())
         result = program._step(ex)
-    if ex.live_count:
-        raise DanglingQubits(ex.live_count)
+    if ex._live:
+        raise DanglingQubits(len(ex._live))
     return result, ex.trace
