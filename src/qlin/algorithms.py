@@ -353,7 +353,7 @@ def compute_energy(
     """
     total = 0.0
     for coeff, term in hamiltonian.terms:
-        if set(term) == {"I"}:
+        if set(term) <= {"I"}:
             total += coeff
         else:
             total += coeff * compute_energy_pauli(backend, ansatz_circuit, term, n_samples)
@@ -421,7 +421,7 @@ def vqe_trajectory(
     n = hamiltonian.arity
     _check_gate_count(_ansatz_gates(n, depth))
     _check_round_count(k)
-    _check_shot_count(k * n_samples * sum(set(term) != {"I"} for _, term in hamiltonian.terms))
+    _check_shot_count(k * n_samples * sum(not set(term) <= {"I"} for _, term in hamiltonian.terms))
     count = n * depth * 2
     history: list[VqeRecord] = []
     for _ in range(k):

@@ -502,6 +502,18 @@ def test_compute_energy_identity_shortcut():
     assert backend.sessions == 0
 
 
+def test_compute_energy_empty_pauli_string_is_its_coefficient():
+    # set("") is empty, so a test for set(term) == {"I"} missed the empty string
+    empty = Hamiltonian(((0.5, ""),))
+    backend = CountingBackend()
+    assert compute_energy(backend, identity(0), empty, 100) == 0.5
+    # a term with nothing to measure counts no shots against SHOT_LIMIT either
+    history = vqe_trajectory(backend, empty, 1, 2, circuit.SHOT_LIMIT + 1, RandomSource(0))
+    assert [record.energy for record in history] == [0.5, 0.5]
+    assert backend.sessions == 0
+    assert coin(backend.inner) == coin(StateVectorBackend(seed=0))  # no uniform drawn
+
+
 def test_estimator_memory_does_not_grow_with_samples():
     # asking sample for every shot at once would hold about 126 B per shot
     # here; the slack covers the collapse tree's row arrays, whose sizes
