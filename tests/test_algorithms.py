@@ -503,7 +503,7 @@ def test_compute_energy_identity_shortcut():
 
 
 def test_compute_energy_empty_pauli_string_is_its_coefficient():
-    # set("") is empty, so a test for set(term) == {"I"} missed the empty string
+    # "" acts on no qubit, so like "II" it has expectation 1 and needs no circuit
     empty = Hamiltonian(((0.5, ""),))
     backend = CountingBackend()
     assert compute_energy(backend, identity(0), empty, 100) == 0.5
