@@ -30,25 +30,41 @@ times is planned once. Two kinds of run fold:
   exp(-i*gamma*C) is one multiply (Farhi, Goldstone and Gutmann,
   arXiv:1411.4028).
 
-count depends on the masks only, not on the angles. It is built with the
-plan, once for all the plan's runs of one shape (the layers of a QAOA circuit
-share one), and kept with it, so a circuit simulated again builds none. The
-counts a plan keeps are bounded: at most 2**width bytes for gates on `width`
-wires, 1/16 of a state on them (or 64 KiB, if more); a run whose counts would
-take them past that is applied one gate at a time. That happens when many
-angles each have masks of a shape of their own on many wires, since each such
-angle needs counts of its own.
+count depends on the masks only, not on the angles. It is built once for
+all the plan's runs of one shape (the layers of a QAOA circuit share one) and
+kept with the plan, so a circuit simulated again builds none; the last few
+built are also shared across plans, so the circuits of a QAOA run on one
+graph, which differ in their angles only, build it once. The counts a plan
+keeps are bounded: at most 2**width bytes for gates on `width` wires, 1/16 of
+a state on them (or 64 KiB, if more); a run whose counts would take them past
+that is applied one gate at a time. That happens when many angles each have
+masks of a shape of their own on many wires, since each such angle needs
+counts of its own.
+
+Consecutive one-wire passes (H, P or 2x2) on distinct wires then become one
+layer, such as the opening H layer or a mixer layer of a QAOA circuit. A
+layer chooses how to run when it is applied, on the state's wires, so a
+circuit applied through a wire map and its relabelled copy applied directly
+run the same passes. On a state of at most _SMALL_STATE entries each pass
+runs its own kernel, in plan order. On a larger one the passes on up to
+_BLOCK consecutive state wires run as one dense block, the Kronecker product
+of their 2x2s, multiplied by np.matmul (state-vector gate fusion: Häner and
+Steiger, arXiv:1704.01127); a pass with no neighbour keeps its kernel.
 
 H, CNOT and the 2x2 act on a (2**w, 2, rest) view, in which [:, b] is the half
-where wire w reads b. apply_plan allocates one scratch buffer of half the
-state's size (a small state gets up to 64 KiB) and every pass reuses it; no
-pass allocates a temporary the size of the state: on a large state the 2x2
-runs in two halves so that its two products fit the buffer, and table[count]
-is gathered into it in halves.
+where wire w reads b, and a block on the (2**lo, 2**k, rest) view. apply_plan
+allocates one scratch buffer of half the state's size (a small state gets up
+to 64 KiB) and every pass reuses it; no pass allocates a temporary the size
+of the state: on a large state the 2x2 runs in two halves so that its two
+products fit the buffer, a block's product goes through it a chunk at a time,
+and table[count] is gathered into it in pieces of at most _SMALL_STATE
+entries, since take converts each piece's counts to intp.
 """
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from collections.abc import Sequence
 
@@ -62,6 +78,10 @@ _SMALL_STATE = 4096
 # a plan's parity counts hold at most max(2**width, this) bytes, 1/16 of a
 # state on its width; a run that would take them past it is not folded
 _COUNTS_FLOOR = 1 << 16
+# the widest dense block a layer forms on a large state: a 20-wire mixer layer
+# took 40, 38 and 62 ms in blocks of 4, 5 and 6 wires, against 157 ms as one
+# pass per wire (2-core Xeon, one BLAS thread)
+_BLOCK = 5
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -125,10 +145,78 @@ def _cnot(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int]) -> None:
     np.copyto(x11, a10)
 
 
+def _dense(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], m: np.ndarray) -> None:
+    """Multiply the consecutive wires axes[0], axes[0] + 1, ... by the matrix m.
+
+    The first wire is the most significant digit of m's index. The products
+    go through the scratch buffer, a chunk of the state at a time, and are
+    copied back.
+    """
+    k = len(axes)
+    v = t.reshape(2 ** axes[0], 2**k, -1)
+    rest = v.shape[2]
+    rows = scratch.size // (2**k * rest)
+    if rows:
+        chunks = [v[s : s + rows] for s in range(0, len(v), rows)]
+    else:  # one row is more than the buffer holds: split its columns
+        cols = scratch.size // 2**k
+        chunks = [v[..., s : s + cols] for s in range(0, rest, cols)]
+    for x in chunks:
+        out = _buffer(scratch, x)
+        if rest == 1:
+            # one product of all the rows, not one matrix-vector product each
+            np.matmul(x[..., 0], m.T, out=out[..., 0])
+        else:
+            np.matmul(m, x, out=out)
+        np.copyto(x, out)
+
+
+def _matrix(kernel, params: tuple) -> np.ndarray:
+    """The 2x2 matrix of a one-wire pass: the pass run on the identity, its columns the batch."""
+    m = np.eye(2, dtype=complex)
+    kernel(m.reshape(-1), np.empty(4, dtype=complex), [0], *params)
+    return m
+
+
+def _layer(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], factors: tuple) -> None:
+    """One-wire passes on distinct wires: factors[j] = (kernel, params) acts on axes[j].
+
+    On a state of at most _SMALL_STATE entries each runs its own kernel, in
+    plan order. On a larger one the factors on up to _BLOCK consecutive
+    wires run as one dense pass of their Kronecker product, and a factor
+    with no neighbour runs its own kernel.
+    """
+    if t.size <= _SMALL_STATE:
+        for axis, (kernel, params) in zip(axes, factors):
+            kernel(t, scratch, [axis], *params)
+        return
+    blocks: list[list[int]] = []
+    for j in sorted(range(len(axes)), key=axes.__getitem__):
+        if blocks and axes[j] == axes[blocks[-1][-1]] + 1 and len(blocks[-1]) < _BLOCK:
+            blocks[-1].append(j)
+        else:
+            blocks.append([j])
+    for block in blocks:
+        if len(block) == 1:
+            kernel, params = factors[block[0]]
+            kernel(t, scratch, [axes[block[0]]], *params)
+        else:
+            m = _matrix(*factors[block[0]])
+            for j in block[1:]:
+                # the Kronecker product, with fewer temporaries than np.kron
+                m = (m[:, None, :, None] * _matrix(*factors[j])[:, None, :]).reshape(2 * len(m), -1)
+            _dense(t, scratch, [axes[j] for j in block], m)
+
+
+@functools.lru_cache(maxsize=8)
 def _parity_counts(k: int, masks: tuple[int, ...]) -> np.ndarray:
     """count(x) on k wires, one axis each: how many masks have odd parity on x.
 
     Bit p of a mask is wire p. Read-only, since plans that share it keep it.
+    The 8 most recently used are kept across plans, so the QAOA circuits of
+    one graph, which differ in their angles only, build theirs once; each is
+    within the budget of the plan that built it, so together they hold at
+    most half a state on the widest plan's wires (or 512 KiB, if more).
     """
     digits = [np.arange(2, dtype=np.uint8).reshape([2 if a == p else 1 for a in range(k)])
               for p in range(k)]
@@ -157,12 +245,18 @@ def _diagonal(
         spread[a] = slice(None)
     counts = counts[tuple(spread)]
     v = t.reshape([2] * (last + 1) + [-1])
-    for bit in (0, 1):
-        half = (slice(None),) * ascending[0] + (bit,)
-        phases = _buffer(scratch, counts[half])
+    # take converts its indices to intp, so it gathers pieces of at most
+    # _SMALL_STATE counts, each with the bits of the first `fixed` wires set
+    fixed = ascending[: max(0, counts.size.bit_length() - _SMALL_STATE.bit_length())]
+    for bits in itertools.product((0, 1), repeat=len(fixed)):
+        piece = [slice(None)] * (last + 2)
+        for a, bit in zip(fixed, bits):
+            piece[a] = bit
+        piece = tuple(piece)
+        phases = _buffer(scratch, counts[piece])
         # mode="clip" writes into `phases` directly; the default buffers a copy
-        table.take(counts[half], out=phases, mode="clip")
-        v[half] *= phases
+        table.take(counts[piece], out=phases, mode="clip")
+        v[piece] *= phases
 
 
 def _unit(angle: float) -> complex:
@@ -244,6 +338,34 @@ def _fold_phase_polynomial(run: Sequence, built: dict, budget: int) -> list[tupl
     return steps
 
 
+_ONE_WIRE = (_hadamard, _unitary, _phase)
+
+
+def _layered(steps: Sequence[tuple]) -> list[tuple]:
+    """`steps`, with each run of one-wire passes on distinct wires as one `_layer` pass."""
+    out: list[tuple] = []
+    layer: dict[tuple, tuple] = {}  # the open layer's passes, by their wires
+    for step in steps:
+        one_wire = step[0] in _ONE_WIRE
+        if layer and (not one_wire or step[1] in layer):
+            out.append(_as_layer(layer))
+            layer = {}
+        if one_wire:
+            layer[step[1]] = step
+        else:
+            out.append(step)
+    if layer:
+        out.append(_as_layer(layer))
+    return out
+
+
+def _as_layer(layer: dict[tuple, tuple]) -> tuple:
+    if len(layer) == 1:  # a lone pass keeps its own kernel
+        return next(iter(layer.values()))
+    factors = tuple((kernel, params) for kernel, _, params in layer.values())
+    return (_layer, tuple(wire for wire, in layer), (factors,))
+
+
 def plan(gates: Sequence) -> tuple[tuple, ...]:
     """The passes that apply `gates` in order, in the gates' own wire numbers.
 
@@ -273,7 +395,7 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
         run.append(gate)
     if run:
         steps += _fold(run, wire, built, budget)
-    return tuple(steps)
+    return tuple(_layered(steps))
 
 
 def _fold(run: Sequence, wire: int | None, built: dict, budget: int) -> list[tuple]:

@@ -39,6 +39,7 @@ DEFAULT_MAX_QUBITS = 24
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
+_SCALE_PIECE = 2048  # floats `_collapse` scales at once, when it scales rows by a column
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -102,9 +103,23 @@ def _collapse(states: np.ndarray, wire: int, rows: np.ndarray, bits, norms) -> n
 
     Both measurement paths renormalise here, by sqrt(p) of the outcome read.
     `rows` is an index array, so the gather copies and `states` is left as is.
+    The real and imaginary parts are multiplied by 1 / norm, which gives the
+    values of dividing by the norm (numpy divides a complex number by n + 0j
+    as a product with 1 / n) without the ufunc buffer of a complex division.
     """
     kept = states.reshape(len(states), 2**wire, 2, -1)[rows, :, bits].reshape(len(rows), -1)
-    kept /= norms
+    parts = kept.view(np.float64).reshape(len(rows), -1)
+    scales = 1.0 / norms
+    # numpy buffers a product broadcast along rows shorter than 8192 floats in
+    # as many floats as it has, up to 64 KiB, while the parent rows are held;
+    # pieces of at most _SCALE_PIECE floats keep that buffer small (a scalar,
+    # from a session's one state, needs no buffer)
+    if isinstance(scales, float) or parts.size <= _SCALE_PIECE:
+        parts *= scales
+        return kept
+    step = max(1, _SCALE_PIECE // parts.shape[1])
+    for start in range(0, len(parts), step):
+        parts[start : start + step] *= scales[start : start + step]
     return kept
 
 
@@ -134,9 +149,9 @@ def _sample_prepared(state: QuantumState, uniforms: np.ndarray) -> np.ndarray:
         child = 2 * reached + ones
         hit = np.zeros(2 * len(states), dtype=bool)
         hit[child] = True
-        kept = np.flatnonzero(hit)
         reached = (np.cumsum(hit) - 1)[child]
-        rows, bit = np.divmod(kept, 2)
+        rows, bit = np.divmod(np.flatnonzero(hit), 2)
+        del child, hit  # not held while the next level's rows are gathered
         norms = np.sqrt(np.where(bit, p_one[rows], 1.0 - p_one[rows]))[:, None]
         states = _collapse(states, 0, rows, bit, norms)
     return bits

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qlin import Graph, apply, identity, matrix_of, qaoa_unitary
 from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
-from qlin.kernels import apply_plan, plan
+from qlin.kernels import _SMALL_STATE, apply_plan, plan
 
 from .oracles import assert_close, dense_unitary
 
@@ -103,6 +103,67 @@ def test_fused_plan_matches_the_gates_one_at_a_time_on_large_states(program):
     assert_fused_matches_unfused(program)
 
 
+@st.composite
+def layers(draw):
+    """A state above _SMALL_STATE and layers of one-wire runs on k of its wires.
+
+    The state has 13 or 14 wires and maybe a batch axis. Gate wire j sits on
+    state wire wires[j]: consecutive, descending or with gaps. Each layer is
+    one run of H and P gates on each of some of the wires, in any order, and
+    a CNOT may stand between two layers.
+    """
+    n = draw(st.integers(13, 14))
+    k = draw(st.integers(2, 5))
+    # at either end a block spans the first wire (one row, split by columns)
+    # or the last (rest 1 without a batch, one product of all the rows)
+    start = draw(st.one_of(st.sampled_from([0, n - k]), st.integers(0, n - k)))
+    spacing = draw(st.sampled_from(["consecutive", "descending", "gapped"]))
+    if spacing == "consecutive":
+        wires = list(range(start, start + k))
+    elif spacing == "descending":
+        wires = list(range(start + k - 1, start - 1, -1))
+    else:
+        wires = sorted(draw(st.permutations(range(n)))[:k])
+    gates = []
+    for _ in range(draw(st.integers(1, 3))):
+        for w in draw(st.permutations(range(k)))[: draw(st.integers(2, k))]:
+            if draw(st.booleans()):
+                for g in draw(st.sampled_from(ZERO_ENTRY_RUNS)):
+                    gates.append(g(w) if g is Hadamard else Phase(g[1], w))
+            else:
+                for _ in range(draw(st.integers(1, 3))):
+                    gates.append(Hadamard(w) if draw(st.booleans()) else Phase(draw(ANGLES), w))
+        if draw(st.booleans()):
+            gates.append(ControlledNot(*draw(st.permutations(range(k)))[:2]))
+    batch = draw(st.sampled_from([(), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.normal(size=(2**n,) + batch) + 1j * rng.normal(size=(2**n,) + batch)
+    state /= np.linalg.norm(state)
+    assert state.size > _SMALL_STATE
+    return n, k, wires, gates, state
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(layers())
+def test_layers_on_large_states_match_the_gates_one_at_a_time(program):
+    # above _SMALL_STATE a layer's passes on consecutive state wires run as
+    # one dense block; on gapped wires, or alone, each keeps its own kernel
+    assert_fused_matches_unfused(program)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(layers())
+def test_layers_on_large_states_match_the_dense_oracle(program):
+    n, k, wires, gates, state = program
+    fused = state.copy()
+    apply_plan(fused, plan(gates), wires)
+    # the oracle's k-wire unitary, applied with gate wire j on state wire wires[j]
+    u = dense_unitary(Circuit(k, gates)).reshape([2] * 2 * k)
+    t = np.moveaxis(state.reshape([2] * n + [-1]), wires, range(k))
+    expected = np.moveaxis(np.tensordot(u, t, axes=(range(k, 2 * k), range(k))), range(k), wires)
+    assert_close(fused, expected.reshape(state.shape), tol=1e-12)
+
+
 def test_one_wire_pass_on_a_large_odd_batch():
     # one wire and an odd batch: the 2x2's halves split the batch unevenly
     state = np.random.default_rng(1).normal(size=(2, 4099)).astype(complex)
@@ -125,11 +186,44 @@ def test_fused_plan_matches_the_dense_oracle(program):
     assert_close(fused, np.tensordot(oracle, state, axes=1), tol=1e-12)
 
 
-def test_qaoa_plan_is_one_diagonal_and_one_pass_per_wire_per_layer():
+def test_qaoa_plan_is_an_h_layer_then_one_diagonal_and_one_mixer_layer_per_layer():
     graph = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
     steps = plan(qaoa_unitary([0.3, 0.5], [0.7, 1.1], graph).gates)
     kinds = [kernel.__name__ for kernel, _, _ in steps]
-    assert kinds == ["_hadamard"] * 4 + (["_diagonal"] + ["_unitary"] * 4) * 2
+    assert kinds == ["_layer"] + ["_diagonal", "_layer"] * 2
+    # each layer holds one pass per wire: H first, then each mixer's 2x2
+    for (_, wires, (factors,)), name in zip(steps[::2], ["_hadamard", "_unitary", "_unitary"]):
+        assert wires == (0, 1, 2, 3)
+        assert [kernel.__name__ for kernel, _ in factors] == [name] * 4
+
+
+def test_qaoa_circuits_on_one_graph_share_their_parity_counts():
+    graph = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)))
+    plans = [plan(qaoa_unitary(betas, gammas, graph).gates)
+             for betas, gammas in (([0.3, 0.5], [0.7, 1.1]), ([0.2, 0.9], [1.3, 0.4]))]
+    counts = [[params[1] for kernel, _, params in steps if kernel.__name__ == "_diagonal"]
+              for steps in plans]
+    assert len(counts[0]) == len(counts[1]) == 2
+    assert all(a is b for a, b in zip(*counts))
+
+
+def test_qaoa_plan_on_20_wires_allocates_no_state_sized_temporary():
+    # a 3-regular graph on 20 vertices, as in a wide QAOA round: each layer
+    # runs as four 5-wire dense blocks through the scratch buffer
+    n = 20
+    edges = tuple((i, (i + 1) % n) for i in range(n)) + tuple((i, i + 10) for i in range(10))
+    steps = plan(qaoa_unitary([0.3, 0.5], [0.7, 1.1], Graph(n, edges)).gates)
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    tracemalloc.start()
+    try:
+        apply_plan(state, steps, range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = (2**n // 2 + 1) * 16
+    assert peak <= scratch + 64 * 1024
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 def test_large_angles_neither_overflow_nor_cancel_a_small_one():

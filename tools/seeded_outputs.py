@@ -2,8 +2,8 @@
 
 Usage: python tools/seeded_outputs.py <outdir>
 
-Writes fixed inputs (a circuit, its OpenQASM export, a Hamiltonian and a
-graph) to <outdir>/inputs, then saves the stdout of each
+Writes fixed inputs (a circuit, its OpenQASM export, a Hamiltonian and two
+graphs) to <outdir>/inputs, then saves the stdout of each
 `--format json --seed 7` CLI run and of each demo under <outdir>, and
 `estimator.json`: `compute_energy_pauli` results for fixed seeds over random
 ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian, and
@@ -69,6 +69,11 @@ edge 5 0
 edge 0 3
 """
 
+# 3-regular on 14 vertices (a Moebius ladder): its 2**14 amplitudes are more
+# than the kernels' small-state size, so its layers run as dense blocks
+GRAPH_14 = ("vertices 14\n" + "".join(f"edge {i} {(i + 1) % 14}\n" for i in range(14))
+            + "".join(f"edge {i} {i + 7}\n" for i in range(7)))
+
 SEEDED = ["--seed", "7", "--format", "json"]
 
 # output file name -> CLI arguments, run inside inputs/
@@ -85,6 +90,7 @@ COMMANDS = {
     "rus.json": ["rus", *SEEDED],
     "vqe.json": ["vqe", "--ham", "ham.txt", "--depth", "1", "--k", "8", "--nsamples", "200", *SEEDED],
     "qaoa.json": ["qaoa", "--graph", "graph.txt", "--p", "2", "--k", "20", *SEEDED],
+    "qaoa-14.json": ["qaoa", "--graph", "graph-14.txt", "--p", "2", "--k", "5", *SEEDED],
 }
 
 
@@ -188,6 +194,7 @@ def main(argv: list[str]) -> int:
     (inputs / "circuit.txt").write_text(CIRCUIT)
     (inputs / "ham.txt").write_text(HAMILTONIAN)
     (inputs / "graph.txt").write_text(GRAPH)
+    (inputs / "graph-14.txt").write_text(GRAPH_14)
     cli = [sys.executable, "-m", "qlin.cli"]
     qasm = _run(cli + ["export-qasm", "circuit.txt"], inputs)
     (inputs / "circuit.qasm").write_text(qasm)
