@@ -25,13 +25,11 @@ from .circuit import (
     _check_round_count,
     _check_shot_count,
     adjoint,
-    compose,
     identity,
 )
 from .device import (
     DeviceBackend,
     QubitHandle,
-    _shot_batches,
     apply_circuit,
     execute,
     measure_qubit,
@@ -321,23 +319,43 @@ def encoding_unitary(term: str) -> Circuit:
     return Circuit(len(term), gates)
 
 
+def _check_estimate(ansatz_circuit: Circuit, arity: int, n_samples: int) -> None:
+    """Raise the estimator's errors for terms on `arity` qubits, before any shot."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    if arity != ansatz_circuit.arity:
+        raise ArityMismatch(
+            f"term acts on {arity} qubits but the ansatz has arity {ansatz_circuit.arity}"
+        )
+
+
+def _estimates(
+    backend: DeviceBackend, ansatz_circuit: Circuit, terms: Sequence[str], n_samples: int
+) -> list[float]:
+    """(#zeros - #ones) / n_samples for each term, from shots of the ansatz in its basis.
+
+    Every term's shots come from one `sample_bases` call, in term order; a
+    term repeated shares its encoding, not its shots.
+    """
+    encodings: dict[str, Circuit] = {}
+    for term in terms:
+        if term not in encodings:
+            encodings[term] = encoding_unitary(term)
+    targets = [next(i for i, op in enumerate(term) if op != "I") for term in terms]
+    ones = [0] * len(terms)
+    shots = backend.sample_bases(ansatz_circuit, [encodings[term] for term in terms], n_samples)
+    for index, bits in shots:
+        ones[index] += int(bits[:, targets[index]].sum())
+        del bits  # so the next batch is drawn without this one
+    return [(n_samples - 2 * count) / n_samples for count in ones]
+
+
 def compute_energy_pauli(
     backend: DeviceBackend, ansatz_circuit: Circuit, term: str, n_samples: int
 ) -> float:
     """Estimate <psi|term|psi> as (#zeros - #ones) / n_samples."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    if len(term) != ansatz_circuit.arity:
-        raise ArityMismatch(
-            f"term acts on {len(term)} qubits but the ansatz has arity {ansatz_circuit.arity}"
-        )
-    circuit = compose(encoding_unitary(term), ansatz_circuit)
-    target = next(i for i, op in enumerate(term) if op != "I")
-    ones = 0
-    for bits in _shot_batches(backend, circuit, n_samples):
-        ones += int(bits[:, target].sum())
-        del bits  # so the next batch is drawn without this one
-    return (n_samples - 2 * ones) / n_samples
+    _check_estimate(ansatz_circuit, len(term), n_samples)
+    return _estimates(backend, ansatz_circuit, [term], n_samples)[0]
 
 
 def compute_energy(
@@ -349,14 +367,18 @@ def compute_energy(
     """Hamiltonian averaging: sum coeff_i * <term_i>, term by term.
 
     All-identity terms contribute their coefficient directly, with no device
-    executions.
+    executions. The sample count and the ansatz's arity are checked first,
+    whatever the terms.
     """
+    _check_estimate(ansatz_circuit, hamiltonian.arity, n_samples)
+    measured = [term for _, term in hamiltonian.terms if not set(term) <= {"I"}]
+    estimates = iter(_estimates(backend, ansatz_circuit, measured, n_samples))
     total = 0.0
     for coeff, term in hamiltonian.terms:
         if set(term) <= {"I"}:
             total += coeff
         else:
-            total += coeff * compute_energy_pauli(backend, ansatz_circuit, term, n_samples)
+            total += coeff * next(estimates)
     return total
 
 

@@ -12,15 +12,26 @@ A backend session implements three primitives: allocate, apply and measure.
 Handles are fresh after every operation, but the qubit behind them keeps one
 id from allocation to measurement, so sessions never rebind their qubits.
 
-A backend also offers `sample(circuit, shots)`: the bits of `shots` runs of
-the measure-all program (allocate, apply the circuit, measure every wire), as
-an int8 array with one row per shot. It is the one path for such shots: the
-coin, QAOA's cuts, the energy estimator and CLI `simulate` all take theirs
-from it, the last two through `_shot_batches`, at most `_SHOT_BATCH` shots at
-a time. The default executes the measure-all program once per shot. A
-backend may override it with a faster path, but the override must give the
-same outcomes, shot for shot, and leave the backend's randomness where the
-default would.
+A backend also offers two shot methods; the coin, QAOA's cuts, the energy
+estimator and CLI `simulate` take every measure-all shot (allocate, apply a
+circuit, measure every wire) from them:
+
+- `sample(circuit, shots)` gives the bits of `shots` such runs as an int8
+  array with one row per shot. The default executes the measure-all program
+  once per shot. CLI `simulate` reads it through `_shot_batches`, at most
+  `_SHOT_BATCH` shots at a time.
+- `sample_bases(prep, bases, shots)` gives, basis after basis, the shots of
+  each measure-all program of `compose(basis, prep)`, in the same batches,
+  each tagged with its basis's index; the estimator measures every Pauli
+  term of a Hamiltonian this way. The default reads `_shot_batches` of each
+  composed circuit, so it honours an overriding `sample`.
+
+A backend may override either with a faster path, but the override must give
+the same outcomes, shot for shot and batch for batch, and leave the
+backend's randomness where the default would. For `sample_bases` that means
+the state before the measurements must equal the composed circuit's float
+for float, not only closely: a probability that is 0 or 1 up to rounding
+decides a bit by its last digit.
 
 Handle ids are hidden; tests may use the privileged `_handle_id` hook but
 production code has no business reading them.
@@ -35,7 +46,7 @@ from typing import Any, Generic, TypeVar
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, compose
 from .errors import ArityMismatch, DanglingQubits, DeviceError, DuplicateHandle, UseAfterConsume
 from .stdcircuits import cnot_gate, h_gate, p_gate
 
@@ -107,11 +118,31 @@ class DeviceBackend(ABC):
         bits = [execute(self, program) for _ in range(shots)]
         return np.array(bits, dtype=np.int8).reshape(shots, circuit.arity)
 
+    def sample_bases(
+        self, prep: Circuit, bases: Sequence[Circuit], shots: int
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """(j, bits) for each batch of `shots` measure-all runs of compose(bases[j], prep).
+
+        Basis after basis, in the batches of `_shot_batches`. Overrides
+        must yield exactly what this loop yields for the same backend state,
+        and consume the backend's randomness the same way, batch by batch.
+        """
+        for index, basis in enumerate(bases):
+            for bits in _shot_batches(self, compose(basis, prep), shots):
+                yield index, bits
+                del bits  # so the next batch is drawn without this one
+
 
 # Most shots `_shot_batches` asks a backend for at once, so memory stays
 # bounded whatever the shot count; the outcomes do not depend on it, since
 # sample draws in shot order.
 _SHOT_BATCH = 2**16
+
+
+def _batch_sizes(shots: int) -> Iterator[int]:
+    """The sizes of the batches, of at most _SHOT_BATCH shots each, that `shots` are read in."""
+    for done in range(0, shots, _SHOT_BATCH):
+        yield min(_SHOT_BATCH, shots - done)
 
 
 def _shot_batches(backend: DeviceBackend, circuit: Circuit, shots: int) -> Iterator[np.ndarray]:
@@ -121,8 +152,8 @@ def _shot_batches(backend: DeviceBackend, circuit: Circuit, shots: int) -> Itera
     batch at a time. An overriding `sample` that returns lists of bits is
     read as an array too; an int8 array passes through uncopied.
     """
-    for done in range(0, shots, _SHOT_BATCH):
-        yield np.asarray(backend.sample(circuit, min(_SHOT_BATCH, shots - done)), dtype=np.int8)
+    for size in _batch_sizes(shots):
+        yield np.asarray(backend.sample(circuit, size), dtype=np.int8)
 
 
 class _Execution:

@@ -10,7 +10,10 @@ reshaped view of that array, so the caller's array is updated in place.
 `plan(gates)` turns a gate sequence into a tuple of passes, in the gates' own
 wire numbers, and `apply_plan(t, steps, wires)` runs it with a gate's wire k on
 wire wires[k] of the state; `Circuit` keeps its plan, so a circuit applied many
-times is planned once. Two kinds of run fold:
+times is planned once. `shared_prefix(gates, arity)` says how many leading
+gates every continuation of `gates` plans alike, so a state prepared by them
+once can be continued in many ways with the floats of planning each whole.
+Two kinds of run fold:
 
 - A maximal run of H and P gates on one wire becomes one 2x2 matrix, multiplied
   out with Python complex numbers (on 2x2 arrays numpy costs more than the pass
@@ -52,7 +55,8 @@ of their 2x2s, multiplied by np.matmul (state-vector gate fusion: Häner and
 Steiger, arXiv:1704.01127); a pass with no neighbour keeps its kernel.
 
 H, CNOT and the 2x2 act on a (2**w, 2, rest) view, in which [:, b] is the half
-where wire w reads b, and a block on the (2**lo, 2**k, rest) view. apply_plan
+where wire w reads b, and a block on the (2**lo, 2**k, rest) view, one column
+of it at a time when rest is at most _FEW_COLUMNS. apply_plan
 allocates one scratch buffer of half the state's size (a small state gets up
 to 64 KiB) and every pass reuses it; no pass allocates a temporary the size
 of the state: on a large state the 2x2 runs in two halves so that its two
@@ -82,6 +86,12 @@ _COUNTS_FLOOR = 1 << 16
 # took 40, 38 and 62 ms in blocks of 4, 5 and 6 wires, against 157 ms as one
 # pass per wire (2-core Xeon, one BLAS thread)
 _BLOCK = 5
+# a block whose trailing run of the index is at most this long multiplies one
+# column of it at a time, all rows at once: on a 20-wire state a block of 2 to
+# 5 wires took 11-15 ms with 2 trailing entries against 21-54 ms as one
+# small product per row, 12-15 ms against 12-34 ms with 4, and 18-23 ms
+# against 8-14 ms with 8 (2-core Xeon, one BLAS thread)
+_FEW_COLUMNS = 4
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -163,9 +173,10 @@ def _dense(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], m: np.ndarra
         chunks = [v[..., s : s + cols] for s in range(0, rest, cols)]
     for x in chunks:
         out = _buffer(scratch, x)
-        if rest == 1:
-            # one product of all the rows, not one matrix-vector product each
-            np.matmul(x[..., 0], m.T, out=out[..., 0])
+        if rest <= _FEW_COLUMNS:
+            # one product of all the rows per column, not one small product per row
+            for c in range(rest):
+                np.matmul(x[..., c], m.T, out=out[..., c])
         else:
             np.matmul(m, x, out=out)
         np.copyto(x, out)
@@ -372,14 +383,25 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
     Each pass is (kernel, wires, params); see the module docstring for how
     runs fold.
     """
+    steps, _ = _scan(gates)
+    return tuple(_layered(steps))
+
+
+def _scan(gates: Sequence) -> tuple[list[tuple], list[tuple[int, int, bool]]]:
+    """The passes of `gates` before layering, and where each run of them starts.
+
+    A run start is (index of its first gate, passes before it, whether the
+    runs before it built counts).
+    """
     steps: list[tuple] = []
+    starts: list[tuple[int, int, bool]] = []
     built: dict = {}
     width = max((w for gate in gates for w in gate.wires), default=-1) + 1
     budget = max(2**width, _COUNTS_FLOOR)
     run: list = []
     wire = None  # the one wire every gate of `run` acts on, if there is one
     has_h = False
-    for gate in gates:
+    for index, gate in enumerate(gates):
         wires, is_h = gate.wires, gate.name == "H"
         on_wire = wire is not None and wires == (wire,)
         # a gate joins the run on the run's one wire, or when neither has an H
@@ -387,6 +409,7 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
             steps += _fold(run, wire, built, budget)
             run = []
         if not run:
+            starts.append((index, len(steps), bool(built)))
             wire = wires[0] if len(wires) == 1 else None
             has_h = False
         elif not on_wire:
@@ -395,7 +418,34 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
         run.append(gate)
     if run:
         steps += _fold(run, wire, built, budget)
-    return tuple(_layered(steps))
+    return steps, starts
+
+
+def shared_prefix(gates: Sequence, arity: int) -> int:
+    """How many leading gates every continuation of `gates` plans alike.
+
+    For any gates `tail` on `arity` wires, plan(gates[:k]) and then
+    plan(gates[k:] + tail), run on a state of `arity` wires, give exactly the
+    floats of plan(gates + tail). Every run start of `gates` is a run start
+    of each continuation, so k is the latest one where also
+    - the counts budget is the same on both sides: it grows with a plan's
+      width past _COUNTS_FLOOR entries, so k is 0 on wider states, and the
+      counts built before k would count against it on one side only;
+    - no layer straddles k: above _SMALL_STATE entries a layer runs as dense
+      blocks, so the passes before k must end in one that closes any layer
+      (at or below it, a layer runs its passes in plan order anyway).
+    k = 0, which plans every gate with the tail, always qualifies.
+    """
+    entries = 2 ** min(arity, _COUNTS_FLOOR.bit_length())  # 2**arity, or past the floor
+    if entries > _COUNTS_FLOOR:
+        return 0
+    steps, starts = _scan(gates)
+    for index, passes, counted in reversed(starts):
+        if counted:
+            continue
+        if entries <= _SMALL_STATE or not passes or steps[passes - 1][0] not in _ONE_WIRE:
+            return index
+    return 0
 
 
 def _fold(run: Sequence, wire: int | None, built: dict, budget: int) -> list[tuple]:

@@ -19,6 +19,8 @@ numpy.random, whose import alone costs several MB of resident memory.
 changed through them. `StateVectorBackend.sample` prepares a measure-all
 circuit once, through the same `allocate` and `apply`, and walks its
 collapse one wire at a time for all shots at once, drawing in shot order.
+`sample_bases` prepares the gates every basis plans alike once, the same
+way, and walks a copy continued by each basis's own gates.
 That walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
@@ -26,14 +28,14 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .circuit import Circuit
-from .device import DeviceBackend, DeviceSession, _exclusive
+from .circuit import Circuit, compose
+from .device import DeviceBackend, DeviceSession, _batch_sizes, _exclusive
 from .errors import CapacityExceeded
-from .kernels import apply_plan
+from .kernels import apply_plan, shared_prefix
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -256,3 +258,44 @@ class StateVectorBackend(DeviceBackend):
             state.allocate(range(n))
             state.apply(range(n), circuit)
             return _sample_prepared(state, uniforms)
+
+    def sample_bases(
+        self, prep: Circuit, bases: Sequence[Circuit], shots: int
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """As `DeviceBackend.sample_bases`, preparing the gates all bases share once.
+
+        The gates before `shared_prefix(prep.gates, arity)` are applied once,
+        through one session's `allocate` and `apply`; each batch applies the
+        rest of `prep` and its basis, planned as one circuit, to a copy of
+        that state and walks it as `sample` does. By `shared_prefix`, the
+        walked state equals the composed circuit's, float for float. Each
+        batch draws its uniforms and holds the backend as the default's
+        `sample` call would, so the bits, the batches and the position of
+        the random stream afterwards equal the default's. When no gate is
+        shared, or a subclass overrides `sample`, the default runs instead.
+        """
+        n = prep.arity
+        split = shared_prefix(prep.gates, n)
+        if not split or type(self).sample is not StateVectorBackend.sample:
+            yield from DeviceBackend.sample_bases(self, prep, bases, shots)
+            return
+        head, tail = Circuit(n, prep.gates[:split]), Circuit(n, prep.gates[split:])
+        session = None
+        for index, basis in enumerate(bases):
+            rest = compose(basis, tail)
+            for size in _batch_sizes(shots):
+                with _exclusive(self):
+                    if n > self.max_qubits:
+                        raise CapacityExceeded(n, self.max_qubits)
+                    uniforms = self._random.uniforms(size * n).reshape(size, n)
+                    if session is None:
+                        session = StateVectorBackend.new_session(self)
+                        session.allocate(range(n))
+                        session.apply(range(n), head)
+                        prepared = session.amplitudes
+                    session.amplitudes = prepared.copy()
+                    session.apply(range(n), rest)
+                    bits = _sample_prepared(session, uniforms)
+                    del uniforms
+                yield index, bits
+                del bits  # so the next batch is drawn without this one

@@ -502,6 +502,19 @@ def test_compute_energy_identity_shortcut():
     assert backend.sessions == 0
 
 
+def test_compute_energy_checks_its_inputs_whatever_the_terms():
+    # an all-identity Hamiltonian needs no shot, but a wrong arity or sample
+    # count fails as it does with any term to measure, before any shot
+    prepare = ansatz(3, 1, [0.1 * i for i in range(6)])
+    for terms in (((1.0, "II"),), ((1.0, "II"), (0.5, "ZX"))):
+        backend = CountingBackend()
+        with pytest.raises(ArityMismatch):
+            compute_energy(backend, prepare, Hamiltonian(terms), 10)
+        with pytest.raises(ValueError):
+            compute_energy(backend, identity(2), Hamiltonian(terms), 0)
+        assert backend.sessions == 0
+
+
 def test_compute_energy_empty_pauli_string_is_its_coefficient():
     # "" acts on no qubit, so like "II" it has expectation 1 and needs no circuit
     empty = Hamiltonian(((0.5, ""),))

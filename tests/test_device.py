@@ -29,6 +29,7 @@ from qlin import (
     qprogram,
     to_bell_basis,
 )
+from qlin.circuit import Circuit, Hadamard
 from qlin.device import DeviceSession, _handle_id
 from qlin.errors import (
     ArityMismatch,
@@ -336,6 +337,16 @@ def test_sample_capacity_error_draws_nothing():
     b = StateVectorBackend(seed=5, max_qubits=2)
     with pytest.raises(CapacityExceeded):
         b.sample(identity(3), 5)
+    bell = to_bell_basis()
+    assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
+
+
+@pytest.mark.parametrize("arity", [3, 10**12])
+def test_sample_bases_capacity_error_draws_nothing(arity):
+    # refused as sample refuses it, at once however wide, before any draw
+    b = StateVectorBackend(seed=5, max_qubits=2)
+    with pytest.raises(CapacityExceeded):
+        next(b.sample_bases(Circuit(arity, [Hadamard(1)]), [identity(arity)], 5))
     bell = to_bell_basis()
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
 

@@ -15,11 +15,16 @@ from hypothesis import strategies as st
 
 import qlin
 from qlin import (
+    Hamiltonian,
     RandomSource,
     StateVectorBackend,
+    ansatz,
     apply,
     apply_circuit,
     coin,
+    compose,
+    compute_energy,
+    encoding_unitary,
     execute,
     identity,
     matrix_of,
@@ -31,7 +36,7 @@ from qlin import (
 from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
 from qlin.device import DeviceBackend
 from qlin.errors import CapacityExceeded
-from qlin import simulator
+from qlin import device, simulator
 from qlin.simulator import QuantumState, derive_seed
 
 from .oracles import FixedRandom, assert_close, basis_state, dense_unitary, random_circuit
@@ -421,6 +426,134 @@ def test_walk_states_equal_the_per_shot_collapse(monkeypatch):
                 assert states.shape == (1, 2 ** (arity - ident))
                 assert states[0].tobytes() == state.amplitudes.tobytes()
                 state.measure([ident])
+
+
+# sampling one preparation in many bases
+
+@st.composite
+def preps_and_bases(draw):
+    """A prep from sample_circuits and bases on its arity: random circuits,
+    basis states (each p1 is 0 or 1 up to rounding) and Pauli encodings."""
+    prep = draw(sample_circuits)
+    n = prep.arity
+    kinds = [
+        st.builds(lambda seed, gates: random_circuit(random.Random(seed), n, gates),
+                  st.integers(0, 10_000), st.integers(0, 8)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(_basis_circuit),
+    ]
+    if n:
+        paulis = st.text("IXYZ", min_size=n, max_size=n).filter(lambda t: set(t) != {"I"})
+        kinds.append(paulis.map(encoding_unitary))
+    return prep, draw(st.lists(st.one_of(*kinds), max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(preps_and_bases(), st.integers(0, 40), st.sampled_from([1, 7, 2**16]), st.integers())
+def test_sample_bases_matches_the_default(case, shots, batch, seed):
+    prep, bases = case
+    fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
+    walked = []  # the state each walk starts from, so rounding shows before it flips a bit
+    walk = simulator._sample_prepared
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device, "_SHOT_BATCH", batch)
+        patch.setattr(simulator, "_sample_prepared",
+                      lambda state, uniforms: walked.append(state.amplitudes.copy()) or walk(state, uniforms))
+        drawn = [(j, bits.tolist()) for j, bits in fast.sample_bases(prep, bases, shots)]
+        fast_walked, walked = walked, []
+        reference = [(j, bits.tolist()) for j, bits in DeviceBackend.sample_bases(default, prep, bases, shots)]
+    assert drawn == reference
+    assert len(fast_walked) == len(walked)
+    assert all(np.array_equal(a, b) for a, b in zip(fast_walked, walked))
+    assert len(drawn) == len(bases) * -(-shots // batch)
+    # both drew the same number of uniforms, so their streams go on alike
+    assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
+
+
+@st.composite
+def wide_preps(draw):
+    """A random prep on 13 or 14 wires, above the kernels' small state, where
+    a layer runs as dense blocks, maybe led or ended by one-wire runs on
+    consecutive wires; and random bases on its wires."""
+    n = draw(st.integers(13, 14))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    gates = list(random_circuit(rng, n, draw(st.integers(0, 40))).gates)
+    for at in draw(st.lists(st.sampled_from([0, len(gates)]), max_size=2)):
+        start = rng.randrange(n - 4)
+        gates[at:at] = [Hadamard(w) if rng.random() < 0.5 else Phase(rng.uniform(-7, 7), w)
+                        for w in range(start, start + 5)]
+    bases = [random_circuit(rng, n, draw(st.integers(0, 8))) for _ in range(draw(st.integers(1, 3)))]
+    return Circuit(n, gates), bases
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(wide_preps())
+def test_sample_bases_prepares_the_composed_state_exactly(case):
+    # the state each basis's walk starts from is the composed circuit's, bit
+    # for bit; a layer of the composed plan that straddled the gates prepared
+    # once and those applied per basis would run as different dense blocks
+    prep, bases = case
+    walked = []
+    walk = simulator._sample_prepared
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_sample_prepared",
+                      lambda state, uniforms: walked.append(state.amplitudes.copy()) or walk(state, uniforms))
+        list(StateVectorBackend(seed=0).sample_bases(prep, bases, 1))
+    assert len(walked) == len(bases)
+    for amplitudes, basis in zip(walked, bases):
+        state = fresh_state(range(prep.arity))
+        state.apply(range(prep.arity), compose(basis, prep))
+        assert np.array_equal(amplitudes, state.amplitudes)
+
+
+def test_sample_bases_prepares_once_through_allocate_and_apply(monkeypatch):
+    # one session per call: the shared gates go through its allocate and
+    # apply once, and each batch of each basis through its apply
+    monkeypatch.setattr(device, "_SHOT_BATCH", 30)
+    calls = []
+
+    def recorder(cls, name):
+        method = getattr(cls, name)
+
+        def record(self, *args):
+            calls.append((name, *[list(ids) for ids in args[:1]]))
+            return method(self, *args)
+
+        return record
+
+    for cls, name in [(StateVectorBackend, "new_session"), (QuantumState, "allocate"), (QuantumState, "apply")]:
+        monkeypatch.setattr(cls, name, recorder(cls, name))
+    prep = ansatz(4, 2, [0.1 * i for i in range(16)])
+    bases = [encoding_unitary(term) for term in ("ZZII", "XXYY", "YYXX")]
+    drawn = [(j, bits.tolist()) for j, bits in StateVectorBackend(seed=9).sample_bases(prep, bases, 50)]
+    wires = [0, 1, 2, 3]
+    assert calls == [("new_session",), ("allocate", wires)] + [("apply", wires)] * 7
+    monkeypatch.undo()
+    default = StateVectorBackend(seed=9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device, "_SHOT_BATCH", 30)
+        assert drawn == [(j, bits.tolist()) for j, bits in DeviceBackend.sample_bases(default, prep, bases, 50)]
+
+
+def test_estimator_holds_at_most_one_state_more_than_sample():
+    # the state prepared once stays beside each basis's walk, and nothing
+    # else does but the split circuits and their plans (about 11 KiB here)
+    n, shots = 16, 4000
+    prep = ansatz(n, 2, [0.4 + 0.1 * i for i in range(4 * n)])
+    assert simulator.shared_prefix(prep.gates, n) > 0
+    terms = ["XY" + "Z" * (n - 2), "Z" * n, "Y" + "X" * (n - 1)]
+
+    def peak(run):
+        backend = StateVectorBackend(seed=3)
+        tracemalloc.start()
+        try:
+            run(backend)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sample_peak = max(peak(lambda b: b.sample(compose(encoding_unitary(t), prep), shots)) for t in terms)
+    hamiltonian = Hamiltonian(tuple((1.0, t) for t in terms))
+    assert peak(lambda b: compute_energy(b, prep, hamiltonian, shots)) <= sample_peak + 2**n * 16 + 2**15
 
 
 def test_derive_seed_is_stable_and_spreads():

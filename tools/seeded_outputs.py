@@ -6,7 +6,9 @@ Writes fixed inputs (a circuit, its OpenQASM export, a Hamiltonian and two
 graphs) to <outdir>/inputs, then saves the stdout of each
 `--format json --seed 7` CLI run and of each demo under <outdir>, and
 `estimator.json`: `compute_energy_pauli` results for fixed seeds over random
-ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian, and
+ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian,
+`energy.json`: `compute_energy` of whole Hamiltonians over the same ansatze
+and over preps that are not ansatze, up to 13 qubits, and
 `measure-order.json`: the bits of seeded programs on 3 to 6 qubits that
 measure one wire at a time in a shuffled order and allocate again after a
 measurement, as RUS does. It runs
@@ -94,30 +96,85 @@ COMMANDS = {
 }
 
 
-# Run by the checkout's Python: estimates on one backend per case, term by
-# term, then the next coin on that backend (its random stream's position).
-ESTIMATOR = """\
+# Run by the checkout's Python, ahead of ESTIMATOR and ENERGY: the estimator
+# cases, random ansatze on up to 6 qubits with a seed and a sample count.
+CASES = """\
 import json, random
-from qlin import RandomSource, StateVectorBackend, ansatz, coin, compute_energy_pauli
+from qlin import (Circuit, ControlledNot, Hadamard, Hamiltonian, Phase, RandomSource,
+                  StateVectorBackend, ansatz, coin, compute_energy, compute_energy_pauli)
 
 H2_TERMS = ["ZIII", "IZII", "IIZI", "IIIZ", "ZZII", "IIZZ", "ZIIZ", "XXYY", "YYXX"]
-rng = random.Random(20211118)
+
+def estimator_cases():
+    rng = random.Random(20211118)
+    for case in range(24):
+        n = 4 if case < 6 else rng.randint(1, 6)
+        depth = rng.randint(0, 3)
+        params = [rng.uniform(0.0, 6.3) for _ in range(2 * n * depth)]
+        if n == 4 and case < 6:
+            terms = H2_TERMS
+        else:
+            terms = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(4)]
+            terms = [t for t in terms if set(t) != {"I"}] or ["Z" * n]
+        seed, n_samples = rng.getrandbits(62), rng.choice([1, 7, 100, 500])
+        yield n, depth, params, terms, seed, n_samples
+"""
+
+
+# Estimates on one backend per case, term by term, then the next coin on that
+# backend (its random stream's position).
+ESTIMATOR = CASES + """
 cases = []
-for case in range(24):
-    n = 4 if case < 6 else rng.randint(1, 6)
-    depth = rng.randint(0, 3)
-    params = [rng.uniform(0.0, 6.3) for _ in range(2 * n * depth)]
-    if n == 4 and case < 6:
-        terms = H2_TERMS
-    else:
-        terms = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(4)]
-        terms = [t for t in terms if set(t) != {"I"}] or ["Z" * n]
-    seed, n_samples = rng.getrandbits(62), rng.choice([1, 7, 100, 500])
+for n, depth, params, terms, seed, n_samples in estimator_cases():
     backend = StateVectorBackend(seed=seed)
     prepare = ansatz(n, depth, params)
     energies = [compute_energy_pauli(backend, prepare, t, n_samples) for t in terms]
     cases.append({"n": n, "depth": depth, "params": params, "seed": seed, "n_samples": n_samples,
                   "terms": terms, "energies": energies, "next_coin": coin(backend)})
+print(json.dumps(cases, indent=1))
+"""
+
+
+# `compute_energy` of a whole Hamiltonian, an identity term and the measured
+# terms, then the next coin: over the estimator cases, and over preps that are
+# not ansatze, where the gates prepared once for every term and those run per
+# term split elsewhere: a last run of gates on one wire, a phase polynomial
+# with single-wire terms, no gates at all, and 13 qubits, where a layer of
+# one-wire passes runs as dense blocks.
+ENERGY = CASES + """
+def hamiltonian(rng, n, terms):
+    return Hamiltonian(((rng.uniform(-1, 1), "I" * n),) + tuple((rng.uniform(-1, 1), t) for t in terms))
+
+def one_wire_run_last(rng, n):
+    tail = [Hadamard(n - 1), Phase(rng.uniform(-6.3, 6.3), n - 1), Hadamard(n - 1)]
+    return Circuit(n, ansatz(n, 1, [rng.uniform(0, 6.3) for _ in range(2 * n)]).gates + tuple(tail))
+
+def phase_polynomial_last(rng, n):
+    gates = [Hadamard(w) for w in range(n)] + [ControlledNot(w, w + 1) for w in range(n - 1)]
+    gates += [Phase(rng.uniform(-6.3, 6.3), w) for w in (0, n - 1, 0)]
+    return Circuit(n, gates)
+
+def layer_last(rng, n):
+    gates = ansatz(n, 1, [rng.uniform(0, 6.3) for _ in range(2 * n)]).gates
+    return Circuit(n, gates + tuple(Hadamard(w) for w in range(n)))
+
+rng = random.Random(20261019)
+cases = []
+preps = [(n, terms, seed, n_samples, ansatz(n, depth, params))
+         for n, depth, params, terms, seed, n_samples in estimator_cases()]
+for build, n in [(one_wire_run_last, 3), (one_wire_run_last, 5), (phase_polynomial_last, 4),
+                 (phase_polynomial_last, 6), (lambda rng, n: ansatz(n, 0, []), 4),
+                 (lambda rng, n: ansatz(n, 1, [rng.uniform(0, 6.3) for _ in range(2 * n)]), 13),
+                 (layer_last, 13)]:
+    terms = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(5)]
+    terms = [t for t in terms if set(t) != {"I"}] + ["Y" * n, "X" * (n - 1) + "Y"]
+    preps.append((n, terms, rng.getrandbits(62), rng.choice([7, 100, 500]), build(rng, n)))
+for n, terms, seed, n_samples, prepare in preps:
+    backend = StateVectorBackend(seed=seed)
+    h = hamiltonian(rng, n, terms)
+    energy = compute_energy(backend, prepare, h, n_samples)
+    cases.append({"n": n, "gates": len(prepare.gates), "seed": seed, "n_samples": n_samples,
+                  "terms": [list(term) for term in h.terms], "energy": energy, "next_coin": coin(backend)})
 print(json.dumps(cases, indent=1))
 """
 
@@ -201,6 +258,7 @@ def main(argv: list[str]) -> int:
     for name, args in COMMANDS.items():
         (out / name).write_text(_run(cli + args, inputs))
     (out / "estimator.json").write_text(_run([sys.executable, "-c", ESTIMATOR], inputs))
+    (out / "energy.json").write_text(_run([sys.executable, "-c", ENERGY], inputs))
     (out / "measure-order.json").write_text(_run([sys.executable, "-c", MEASURE_ORDER], inputs))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (out / f"demo-{demo.stem}.txt").write_text(_run([sys.executable, str(demo)], inputs))
