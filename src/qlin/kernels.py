@@ -55,8 +55,7 @@ of their 2x2s, multiplied by np.matmul (state-vector gate fusion: Häner and
 Steiger, arXiv:1704.01127); a pass with no neighbour keeps its kernel.
 
 H, CNOT and the 2x2 act on a (2**w, 2, rest) view, in which [:, b] is the half
-where wire w reads b, and a block on the (2**lo, 2**k, rest) view, one column
-of it at a time when rest is at most _FEW_COLUMNS. apply_plan
+where wire w reads b, and a block on the (2**lo, 2**k, rest) view. apply_plan
 allocates one scratch buffer of half the state's size (a small state gets up
 to 64 KiB) and every pass reuses it; no pass allocates a temporary the size
 of the state: on a large state the 2x2 runs in two halves so that its two
@@ -86,12 +85,6 @@ _COUNTS_FLOOR = 1 << 16
 # took 40, 38 and 62 ms in blocks of 4, 5 and 6 wires, against 157 ms as one
 # pass per wire (2-core Xeon, one BLAS thread)
 _BLOCK = 5
-# a block whose trailing run of the index is at most this long multiplies one
-# column of it at a time, all rows at once: on a 20-wire state a block of 2 to
-# 5 wires took 11-15 ms with 2 trailing entries against 21-54 ms as one
-# small product per row, 12-15 ms against 12-34 ms with 4, and 18-23 ms
-# against 8-14 ms with 8 (2-core Xeon, one BLAS thread)
-_FEW_COLUMNS = 4
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -173,10 +166,9 @@ def _dense(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], m: np.ndarra
         chunks = [v[..., s : s + cols] for s in range(0, rest, cols)]
     for x in chunks:
         out = _buffer(scratch, x)
-        if rest <= _FEW_COLUMNS:
-            # one product of all the rows per column, not one small product per row
-            for c in range(rest):
-                np.matmul(x[..., c], m.T, out=out[..., c])
+        if rest == 1:
+            # one product of all the rows, not one matrix-vector product each
+            np.matmul(x[..., 0], m.T, out=out[..., 0])
         else:
             np.matmul(m, x, out=out)
         np.copyto(x, out)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -248,16 +248,7 @@ class StateVectorBackend(DeviceBackend):
         if shots < 1:
             # the default runs no execution, so it neither fails nor draws
             return np.zeros((0, n), dtype=np.int8)
-        with _exclusive(self):
-            if n > self.max_qubits:
-                raise CapacityExceeded(n, self.max_qubits)
-            # drawn before the state exists, so the draw's temporaries never sit beside it
-            uniforms = self._random.uniforms(shots * n).reshape(shots, n)
-            # the class's own session, which a subclass that refuses sessions still has
-            state = StateVectorBackend.new_session(self)
-            state.allocate(range(n))
-            state.apply(range(n), circuit)
-            return _sample_prepared(state, uniforms)
+        return self._walk(n, shots, lambda: self._prepared(circuit))
 
     def sample_bases(
         self, prep: Circuit, bases: Sequence[Circuit], shots: int
@@ -269,10 +260,10 @@ class StateVectorBackend(DeviceBackend):
         rest of `prep` and its basis, planned as one circuit, to a copy of
         that state and walks it as `sample` does. By `shared_prefix`, the
         walked state equals the composed circuit's, float for float. Each
-        batch draws its uniforms and holds the backend as the default's
-        `sample` call would, so the bits, the batches and the position of
-        the random stream afterwards equal the default's. When no gate is
-        shared, or a subclass overrides `sample`, the default runs instead.
+        batch goes through `_walk`, as the default's `sample` call would, so
+        the bits, the batches and the position of the random stream
+        afterwards equal the default's. When no gate is shared, or a subclass
+        overrides `sample`, the default runs instead.
         """
         n = prep.arity
         split = shared_prefix(prep.gates, n)
@@ -280,22 +271,46 @@ class StateVectorBackend(DeviceBackend):
             yield from DeviceBackend.sample_bases(self, prep, bases, shots)
             return
         head, tail = Circuit(n, prep.gates[:split]), Circuit(n, prep.gates[split:])
-        session = None
+        session, prepared, rest = None, None, None
+
+        def continued() -> QuantumState:
+            nonlocal session, prepared
+            if session is None:
+                session = self._prepared(head)
+                prepared = session.amplitudes
+            session.amplitudes = prepared.copy()
+            session.apply(range(n), rest)
+            return session
+
         for index, basis in enumerate(bases):
             rest = compose(basis, tail)
             for size in _batch_sizes(shots):
-                with _exclusive(self):
-                    if n > self.max_qubits:
-                        raise CapacityExceeded(n, self.max_qubits)
-                    uniforms = self._random.uniforms(size * n).reshape(size, n)
-                    if session is None:
-                        session = StateVectorBackend.new_session(self)
-                        session.allocate(range(n))
-                        session.apply(range(n), head)
-                        prepared = session.amplitudes
-                    session.amplitudes = prepared.copy()
-                    session.apply(range(n), rest)
-                    bits = _sample_prepared(session, uniforms)
-                    del uniforms
+                bits = self._walk(n, size, continued)
                 yield index, bits
                 del bits  # so the next batch is drawn without this one
+
+    def _prepared(self, circuit: Circuit) -> QuantumState:
+        """A session holding `circuit` applied to |0...0>, through `allocate` and `apply`.
+
+        It is the class's own session, which a subclass that refuses
+        sessions still has.
+        """
+        state = StateVectorBackend.new_session(self)
+        state.allocate(range(circuit.arity))
+        state.apply(range(circuit.arity), circuit)
+        return state
+
+    def _walk(self, n: int, shots: int, prepare: Callable[[], QuantumState]) -> np.ndarray:
+        """The bits of `shots` shots of the n-wire state `prepare()` returns.
+
+        One shot's draws, n uniforms in wire order, are those of a session
+        measuring every wire. The backend is held while the shots are drawn
+        and walked; the capacity is checked before anything is drawn, and
+        the uniforms are drawn before the state exists, so the draw's
+        temporaries never sit beside it.
+        """
+        with _exclusive(self):
+            if n > self.max_qubits:
+                raise CapacityExceeded(n, self.max_qubits)
+            uniforms = self._random.uniforms(shots * n).reshape(shots, n)
+            return _sample_prepared(prepare(), uniforms)

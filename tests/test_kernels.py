@@ -117,8 +117,7 @@ def layers(draw):
     k = draw(st.integers(2, 5))
     # at either end a block spans the first wire (one row, split by columns)
     # or the last (rest 1 without a batch, one product of all the rows); one
-    # or two wires short of the last, a block has a rest of 2 or 4, which it
-    # multiplies a column at a time
+    # or two wires short of the last, a block has a rest of 2 or 4
     start = draw(st.one_of(st.sampled_from([0, n - k, n - k - 1, n - k - 2]), st.integers(0, n - k)))
     spacing = draw(st.sampled_from(["consecutive", "descending", "gapped"]))
     if spacing == "consecutive":
