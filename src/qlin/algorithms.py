@@ -334,19 +334,16 @@ def _estimates(
 ) -> list[float]:
     """(#zeros - #ones) / n_samples for each term, from shots of the ansatz in its basis.
 
-    Every term's shots come from one `sample_bases` call, in term order; a
-    term repeated shares its encoding, not its shots.
+    Every term's count of ones comes from one `count_ones` call, in term
+    order; a term repeated shares its encoding, not its shots.
     """
     encodings: dict[str, Circuit] = {}
     for term in terms:
         if term not in encodings:
             encodings[term] = encoding_unitary(term)
     targets = [next(i for i, op in enumerate(term) if op != "I") for term in terms]
-    ones = [0] * len(terms)
-    shots = backend.sample_bases(ansatz_circuit, [encodings[term] for term in terms], n_samples)
-    for index, bits in shots:
-        ones[index] += int(bits[:, targets[index]].sum())
-        del bits  # so the next batch is drawn without this one
+    bases = [encodings[term] for term in terms]
+    ones = backend.count_ones(ansatz_circuit, bases, targets, n_samples)
     return [(n_samples - 2 * count) / n_samples for count in ones]
 
 

@@ -12,6 +12,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -58,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # the parser keeps no state between parse_args calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qlin", description="Quantum circuit toolkit and simulator")
     sub = parser.add_subparsers(dest="command", required=True)

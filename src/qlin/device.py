@@ -20,18 +20,17 @@ circuit, measure every wire) from them:
   array with one row per shot. The default executes the measure-all program
   once per shot. CLI `simulate` reads it through `_shot_batches`, at most
   `_SHOT_BATCH` shots at a time.
-- `sample_bases(prep, bases, shots)` gives, basis after basis, the shots of
-  each measure-all program of `compose(basis, prep)`, in the same batches,
-  each tagged with its basis's index; the estimator measures every Pauli
-  term of a Hamiltonian this way. The default reads `_shot_batches` of each
-  composed circuit, so it honours an overriding `sample`.
+- `count_ones(prep, bases, wires, shots)` gives, for each j, the ones on
+  wire `wires[j]` over `shots` such runs of `compose(bases[j], prep)`; the
+  estimator measures every Pauli term of a Hamiltonian this way. The
+  default counts the `_shot_batches` of each composed circuit, so it
+  honours an overriding `sample`.
 
 A backend may override either with a faster path, but the override must give
-the same outcomes, shot for shot and batch for batch, and leave the
-backend's randomness where the default would. For `sample_bases` that means
-the state before the measurements must equal the composed circuit's float
-for float, not only closely: a probability that is 0 or 1 up to rounding
-decides a bit by its last digit.
+the same bits or counts and leave the backend's randomness where the default
+would. For `count_ones` that means the state before the measurements must
+equal the composed circuit's float for float, not only closely: a
+probability that is 0 or 1 up to rounding decides a bit by its last digit.
 
 Handle ids are hidden; tests may use the privileged `_handle_id` hook but
 production code has no business reading them.
@@ -118,19 +117,22 @@ class DeviceBackend(ABC):
         bits = [execute(self, program) for _ in range(shots)]
         return np.array(bits, dtype=np.int8).reshape(shots, circuit.arity)
 
-    def sample_bases(
-        self, prep: Circuit, bases: Sequence[Circuit], shots: int
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """(j, bits) for each batch of `shots` measure-all runs of compose(bases[j], prep).
+    def count_ones(
+        self, prep: Circuit, bases: Sequence[Circuit], wires: Sequence[int], shots: int
+    ) -> list[int]:
+        """Per j, the ones on wire wires[j] over `shots` measure-all runs of compose(bases[j], prep).
 
-        Basis after basis, in the batches of `_shot_batches`. Overrides
-        must yield exactly what this loop yields for the same backend state,
-        and consume the backend's randomness the same way, batch by batch.
+        Overrides must return exactly what this loop returns for the same
+        backend state, and consume the backend's randomness the same way.
         """
-        for index, basis in enumerate(bases):
+        counts = []
+        for basis, wire in zip(bases, wires):
+            ones = 0
             for bits in _shot_batches(self, compose(basis, prep), shots):
-                yield index, bits
+                ones += int(bits[:, wire].sum())
                 del bits  # so the next batch is drawn without this one
+            counts.append(ones)
+        return counts
 
 
 # Most shots `_shot_batches` asks a backend for at once, so memory stays

@@ -19,8 +19,9 @@ numpy.random, whose import alone costs several MB of resident memory.
 changed through them. `StateVectorBackend.sample` prepares a measure-all
 circuit once, through the same `allocate` and `apply`, and walks its
 collapse one wire at a time for all shots at once, drawing in shot order.
-`sample_bases` prepares the gates every basis plans alike once, the same
-way, and walks a copy continued by each basis's own gates.
+`count_ones` prepares the gates every basis plans alike once, the same way,
+walks a copy continued by each basis's own gates, and counts the ones on
+that basis's wire.
 That walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -250,10 +251,10 @@ class StateVectorBackend(DeviceBackend):
             return np.zeros((0, n), dtype=np.int8)
         return self._walk(n, shots, lambda: self._prepared(circuit))
 
-    def sample_bases(
-        self, prep: Circuit, bases: Sequence[Circuit], shots: int
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """As `DeviceBackend.sample_bases`, preparing the gates all bases share once.
+    def count_ones(
+        self, prep: Circuit, bases: Sequence[Circuit], wires: Sequence[int], shots: int
+    ) -> list[int]:
+        """As `DeviceBackend.count_ones`, preparing the gates all bases share once.
 
         The gates before `shared_prefix(prep.gates, arity)` are applied once,
         through one session's `allocate` and `apply`; each batch applies the
@@ -261,33 +262,30 @@ class StateVectorBackend(DeviceBackend):
         that state and walks it as `sample` does. By `shared_prefix`, the
         walked state equals the composed circuit's, float for float. Each
         batch goes through `_walk`, as the default's `sample` call would, so
-        the bits, the batches and the position of the random stream
-        afterwards equal the default's. When no gate is shared, or a subclass
-        overrides `sample`, the default runs instead.
+        the bits and the position of the random stream afterwards equal the
+        default's. When no gate is shared, there is nothing to walk, or a
+        subclass overrides `sample`, the default runs instead.
         """
         n = prep.arity
         split = shared_prefix(prep.gates, n)
-        if not split or type(self).sample is not StateVectorBackend.sample:
-            yield from DeviceBackend.sample_bases(self, prep, bases, shots)
-            return
-        head, tail = Circuit(n, prep.gates[:split]), Circuit(n, prep.gates[split:])
-        session, prepared, rest = None, None, None
+        own_sample = type(self).sample is StateVectorBackend.sample
+        if not (split and bases and shots > 0 and own_sample):
+            return DeviceBackend.count_ones(self, prep, bases, wires, shots)
+        head = self._prepared(Circuit(n, prep.gates[:split]))
+        prepared, tail = head.amplitudes, Circuit(n, prep.gates[split:])
 
         def continued() -> QuantumState:
-            nonlocal session, prepared
-            if session is None:
-                session = self._prepared(head)
-                prepared = session.amplitudes
-            session.amplitudes = prepared.copy()
-            session.apply(range(n), rest)
-            return session
+            head.amplitudes = prepared.copy()
+            head.apply(range(n), rest)
+            return head
 
-        for index, basis in enumerate(bases):
-            rest = compose(basis, tail)
+        counts = []
+        for basis, wire in zip(bases, wires):
+            rest, ones = compose(basis, tail), 0
             for size in _batch_sizes(shots):
-                bits = self._walk(n, size, continued)
-                yield index, bits
-                del bits  # so the next batch is drawn without this one
+                ones += int(self._walk(n, size, continued)[:, wire].sum())
+            counts.append(ones)
+        return counts
 
     def _prepared(self, circuit: Circuit) -> QuantumState:
         """A session holding `circuit` applied to |0...0>, through `allocate` and `apply`.

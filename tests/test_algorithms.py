@@ -50,6 +50,7 @@ from qlin.errors import (
     TooManyRounds,
     TooManyShots,
 )
+from qlin.kernels import shared_prefix
 from qlin.stdcircuits import h_gate
 
 from .oracles import assert_close, basis_state, pauli_matrix
@@ -500,6 +501,32 @@ def test_compute_energy_identity_shortcut():
     backend = CountingBackend()
     assert compute_energy(backend, identity(1), Hamiltonian(((2.0, "I"),)), 100) == 2.0
     assert backend.sessions == 0
+
+
+def test_compute_energy_counts_every_term_in_one_call(monkeypatch):
+    # one count_ones call per energy, in term order, a repeated term included;
+    # a Hamiltonian with nothing to measure prepares no state
+    calls = []
+    count_ones = StateVectorBackend.count_ones
+
+    def recorded(self, prep, bases, wires, shots):
+        calls.append((len(bases), list(wires), shots))
+        return count_ones(self, prep, bases, wires, shots)
+
+    monkeypatch.setattr(StateVectorBackend, "count_ones", recorded)
+    prepare = ansatz(3, 1, [0.1 * i for i in range(6)])
+    hamiltonian = Hamiltonian(((0.5, "III"), (0.2, "IZX"), (0.3, "XYI"), (0.1, "IZX")))
+    energy = compute_energy(StateVectorBackend(seed=4), prepare, hamiltonian, 30)
+    assert calls == [(3, [1, 0, 1], 30)]
+    monkeypatch.undo()
+    assert energy == compute_energy(StateVectorBackend(seed=4), prepare, hamiltonian, 30)
+    assert shared_prefix(prepare.gates, 3) > 0  # so the simulator's own path is the one asked
+    sessions = []
+    new_session = StateVectorBackend.new_session
+    monkeypatch.setattr(StateVectorBackend, "new_session", lambda self: sessions.append(self) or new_session(self))
+    identity_only = Hamiltonian(((2.0, "III"),))
+    assert compute_energy(StateVectorBackend(seed=4), prepare, identity_only, 100) == 2.0
+    assert sessions == []
 
 
 def test_compute_energy_checks_its_inputs_whatever_the_terms():

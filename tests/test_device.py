@@ -29,7 +29,7 @@ from qlin import (
     qprogram,
     to_bell_basis,
 )
-from qlin.circuit import Circuit, Hadamard
+from qlin.circuit import Circuit, ControlledNot, Hadamard
 from qlin.device import DeviceSession, _handle_id
 from qlin.errors import (
     ArityMismatch,
@@ -39,6 +39,7 @@ from qlin.errors import (
     DuplicateHandle,
     UseAfterConsume,
 )
+from qlin.kernels import shared_prefix
 from qlin.stdcircuits import h_gate
 
 from .oracles import DenseSession, random_circuit
@@ -263,16 +264,25 @@ def test_execute_not_reentrant():
 
 
 def test_sample_inside_execute_is_nested():
-    b = backend()
+    # both shot methods refuse to run inside an execution: sample, and
+    # count_ones on the simulator's own path, since its prep shares a gate
+    # with every basis; neither draws, and the backend is usable afterwards
+    b, reference = backend(), backend()
+    prep = Circuit(2, [Hadamard(0), ControlledNot(0, 1)])
+    assert shared_prefix(prep.gates, prep.arity) > 0
+    for shots in (lambda: b.sample(h_gate(), 3), lambda: b.count_ones(prep, [identity(2)], [1], 3)):
 
-    @qprogram
-    def nested():
-        q, = yield new_qubits(1)
-        b.sample(h_gate(), 3)
-        yield measure([q])
+        @qprogram
+        def nested():
+            q, = yield new_qubits(1)
+            shots()
+            yield measure([q])
 
-    with pytest.raises(DeviceError):
-        execute(b, nested())
+        with pytest.raises(DeviceError):
+            execute(b, nested())
+        assert execute(b, pure(7)) == 7
+        basis = Circuit(2, [Hadamard(0)])
+        assert b.count_ones(prep, [basis], [0], 40) == reference.count_ones(prep, [basis], [0], 40)
 
 
 class _RacingBackend(StateVectorBackend):
@@ -341,12 +351,21 @@ def test_sample_capacity_error_draws_nothing():
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
 
 
-@pytest.mark.parametrize("arity", [3, 10**12])
-def test_sample_bases_capacity_error_draws_nothing(arity):
-    # refused as sample refuses it, at once however wide, before any draw
+@pytest.mark.parametrize(
+    "arity, gates",
+    [(3, [Hadamard(1)]), (10**12, [Hadamard(1)]), (3, [Hadamard(0), ControlledNot(0, 1)])],
+    ids=["3", "1000000000000", "3-shared"],
+)
+def test_count_ones_capacity_error_draws_nothing(arity, gates):
+    # refused as sample refuses it, at once however wide, before any draw: by
+    # the default when no gate is shared, and by the simulator's own path
+    # when one is
     b = StateVectorBackend(seed=5, max_qubits=2)
+    prep = Circuit(arity, gates)
+    assert (shared_prefix(gates, arity) > 0) == (len(gates) > 1)
     with pytest.raises(CapacityExceeded):
-        next(b.sample_bases(Circuit(arity, [Hadamard(1)]), [identity(arity)], 5))
+        b.count_ones(prep, [identity(arity)], [0], 5)
+    assert execute(b, pure(7)) == 7
     bell = to_bell_basis()
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
 

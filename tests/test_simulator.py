@@ -432,39 +432,66 @@ def test_walk_states_equal_the_per_shot_collapse(monkeypatch):
 
 @st.composite
 def preps_and_bases(draw):
-    """A prep from sample_circuits and bases on its arity: random circuits,
-    basis states (each p1 is 0 or 1 up to rounding) and Pauli encodings."""
+    """A prep from sample_circuits and bases on its arity, each with a wire to
+    count: random circuits, basis states (each p1 is 0 or 1 up to rounding)
+    and Pauli encodings. A prep with no wire has none to count, so no bases."""
     prep = draw(sample_circuits)
     n = prep.arity
-    kinds = [
+    if not n:
+        return prep, [], []
+    paulis = st.text("IXYZ", min_size=n, max_size=n).filter(lambda t: set(t) != {"I"})
+    kinds = st.one_of(
         st.builds(lambda seed, gates: random_circuit(random.Random(seed), n, gates),
                   st.integers(0, 10_000), st.integers(0, 8)),
         st.lists(st.booleans(), min_size=n, max_size=n).map(_basis_circuit),
-    ]
-    if n:
-        paulis = st.text("IXYZ", min_size=n, max_size=n).filter(lambda t: set(t) != {"I"})
-        kinds.append(paulis.map(encoding_unitary))
-    return prep, draw(st.lists(st.one_of(*kinds), max_size=4))
+        paulis.map(encoding_unitary),
+    )
+    pairs = draw(st.lists(st.tuples(kinds, st.integers(0, n - 1)), max_size=4))
+    return prep, [basis for basis, _ in pairs], [wire for _, wire in pairs]
+
+
+def _recorded_walks(patch):
+    """Patch the collapse walk to record each walk's start state and bits; return the record."""
+    walks = []
+    walk = simulator._sample_prepared
+
+    def recorded(state, uniforms):
+        start = state.amplitudes.copy()
+        bits = walk(state, uniforms)
+        walks.append((start, bits.copy()))
+        return bits
+
+    patch.setattr(simulator, "_sample_prepared", recorded)
+    return walks
+
+
+def _same_walks(walks, reference):
+    """Each walk starts from the reference's state and gives its bits, array for array."""
+    return len(walks) == len(reference) and all(
+        np.array_equal(state, other_state) and np.array_equal(bits, other_bits)
+        for (state, bits), (other_state, other_bits) in zip(walks, reference)
+    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(preps_and_bases(), st.integers(0, 40), st.sampled_from([1, 7, 2**16]), st.integers())
-def test_sample_bases_matches_the_default(case, shots, batch, seed):
-    prep, bases = case
+def test_count_ones_matches_the_default(case, shots, batch, seed):
+    # equal counts could hide two flipped shots that cancel, so every walk's
+    # start state and bits are compared too; the start state shows rounding
+    # before it flips a bit
+    prep, bases, wires = case
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
-    walked = []  # the state each walk starts from, so rounding shows before it flips a bit
-    walk = simulator._sample_prepared
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(device, "_SHOT_BATCH", batch)
-        patch.setattr(simulator, "_sample_prepared",
-                      lambda state, uniforms: walked.append(state.amplitudes.copy()) or walk(state, uniforms))
-        drawn = [(j, bits.tolist()) for j, bits in fast.sample_bases(prep, bases, shots)]
-        fast_walked, walked = walked, []
-        reference = [(j, bits.tolist()) for j, bits in DeviceBackend.sample_bases(default, prep, bases, shots)]
-    assert drawn == reference
-    assert len(fast_walked) == len(walked)
-    assert all(np.array_equal(a, b) for a, b in zip(fast_walked, walked))
-    assert len(drawn) == len(bases) * -(-shots // batch)
+        walks = _recorded_walks(patch)
+        counts = fast.count_ones(prep, bases, wires, shots)
+        fast_walks = walks[:]
+        walks.clear()
+        reference = DeviceBackend.count_ones(default, prep, bases, wires, shots)
+    assert counts == reference
+    assert all(type(count) is int for count in counts) and len(counts) == len(bases)
+    assert _same_walks(fast_walks, walks)
+    assert len(fast_walks) == len(bases) * -(-shots // batch)
     # both drew the same number of uniforms, so their streams go on alike
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
 
@@ -487,25 +514,28 @@ def wide_preps(draw):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(wide_preps())
-def test_sample_bases_prepares_the_composed_state_exactly(case):
+def test_count_ones_prepares_the_composed_state_exactly(case):
     # the state each basis's walk starts from is the composed circuit's, bit
     # for bit; a layer of the composed plan that straddled the gates prepared
     # once and those applied per basis would run as different dense blocks
     prep, bases = case
-    walked = []
-    walk = simulator._sample_prepared
+    wires = [j % prep.arity for j in range(len(bases))]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_sample_prepared",
-                      lambda state, uniforms: walked.append(state.amplitudes.copy()) or walk(state, uniforms))
-        list(StateVectorBackend(seed=0).sample_bases(prep, bases, 1))
-    assert len(walked) == len(bases)
-    for amplitudes, basis in zip(walked, bases):
+        walks = _recorded_walks(patch)
+        counts = StateVectorBackend(seed=0).count_ones(prep, bases, wires, 1)
+        fast_walks = walks[:]
+        walks.clear()
+        reference = DeviceBackend.count_ones(StateVectorBackend(seed=0), prep, bases, wires, 1)
+    assert counts == reference
+    assert _same_walks(fast_walks, walks)
+    assert len(fast_walks) == len(bases)
+    for (amplitudes, _), basis in zip(fast_walks, bases):
         state = fresh_state(range(prep.arity))
         state.apply(range(prep.arity), compose(basis, prep))
         assert np.array_equal(amplitudes, state.amplitudes)
 
 
-def test_sample_bases_prepares_once_through_allocate_and_apply(monkeypatch):
+def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
     # one session per call: the shared gates go through its allocate and
     # apply once, and each batch of each basis through its apply
     monkeypatch.setattr(device, "_SHOT_BATCH", 30)
@@ -524,14 +554,19 @@ def test_sample_bases_prepares_once_through_allocate_and_apply(monkeypatch):
         monkeypatch.setattr(cls, name, recorder(cls, name))
     prep = ansatz(4, 2, [0.1 * i for i in range(16)])
     bases = [encoding_unitary(term) for term in ("ZZII", "XXYY", "YYXX")]
-    drawn = [(j, bits.tolist()) for j, bits in StateVectorBackend(seed=9).sample_bases(prep, bases, 50)]
+    targets = [0, 0, 0]
+    walks = _recorded_walks(monkeypatch)
+    counts = StateVectorBackend(seed=9).count_ones(prep, bases, targets, 50)
+    fast_walks = walks[:]
     wires = [0, 1, 2, 3]
     assert calls == [("new_session",), ("allocate", wires)] + [("apply", wires)] * 7
     monkeypatch.undo()
     default = StateVectorBackend(seed=9)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(device, "_SHOT_BATCH", 30)
-        assert drawn == [(j, bits.tolist()) for j, bits in DeviceBackend.sample_bases(default, prep, bases, 50)]
+        walks = _recorded_walks(patch)
+        assert counts == DeviceBackend.count_ones(default, prep, bases, targets, 50)
+    assert _same_walks(fast_walks, walks)
 
 
 def test_estimator_holds_at_most_one_state_more_than_sample():

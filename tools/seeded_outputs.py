@@ -11,11 +11,21 @@ ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian,
 and over preps that are not ansatze, up to 13 qubits, and
 `measure-order.json`: the bits of seeded programs on 3 to 6 qubits that
 measure one wire at a time in a shuffled order and allocate again after a
-measurement, as RUS does. It runs
-the sources of the checkout it sits in (`src/` and `demos/` next to `tools/`).
+measurement, as RUS does. `build.json` names the numpy version and BLAS
+that computed them, since floats may differ between builds. Everything
+runs in this process: the CLI through `qlin.cli.main`, the demos through
+`runpy`, on the sources of the checkout the script sits in (`src/` and
+`demos/` next to `tools/`).
 
-To show that a change leaves every seeded output as it was, copy this script
-into a checkout of the parent commit, run it there and here, and compare:
+tests/seeded_outputs holds these outputs, and tests/test_seeded_outputs.py
+checks that the code still writes them byte for byte. After a change that
+means to alter a seeded output, rewrite the fixture with
+
+    python tools/seeded_outputs.py tests/seeded_outputs
+
+and name the files that changed, with their reason. To compare with the
+parent commit instead, copy this script into a checkout of it, run it
+there and here, and compare:
 
     git archive <parent> --prefix=parent/ | tar -x -C /tmp
     mkdir -p /tmp/parent/tools && cp tools/seeded_outputs.py /tmp/parent/tools/
@@ -29,8 +39,10 @@ the script.
 """
 from __future__ import annotations
 
-import os
-import subprocess
+import contextlib
+import io
+import json
+import runpy
 import sys
 from pathlib import Path
 
@@ -96,8 +108,8 @@ COMMANDS = {
 }
 
 
-# Run by the checkout's Python, ahead of ESTIMATOR and ENERGY: the estimator
-# cases, random ansatze on up to 6 qubits with a seed and a sample count.
+# Run ahead of ESTIMATOR and ENERGY: the estimator cases, random ansatze on
+# up to 6 qubits with a seed and a sample count.
 CASES = """\
 import json, random
 from qlin import (Circuit, ControlledNot, Hadamard, Hamiltonian, Phase, RandomSource,
@@ -179,10 +191,9 @@ print(json.dumps(cases, indent=1))
 """
 
 
-# Run by the checkout's Python: random states measured one qubit per
-# operation in a shuffled order, so every wire position, first, middle and
-# last, is measured mid-state; a fresh qubit joins the survivors after the
-# first measurements.
+# Random states measured one qubit per operation in a shuffled order, so
+# every wire position, first, middle and last, is measured mid-state; a fresh
+# qubit joins the survivors after the first measurements.
 # Then the next coin on that backend (its random stream's position).
 MEASURE_ORDER = """\
 import json, random
@@ -233,37 +244,64 @@ print(json.dumps(cases, indent=1))
 """
 
 
-def _run(argv: list[str], cwd: Path) -> str:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
-    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
-    return proc.stdout
+def _stdout(run, *args, **kwargs) -> str:
+    """What `run(*args, **kwargs)` prints to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run(*args, **kwargs)
+    return out.getvalue()
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.splitlines()[2], file=sys.stderr)
-        return 1
-    out = Path(argv[0])
+def _cli(argv: list[str]) -> str:
+    """The stdout of `qlin <argv>`, which must exit 0."""
+    from qlin import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"qlin {' '.join(argv)} exited {code}: {err.getvalue().strip()}")
+    return out.getvalue()
+
+
+def build() -> dict[str, str]:
+    """The numpy version and BLAS that the outputs are computed with."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
+def write_outputs(out: Path) -> None:
+    """Write the inputs and every seeded output under `out`."""
+    out = out.resolve()  # the commands run inside out/inputs
     inputs = out / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
     (inputs / "circuit.txt").write_text(CIRCUIT)
     (inputs / "ham.txt").write_text(HAMILTONIAN)
     (inputs / "graph.txt").write_text(GRAPH)
     (inputs / "graph-14.txt").write_text(GRAPH_14)
-    cli = [sys.executable, "-m", "qlin.cli"]
-    qasm = _run(cli + ["export-qasm", "circuit.txt"], inputs)
-    (inputs / "circuit.qasm").write_text(qasm)
-    for name, args in COMMANDS.items():
-        (out / name).write_text(_run(cli + args, inputs))
-    (out / "estimator.json").write_text(_run([sys.executable, "-c", ESTIMATOR], inputs))
-    (out / "energy.json").write_text(_run([sys.executable, "-c", ENERGY], inputs))
-    (out / "measure-order.json").write_text(_run([sys.executable, "-c", MEASURE_ORDER], inputs))
-    for demo in sorted((ROOT / "demos").glob("*.py")):
-        (out / f"demo-{demo.stem}.txt").write_text(_run([sys.executable, str(demo)], inputs))
+    with contextlib.chdir(inputs):
+        (inputs / "circuit.qasm").write_text(_cli(["export-qasm", "circuit.txt"]))
+        for name, args in COMMANDS.items():
+            (out / name).write_text(_cli(args))
+        for name, script in [("estimator.json", ESTIMATOR), ("energy.json", ENERGY),
+                             ("measure-order.json", MEASURE_ORDER)]:
+            (out / name).write_text(_stdout(exec, script, {"__name__": "__main__"}))
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            printed = _stdout(runpy.run_path, str(demo), run_name="__main__")
+            (out / f"demo-{demo.stem}.txt").write_text(printed)
+    (out / "build.json").write_text(json.dumps(build(), indent=1, sort_keys=True) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 1
+    write_outputs(Path(argv[0]))
     return 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main(sys.argv[1:]))
