@@ -337,14 +337,10 @@ def _estimates(
     Every term's count of ones comes from one `count_ones` call, in term
     order; a term repeated shares its encoding, not its shots.
     """
-    encodings: dict[str, Circuit] = {}
-    for term in terms:
-        if term not in encodings:
-            encodings[term] = encoding_unitary(term)
-    targets = [next(i for i, op in enumerate(term) if op != "I") for term in terms]
-    bases = [encodings[term] for term in terms]
-    ones = backend.count_ones(ansatz_circuit, bases, targets, n_samples)
-    return [(n_samples - 2 * count) / n_samples for count in ones]
+    encodings = {term: encoding_unitary(term) for term in dict.fromkeys(terms)}
+    ones = backend.count_ones(ansatz_circuit, [encodings[term] for term in terms], n_samples)
+    targets = (next(i for i, op in enumerate(term) if op != "I") for term in terms)
+    return [(n_samples - 2 * int(row[target])) / n_samples for row, target in zip(ones, targets)]
 
 
 def compute_energy_pauli(

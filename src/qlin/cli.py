@@ -29,6 +29,7 @@ from .algorithms import (
     vqe_trajectory,
 )
 from .circuit import (
+    GATE_KINDS,
     Circuit,
     _check_shot_count,
     depth,
@@ -183,7 +184,7 @@ def _cmd_stats(args) -> None:
         f"gates {len(circuit.gates)}",
         f"depth {layers}",
     ]
-    lines += [f"{kind} {counts[kind]}" for kind in ("H", "P", "CNOT") if counts[kind]]
+    lines += [f"{kind.name} {counts[kind.name]}" for kind in GATE_KINDS if counts[kind.name]]
     _emit(args, lines, {
         "qubits": circuit.arity,
         "gates": len(circuit.gates),
@@ -250,7 +251,7 @@ def _cmd_vqe(args) -> None:
     best = min(history, key=lambda record: record.energy)
     lines = [
         f"best_energy {format_angle(best.energy)}",
-        "params " + " ".join(format_angle(x) for x in best.params),
+        " ".join(["params", *map(format_angle, best.params)]),
     ]
     _emit(args, lines, {
         "best_energy": best.energy,

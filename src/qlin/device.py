@@ -20,11 +20,11 @@ circuit, measure every wire) from them:
   array with one row per shot. The default executes the measure-all program
   once per shot. CLI `simulate` reads it through `_shot_batches`, at most
   `_SHOT_BATCH` shots at a time.
-- `count_ones(prep, bases, wires, shots)` gives, for each j, the ones on
-  wire `wires[j]` over `shots` such runs of `compose(bases[j], prep)`; the
-  estimator measures every Pauli term of a Hamiltonian this way. The
-  default counts the `_shot_batches` of each composed circuit, so it
-  honours an overriding `sample`.
+- `count_ones(prep, bases, shots)` gives, as row j of an int64 array, the
+  ones on every wire over `shots` such runs of `compose(bases[j], prep)`;
+  the estimator measures every Pauli term of a Hamiltonian this way, reading
+  the term's wire. The default adds up the `_shot_batches` of each composed
+  circuit, so it honours an overriding `sample`.
 
 A backend may override either with a faster path, but the override must give
 the same bits or counts and leave the backend's randomness where the default
@@ -115,23 +115,26 @@ class DeviceBackend(ABC):
         """
         program = _measure_all(circuit)
         bits = [execute(self, program) for _ in range(shots)]
-        return np.array(bits, dtype=np.int8).reshape(shots, circuit.arity)
+        return np.array(bits, dtype=np.int8).reshape(len(bits), circuit.arity)
 
-    def count_ones(
-        self, prep: Circuit, bases: Sequence[Circuit], wires: Sequence[int], shots: int
-    ) -> list[int]:
-        """Per j, the ones on wire wires[j] over `shots` measure-all runs of compose(bases[j], prep).
+    def count_ones(self, prep: Circuit, bases: Sequence[Circuit], shots: int) -> np.ndarray:
+        """Ones per wire over `shots` measure-all runs of compose(bases[j], prep), row j per basis.
 
-        Overrides must return exactly what this loop returns for the same
-        backend state, and consume the backend's randomness the same way.
+        Returns an int64 array of shape (len(bases), prep.arity). Overrides
+        must return exactly what this loop returns for the same backend
+        state, and consume the backend's randomness the same way.
         """
-        counts = []
-        for basis, wire in zip(bases, wires):
+        rows = []
+        for basis in bases:
             ones = 0
             for bits in _shot_batches(self, compose(basis, prep), shots):
-                ones += int(bits[:, wire].sum())
+                ones += bits.sum(axis=0)
                 del bits  # so the next batch is drawn without this one
-            counts.append(ones)
+            rows.append(ones)
+        # made after the draws, so a prep too wide for the backend is refused first
+        counts = np.zeros((len(bases), prep.arity), dtype=np.int64)
+        for row, ones in zip(counts, rows):
+            row += ones
         return counts
 
 

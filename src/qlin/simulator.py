@@ -21,7 +21,7 @@ circuit once, through the same `allocate` and `apply`, and walks its
 collapse one wire at a time for all shots at once, drawing in shot order.
 `count_ones` prepares the gates every basis plans alike once, the same way,
 walks a copy continued by each basis's own gates, and counts the ones on
-that basis's wire.
+every wire.
 That walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
@@ -251,9 +251,7 @@ class StateVectorBackend(DeviceBackend):
             return np.zeros((0, n), dtype=np.int8)
         return self._walk(n, shots, lambda: self._prepared(circuit))
 
-    def count_ones(
-        self, prep: Circuit, bases: Sequence[Circuit], wires: Sequence[int], shots: int
-    ) -> list[int]:
+    def count_ones(self, prep: Circuit, bases: Sequence[Circuit], shots: int) -> np.ndarray:
         """As `DeviceBackend.count_ones`, preparing the gates all bases share once.
 
         The gates before `shared_prefix(prep.gates, arity)` are applied once,
@@ -270,7 +268,7 @@ class StateVectorBackend(DeviceBackend):
         split = shared_prefix(prep.gates, n)
         own_sample = type(self).sample is StateVectorBackend.sample
         if not (split and bases and shots > 0 and own_sample):
-            return DeviceBackend.count_ones(self, prep, bases, wires, shots)
+            return DeviceBackend.count_ones(self, prep, bases, shots)
         head = self._prepared(Circuit(n, prep.gates[:split]))
         prepared, tail = head.amplitudes, Circuit(n, prep.gates[split:])
 
@@ -279,12 +277,13 @@ class StateVectorBackend(DeviceBackend):
             head.apply(range(n), rest)
             return head
 
-        counts = []
-        for basis, wire in zip(bases, wires):
-            rest, ones = compose(basis, tail), 0
+        # made once head exists, so a prep too wide for the backend is refused first
+        counts = np.zeros((len(bases), n), dtype=np.int64)
+        for row, basis in zip(counts, bases):
+            rest = compose(basis, tail)
             for size in _batch_sizes(shots):
-                ones += int(self._walk(n, size, continued)[:, wire].sum())
-            counts.append(ones)
+                # numpy sums a narrow int8 array's rows several times faster than its columns
+                row += np.ascontiguousarray(self._walk(n, size, continued).T).sum(axis=1)
         return counts
 
     def _prepared(self, circuit: Circuit) -> QuantumState:

@@ -336,6 +336,18 @@ def test_vqe_reaches_ground_state(tmp_path, capsys):
     assert len(payload["history"]) == 60
 
 
+@pytest.mark.parametrize("depth, params", [("0", 0), ("1", 2)])
+def test_vqe_text_output(tmp_path, capsys, depth, params):
+    # the params line is the word and one field per parameter, with no
+    # trailing space when the ansatz has none
+    ham = circuit_file(tmp_path, HAM_Z, "h.txt")
+    code, out, _ = run(capsys, ["vqe", "--ham", ham, "--depth", depth, "--k", "2", "--nsamples", "10", "--seed", "3"])
+    assert code == EXIT_OK
+    best, line = out.splitlines()
+    assert best.startswith("best_energy ")
+    assert line == line.strip() and line.split(" ")[0] == "params" and len(line.split(" ")) == params + 1
+
+
 def test_qaoa_solves_k3(tmp_path, capsys):
     graph = circuit_file(tmp_path, K3, "g.txt")
     code, out, _ = run(

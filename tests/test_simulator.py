@@ -308,15 +308,16 @@ sample_circuits = st.one_of(
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(sample_circuits, st.integers(0, 50), st.integers())
+@given(sample_circuits, st.integers(-3, 50), st.integers())
 @example(identity(0), 0, 1)
 @example(identity(0), 3, 1)
 @example(identity(2), 0, 1)
+@example(identity(0), -1, 1)
 def test_sample_matches_the_per_shot_default(circuit, shots, seed):
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
     bits, reference = fast.sample(circuit, shots), DeviceBackend.sample(default, circuit, shots)
     for drawn in (bits, reference):
-        assert drawn.dtype == np.int8 and drawn.shape == (shots, circuit.arity)
+        assert drawn.dtype == np.int8 and drawn.shape == (max(shots, 0), circuit.arity)
     assert bits.tolist() == reference.tolist()
     # both drew the same number of uniforms, so their streams go on alike
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
@@ -432,22 +433,20 @@ def test_walk_states_equal_the_per_shot_collapse(monkeypatch):
 
 @st.composite
 def preps_and_bases(draw):
-    """A prep from sample_circuits and bases on its arity, each with a wire to
-    count: random circuits, basis states (each p1 is 0 or 1 up to rounding)
-    and Pauli encodings. A prep with no wire has none to count, so no bases."""
+    """A prep from sample_circuits and bases on its arity: random circuits,
+    basis states (each p1 is 0 or 1 up to rounding) and, on a prep with a
+    wire, Pauli encodings."""
     prep = draw(sample_circuits)
     n = prep.arity
-    if not n:
-        return prep, [], []
-    paulis = st.text("IXYZ", min_size=n, max_size=n).filter(lambda t: set(t) != {"I"})
-    kinds = st.one_of(
+    kinds = [
         st.builds(lambda seed, gates: random_circuit(random.Random(seed), n, gates),
                   st.integers(0, 10_000), st.integers(0, 8)),
         st.lists(st.booleans(), min_size=n, max_size=n).map(_basis_circuit),
-        paulis.map(encoding_unitary),
-    )
-    pairs = draw(st.lists(st.tuples(kinds, st.integers(0, n - 1)), max_size=4))
-    return prep, [basis for basis, _ in pairs], [wire for _, wire in pairs]
+    ]
+    if n:
+        paulis = st.text("IXYZ", min_size=n, max_size=n).filter(lambda t: set(t) != {"I"})
+        kinds.append(paulis.map(encoding_unitary))
+    return prep, draw(st.lists(st.one_of(kinds), max_size=4))
 
 
 def _recorded_walks(patch):
@@ -479,17 +478,18 @@ def test_count_ones_matches_the_default(case, shots, batch, seed):
     # equal counts could hide two flipped shots that cancel, so every walk's
     # start state and bits are compared too; the start state shows rounding
     # before it flips a bit
-    prep, bases, wires = case
+    prep, bases = case
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(device, "_SHOT_BATCH", batch)
         walks = _recorded_walks(patch)
-        counts = fast.count_ones(prep, bases, wires, shots)
+        counts = fast.count_ones(prep, bases, shots)
         fast_walks = walks[:]
         walks.clear()
-        reference = DeviceBackend.count_ones(default, prep, bases, wires, shots)
-    assert counts == reference
-    assert all(type(count) is int for count in counts) and len(counts) == len(bases)
+        reference = DeviceBackend.count_ones(default, prep, bases, shots)
+    for ones in (counts, reference):
+        assert ones.dtype == np.int64 and ones.shape == (len(bases), prep.arity)
+    assert np.array_equal(counts, reference)
     assert _same_walks(fast_walks, walks)
     assert len(fast_walks) == len(bases) * -(-shots // batch)
     # both drew the same number of uniforms, so their streams go on alike
@@ -519,14 +519,13 @@ def test_count_ones_prepares_the_composed_state_exactly(case):
     # for bit; a layer of the composed plan that straddled the gates prepared
     # once and those applied per basis would run as different dense blocks
     prep, bases = case
-    wires = [j % prep.arity for j in range(len(bases))]
     with pytest.MonkeyPatch.context() as patch:
         walks = _recorded_walks(patch)
-        counts = StateVectorBackend(seed=0).count_ones(prep, bases, wires, 1)
+        counts = StateVectorBackend(seed=0).count_ones(prep, bases, 1)
         fast_walks = walks[:]
         walks.clear()
-        reference = DeviceBackend.count_ones(StateVectorBackend(seed=0), prep, bases, wires, 1)
-    assert counts == reference
+        reference = DeviceBackend.count_ones(StateVectorBackend(seed=0), prep, bases, 1)
+    assert np.array_equal(counts, reference)
     assert _same_walks(fast_walks, walks)
     assert len(fast_walks) == len(bases)
     for (amplitudes, _), basis in zip(fast_walks, bases):
@@ -554,9 +553,8 @@ def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
         monkeypatch.setattr(cls, name, recorder(cls, name))
     prep = ansatz(4, 2, [0.1 * i for i in range(16)])
     bases = [encoding_unitary(term) for term in ("ZZII", "XXYY", "YYXX")]
-    targets = [0, 0, 0]
     walks = _recorded_walks(monkeypatch)
-    counts = StateVectorBackend(seed=9).count_ones(prep, bases, targets, 50)
+    counts = StateVectorBackend(seed=9).count_ones(prep, bases, 50)
     fast_walks = walks[:]
     wires = [0, 1, 2, 3]
     assert calls == [("new_session",), ("allocate", wires)] + [("apply", wires)] * 7
@@ -565,7 +563,7 @@ def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(device, "_SHOT_BATCH", 30)
         walks = _recorded_walks(patch)
-        assert counts == DeviceBackend.count_ones(default, prep, bases, targets, 50)
+        assert np.array_equal(counts, DeviceBackend.count_ones(default, prep, bases, 50))
     assert _same_walks(fast_walks, walks)
 
 

@@ -7,6 +7,7 @@ graphs) to <outdir>/inputs, then saves the stdout of each
 `--format json --seed 7` CLI run and of each demo under <outdir>, and
 `estimator.json`: `compute_energy_pauli` results for fixed seeds over random
 ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian,
+`counts.json`: the `count_ones` rows, every wire's ones, of the same cases,
 `energy.json`: `compute_energy` of whole Hamiltonians over the same ansatze
 and over preps that are not ansatze, up to 13 qubits, and
 `measure-order.json`: the bits of seeded programs on 3 to 6 qubits that
@@ -113,7 +114,8 @@ COMMANDS = {
 CASES = """\
 import json, random
 from qlin import (Circuit, ControlledNot, Hadamard, Hamiltonian, Phase, RandomSource,
-                  StateVectorBackend, ansatz, coin, compute_energy, compute_energy_pauli)
+                  StateVectorBackend, ansatz, coin, compute_energy, compute_energy_pauli,
+                  encoding_unitary)
 
 H2_TERMS = ["ZIII", "IZII", "IIZI", "IIIZ", "ZZII", "IIZZ", "ZIIZ", "XXYY", "YYXX"]
 
@@ -143,6 +145,19 @@ for n, depth, params, terms, seed, n_samples in estimator_cases():
     energies = [compute_energy_pauli(backend, prepare, t, n_samples) for t in terms]
     cases.append({"n": n, "depth": depth, "params": params, "seed": seed, "n_samples": n_samples,
                   "terms": terms, "energies": energies, "next_coin": coin(backend)})
+print(json.dumps(cases, indent=1))
+"""
+
+
+# The ones on every wire that one `count_ones` call gives for the estimator
+# cases' terms, then the next coin: the wires no term reads are pinned too.
+COUNTS = CASES + """
+cases = []
+for n, depth, params, terms, seed, n_samples in estimator_cases():
+    backend = StateVectorBackend(seed=seed)
+    bases = [encoding_unitary(t) for t in terms]
+    counts = backend.count_ones(ansatz(n, depth, params), bases, n_samples).tolist()
+    cases.append({"terms": terms, "counts": counts, "next_coin": coin(backend)})
 print(json.dumps(cases, indent=1))
 """
 
@@ -285,8 +300,8 @@ def write_outputs(out: Path) -> None:
         (inputs / "circuit.qasm").write_text(_cli(["export-qasm", "circuit.txt"]))
         for name, args in COMMANDS.items():
             (out / name).write_text(_cli(args))
-        for name, script in [("estimator.json", ESTIMATOR), ("energy.json", ENERGY),
-                             ("measure-order.json", MEASURE_ORDER)]:
+        for name, script in [("estimator.json", ESTIMATOR), ("counts.json", COUNTS),
+                             ("energy.json", ENERGY), ("measure-order.json", MEASURE_ORDER)]:
             (out / name).write_text(_stdout(exec, script, {"__name__": "__main__"}))
         for demo in sorted((ROOT / "demos").glob("*.py")):
             printed = _stdout(runpy.run_path, str(demo), run_name="__main__")
