@@ -13,24 +13,26 @@ Handles are fresh after every operation, but the qubit behind them keeps one
 id from allocation to measurement, so sessions never rebind their qubits.
 
 A backend also offers two shot methods; the coin, QAOA's cuts, the energy
-estimator and CLI `simulate` take every measure-all shot (allocate, apply a
-circuit, measure every wire) from them:
+estimator and CLI `simulate` take every measure-all shot (allocate, apply,
+measure every wire) from them:
 
-- `sample(circuit, shots)` gives the bits of `shots` such runs as an int8
-  array with one row per shot. The default executes the measure-all program
-  once per shot. CLI `simulate` reads it through `_shot_batches`, at most
-  `_SHOT_BATCH` shots at a time.
+- `sample(circuit, shots)` gives the bits of `shots` such runs of `circuit`
+  as an int8 array with one row per shot. The default executes the
+  measure-all program once per shot. CLI `simulate` reads it through
+  `_shot_batches`, at most `_SHOT_BATCH` shots at a time.
 - `count_ones(prep, bases, shots)` gives, as row j of an int64 array, the
-  ones on every wire over `shots` such runs of `compose(bases[j], prep)`;
-  the estimator measures every Pauli term of a Hamiltonian this way, reading
-  the term's wire. The default adds up the `_shot_batches` of each composed
-  circuit, so it honours an overriding `sample`.
+  ones on every wire over `shots` runs of one program: allocate, apply
+  `prep`, apply `bases[j]`, measure every wire. The estimator measures
+  every Pauli term of a Hamiltonian this way, reading the term's wire. The
+  default executes that program once per shot.
 
 A backend may override either with a faster path, but the override must give
 the same bits or counts and leave the backend's randomness where the default
-would. For `count_ones` that means the state before the measurements must
-equal the composed circuit's float for float, not only closely: a
-probability that is 0 or 1 up to rounding decides a bit by its last digit.
+would. That means the state before the measurements must be the one the
+default's `allocate` and `apply` calls leave, float for float, not only
+closely: a probability that is 0 or 1 up to rounding decides a bit by its
+last digit. An override that makes the same calls on a session of its own,
+prep and then basis, agrees by construction.
 
 Handle ids are hidden; tests may use the privileged `_handle_id` hook but
 production code has no business reading them.
@@ -45,7 +47,7 @@ from typing import Any, Generic, TypeVar
 
 import numpy as np
 
-from .circuit import Circuit, compose
+from .circuit import Circuit
 from .errors import ArityMismatch, DanglingQubits, DeviceError, DuplicateHandle, UseAfterConsume
 from .stdcircuits import cnot_gate, h_gate, p_gate
 
@@ -118,24 +120,29 @@ class DeviceBackend(ABC):
         return np.array(bits, dtype=np.int8).reshape(len(bits), circuit.arity)
 
     def count_ones(self, prep: Circuit, bases: Sequence[Circuit], shots: int) -> np.ndarray:
-        """Ones per wire over `shots` measure-all runs of compose(bases[j], prep), row j per basis.
+        """Ones per wire over `shots` runs of: allocate, apply prep, apply bases[j], measure all.
 
-        Returns an int64 array of shape (len(bases), prep.arity). Overrides
-        must return exactly what this loop returns for the same backend
-        state, and consume the backend's randomness the same way.
+        Returns an int64 array of shape (len(bases), prep.arity), row j per
+        basis. Overrides must return exactly what this loop returns for the
+        same backend state, and consume the backend's randomness the same way.
         """
+        _check_bases(prep, bases)
         rows = []
         for basis in bases:
-            ones = 0
-            for bits in _shot_batches(self, compose(basis, prep), shots):
-                ones += bits.sum(axis=0)
-                del bits  # so the next batch is drawn without this one
-            rows.append(ones)
+            program = _measure_all(prep, basis)
+            rows.append(sum(np.array(execute(self, program), dtype=np.int64) for _ in range(shots)))
         # made after the draws, so a prep too wide for the backend is refused first
         counts = np.zeros((len(bases), prep.arity), dtype=np.int64)
         for row, ones in zip(counts, rows):
             row += ones
         return counts
+
+
+def _check_bases(prep: Circuit, bases: Sequence[Circuit]) -> None:
+    """Refuse a basis that does not act on the prep's wires, before any shot."""
+    for basis in bases:
+        if basis.arity != prep.arity:
+            raise ArityMismatch(f"basis arity {basis.arity} does not match prep arity {prep.arity}")
 
 
 # Most shots `_shot_batches` asks a backend for at once, so memory stays
@@ -307,10 +314,11 @@ def measure_qubit(q: QubitHandle) -> QuantumProgram[int]:
 
 
 @qprogram
-def _measure_all(circuit: Circuit):
-    """One shot: allocate circuit.arity qubits, apply the circuit, measure every wire."""
-    qs = yield new_qubits(circuit.arity)
-    qs = yield apply_circuit(qs, circuit)
+def _measure_all(*circuits: Circuit):
+    """One shot: allocate the circuits' arity in qubits, apply each circuit in turn, measure every wire."""
+    qs = yield new_qubits(circuits[0].arity)
+    for circuit in circuits:
+        qs = yield apply_circuit(qs, circuit)
     bits = yield measure(qs)
     return bits
 

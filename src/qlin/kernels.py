@@ -10,9 +10,11 @@ reshaped view of that array, so the caller's array is updated in place.
 `plan(gates)` turns a gate sequence into a tuple of passes, in the gates' own
 wire numbers, and `apply_plan(t, steps, wires)` runs it with a gate's wire k on
 wire wires[k] of the state; `Circuit` keeps its plan, so a circuit applied many
-times is planned once. `shared_prefix(gates, arity)` says how many leading
-gates every continuation of `gates` plans alike, so a state prepared by them
-once can be continued in many ways with the floats of planning each whole.
+times is planned once. Two circuits applied in turn run their own plans,
+whose floats may differ in the last digit from their composition's plan, so
+paths that must agree bit for bit apply the same circuits in the same order:
+the simulator's `count_ones` applies a prep and then a basis, in one session,
+as the device's default shots do.
 Two kinds of run fold:
 
 - A maximal run of H and P gates on one wire becomes one 2x2 matrix, multiplied
@@ -375,25 +377,14 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
     Each pass is (kernel, wires, params); see the module docstring for how
     runs fold.
     """
-    steps, _ = _scan(gates)
-    return tuple(_layered(steps))
-
-
-def _scan(gates: Sequence) -> tuple[list[tuple], list[tuple[int, int, bool]]]:
-    """The passes of `gates` before layering, and where each run of them starts.
-
-    A run start is (index of its first gate, passes before it, whether the
-    runs before it built counts).
-    """
     steps: list[tuple] = []
-    starts: list[tuple[int, int, bool]] = []
     built: dict = {}
     width = max((w for gate in gates for w in gate.wires), default=-1) + 1
     budget = max(2**width, _COUNTS_FLOOR)
     run: list = []
     wire = None  # the one wire every gate of `run` acts on, if there is one
     has_h = False
-    for index, gate in enumerate(gates):
+    for gate in gates:
         wires, is_h = gate.wires, gate.name == "H"
         on_wire = wire is not None and wires == (wire,)
         # a gate joins the run on the run's one wire, or when neither has an H
@@ -401,7 +392,6 @@ def _scan(gates: Sequence) -> tuple[list[tuple], list[tuple[int, int, bool]]]:
             steps += _fold(run, wire, built, budget)
             run = []
         if not run:
-            starts.append((index, len(steps), bool(built)))
             wire = wires[0] if len(wires) == 1 else None
             has_h = False
         elif not on_wire:
@@ -410,34 +400,7 @@ def _scan(gates: Sequence) -> tuple[list[tuple], list[tuple[int, int, bool]]]:
         run.append(gate)
     if run:
         steps += _fold(run, wire, built, budget)
-    return steps, starts
-
-
-def shared_prefix(gates: Sequence, arity: int) -> int:
-    """How many leading gates every continuation of `gates` plans alike.
-
-    For any gates `tail` on `arity` wires, plan(gates[:k]) and then
-    plan(gates[k:] + tail), run on a state of `arity` wires, give exactly the
-    floats of plan(gates + tail). Every run start of `gates` is a run start
-    of each continuation, so k is the latest one where also
-    - the counts budget is the same on both sides: it grows with a plan's
-      width past _COUNTS_FLOOR entries, so k is 0 on wider states, and the
-      counts built before k would count against it on one side only;
-    - no layer straddles k: above _SMALL_STATE entries a layer runs as dense
-      blocks, so the passes before k must end in one that closes any layer
-      (at or below it, a layer runs its passes in plan order anyway).
-    k = 0, which plans every gate with the tail, always qualifies.
-    """
-    entries = 2 ** min(arity, _COUNTS_FLOOR.bit_length())  # 2**arity, or past the floor
-    if entries > _COUNTS_FLOOR:
-        return 0
-    steps, starts = _scan(gates)
-    for index, passes, counted in reversed(starts):
-        if counted:
-            continue
-        if entries <= _SMALL_STATE or not passes or steps[passes - 1][0] not in _ONE_WIRE:
-            return index
-    return 0
+    return tuple(_layered(steps))
 
 
 def _fold(run: Sequence, wire: int | None, built: dict, budget: int) -> list[tuple]:

@@ -19,9 +19,9 @@ numpy.random, whose import alone costs several MB of resident memory.
 changed through them. `StateVectorBackend.sample` prepares a measure-all
 circuit once, through the same `allocate` and `apply`, and walks its
 collapse one wire at a time for all shots at once, drawing in shot order.
-`count_ones` prepares the gates every basis plans alike once, the same way,
-walks a copy continued by each basis's own gates, and counts the ones on
-every wire.
+`count_ones` prepares its prep once, the same way, applies each basis to a
+copy through the same `apply`, walks it, and counts the ones on every wire:
+prep, then basis, in one session, as the default's shots run them.
 That walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
@@ -33,10 +33,10 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, compose
-from .device import DeviceBackend, DeviceSession, _batch_sizes, _exclusive
+from .circuit import Circuit
+from .device import DeviceBackend, DeviceSession, _batch_sizes, _check_bases, _exclusive
 from .errors import CapacityExceeded
-from .kernels import apply_plan, shared_prefix
+from .kernels import apply_plan
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -252,35 +252,31 @@ class StateVectorBackend(DeviceBackend):
         return self._walk(n, shots, lambda: self._prepared(circuit))
 
     def count_ones(self, prep: Circuit, bases: Sequence[Circuit], shots: int) -> np.ndarray:
-        """As `DeviceBackend.count_ones`, preparing the gates all bases share once.
+        """As `DeviceBackend.count_ones`, preparing `prep` once.
 
-        The gates before `shared_prefix(prep.gates, arity)` are applied once,
-        through one session's `allocate` and `apply`; each batch applies the
-        rest of `prep` and its basis, planned as one circuit, to a copy of
-        that state and walks it as `sample` does. By `shared_prefix`, the
-        walked state equals the composed circuit's, float for float. Each
-        batch goes through `_walk`, as the default's `sample` call would, so
-        the bits and the position of the random stream afterwards equal the
-        default's. When no gate is shared, there is nothing to walk, or a
-        subclass overrides `sample`, the default runs instead.
+        `prep` goes through one session's `allocate` and `apply`; each batch
+        applies its basis to a copy of that state, through the same `apply`,
+        and walks it as `sample` does. So the walked state is the default's,
+        float for float, and the bits and the position of the random stream
+        afterwards equal the default's. A prep too wide for the backend is
+        refused whatever `shots` is, unless there is no basis to measure.
         """
+        _check_bases(prep, bases)
         n = prep.arity
-        split = shared_prefix(prep.gates, n)
-        own_sample = type(self).sample is StateVectorBackend.sample
-        if not (split and bases and shots > 0 and own_sample):
-            return DeviceBackend.count_ones(self, prep, bases, shots)
-        head = self._prepared(Circuit(n, prep.gates[:split]))
-        prepared, tail = head.amplitudes, Circuit(n, prep.gates[split:])
+        if bases and n > self.max_qubits:
+            raise CapacityExceeded(n, self.max_qubits)
+        counts = np.zeros((len(bases), n), dtype=np.int64)
+        if not (bases and shots > 0):
+            return counts
+        state = self._prepared(prep)
+        prepared = state.amplitudes
 
         def continued() -> QuantumState:
-            head.amplitudes = prepared.copy()
-            head.apply(range(n), rest)
-            return head
+            state.amplitudes = prepared.copy()
+            state.apply(range(n), basis)
+            return state
 
-        # made once head exists, so a prep too wide for the backend is refused first
-        counts = np.zeros((len(bases), n), dtype=np.int64)
         for row, basis in zip(counts, bases):
-            rest = compose(basis, tail)
             for size in _batch_sizes(shots):
                 # numpy sums a narrow int8 array's rows several times faster than its columns
                 row += np.ascontiguousarray(self._walk(n, size, continued).T).sum(axis=1)

@@ -16,7 +16,6 @@ from qlin import (
     ansatz,
     best_cut,
     coin,
-    compose,
     compute_energy,
     compute_energy_pauli,
     cut_value,
@@ -37,7 +36,7 @@ from qlin import (
     vqe,
     vqe_trajectory,
 )
-from qlin import circuit, device
+from qlin import circuit
 from qlin.algorithms import random_ansatz_params
 from qlin.circuit import Circuit
 from qlin.device import DeviceBackend, DeviceSession
@@ -50,7 +49,6 @@ from qlin.errors import (
     TooManyRounds,
     TooManyShots,
 )
-from qlin.kernels import shared_prefix
 from qlin.stdcircuits import h_gate
 
 from .oracles import assert_close, basis_state, pauli_matrix
@@ -150,28 +148,31 @@ class RecordingMinimalBackend(MinimalBackend):
 
 
 class OnesBackend(StateVectorBackend):
-    """A simulator whose sample is overridden: every shot reads all ones."""
+    """A simulator whose count_ones is overridden: every shot reads all ones."""
 
-    def sample(self, circuit, shots):
-        return [[1] * circuit.arity for _ in range(shots)]
+    def count_ones(self, prep, bases, shots):
+        return np.full((len(bases), prep.arity), shots, dtype=np.int64)
 
 
-def test_estimator_takes_its_shots_from_an_overriding_sample(monkeypatch):
-    monkeypatch.setattr(device, "_SHOT_BATCH", 16)
+def test_estimator_takes_its_counts_from_an_overriding_count_ones():
+    # the default's shots are its own programs, not an overriding sample's
     prepare = ansatz(2, 1, [0.3, 1.1, 2.0, 0.4])
     recording = RecordingMinimalBackend(3)
     assert compute_energy_pauli(recording, prepare, "XY", 50) == compute_energy_pauli(
         StateVectorBackend(seed=3), prepare, "XY", 50
     )
-    assert recording.batches == [16, 16, 16, 2]
+    assert recording.batches == []
     assert compute_energy_pauli(OnesBackend(seed=3), prepare, "XY", 50) == -1.0
+    hamiltonian = Hamiltonian(((0.5, "ZI"), (0.25, "IX"), (2.0, "II")))
+    assert compute_energy(OnesBackend(seed=3), prepare, hamiltonian, 50) == 1.25
 
 
-def test_estimator_shot_is_one_program_with_one_apply():
+def test_estimator_shot_is_one_program_applying_prep_then_basis():
     backend = MinimalBackend(0)
     prepare = ansatz(3, 1, [0.1 * i for i in range(6)])
     compute_energy_pauli(backend, prepare, "IXZ", 2)
-    shot = [("new", 3), ("apply", 3, compose(encoding_unitary("IXZ"), prepare).gates), ("measure", 3)]
+    shot = [("new", 3), ("apply", 3, prepare.gates), ("apply", 3, encoding_unitary("IXZ").gates),
+            ("measure", 3)]
     assert backend.log == shot + shot
 
 
@@ -506,27 +507,27 @@ def test_compute_energy_identity_shortcut():
 def test_compute_energy_counts_every_term_in_one_call(monkeypatch):
     # one count_ones call per energy, in term order, a repeated term included;
     # a Hamiltonian with nothing to measure prepares no state
-    calls = []
+    calls, sessions = [], []
     count_ones = StateVectorBackend.count_ones
 
     def recorded(self, prep, bases, shots):
         calls.append((len(bases), shots))
         return count_ones(self, prep, bases, shots)
 
+    new_session = StateVectorBackend.new_session
     monkeypatch.setattr(StateVectorBackend, "count_ones", recorded)
+    monkeypatch.setattr(StateVectorBackend, "new_session", lambda self: sessions.append(self) or new_session(self))
     prepare = ansatz(3, 1, [0.1 * i for i in range(6)])
     hamiltonian = Hamiltonian(((0.5, "III"), (0.2, "IZX"), (0.3, "XYI"), (0.1, "IZX")))
     energy = compute_energy(StateVectorBackend(seed=4), prepare, hamiltonian, 30)
     assert calls == [(3, 30)]
-    monkeypatch.undo()
-    assert energy == compute_energy(StateVectorBackend(seed=4), prepare, hamiltonian, 30)
-    assert shared_prefix(prepare.gates, 3) > 0  # so the simulator's own path is the one asked
-    sessions = []
-    new_session = StateVectorBackend.new_session
-    monkeypatch.setattr(StateVectorBackend, "new_session", lambda self: sessions.append(self) or new_session(self))
+    assert len(sessions) == 1  # the prep is prepared once, for every term
+    sessions.clear()
     identity_only = Hamiltonian(((2.0, "III"),))
     assert compute_energy(StateVectorBackend(seed=4), prepare, identity_only, 100) == 2.0
     assert sessions == []
+    monkeypatch.undo()
+    assert energy == compute_energy(StateVectorBackend(seed=4), prepare, hamiltonian, 30)
 
 
 def test_compute_energy_checks_its_inputs_whatever_the_terms():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from qlin import (
+    Hamiltonian,
     QubitHandle,
     StateVectorBackend,
     apply_circuit,
@@ -19,6 +20,7 @@ from qlin import (
     apply_h,
     apply_p,
     coin,
+    compute_energy,
     execute,
     execute_with_trace,
     identity,
@@ -30,7 +32,7 @@ from qlin import (
     to_bell_basis,
 )
 from qlin.circuit import Circuit, ControlledNot, Hadamard
-from qlin.device import DeviceSession, _handle_id
+from qlin.device import DeviceBackend, DeviceSession, _handle_id
 from qlin.errors import (
     ArityMismatch,
     CapacityExceeded,
@@ -39,7 +41,6 @@ from qlin.errors import (
     DuplicateHandle,
     UseAfterConsume,
 )
-from qlin.kernels import shared_prefix
 from qlin.stdcircuits import h_gate
 
 from .oracles import DenseSession, random_circuit
@@ -264,12 +265,10 @@ def test_execute_not_reentrant():
 
 
 def test_sample_inside_execute_is_nested():
-    # both shot methods refuse to run inside an execution: sample, and
-    # count_ones on the simulator's own path, since its prep shares a gate
-    # with every basis; neither draws, and the backend is usable afterwards
+    # both shot methods refuse to run inside an execution: sample and
+    # count_ones; neither draws, and the backend is usable afterwards
     b, reference = backend(), backend()
     prep = Circuit(2, [Hadamard(0), ControlledNot(0, 1)])
-    assert shared_prefix(prep.gates, prep.arity) > 0
     for shots in (lambda: b.sample(h_gate(), 3), lambda: b.count_ones(prep, [identity(2)], 3)):
 
         @qprogram
@@ -351,21 +350,54 @@ def test_sample_capacity_error_draws_nothing():
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
 
 
+_WIDE_PREPS = {
+    "3": (3, [Hadamard(1)]),
+    "1000000000000": (10**12, [Hadamard(1)]),
+    "3-shared": (3, [Hadamard(0), ControlledNot(0, 1)]),
+}
+
+
 @pytest.mark.parametrize(
-    "arity, gates",
-    [(3, [Hadamard(1)]), (10**12, [Hadamard(1)]), (3, [Hadamard(0), ControlledNot(0, 1)])],
-    ids=["3", "1000000000000", "3-shared"],
+    "arity, gates, shots",
+    [pytest.param(*_WIDE_PREPS[name], shots, id=name if shots == 5 else f"{name}-shots{shots}")
+     for shots in (5, 0, -1) for name in _WIDE_PREPS],
 )
-def test_count_ones_capacity_error_draws_nothing(arity, gates):
-    # refused as sample refuses it, at once however wide, before any draw: by
-    # the default when no gate is shared, and by the simulator's own path
-    # when one is
+def test_count_ones_capacity_error_draws_nothing(arity, gates, shots):
+    # refused as sample refuses it, at once however wide and whatever the
+    # shots, before any draw or any array is made
     b = StateVectorBackend(seed=5, max_qubits=2)
     prep = Circuit(arity, gates)
-    assert (shared_prefix(gates, arity) > 0) == (len(gates) > 1)
     with pytest.raises(CapacityExceeded):
-        b.count_ones(prep, [identity(arity)], 5)
+        b.count_ones(prep, [identity(arity)], shots)
     assert execute(b, pure(7)) == 7
+    bell = to_bell_basis()
+    assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
+
+
+@pytest.mark.parametrize("shots", [5, 0, -1])
+def test_count_ones_with_no_bases_refuses_no_width(shots):
+    # nothing is measured, so a prep wider than the cap still gives its
+    # (0, arity) counts, on both paths, and nothing is drawn; an all-identity
+    # Hamiltonian on such a register is still its coefficients' sum
+    b = StateVectorBackend(seed=5, max_qubits=2)
+    wide = Circuit(10**12, [Hadamard(1)])
+    for counts in (b.count_ones(wide, [], shots), DeviceBackend.count_ones(b, wide, [], shots)):
+        assert counts.dtype == np.int64 and counts.shape == (0, 10**12)
+    assert compute_energy(b, identity(3), Hamiltonian(((2.0, "III"), (-0.5, "III"))), 5) == 1.5
+    bell = to_bell_basis()
+    assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
+
+
+def test_count_ones_refuses_a_basis_of_another_arity():
+    # a basis on fewer or more wires than the prep is an ArityMismatch on
+    # both paths, whatever the shots, before anything is drawn
+    b = StateVectorBackend(seed=5)
+    prep = Circuit(2, [Hadamard(0), ControlledNot(0, 1)])
+    for basis in (identity(1), identity(3)):
+        for shots in (5, 0):
+            for count_ones in (b.count_ones, lambda *args: DeviceBackend.count_ones(b, *args)):
+                with pytest.raises(ArityMismatch):
+                    count_ones(prep, [identity(2), basis], shots)
     bell = to_bell_basis()
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
 

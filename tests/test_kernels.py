@@ -1,5 +1,4 @@
 """Fused kernel plans: the same action as the gates one at a time and as the dense oracle."""
-import itertools
 import math
 import tracemalloc
 
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from qlin import Graph, apply, identity, matrix_of, qaoa_unitary
 from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
-from qlin.kernels import _SMALL_STATE, apply_plan, plan, shared_prefix
+from qlin.kernels import _SMALL_STATE, apply_plan, plan
 
 from .oracles import assert_close, dense_unitary
 
@@ -269,24 +268,3 @@ def test_plan_keeps_counts_bounded_for_distinct_angle_terms():
     for gate in gates:
         apply_plan(unfused, plan([gate]), range(n))
     assert_close(fused, unfused, tol=1e-12)
-
-
-def test_shared_prefix_stays_before_the_first_run_that_builds_counts():
-    # an H on each of 12 wires, then 17 runs of a CNOT chain and phases, split
-    # by H H, each with counts of a shape of its own on all 12 wires (4 KiB):
-    # the last takes the plan past its 64 KiB budget, so it runs gate by gate
-    # after the others, but would fold in a plan of its own
-    n = 12
-    gates = [Hadamard(w) for w in range(n)]
-    for j, pair in zip(range(17), itertools.combinations(range(1, n - 1), 2)):
-        gates += [Hadamard(0), Hadamard(0)] if j else []
-        gates += [ControlledNot(w, w + 1) for w in range(n - 1)]
-        gates += [Phase(0.1 + 0.01 * j, w) for w in (n - 1, *pair)]
-    assert shared_prefix(gates, n) == n
-    tail = [Phase(0.3, n - 1), Hadamard(2)]
-    state = np.random.default_rng(4).normal(size=2**n).astype(complex)
-    whole, split = state.copy(), state.copy()
-    apply_plan(whole, plan(gates + tail), range(n))
-    apply_plan(split, plan(gates[:n]), range(n))
-    apply_plan(split, plan(gates[n:] + tail), range(n))
-    assert np.array_equal(whole, split)

@@ -464,34 +464,48 @@ def _recorded_walks(patch):
     return walks
 
 
-def _same_walks(walks, reference):
-    """Each walk starts from the reference's state and gives its bits, array for array."""
-    return len(walks) == len(reference) and all(
-        np.array_equal(state, other_state) and np.array_equal(bits, other_bits)
-        for (state, bits), (other_state, other_bits) in zip(walks, reference)
-    )
+def _default_shots(backend, prep, bases, shots):
+    """The default's counts and, in shot order, the bits of each of its shots' measure-all."""
+    measured = []
+    measure = QuantumState.measure
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QuantumState, "measure", lambda self, ids: measured.append(measure(self, ids)) or measured[-1])
+        counts = DeviceBackend.count_ones(backend, prep, bases, shots)
+    return counts, np.array(measured, dtype=np.int8).reshape(len(measured), prep.arity)
+
+
+def _walks_are_the_default_shots(walks, prep, bases, measured):
+    """Each basis's walks start from a fresh session's allocate, apply(prep) and
+    apply(basis), array for array, and their bits, in order, are the default's."""
+    n = prep.arity
+    per_basis = len(walks) // len(bases) if bases else 0
+    for k, (start, _) in enumerate(walks):
+        state = fresh_state(range(n))
+        state.apply(range(n), prep)
+        state.apply(range(n), bases[k // per_basis])
+        assert np.array_equal(start, state.amplitudes)
+    walked = [bits for _, bits in walks]
+    assert np.array_equal(np.concatenate(walked) if walked else np.zeros((0, n), np.int8), measured)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(preps_and_bases(), st.integers(0, 40), st.sampled_from([1, 7, 2**16]), st.integers())
 def test_count_ones_matches_the_default(case, shots, batch, seed):
-    # equal counts could hide two flipped shots that cancel, so every walk's
-    # start state and bits are compared too; the start state shows rounding
-    # before it flips a bit
+    # equal counts could hide two flipped shots that cancel, so every shot's
+    # bits and every walk's start state are compared too; the start state
+    # shows rounding before it flips a bit
     prep, bases = case
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(device, "_SHOT_BATCH", batch)
         walks = _recorded_walks(patch)
         counts = fast.count_ones(prep, bases, shots)
-        fast_walks = walks[:]
-        walks.clear()
-        reference = DeviceBackend.count_ones(default, prep, bases, shots)
+    reference, measured = _default_shots(default, prep, bases, shots)
     for ones in (counts, reference):
         assert ones.dtype == np.int64 and ones.shape == (len(bases), prep.arity)
     assert np.array_equal(counts, reference)
-    assert _same_walks(fast_walks, walks)
-    assert len(fast_walks) == len(bases) * -(-shots // batch)
+    assert len(walks) == len(bases) * -(-shots // batch)
+    _walks_are_the_default_shots(walks, prep, bases, measured)
     # both drew the same number of uniforms, so their streams go on alike
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
 
@@ -515,28 +529,24 @@ def wide_preps(draw):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(wide_preps())
 def test_count_ones_prepares_the_composed_state_exactly(case):
-    # the state each basis's walk starts from is the composed circuit's, bit
-    # for bit; a layer of the composed plan that straddled the gates prepared
-    # once and those applied per basis would run as different dense blocks
+    # the state each basis's walk starts from is the one a fresh session
+    # reaches by applying the prep and then the basis, bit for bit, also
+    # where both run as dense blocks, and the shots are the default's
     prep, bases = case
+    fast, default = StateVectorBackend(seed=0), StateVectorBackend(seed=0)
     with pytest.MonkeyPatch.context() as patch:
         walks = _recorded_walks(patch)
-        counts = StateVectorBackend(seed=0).count_ones(prep, bases, 1)
-        fast_walks = walks[:]
-        walks.clear()
-        reference = DeviceBackend.count_ones(StateVectorBackend(seed=0), prep, bases, 1)
+        counts = fast.count_ones(prep, bases, 1)
+    reference, measured = _default_shots(default, prep, bases, 1)
     assert np.array_equal(counts, reference)
-    assert _same_walks(fast_walks, walks)
-    assert len(fast_walks) == len(bases)
-    for (amplitudes, _), basis in zip(fast_walks, bases):
-        state = fresh_state(range(prep.arity))
-        state.apply(range(prep.arity), compose(basis, prep))
-        assert np.array_equal(amplitudes, state.amplitudes)
+    assert len(walks) == len(bases)
+    _walks_are_the_default_shots(walks, prep, bases, measured)
+    assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
 
 
 def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
-    # one session per call: the shared gates go through its allocate and
-    # apply once, and each batch of each basis through its apply
+    # one session per call: the prep goes through its allocate and apply
+    # once, and each batch of each basis through its apply
     monkeypatch.setattr(device, "_SHOT_BATCH", 30)
     calls = []
 
@@ -554,39 +564,37 @@ def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
     prep = ansatz(4, 2, [0.1 * i for i in range(16)])
     bases = [encoding_unitary(term) for term in ("ZZII", "XXYY", "YYXX")]
     walks = _recorded_walks(monkeypatch)
-    counts = StateVectorBackend(seed=9).count_ones(prep, bases, 50)
-    fast_walks = walks[:]
+    fast, default = StateVectorBackend(seed=9), StateVectorBackend(seed=9)
+    counts = fast.count_ones(prep, bases, 50)
     wires = [0, 1, 2, 3]
     assert calls == [("new_session",), ("allocate", wires)] + [("apply", wires)] * 7
     monkeypatch.undo()
-    default = StateVectorBackend(seed=9)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(device, "_SHOT_BATCH", 30)
-        walks = _recorded_walks(patch)
-        assert np.array_equal(counts, DeviceBackend.count_ones(default, prep, bases, 50))
-    assert _same_walks(fast_walks, walks)
+    reference, measured = _default_shots(default, prep, bases, 50)
+    assert np.array_equal(counts, reference)
+    _walks_are_the_default_shots(walks, prep, bases, measured)
+    assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
 
 
 def test_estimator_holds_at_most_one_state_more_than_sample():
-    # the state prepared once stays beside each basis's walk, and nothing
-    # else does but the split circuits and their plans (about 11 KiB here)
-    n, shots = 16, 4000
-    prep = ansatz(n, 2, [0.4 + 0.1 * i for i in range(4 * n)])
-    assert simulator.shared_prefix(prep.gates, n) > 0
-    terms = ["XY" + "Z" * (n - 2), "Z" * n, "Y" + "X" * (n - 1)]
+    # the prep's state stays beside each basis's walk, and nothing else does
+    # but the basis circuits and their plans, below and above 2**16 entries
+    shots = 4000
+    for n in (16, 17):
+        prep = ansatz(n, 2, [0.4 + 0.1 * i for i in range(4 * n)])
+        terms = ["XY" + "Z" * (n - 2), "Z" * n, "Y" + "X" * (n - 1)]
 
-    def peak(run):
-        backend = StateVectorBackend(seed=3)
-        tracemalloc.start()
-        try:
-            run(backend)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        def peak(run):
+            backend = StateVectorBackend(seed=3)
+            tracemalloc.start()
+            try:
+                run(backend)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    sample_peak = max(peak(lambda b: b.sample(compose(encoding_unitary(t), prep), shots)) for t in terms)
-    hamiltonian = Hamiltonian(tuple((1.0, t) for t in terms))
-    assert peak(lambda b: compute_energy(b, prep, hamiltonian, shots)) <= sample_peak + 2**n * 16 + 2**15
+        sample_peak = max(peak(lambda b: b.sample(compose(encoding_unitary(t), prep), shots)) for t in terms)
+        hamiltonian = Hamiltonian(tuple((1.0, t) for t in terms))
+        assert peak(lambda b: compute_energy(b, prep, hamiltonian, shots)) <= sample_peak + 2**n * 16 + 2**15
 
 
 def test_derive_seed_is_stable_and_spreads():

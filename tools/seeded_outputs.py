@@ -9,7 +9,7 @@ graphs) to <outdir>/inputs, then saves the stdout of each
 ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian,
 `counts.json`: the `count_ones` rows, every wire's ones, of the same cases,
 `energy.json`: `compute_energy` of whole Hamiltonians over the same ansatze
-and over preps that are not ansatze, up to 13 qubits, and
+and over other preps, up to 17 qubits, and
 `measure-order.json`: the bits of seeded programs on 3 to 6 qubits that
 measure one wire at a time in a shuffled order and allocate again after a
 measurement, as RUS does. `build.json` names the numpy version and BLAS
@@ -164,10 +164,10 @@ print(json.dumps(cases, indent=1))
 
 # `compute_energy` of a whole Hamiltonian, an identity term and the measured
 # terms, then the next coin: over the estimator cases, and over preps that are
-# not ansatze, where the gates prepared once for every term and those run per
-# term split elsewhere: a last run of gates on one wire, a phase polynomial
-# with single-wire terms, no gates at all, and 13 qubits, where a layer of
-# one-wire passes runs as dense blocks.
+# not ansatze, whose last gates would fold with a basis's first in one plan: a
+# last run of gates on one wire, a phase polynomial with single-wire terms, no
+# gates at all, and 13 qubits, where a layer of one-wire passes runs as dense
+# blocks; and last, an ansatz on 17 qubits, past 2**16 amplitudes.
 ENERGY = CASES + """
 def hamiltonian(rng, n, terms):
     return Hamiltonian(((rng.uniform(-1, 1), "I" * n),) + tuple((rng.uniform(-1, 1), t) for t in terms))
@@ -196,6 +196,9 @@ for build, n in [(one_wire_run_last, 3), (one_wire_run_last, 5), (phase_polynomi
     terms = ["".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(5)]
     terms = [t for t in terms if set(t) != {"I"}] + ["Y" * n, "X" * (n - 1) + "Y"]
     preps.append((n, terms, rng.getrandbits(62), rng.choice([7, 100, 500]), build(rng, n)))
+wide = random.Random(20261020)  # its own stream, so the cases above keep theirs
+terms = ["".join(wide.choice("IXYZ") for _ in range(17)) for _ in range(3)] + ["Z" * 17]
+preps.append((17, terms, wide.getrandbits(62), 100, ansatz(17, 1, [wide.uniform(0, 6.3) for _ in range(34)])))
 for n, terms, seed, n_samples, prepare in preps:
     backend = StateVectorBackend(seed=seed)
     h = hamiltonian(rng, n, terms)
