@@ -82,10 +82,16 @@ class Hamiltonian:
             raise ValueError("a Hamiltonian needs at least one term")
         n = len(self.terms[0][1])
         cleaned = []
+        # compute_energy adds coeff * <term>, with |<term>| <= 1, in this
+        # order from 0.0, so while this sum is finite its energy is too
+        weight = 0.0
         for coeff, term in self.terms:
             coeff = float(coeff)
             if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient {coeff}")
+            weight += abs(coeff)
+            if not math.isfinite(weight):
+                raise ValueError("the coefficients' absolute values sum past the largest float")
             if len(term) != n:
                 raise ValueError("all Pauli strings must have the same length")
             if not set(term) <= _PAULI_OPS:
@@ -296,12 +302,17 @@ def qaoa(
 
 # Hamiltonian averaging / VQE
 
+@functools.lru_cache(maxsize=64)
 def encoding_unitary(term: str) -> Circuit:
     """Measurement-basis change for one Pauli string.
 
     Per wire: X -> H, Y -> P(-pi/2) then H, Z and I -> nothing; then CNOTs
     from every other non-identity wire onto the first one, so that wire's
     Z-measurement satisfies p0 - p1 = <term>.
+
+    The result is cached and shared: the 64 most recently used terms keep
+    their `Circuit`, and so its plan, so an estimator that measures a
+    Hamiltonian many times builds and plans each term's circuit once.
     """
     if not set(term) <= _PAULI_OPS:
         raise ValueError(f"invalid Pauli string {term!r}")

@@ -19,14 +19,17 @@ numpy.random, whose import alone costs several MB of resident memory.
 changed through them. `StateVectorBackend.sample` prepares a measure-all
 circuit once, through the same `allocate` and `apply`, and walks its
 collapse one wire at a time for all shots at once, drawing in shot order.
-`count_ones` prepares its prep once, the same way, applies each basis to a
-copy through the same `apply`, walks it, and counts the ones on every wire:
-prep, then basis, in one session, as the default's shots run them.
+`count_ones` prepares its prep once, the same way, and applies each basis
+through the same `apply`, in place, to its own start row, a copy of the
+prepared state: prep, then basis, in one session, as the default's shots
+run them. One walk then measures the (basis, shot) rows of many bases, each
+shot from its basis's row, and counts each basis's ones on every wire.
 That walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Callable, Sequence
@@ -36,7 +39,7 @@ import numpy as np
 from .circuit import Circuit
 from .device import DeviceBackend, DeviceSession, _batch_sizes, _check_bases, _exclusive
 from .errors import CapacityExceeded
-from .kernels import apply_plan
+from .kernels import _SMALL_STATE, apply_plan
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -126,22 +129,23 @@ def _collapse(states: np.ndarray, wire: int, rows: np.ndarray, bits, norms) -> n
     return kept
 
 
-def _sample_prepared(state: QuantumState, uniforms: np.ndarray) -> np.ndarray:
-    """Measure every wire of `state`, once per row of `uniforms`, in wire order.
+def _sample_prepared(start: Callable[[], tuple[np.ndarray, np.ndarray]], uniforms: np.ndarray) -> np.ndarray:
+    """Measure every wire of a start row, once per row of `uniforms`, in wire order.
 
-    `uniforms[s, d]` is the draw shot s makes at wire d, and row s of the
-    result holds its bits. Shots that agree on their first d bits share the
-    state left after them, so the walk goes one wire at a time and keeps the
-    states the shots have reached as the rows of one array, taking p1 and
-    the renormalised rows from `_p_ones` and `_collapse`. A row is built only
-    if some shot reaches it, and the walk takes the amplitudes of `state`
-    over: each level's rows are freed once the next level's are built, and
-    both hold at most one state's worth each.
+    `start()` returns the start rows, each one state's amplitude vector, and
+    each shot's start row. `uniforms[s, d]` is the draw shot s makes at wire
+    d, and row s of the result holds its bits. Shots that start from one row
+    and agree on their first d bits share the state left after them, so the
+    walk goes one wire at a time and keeps the states the shots have reached
+    as the rows of one array, taking p1 and the renormalised rows from
+    `_p_ones` and `_collapse`. A row is built only if some shot reaches it.
+    The walk holds the only reference to the start rows, since it calls
+    `start` itself: each level's rows are freed once the next level's are
+    built, and both hold at most as many entries as the start rows each.
     """
     shots, wires = uniforms.shape
     bits = np.empty((shots, wires), dtype=np.int8)
-    states, state.amplitudes = state.amplitudes.reshape(1, -1), None
-    reached = np.zeros(shots, dtype=np.intp)  # each shot's row of `states`
+    states, reached = start()  # `reached`: each shot's row of `states`
     for depth in range(wires):
         p_one = _p_ones(states)
         ones = uniforms[:, depth] < p_one[reached]
@@ -249,17 +253,23 @@ class StateVectorBackend(DeviceBackend):
         if shots < 1:
             # the default runs no execution, so it neither fails nor draws
             return np.zeros((0, n), dtype=np.int8)
-        return self._walk(n, shots, lambda: self._prepared(circuit))
+        return self._walk(n, shots, lambda: (self._prepared(circuit).amplitudes.reshape(1, -1),
+                                             np.zeros(shots, dtype=np.intp)))
 
     def count_ones(self, prep: Circuit, bases: Sequence[Circuit], shots: int) -> np.ndarray:
-        """As `DeviceBackend.count_ones`, preparing `prep` once.
+        """As `DeviceBackend.count_ones`, preparing `prep` once and walking many bases at once.
 
-        `prep` goes through one session's `allocate` and `apply`; each batch
-        applies its basis to a copy of that state, through the same `apply`,
-        and walks it as `sample` does. So the walked state is the default's,
-        float for float, and the bits and the position of the random stream
-        afterwards equal the default's. A prep too wide for the backend is
-        refused whatever `shots` is, unless there is no basis to measure.
+        `prep` goes through one session's `allocate` and `apply`. The
+        (basis, shot) rows are walked in the default's order, basis-major and
+        then shot-major, at most `_SHOT_BATCH` of them per walk. A walk
+        starts from one row per basis it reaches: a copy of the prepared
+        state with that basis applied in place, through the same `apply`. So
+        every start row is the default's state, float for float, and the bits
+        and the position of the random stream afterwards equal the default's.
+        A walk's start rows hold at most max(2**n, _SMALL_STATE) entries, so
+        a prep of 12 or more wires is walked one basis at a time. A prep too
+        wide for the backend is refused whatever `shots` is, unless there is
+        no basis to measure.
         """
         _check_bases(prep, bases)
         n = prep.arity
@@ -271,15 +281,32 @@ class StateVectorBackend(DeviceBackend):
         state = self._prepared(prep)
         prepared = state.amplitudes
 
-        def continued() -> QuantumState:
-            state.amplitudes = prepared.copy()
-            state.apply(range(n), basis)
-            return state
+        def start(lo: int, hi: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """One start row for each of bases[lo:hi], and each shot's row, its basis's."""
+            rows = np.empty((hi - lo, prepared.size), dtype=complex)
+            for row, basis in zip(rows, bases[lo:hi]):
+                row[...] = prepared
+                state.amplitudes = row
+                state.apply(range(n), basis)
+            state.amplitudes = None  # the walk holds the only reference to `rows`
+            if len(rows) == 1:
+                return rows, np.zeros(edges[-1], dtype=np.intp)
+            return rows, np.repeat(np.arange(len(rows)), np.diff(edges))
 
-        for row, basis in zip(counts, bases):
-            for size in _batch_sizes(shots):
-                # numpy sums a narrow int8 array's rows several times faster than its columns
-                row += np.ascontiguousarray(self._walk(n, size, continued).T).sum(axis=1)
+        group = max(1, _SMALL_STATE >> n)  # the bases whose start rows one walk may hold
+        for first in range(0, len(bases), group):
+            done = first * shots  # the rows walked before this walk
+            for size in _batch_sizes(min(group, len(bases) - first) * shots):
+                lo, hi = done // shots, (done + size - 1) // shots + 1
+                # where each basis's rows start and end in the walk
+                edges = np.clip(np.arange(lo, hi + 1) * shots - done, 0, size)
+                bits = self._walk(n, size, functools.partial(start, lo, hi, edges))
+                # one sum per basis and wire; numpy sums a narrow int8 array's
+                # rows several times faster than its columns
+                ones = np.add.reduceat(np.ascontiguousarray(bits.T), edges[:-1], axis=1, dtype=np.int64)
+                del bits  # not held while the next walk draws
+                counts[lo:hi] += ones.T
+                done += size
         return counts
 
     def _prepared(self, circuit: Circuit) -> QuantumState:
@@ -293,17 +320,17 @@ class StateVectorBackend(DeviceBackend):
         state.apply(range(circuit.arity), circuit)
         return state
 
-    def _walk(self, n: int, shots: int, prepare: Callable[[], QuantumState]) -> np.ndarray:
-        """The bits of `shots` shots of the n-wire state `prepare()` returns.
+    def _walk(self, n: int, shots: int, start: Callable[[], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """The bits of `shots` shots of the n-wire start rows `start()` returns, as `_sample_prepared`.
 
         One shot's draws, n uniforms in wire order, are those of a session
         measuring every wire. The backend is held while the shots are drawn
         and walked; the capacity is checked before anything is drawn, and
-        the uniforms are drawn before the state exists, so the draw's
-        temporaries never sit beside it.
+        the uniforms are drawn before the start rows exist, so the draw's
+        temporaries never sit beside them.
         """
         with _exclusive(self):
             if n > self.max_qubits:
                 raise CapacityExceeded(n, self.max_qubits)
             uniforms = self._random.uniforms(shots * n).reshape(shots, n)
-            return _sample_prepared(prepare(), uniforms)
+            return _sample_prepared(start, uniforms)

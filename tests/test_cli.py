@@ -1,14 +1,19 @@
 """CLI behaviour: outputs, exit codes, determinism, format round-trips."""
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qlin
 from qlin import StateVectorBackend, algorithms, cli, errors
 from qlin.circuit import BUILD_GATE_LIMIT, DRAW_CELL_LIMIT, ROUND_LIMIT, SHOT_LIMIT
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
@@ -334,6 +339,55 @@ def test_vqe_reaches_ground_state(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["best_energy"] <= -0.9
     assert len(payload["history"]) == 60
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_vqe_refuses_coefficients_whose_sum_overflows(tmp_path, capsys, fmt):
+    # each coefficient is finite, but an energy could reach 2e308 = inf, which
+    # JSON cannot hold; the line that takes the sum past a float is named
+    ham = circuit_file(tmp_path, "0.5 Z\n1e308 I\n1e308 Z\n-1.0 Z\n", "h.txt")
+    code, out, err = run(capsys, ["vqe", "--ham", ham, "--seed", "1", "--format", fmt])
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("E_PARSE: line 3:") and len(err.splitlines()) == 1
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+_COEFFICIENTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, 1.7976931348623157e308, 9e307, 1e-320])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_COEFFICIENTS, st.sampled_from(["II", "ZI", "XY", "ZZ"])), min_size=1, max_size=4),
+       st.sampled_from(["0", "1"]), st.integers(0, 2**32))
+@example([(1e308, "II"), (1e308, "II")], "0", 1)
+@example([(1e308, "ZZ"), (1e308, "XY")], "1", 1)
+def test_vqe_json_output_is_json_for_every_accepted_hamiltonian(tmp_path_factory, terms, depth, seed):
+    # Python's json writes a float past the largest as Infinity, which no
+    # JSON parser need accept: an accepted Hamiltonian's energies stay finite
+    path = tmp_path_factory.getbasetemp() / "overflow.ham"
+    path.write_text("".join(f"{coeff!r} {term}\n" for coeff, term in terms))
+    argv = ["vqe", "--ham", str(path), "--depth", depth, "--k", "2", "--nsamples", "3", "--seed", str(seed),
+            "--format", "json"]
+    code, out, err = run_quietly(argv)
+    if code == EXIT_OK:
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        assert all(math.isfinite(record["energy"]) for record in payload["history"])
+        return
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("E_PARSE: line ") and len(err.splitlines()) == 1
+
+
+def test_python_m_qlin_runs_the_cli(capsys):
+    # an uninstalled checkout has no `qlin` script on PATH, only the package
+    src = os.path.dirname(os.path.dirname(qlin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "qlin", "qft", "--n", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out, err = run(capsys, ["qft", "--n", "2"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (EXIT_OK, out, "")
 
 
 @pytest.mark.parametrize("depth, params", [("0", 0), ("1", 2)])

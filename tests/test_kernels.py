@@ -177,6 +177,44 @@ def test_one_wire_pass_on_a_large_odd_batch():
     assert_close(fused, unfused, tol=1e-12)
 
 
+def _complex_normal(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# A dense block's product may be taken a chunk of the state at a time, as
+# `_dense` does, only where each entry comes out as from the whole product.
+# With scipy-openblas 0.3.31 (Haswell kernels) that holds for column chunks
+# whose widths are multiples of 4, the last one of any width but 1, and for
+# row chunks of at least 2 rows. A chunk of one column or one row is a
+# matrix-vector product, and column chunks of other widths fall on other
+# tiles of the BLAS kernel: both change last digits.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.sampled_from([1, 2, 3, 8]), st.lists(st.integers(1, 64).map(lambda w: 4 * w), max_size=4),
+       st.integers(2, 300), st.integers(0, 2**32 - 1))
+def test_matmul_entries_do_not_depend_on_the_column_chunks(k, lead, widths, last, seed):
+    m = _complex_normal(seed, (2**k, 2**k))
+    x = _complex_normal(seed + 1, (lead, 2**k, sum(widths) + last))
+    out = np.empty_like(x)
+    edges = np.cumsum([0, *widths, last])
+    for start, stop in zip(edges, edges[1:]):
+        np.matmul(m, x[..., start:stop], out=out[..., start:stop])
+    assert np.array_equal(out, np.matmul(m, x))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.lists(st.integers(2, 300), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_matmul_entries_do_not_depend_on_the_row_chunks(k, widths, seed):
+    # the form `_dense` takes when the block's wires end the state (rest == 1)
+    m = _complex_normal(seed, (2**k, 2**k))
+    x = _complex_normal(seed + 1, (sum(widths), 2**k, 1))
+    out = np.empty_like(x)
+    edges = np.cumsum([0, *widths])
+    for start, stop in zip(edges, edges[1:]):
+        np.matmul(x[start:stop, :, 0], m.T, out=out[start:stop, :, 0])
+    assert np.array_equal(out[..., 0], np.matmul(x[..., 0], m.T))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(programs(max_wires=6))
 def test_fused_plan_matches_the_dense_oracle(program):

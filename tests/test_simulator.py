@@ -450,14 +450,16 @@ def preps_and_bases(draw):
 
 
 def _recorded_walks(patch):
-    """Patch the collapse walk to record each walk's start state and bits; return the record."""
+    """Patch the collapse walk to record each walk's start rows, each shot's
+    start row and the bits; return the record."""
     walks = []
     walk = simulator._sample_prepared
 
-    def recorded(state, uniforms):
-        start = state.amplitudes.copy()
-        bits = walk(state, uniforms)
-        walks.append((start, bits.copy()))
+    def recorded(start, uniforms):
+        rows, reached = start()
+        record = (rows.copy(), reached.copy())
+        bits = walk(lambda: (rows, reached), uniforms)
+        walks.append((*record, bits.copy()))
         return bits
 
     patch.setattr(simulator, "_sample_prepared", recorded)
@@ -474,27 +476,39 @@ def _default_shots(backend, prep, bases, shots):
     return counts, np.array(measured, dtype=np.int8).reshape(len(measured), prep.arity)
 
 
-def _walks_are_the_default_shots(walks, prep, bases, measured):
-    """Each basis's walks start from a fresh session's allocate, apply(prep) and
-    apply(basis), array for array, and their bits, in order, are the default's."""
+def _walks_are_the_default_shots(walks, prep, bases, shots, measured):
+    """Each shot, basis-major and then shot-major over the walks, starts from a
+    fresh session's allocate, apply(prep) and apply(its basis), array for
+    array; every start row of a walk is some shot's; and the bits, in order,
+    are the default's."""
     n = prep.arity
-    per_basis = len(walks) // len(bases) if bases else 0
-    for k, (start, _) in enumerate(walks):
+    states = []
+    for basis in bases:
         state = fresh_state(range(n))
         state.apply(range(n), prep)
-        state.apply(range(n), bases[k // per_basis])
-        assert np.array_equal(start, state.amplitudes)
-    walked = [bits for _, bits in walks]
+        state.apply(range(n), basis)
+        states.append(state.amplitudes)
+    done = 0
+    for rows, reached, _ in walks:
+        assert np.array_equal(np.unique(reached), np.arange(len(rows)))
+        for shot, row in enumerate(reached, start=done):
+            assert np.array_equal(rows[row], states[shot // shots])
+        done += len(reached)
+    assert done == len(bases) * max(shots, 0)
+    walked = [bits for *_, bits in walks]
     assert np.array_equal(np.concatenate(walked) if walked else np.zeros((0, n), np.int8), measured)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(preps_and_bases(), st.integers(0, 40), st.sampled_from([1, 7, 2**16]), st.integers())
+@given(preps_and_bases(), st.integers(0, 40), st.sampled_from([1, 7, 2**16, "shots - 1", "shots + 1"]),
+       st.integers())
 def test_count_ones_matches_the_default(case, shots, batch, seed):
     # equal counts could hide two flipped shots that cancel, so every shot's
-    # bits and every walk's start state are compared too; the start state
-    # shows rounding before it flips a bit
+    # bits and start state are compared too; the start state shows rounding
+    # before it flips a bit. Batches of 1, 7 and shots - 1 rows let one walk
+    # span two bases, and 1, 7 and shots + 1 let one basis span two walks
     prep, bases = case
+    batch = {"shots - 1": max(shots - 1, 1), "shots + 1": shots + 1}.get(batch, batch)
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(device, "_SHOT_BATCH", batch)
@@ -504,8 +518,9 @@ def test_count_ones_matches_the_default(case, shots, batch, seed):
     for ones in (counts, reference):
         assert ones.dtype == np.int64 and ones.shape == (len(bases), prep.arity)
     assert np.array_equal(counts, reference)
-    assert len(walks) == len(bases) * -(-shots // batch)
-    _walks_are_the_default_shots(walks, prep, bases, measured)
+    # a prep here has at most 6 wires, so one walk may hold every basis
+    assert len(walks) == -(-len(bases) * shots // batch)
+    _walks_are_the_default_shots(walks, prep, bases, shots, measured)
     # both drew the same number of uniforms, so their streams go on alike
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
 
@@ -540,13 +555,14 @@ def test_count_ones_prepares_the_composed_state_exactly(case):
     reference, measured = _default_shots(default, prep, bases, 1)
     assert np.array_equal(counts, reference)
     assert len(walks) == len(bases)
-    _walks_are_the_default_shots(walks, prep, bases, measured)
+    _walks_are_the_default_shots(walks, prep, bases, 1, measured)
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
 
 
 def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
     # one session per call: the prep goes through its allocate and apply
-    # once, and each batch of each basis through its apply
+    # once, and each basis through its apply once per walk that reaches it;
+    # walks of 30 of the 150 rows reach bases [0], [0, 1], [1], [1, 2], [2]
     monkeypatch.setattr(device, "_SHOT_BATCH", 30)
     calls = []
 
@@ -567,12 +583,24 @@ def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
     fast, default = StateVectorBackend(seed=9), StateVectorBackend(seed=9)
     counts = fast.count_ones(prep, bases, 50)
     wires = [0, 1, 2, 3]
-    assert calls == [("new_session",), ("allocate", wires)] + [("apply", wires)] * 7
+    assert calls == [("new_session",), ("allocate", wires)] + [("apply", wires)] * 8
+    assert [len(rows) for rows, _, _ in walks] == [1, 2, 1, 2, 1]
     monkeypatch.undo()
     reference, measured = _default_shots(default, prep, bases, 50)
     assert np.array_equal(counts, reference)
-    _walks_are_the_default_shots(walks, prep, bases, measured)
+    _walks_are_the_default_shots(walks, prep, bases, 50, measured)
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
+
+
+def _peak(run):
+    """The tracemalloc peak of run(backend) on a fresh seeded backend."""
+    backend = StateVectorBackend(seed=3)
+    tracemalloc.start()
+    try:
+        run(backend)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_estimator_holds_at_most_one_state_more_than_sample():
@@ -582,19 +610,22 @@ def test_estimator_holds_at_most_one_state_more_than_sample():
     for n in (16, 17):
         prep = ansatz(n, 2, [0.4 + 0.1 * i for i in range(4 * n)])
         terms = ["XY" + "Z" * (n - 2), "Z" * n, "Y" + "X" * (n - 1)]
-
-        def peak(run):
-            backend = StateVectorBackend(seed=3)
-            tracemalloc.start()
-            try:
-                run(backend)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        sample_peak = max(peak(lambda b: b.sample(compose(encoding_unitary(t), prep), shots)) for t in terms)
+        sample_peak = max(_peak(lambda b: b.sample(compose(encoding_unitary(t), prep), shots)) for t in terms)
         hamiltonian = Hamiltonian(tuple((1.0, t) for t in terms))
-        assert peak(lambda b: compute_energy(b, prep, hamiltonian, shots)) <= sample_peak + 2**n * 16 + 2**15
+        assert _peak(lambda b: compute_energy(b, prep, hamiltonian, shots)) <= sample_peak + 2**n * 16 + 2**15
+
+
+def test_estimator_on_a_small_prep_holds_no_more_than_sampling_all_its_shots():
+    # one walk measures the 9 bases of a 4-wire prep as 9000 rows; beside
+    # what sample's 9000 shots hold, it may keep its 9 start rows (2.3 KB),
+    # each basis's row edges and counts, and the encodings with their plans
+    # when they are not cached yet: 16 KiB in all, far below one start row
+    # per shot (2.3 MB)
+    terms = ["ZIII", "IZII", "IIZI", "IIIZ", "ZZII", "IIZZ", "ZIIZ", "XXYY", "YYXX"]
+    hamiltonian = Hamiltonian(tuple((0.1, t) for t in terms))
+    params = [0.3 * i for i in range(16)]
+    sample_peak = _peak(lambda b: b.sample(ansatz(4, 2, params), 9000))
+    assert _peak(lambda b: compute_energy(b, ansatz(4, 2, params), hamiltonian, 1000)) <= sample_peak + 2**14
 
 
 def test_derive_seed_is_stable_and_spreads():
