@@ -346,10 +346,9 @@ def _estimates(
     """(#zeros - #ones) / n_samples for each term, from shots of the ansatz in its basis.
 
     Every term's count of ones comes from one `count_ones` call, in term
-    order; a term repeated shares its encoding, not its shots.
+    order; a term repeated shares its cached encoding, not its shots.
     """
-    encodings = {term: encoding_unitary(term) for term in dict.fromkeys(terms)}
-    ones = backend.count_ones(ansatz_circuit, [encodings[term] for term in terms], n_samples)
+    ones = backend.count_ones(ansatz_circuit, [encoding_unitary(term) for term in terms], n_samples)
     targets = (next(i for i, op in enumerate(term) if op != "I") for term in terms)
     return [(n_samples - 2 * int(row[target])) / n_samples for row, target in zip(ones, targets)]
 

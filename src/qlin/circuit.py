@@ -11,8 +11,9 @@ its spellings. Its action on amplitudes is written once too, in the kernels
 module, which matrix_of and the simulator share. Every text form of a gate
 has the shape (name, params, wires): the native line `P <a> <j>`, the QASM
 statement `u1(a) q[j]` and the JSON list `["P", a, j]`. The rest of the
-package reads these attributes rather than switching on the kind; only
-optimise's rewrite rules name kinds.
+package reads these attributes rather than switching on the kind, except
+optimise's rewrite rules and the kernels' planner, whose `plan`,
+`_fold_one_wire` and `_fold_phase_polynomial` test `gate.name` in five places.
 
 Basis convention: wire 0 is the MOST significant bit of a basis-state index,
 so on two wires |10> (wire 0 set) has index 2. Every matrix produced here and

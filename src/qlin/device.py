@@ -24,7 +24,8 @@ measure every wire) from them:
   ones on every wire over `shots` runs of one program: allocate, apply
   `prep`, apply `bases[j]`, measure every wire. The estimator measures
   every Pauli term of a Hamiltonian this way, reading the term's wire. The
-  default executes that program once per shot.
+  default executes that program once per shot; the simulator's override
+  walks the (basis, shot) rows in ranges of at most `_SHOT_BATCH`.
 
 A backend may override either with a faster path, but the override must give
 the same bits or counts and leave the backend's randomness where the default
@@ -145,16 +146,11 @@ def _check_bases(prep: Circuit, bases: Sequence[Circuit]) -> None:
             raise ArityMismatch(f"basis arity {basis.arity} does not match prep arity {prep.arity}")
 
 
-# Most shots `_shot_batches` asks a backend for at once, so memory stays
-# bounded whatever the shot count; the outcomes do not depend on it, since
-# sample draws in shot order.
+# Most shots `_shot_batches` asks a backend for at once, and most (basis,
+# shot) rows one walk of the simulator's `count_ones` measures, so memory
+# stays bounded whatever the shot count; the outcomes do not depend on it,
+# since both draw in shot order.
 _SHOT_BATCH = 2**16
-
-
-def _batch_sizes(shots: int) -> Iterator[int]:
-    """The sizes of the batches, of at most _SHOT_BATCH shots each, that `shots` are read in."""
-    for done in range(0, shots, _SHOT_BATCH):
-        yield min(_SHOT_BATCH, shots - done)
 
 
 def _shot_batches(backend: DeviceBackend, circuit: Circuit, shots: int) -> Iterator[np.ndarray]:
@@ -164,8 +160,8 @@ def _shot_batches(backend: DeviceBackend, circuit: Circuit, shots: int) -> Itera
     batch at a time. An overriding `sample` that returns lists of bits is
     read as an array too; an int8 array passes through uncopied.
     """
-    for size in _batch_sizes(shots):
-        yield np.asarray(backend.sample(circuit, size), dtype=np.int8)
+    for done in range(0, shots, _SHOT_BATCH):
+        yield np.asarray(backend.sample(circuit, min(_SHOT_BATCH, shots - done)), dtype=np.int8)
 
 
 class _Execution:

@@ -16,7 +16,7 @@ import ast
 import math
 import operator
 
-from .algorithms import Graph, Hamiltonian
+from .algorithms import _PAULI_OPS, Graph, Hamiltonian
 from .circuit import GATE_KINDS, Circuit, format_angle
 from .errors import CircuitError, ParseError
 
@@ -228,7 +228,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
-    """Parse one `<coeff> <paulistring>` term per line."""
+    """Parse one `<coeff> <paulistring>` term per line; the letters IXYZ may be lower case."""
     terms, numbers = [], []
     for number, line in _significant_lines(text, "#"):
         fields = line.split()
@@ -238,7 +238,8 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
             coeff = float(fields[0])
         except ValueError:
             raise ParseError(number, f"bad coefficient {fields[0]!r}") from None
-        terms.append((coeff, fields[1].upper()))
+        term = fields[1]  # only ASCII folds: str.upper turns 'ı' into 'I' and 'ß' into 'SS'
+        terms.append((coeff, term.upper() if term.isascii() and set(term.upper()) <= _PAULI_OPS else term))
         numbers.append(number)
     if not terms:
         raise ParseError(1, "empty file: expected at least one term")

@@ -23,7 +23,8 @@ collapse one wire at a time for all shots at once, drawing in shot order.
 through the same `apply`, in place, to its own start row, a copy of the
 prepared state: prep, then basis, in one session, as the default's shots
 run them. One walk then measures the (basis, shot) rows of many bases, each
-shot from its basis's row, and counts each basis's ones on every wire.
+shot from its basis's row, and counts each basis's ones on every wire; a walk
+ends after `_SHOT_BATCH` rows, at the end of its group of bases or at the last row.
 That walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
@@ -36,8 +37,9 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from . import device
 from .circuit import Circuit
-from .device import DeviceBackend, DeviceSession, _batch_sizes, _check_bases, _exclusive
+from .device import DeviceBackend, DeviceSession, _check_bases, _exclusive
 from .errors import CapacityExceeded
 from .kernels import _SMALL_STATE, apply_plan
 
@@ -261,15 +263,15 @@ class StateVectorBackend(DeviceBackend):
 
         `prep` goes through one session's `allocate` and `apply`. The
         (basis, shot) rows are walked in the default's order, basis-major and
-        then shot-major, at most `_SHOT_BATCH` of them per walk. A walk
-        starts from one row per basis it reaches: a copy of the prepared
-        state with that basis applied in place, through the same `apply`. So
-        every start row is the default's state, float for float, and the bits
-        and the position of the random stream afterwards equal the default's.
-        A walk's start rows hold at most max(2**n, _SMALL_STATE) entries, so
-        a prep of 12 or more wires is walked one basis at a time. A prep too
-        wide for the backend is refused whatever `shots` is, unless there is
-        no basis to measure.
+        then shot-major; a walk of rows [a, b) ends at a + `_SHOT_BATCH`, at
+        the end of its group of bases (whose start rows hold at most
+        max(2**n, _SMALL_STATE) entries, so one basis from 12 wires up) or at
+        the last row, whichever is first. It starts from one row per basis,
+        a // shots to (b - 1) // shots: a copy of the prepared state with that
+        basis applied in place, through the same `apply`. So every start row
+        is the default's state, float for float, and the bits and the stream
+        position afterwards equal the default's. A prep too wide for the
+        backend is refused whatever `shots` is, unless there is no basis.
         """
         _check_bases(prep, bases)
         n = prep.arity
@@ -289,24 +291,23 @@ class StateVectorBackend(DeviceBackend):
                 state.amplitudes = row
                 state.apply(range(n), basis)
             state.amplitudes = None  # the walk holds the only reference to `rows`
-            if len(rows) == 1:
-                return rows, np.zeros(edges[-1], dtype=np.intp)
             return rows, np.repeat(np.arange(len(rows)), np.diff(edges))
 
-        group = max(1, _SMALL_STATE >> n)  # the bases whose start rows one walk may hold
-        for first in range(0, len(bases), group):
-            done = first * shots  # the rows walked before this walk
-            for size in _batch_sizes(min(group, len(bases) - first) * shots):
-                lo, hi = done // shots, (done + size - 1) // shots + 1
-                # where each basis's rows start and end in the walk
-                edges = np.clip(np.arange(lo, hi + 1) * shots - done, 0, size)
-                bits = self._walk(n, size, functools.partial(start, lo, hi, edges))
-                # one sum per basis and wire; numpy sums a narrow int8 array's
-                # rows several times faster than its columns
-                ones = np.add.reduceat(np.ascontiguousarray(bits.T), edges[:-1], axis=1, dtype=np.int64)
-                del bits  # not held while the next walk draws
-                counts[lo:hi] += ones.T
-                done += size
+        group = max(1, _SMALL_STATE >> n) * shots  # the rows of the bases whose start rows one walk may hold
+        total = len(bases) * shots
+        a = 0
+        while a < total:
+            b = min(a + device._SHOT_BATCH, (a // group + 1) * group, total)
+            lo, hi = a // shots, (b - 1) // shots + 1
+            # where each basis's rows start and end in the walk
+            edges = np.clip(np.arange(lo, hi + 1) * shots - a, 0, b - a)
+            bits = self._walk(n, b - a, functools.partial(start, lo, hi, edges))
+            # one sum per basis and wire; numpy sums a narrow int8 array's
+            # rows several times faster than its columns
+            ones = np.add.reduceat(np.ascontiguousarray(bits.T), edges[:-1], axis=1, dtype=np.int64)
+            del bits  # not held while the next walk draws
+            counts[lo:hi] += ones.T
+            a = b
         return counts
 
     def _prepared(self, circuit: Circuit) -> QuantumState:

@@ -209,13 +209,16 @@ def test_parse_errors(tmp_path, capsys):
         assert code == EXIT_PARSE
         assert err.startswith("E_PARSE: line 3") and len(err.splitlines()) == 1
     # '²' passes str.isdigit but not int(); deep angle expressions overflow the
-    # evaluator; an integer angle of 400 nines overflows a float
+    # evaluator; an integer angle of 400 nines overflows a float; str.upper
+    # turns 'ı' into the Pauli letter 'I' and 'ß' into 'SS'
     for command, text, line in [
         ("simulate", "qubits 1\nP " + "9" * 400 + " 0\n", 2),
         ("simulate", "qubits 1\nH ²\n", 2),
         ("simulate", "qubits ²\n", 1),
         ("simulate", "OPENQASM 2.0;\nqreg q[²];\n", 2),
         ("qaoa --graph", "vertices ²\n", 1),
+        ("vqe --ham", "1.0 ız\n", 1),
+        ("vqe --ham", "0.5 ßZ\n", 1),
         ("simulate", "qubits 1\nP " + "+".join(["1"] * 1500) + " 0\n", 2),
         ("simulate", "qubits 1\nP " + "-" * 50000 + "1 0\n", 2),
     ]:

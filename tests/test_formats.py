@@ -203,6 +203,26 @@ def test_parse_hamiltonian_errors():
         parse_hamiltonian("# nothing\n")
 
 
+# Pauli letters in either case, letters that str.upper turns into them or
+# into several letters, and any character a term may hold (no space or '#')
+_TERM_CHARACTERS = st.sampled_from("IXYZixyzıßſQ") | st.characters(blacklist_categories=("Z", "C"),
+                                                                   blacklist_characters="#")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(_TERM_CHARACTERS, min_size=1))
+@example("ız")
+@example("ßZ")
+def test_parse_hamiltonian_accepts_only_ascii_pauli_letters(term):
+    # either case of I, X, Y and Z, and nothing that only upper-cases to them
+    if term.isascii() and set(term.upper()) <= set("IXYZ"):
+        assert parse_hamiltonian(f"1.0 {term}\n") == Hamiltonian(((1.0, term.upper()),))
+        return
+    with pytest.raises(ParseError) as err:
+        parse_hamiltonian(f"1.0 {term}\n")
+    assert (err.value.line, err.value.reason) == (1, f"invalid Pauli string {term!r}")
+
+
 @pytest.mark.parametrize(
     "text", ["+".join(["1"] * 1500), "-" * 50000 + "1"], ids=["long-sum", "many-signs"]
 )

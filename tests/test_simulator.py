@@ -592,6 +592,33 @@ def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
 
 
+@pytest.mark.parametrize("n, n_bases, shots, batch, sizes, rows", [
+    # groups of 2 bases (two start rows of 2**11 entries) end inside a batch:
+    # rows [0, 10) reach bases 0 and 1, [10, 14) basis 1, [14, 24) bases 2 and 3
+    (11, 5, 7, 10, [10, 4, 10, 4, 7], [2, 1, 2, 1, 1]),
+    # one basis per group, and each basis's shots span three walks
+    (12, 2, 25, 10, [10, 10, 5] * 2, [1] * 6),
+    (13, 2, 12, 5, [5, 5, 2] * 2, [1] * 6),
+])
+def test_count_ones_walks_end_at_batch_and_group_ends(n, n_bases, shots, batch, sizes, rows, monkeypatch):
+    # a walk ends at a batch's end, its group's end or the last row,
+    # whichever comes first, and its shots are still the default's
+    rng = random.Random(n)
+    prep = random_circuit(rng, n, 4 * n)
+    bases = [random_circuit(rng, n, 8) for _ in range(n_bases)]
+    monkeypatch.setattr(device, "_SHOT_BATCH", batch)
+    walks = _recorded_walks(monkeypatch)
+    fast, default = StateVectorBackend(seed=n), StateVectorBackend(seed=n)
+    counts = fast.count_ones(prep, bases, shots)
+    monkeypatch.undo()
+    reference, measured = _default_shots(default, prep, bases, shots)
+    assert np.array_equal(counts, reference)
+    assert [len(reached) for _, reached, _ in walks] == sizes
+    assert [len(start) for start, _, _ in walks] == rows
+    _walks_are_the_default_shots(walks, prep, bases, shots, measured)
+    assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
+
+
 def _peak(run):
     """The tracemalloc peak of run(backend) on a fresh seeded backend."""
     backend = StateVectorBackend(seed=3)
