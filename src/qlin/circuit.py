@@ -472,13 +472,12 @@ def draw(c: Circuit) -> str:
 def format_angle(angle: float) -> str:
     """Deterministic angle serialisation: 15 significant digits.
 
-    Within 5e-15 relative of the largest double, 15 digits round up past it
-    and would read back as infinity; there the shortest exact repr is used.
+    Past 1.797693134862315e308 (4 finite doubles of each sign), 15 digits
+    round up to infinity, so the shortest exact repr is used there.
     """
-    text = f"{angle:.15g}"
-    if math.isinf(float(text)) and math.isfinite(angle):
+    if abs(angle) > 1.797693134862315e308:
         return repr(angle)
-    return text
+    return f"{angle:.15g}"
 
 
 def export_qasm(c: Circuit) -> str:

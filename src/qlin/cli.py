@@ -3,8 +3,8 @@
 Commands: simulate, stats, draw, export-qasm, optimise, qft, coin, rus, vqe,
 qaoa. Circuit files may be in the native format or the OpenQASM subset
 emitted by export-qasm (sniffed from the header). Exit codes: 0 success,
-1 usage, 2 parse, 3 runtime; every error is a single stderr line starting
-with E_USAGE, E_PARSE or E_RUNTIME.
+1 usage, 2 parse or unreadable input, 3 runtime or unwritable output; every
+error is a single stderr line starting with E_USAGE, E_PARSE or E_RUNTIME.
 
 Stochastic commands take --seed; with --format json a seed is required so
 repeated runs are byte-identical.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from collections import Counter
@@ -39,7 +40,7 @@ from .circuit import (
     gate_counts,
     optimise,
 )
-from .device import _shot_batches
+from . import device
 from .errors import CapacityExceeded, ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed
@@ -53,6 +54,10 @@ EXIT_RUNTIME = 3
 
 class _UsageError(Exception):
     pass
+
+
+class _InputError(Exception):
+    """An input file that could not be read or decoded; its text is the cause's."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,16 +137,23 @@ def _load_circuit(path: str) -> Circuit:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise _InputError(err) from err
 
 
 def _emit(args, text_lines, json_obj) -> None:
-    if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    lines = [json.dumps(json_obj, sort_keys=True)] if args.format == "json" else text_lines
+    try:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()  # so a failed write raises here, not at interpreter exit
+    except OSError:
+        if sys.stdout is sys.__stdout__:  # or the output left in its buffer fails again at exit
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise
 
 
 def _circuit_json(circuit: Circuit) -> dict:
@@ -161,18 +173,17 @@ def _cmd_simulate(args) -> None:
     _check(args.shots >= 1, "--shots must be at least 1")
     _check_shot_count(args.shots)
     circuit = _load_circuit(args.circuit)
-    seed = _resolve_seed(args)
-    backend = StateVectorBackend(seed=seed)
-    counts: Counter[str] = Counter()
-    for bits in _shot_batches(backend, circuit, args.shots):
-        rows, freq = np.unique(bits, axis=0, return_counts=True)
-        for row, count in zip(rows.tolist(), freq.tolist()):
-            counts["".join(map(str, row))] += count
-        del bits, rows  # so the next batch is drawn without this one
-    lines = [
-        f"{bits} {count} {count / args.shots:.4f}" for bits, count in sorted(counts.items())
-    ]
-    _emit(args, lines, counts)
+    backend = StateVectorBackend(seed=_resolve_seed(args))
+    counts: Counter[int] = Counter()
+    for done in range(0, args.shots, device._SHOT_BATCH):
+        bits = np.asarray(backend.sample(circuit, min(device._SHOT_BATCH, args.shots - done)), dtype=np.int8)
+        # key: the integer the bits spell, wire 0 most significant; width from the batch, so within the cap
+        keys, freq = np.unique(bits @ (1 << np.arange(bits.shape[1])[::-1]), return_counts=True)
+        counts.update(dict(zip(keys.tolist(), freq.tolist())))
+        del bits, keys  # so the next batch is drawn without this one
+    width = circuit.arity  # sorted keys give the order of sorted bit strings of one width
+    histogram = {format(key, f"0{width}b") if width else "": n for key, n in sorted(counts.items())}
+    _emit(args, [f"{outcome} {n} {n / args.shots:.4f}" for outcome, n in histogram.items()], histogram)
 
 
 def _cmd_stats(args) -> None:
@@ -312,10 +323,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as err:
         print(f"E_USAGE: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, OSError) as err:
+    except (ParseError, _InputError) as err:
         print(f"E_PARSE: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except Exception as err:  # QlinError or an internal failure: one line, no traceback
+    except Exception as err:  # QlinError, a failed write or an internal failure: one line, no traceback
         message = " ".join(str(err).splitlines())
         print(f"E_RUNTIME: {type(err).__name__}: {message}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -18,8 +18,7 @@ measure every wire) from them:
 
 - `sample(circuit, shots)` gives the bits of `shots` such runs of `circuit`
   as an int8 array with one row per shot. The default executes the
-  measure-all program once per shot. CLI `simulate` reads it through
-  `_shot_batches`, at most `_SHOT_BATCH` shots at a time.
+  measure-all program once per shot.
 - `count_ones(prep, bases, shots)` gives, as row j of an int64 array, the
   ones on every wire over `shots` runs of one program: allocate, apply
   `prep`, apply `bases[j]`, measure every wire. The estimator measures
@@ -43,7 +42,7 @@ from __future__ import annotations
 import functools
 import threading
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any, Generic, TypeVar
 
 import numpy as np
@@ -128,6 +127,8 @@ class DeviceBackend(ABC):
         same backend state, and consume the backend's randomness the same way.
         """
         _check_bases(prep, bases)
+        if bases and shots < 1:  # no shot refuses a prep too wide for the backend; this does
+            self.new_session().allocate(range(prep.arity))
         rows = []
         for basis in bases:
             program = _measure_all(prep, basis)
@@ -146,22 +147,10 @@ def _check_bases(prep: Circuit, bases: Sequence[Circuit]) -> None:
             raise ArityMismatch(f"basis arity {basis.arity} does not match prep arity {prep.arity}")
 
 
-# Most shots `_shot_batches` asks a backend for at once, and most (basis,
-# shot) rows one walk of the simulator's `count_ones` measures, so memory
-# stays bounded whatever the shot count; the outcomes do not depend on it,
-# since both draw in shot order.
+# Most shots CLI `simulate` asks `sample` for at once, and most (basis, shot)
+# rows a walk of the simulator's `count_ones` measures. It bounds memory, not
+# outcomes, since both draw in shot order; both read it at call time.
 _SHOT_BATCH = 2**16
-
-
-def _shot_batches(backend: DeviceBackend, circuit: Circuit, shots: int) -> Iterator[np.ndarray]:
-    """The shots of `backend.sample(circuit, shots)` as bit arrays of at most _SHOT_BATCH rows.
-
-    A caller that drops each batch before asking for the next holds one
-    batch at a time. An overriding `sample` that returns lists of bits is
-    read as an array too; an int8 array passes through uncopied.
-    """
-    for done in range(0, shots, _SHOT_BATCH):
-        yield np.asarray(backend.sample(circuit, min(_SHOT_BATCH, shots - done)), dtype=np.int8)
 
 
 class _Execution:

@@ -1,6 +1,7 @@
 """Circuit construction, algebra, metrics, and reference matrix semantics."""
 import math
 import random
+import struct
 import time
 import tracemalloc
 
@@ -40,6 +41,7 @@ from qlin.errors import (
     WireOutOfRange,
 )
 from qlin import circuit as circuit_module
+from qlin.circuit import format_angle
 from qlin.formats import parse_qasm
 from qlin.stdcircuits import h_gate, p_gate, qft, to_bell_basis
 
@@ -324,7 +326,29 @@ def test_export_qasm_phase_serialisation():
     assert_close(matrix_of(reimported), matrix_of(p_gate(math.pi)), tol=1e-9)
 
 
-# properties
+def _reparsed_format_angle(angle):
+    """The reference rule: 15 digits, unless they read back as infinity from a finite angle."""
+    text = f"{angle:.15g}"
+    if math.isinf(float(text)) and math.isfinite(angle):
+        return repr(angle)
+    return text
+
+
+def _top_doubles():
+    top, doubles = math.inf, []
+    for _ in range(100):
+        top = math.nextafter(top, 0.0)
+        doubles += [top, -top]
+    return doubles
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    | st.sampled_from([*_top_doubles(), 0.0, -0.0, math.inf, -math.inf, math.nan])
+)
+def test_format_angle_matches_the_reparsing_rule(angle):
+    assert format_angle(angle) == _reparsed_format_angle(angle)
 
 circuits = st.builds(
     lambda seed, arity, gates: random_circuit(random.Random(seed), arity, gates),

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -14,11 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlin
-from qlin import StateVectorBackend, algorithms, cli, errors
+from qlin import StateVectorBackend, algorithms, cli, device, errors
 from qlin.circuit import BUILD_GATE_LIMIT, DRAW_CELL_LIMIT, ROUND_LIMIT, SHOT_LIMIT
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
 from qlin.device import _SHOT_BATCH
-from qlin.formats import parse_circuit
+from qlin.formats import format_circuit, parse_circuit
+
+from .oracles import random_circuit
 
 BELL = "qubits 2\nH 0\nCNOT 0 1\n"
 K3 = "vertices 3\nedge 0 1\nedge 1 2\nedge 0 2\n"
@@ -108,6 +111,24 @@ def test_simulate_text_output(tmp_path, capsys):
     code, out, _ = run(capsys, ["simulate", path, "--shots", "8", "--seed", "1"])
     assert code == EXIT_OK
     assert out == "0 8 1.0000\n"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.integers(0, 12), st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 2**63))
+def test_simulate_prints_the_histogram_of_one_sample_stream(tmp_path_factory, arity, gates, shape, shots, seed):
+    # batches of 7 shots, so most runs count several batches; 0 wires is the
+    # empty string as the one outcome
+    text = format_circuit(random_circuit(random.Random(shape), arity, gates))
+    path = tmp_path_factory.getbasetemp() / "histogram.txt"
+    path.write_text(text)
+    drawn = StateVectorBackend(seed=seed).sample(parse_circuit(text), shots)
+    want = Counter("".join(map(str, bits)) for bits in drawn.tolist())
+    lines = "".join(f"{bits} {n} {n / shots:.4f}\n" for bits, n in sorted(want.items()))
+    argv = ["simulate", str(path), "--shots", str(shots), "--seed", str(seed)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device, "_SHOT_BATCH", 7)
+        assert run_quietly([*argv, "--format", "json"]) == (EXIT_OK, json.dumps(want, sort_keys=True) + "\n", "")
+        assert run_quietly(argv) == (EXIT_OK, lines, "")
 
 
 @pytest.mark.parametrize(
@@ -228,6 +249,22 @@ def test_parse_errors(tmp_path, capsys):
         assert err.startswith(f"E_PARSE: line {line}:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "vqe --ham", "qaoa --graph"])
+def test_an_input_that_cannot_be_read_is_a_parse_error(tmp_path, capsys, command):
+    # bytes that are not UTF-8, a directory or a missing file: reading the
+    # input failed, so E_PARSE with the reader's own text
+    undecodable = tmp_path / "input.txt"
+    undecodable.write_bytes(b"\xff\xfe")
+    missing = tmp_path / "missing.txt"
+    for path, text in [
+        (undecodable, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (tmp_path, f"[Errno 21] Is a directory: '{tmp_path}'"),
+        (missing, f"[Errno 2] No such file or directory: '{missing}'"),
+    ]:
+        code, out, err = run(capsys, [*command.split(), str(path), "--seed", "1"])
+        assert (code, out, err) == (EXIT_PARSE, "", f"E_PARSE: {text}\n")
+
+
 def test_backend_option_is_gone(capsys):
     code, _, err = run(capsys, ["coin", "--seed", "1", "--backend", "sim"])
     assert code == EXIT_USAGE and err.startswith("E_USAGE:")
@@ -311,8 +348,8 @@ def test_stochastic_commands_refuse_too_much_work_before_any(
     def never(*args):
         raise AssertionError("work began past a cap")
 
-    for module, name in [(cli, "_shot_batches"), (algorithms, "ansatz"), (algorithms, "qaoa_unitary")]:
-        monkeypatch.setattr(module, name, never)
+    for owner, name in [(StateVectorBackend, "sample"), (algorithms, "ansatz"), (algorithms, "qaoa_unitary")]:
+        monkeypatch.setattr(owner, name, never)
     files = {
         "BELL": circuit_file(tmp_path),
         "HAM": circuit_file(tmp_path, HAM_Z, "ham.txt"),
@@ -391,6 +428,38 @@ def test_python_m_qlin_runs_the_cli(capsys):
                           capture_output=True, text=True, env=env, timeout=60)
     code, out, err = run(capsys, ["qft", "--n", "2"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (EXIT_OK, out, "")
+
+
+def _python_m_qlin(*argv):
+    """`python -m qlin *argv` as a child's argv and environment, its stdout buffered as by default."""
+    src = os.path.dirname(os.path.dirname(qlin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)  # so output can be left for the interpreter to flush at exit
+    return [sys.executable, "-m", "qlin", *argv], env
+
+
+def test_a_failed_write_to_stdout_is_one_runtime_line():
+    # the reader closes the pipe after one line of about 2 MB, far more than
+    # the pipe holds, so a write fails
+    argv, env = _python_m_qlin("qft", "--n", "200")
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert first == b"qubits 200\n"
+    assert (code, err) == (EXIT_RUNTIME, "E_RUNTIME: BrokenPipeError: [Errno 32] Broken pipe\n")
+    # a short output into a pipe closed before the child starts would sit in
+    # stdout's buffer; it must not fail a second time when the interpreter
+    # flushes stdout at exit
+    argv, env = _python_m_qlin("qft", "--n", "2")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_RUNTIME, "E_RUNTIME: BrokenPipeError: [Errno 32] Broken pipe\n")
 
 
 @pytest.mark.parametrize("depth, params", [("0", 0), ("1", 2)])
@@ -532,6 +601,8 @@ def stochastic_runs(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(stochastic_runs())
+# a width the backend refuses before any array is sized from it
+@example((["simulate", "FILE", "--shots", "5", "--seed", "7", "--format", "text"], "qubits 1000000000000\n"))
 def test_stochastic_commands_keep_the_cli_contract(tmp_path_factory, run_and_text):
     argv, text = run_and_text
     path = tmp_path_factory.getbasetemp() / "stochastic.txt"

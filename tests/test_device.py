@@ -374,6 +374,19 @@ def test_count_ones_capacity_error_draws_nothing(arity, gates, shots):
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
 
 
+@pytest.mark.parametrize("shots", [0, -1])
+def test_count_ones_default_refuses_a_wide_prep_without_shots(shots):
+    # no shot runs to refuse the width, so the default lets one session's
+    # allocate refuse it before the (len(bases), arity) result is made; that
+    # draws nothing
+    b = StateVectorBackend(seed=5, max_qubits=2)
+    wide = Circuit(10**12, [Hadamard(1)])
+    with pytest.raises(CapacityExceeded):
+        DeviceBackend.count_ones(b, wide, [identity(10**12)], shots)
+    fresh = StateVectorBackend(seed=5)
+    assert [coin(b) for _ in range(20)] == [coin(fresh) for _ in range(20)]
+
+
 @pytest.mark.parametrize("shots", [5, 0, -1])
 def test_count_ones_with_no_bases_refuses_no_width(shots):
     # nothing is measured, so a prep wider than the cap still gives its
