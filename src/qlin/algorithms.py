@@ -181,7 +181,12 @@ def run_rus(
     e: Circuit | None = None,
     max_iterations: int | None = None,
 ) -> int:
-    """Run RUS from |0>, measure the resulting qubit, return the bit."""
+    """Run RUS from |0>, measure the resulting qubit, return the bit.
+
+    `max_iterations`, when given, must be at least 1.
+    """
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     if u_prime is None:
         u_prime = rus_example_unitary()
     if e is None:
@@ -275,6 +280,8 @@ def qaoa_trajectory(
     """
     if k < 1:
         raise ValueError("iteration count must be at least 1")
+    if p < 0:
+        raise ValueError("layer count p must be non-negative")
     _check_gate_count(_qaoa_gates(graph, p))
     _check_round_count(k)
     history: list[QaoaRecord] = []

@@ -17,14 +17,20 @@ estimator and CLI `simulate` take every measure-all shot (allocate, apply,
 measure every wire) from them:
 
 - `sample(circuit, shots)` gives the bits of `shots` such runs of `circuit`
-  as an int8 array with one row per shot. The default executes the
-  measure-all program once per shot.
+  as an int8 array with one row per shot, and an empty one for `shots < 1`.
+  The default executes the measure-all program once per shot.
 - `count_ones(prep, bases, shots)` gives, as row j of an int64 array, the
   ones on every wire over `shots` runs of one program: allocate, apply
   `prep`, apply `bases[j]`, measure every wire. The estimator measures
   every Pauli term of a Hamiltonian this way, reading the term's wire. The
   default executes that program once per shot; the simulator's override
-  walks the (basis, shot) rows in ranges of at most `_SHOT_BATCH`.
+  walks the (basis, shot) rows in ranges of at most `_SHOT_BATCH`. It takes
+  at least one shot: `_check_bases` refuses a basis of another arity
+  (ArityMismatch), then `shots < 1` (ValueError).
+
+Both methods, on both paths, refuse more than SHOT_LIMIT shots (for
+`count_ones`, (basis, shot) rows) with TooManyShots. Every refusal comes
+before any session is opened or any uniform drawn.
 
 A backend may override either with a faster path, but the override must give
 the same bits or counts and leave the backend's randomness where the default
@@ -47,7 +53,7 @@ from typing import Any, Generic, TypeVar
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, _check_shot_count
 from .errors import ArityMismatch, DanglingQubits, DeviceError, DuplicateHandle, UseAfterConsume
 from .stdcircuits import cnot_gate, h_gate, p_gate
 
@@ -115,6 +121,7 @@ class DeviceBackend(ABC):
         loop returns for the same backend state, and consume the backend's
         randomness the same way.
         """
+        _check_shot_count(shots)
         program = _measure_all(circuit)
         bits = [execute(self, program) for _ in range(shots)]
         return np.array(bits, dtype=np.int8).reshape(len(bits), circuit.arity)
@@ -123,28 +130,27 @@ class DeviceBackend(ABC):
         """Ones per wire over `shots` runs of: allocate, apply prep, apply bases[j], measure all.
 
         Returns an int64 array of shape (len(bases), prep.arity), row j per
-        basis. Overrides must return exactly what this loop returns for the
-        same backend state, and consume the backend's randomness the same way.
+        basis. `shots` must be at least 1 (see `_check_bases`). Overrides
+        must return exactly what this loop returns for the same backend
+        state, and consume the backend's randomness the same way.
         """
-        _check_bases(prep, bases)
-        if bases and shots < 1:  # no shot refuses a prep too wide for the backend; this does
-            self.new_session().allocate(range(prep.arity))
+        _check_bases(prep, bases, shots)
         rows = []
         for basis in bases:
             program = _measure_all(prep, basis)
             rows.append(sum(np.array(execute(self, program), dtype=np.int64) for _ in range(shots)))
-        # made after the draws, so a prep too wide for the backend is refused first
-        counts = np.zeros((len(bases), prep.arity), dtype=np.int64)
-        for row, ones in zip(counts, rows):
-            row += ones
-        return counts
+        return np.array(rows, dtype=np.int64).reshape(len(bases), prep.arity)
 
 
-def _check_bases(prep: Circuit, bases: Sequence[Circuit]) -> None:
-    """Refuse a basis that does not act on the prep's wires, before any shot."""
+def _check_bases(prep: Circuit, bases: Sequence[Circuit], shots: int) -> None:
+    """Refuse a basis that does not act on the prep's wires, then fewer than one
+    shot or more than SHOT_LIMIT in all, before any session or draw."""
     for basis in bases:
         if basis.arity != prep.arity:
             raise ArityMismatch(f"basis arity {basis.arity} does not match prep arity {prep.arity}")
+    if shots < 1:
+        raise ValueError("count_ones needs at least one shot")
+    _check_shot_count(len(bases) * shots)
 
 
 # Most shots CLI `simulate` asks `sample` for at once, and most (basis, shot)

@@ -12,8 +12,9 @@ circuit module's matrix convention.
 Randomness is injected through RandomSource and never read from global
 state: the same seed and program give the same outcome sequence, bit for bit.
 `RandomSource.uniforms` draws many uniforms at once, equal to as many
-`uniform` calls; it takes them from Python's own generator, and never from
-numpy.random, whose import alone costs several MB of resident memory.
+`uniform` calls; it takes them from Python's own generator, in getrandbits
+calls of at most `_DRAW_PIECE` draws, and never from numpy.random, whose
+import alone costs several MB of resident memory.
 `QuantumState` is the backend's session: its `allocate`, `apply` and
 `measure` are the three device primitives, and every state is created and
 changed through them. `StateVectorBackend.sample` prepares a measure-all
@@ -25,6 +26,8 @@ prepared state: prep, then basis, in one session, as the default's shots
 run them. One walk then measures the (basis, shot) rows of many bases, each
 shot from its basis's row, and counts each basis's ones on every wire; a walk
 ends after `_SHOT_BATCH` rows, at the end of its group of bases or at the last row.
+It takes at least one shot, as the default does, and a prep too wide for the
+backend is refused by its session's `allocate` before any draw.
 That walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
@@ -38,7 +41,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from . import device
-from .circuit import Circuit
+from .circuit import Circuit, _check_shot_count
 from .device import DeviceBackend, DeviceSession, _check_bases, _exclusive
 from .errors import CapacityExceeded
 from .kernels import _SMALL_STATE, apply_plan
@@ -48,6 +51,7 @@ DEFAULT_MAX_QUBITS = 24
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
 _SCALE_PIECE = 2048  # floats `_collapse` scales at once, when it scales rows by a column
+_DRAW_PIECE = 2**20  # most uniforms one getrandbits call draws; 64 bits each must fit a C int
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -79,10 +83,16 @@ class RandomSource:
         # random.random's own formula, (a >> 5) * 2**26 + (b >> 6) over 2**53
         # from two 32-bit outputs a and b, applied to the same outputs, which
         # getrandbits packs least significant word first: the same floats,
-        # and the same position in the stream afterwards
-        words = np.frombuffer(self._rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
-        draws = (words[0::2] >> 5) * 67108864.0
-        draws += words[1::2] >> 6
+        # and the same position in the stream afterwards. getrandbits takes a
+        # C int of bits, so the words come in pieces of at most _DRAW_PIECE
+        # draws, in order, which gives the same outputs as one call.
+        draws = np.empty(k)
+        for start in range(0, k, _DRAW_PIECE):
+            out = draws[start : start + _DRAW_PIECE]
+            bits = self._rng.getrandbits(64 * len(out)).to_bytes(8 * len(out), "little")
+            words = np.frombuffer(bits, "<u4")
+            np.multiply(words[0::2] >> 5, 67108864.0, out=out)
+            out += words[1::2] >> 6
         draws /= 9007199254740992.0
         return draws
 
@@ -255,6 +265,7 @@ class StateVectorBackend(DeviceBackend):
         if shots < 1:
             # the default runs no execution, so it neither fails nor draws
             return np.zeros((0, n), dtype=np.int8)
+        _check_shot_count(shots)
         return self._walk(n, shots, lambda: (self._prepared(circuit).amplitudes.reshape(1, -1),
                                              np.zeros(shots, dtype=np.intp)))
 
@@ -271,17 +282,15 @@ class StateVectorBackend(DeviceBackend):
         basis applied in place, through the same `apply`. So every start row
         is the default's state, float for float, and the bits and the stream
         position afterwards equal the default's. A prep too wide for the
-        backend is refused whatever `shots` is, unless there is no basis.
+        backend is refused by the session's `allocate`, before any draw.
         """
-        _check_bases(prep, bases)
+        _check_bases(prep, bases, shots)
         n = prep.arity
-        if bases and n > self.max_qubits:
-            raise CapacityExceeded(n, self.max_qubits)
-        counts = np.zeros((len(bases), n), dtype=np.int64)
-        if not (bases and shots > 0):
-            return counts
+        if not bases:
+            return np.zeros((0, n), dtype=np.int64)
         state = self._prepared(prep)
         prepared = state.amplitudes
+        counts = np.zeros((len(bases), n), dtype=np.int64)
 
         def start(lo: int, hi: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             """One start row for each of bases[lo:hi], and each shot's row, its basis's."""

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 from .circuit import (
     Circuit,
@@ -15,6 +16,7 @@ from .circuit import (
     controlled,
     identity,
 )
+from .errors import NonFiniteAngle
 
 
 def h_gate() -> Circuit:
@@ -38,9 +40,19 @@ def to_bell_basis() -> Circuit:
     return Circuit(2, [Hadamard(0), ControlledNot(0, 1)])
 
 
+def _rm_angle(m: int) -> float:
+    """2*pi / 2^m, as 2*pi scaled by 2^-m: exact while that is a normal
+    float, correctly rounded below, and 0 for large m. An m so negative
+    that the angle passes the largest float raises NonFiniteAngle."""
+    try:
+        return math.ldexp(2.0 * math.pi, -operator.index(m))
+    except OverflowError:
+        raise NonFiniteAngle(math.inf) from None
+
+
 def rm(m: int) -> Circuit:
     """Phase rotation P(2*pi / 2^m) used by the QFT cascade."""
-    return p_gate(2.0 * math.pi / 2**m)
+    return p_gate(_rm_angle(m))
 
 
 def c_rm(m: int) -> Circuit:

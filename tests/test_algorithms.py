@@ -263,6 +263,16 @@ def test_run_rus_defaults():
     assert run_rus(StateVectorBackend(seed=3)) in (0, 1)
 
 
+@pytest.mark.parametrize("max_iterations", [0, -1, -(2**70)])
+def test_run_rus_refuses_fewer_than_one_iteration_before_any_device_op(max_iterations):
+    # as `qlin rus --max-iter` does; None still means no bound
+    backend = CountingBackend(seed=1)
+    with pytest.raises(ValueError, match="max_iterations"):
+        run_rus(backend, max_iterations=max_iterations)
+    assert backend.sessions == 0
+    assert coin(backend.inner) == coin(StateVectorBackend(seed=1))
+
+
 # graphs and cuts
 
 def k3() -> Graph:
@@ -370,6 +380,19 @@ def test_trajectories_check_the_gate_cap_before_proposing_angles():
     for graph in (k3(), Graph(0, ())):  # an empty graph's layers count too
         with pytest.raises(TooManyGates):
             qaoa_trajectory(backend, 1, 10**9, graph, rand, never)
+
+
+@pytest.mark.parametrize("p", [-1, -(2**70)])
+def test_qaoa_refuses_a_negative_layer_count_before_the_first_round(p):
+    # as `qlin qaoa --p` does, rather than running rounds with no angles
+    def never(*args):
+        raise AssertionError("a round began with a negative layer count")
+
+    backend = CountingBackend(seed=1)
+    for run in (qaoa_trajectory, qaoa):
+        with pytest.raises(ValueError, match="non-negative"):
+            run(backend, 1, p, k3(), RandomSource(1), never)
+    assert backend.sessions == 0
 
 
 def test_trajectories_check_their_rounds_and_shots_before_any_work():
@@ -541,6 +564,22 @@ def test_compute_energy_checks_its_inputs_whatever_the_terms():
         with pytest.raises(ValueError):
             compute_energy(backend, identity(2), Hamiltonian(terms), 0)
         assert backend.sessions == 0
+
+
+def test_estimator_counts_its_shots_against_the_limit_before_any_draw():
+    # measured terms x n_samples pass SHOT_LIMIT, as vqe_trajectory counts
+    # them for one round: refused with TooManyShots before any session,
+    # also when each term alone is within the limit
+    backend = CountingBackend(seed=1)
+    prepare = ansatz(2, 1, [0.1, 0.2, 0.3, 0.4])
+    three = Hamiltonian(((1.0, "ZI"), (0.5, "II"), (0.5, "XY"), (0.2, "YY")))
+    for n_samples in (circuit.SHOT_LIMIT + 1, 2**40):
+        with pytest.raises(TooManyShots):
+            compute_energy_pauli(backend, h_gate(), "X", n_samples)
+    with pytest.raises(TooManyShots):
+        compute_energy(backend, prepare, three, circuit.SHOT_LIMIT // 3 + 1)
+    assert backend.sessions == 0
+    assert coin(backend.inner) == coin(StateVectorBackend(seed=1))
 
 
 def test_compute_energy_empty_pauli_string_is_its_coefficient():

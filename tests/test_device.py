@@ -31,6 +31,7 @@ from qlin import (
     qprogram,
     to_bell_basis,
 )
+from qlin import circuit
 from qlin.circuit import Circuit, ControlledNot, Hadamard
 from qlin.device import DeviceBackend, DeviceSession, _handle_id
 from qlin.errors import (
@@ -39,6 +40,7 @@ from qlin.errors import (
     DanglingQubits,
     DeviceError,
     DuplicateHandle,
+    TooManyShots,
     UseAfterConsume,
 )
 from qlin.stdcircuits import h_gate
@@ -350,6 +352,10 @@ def test_sample_capacity_error_draws_nothing():
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
 
 
+def _no_session(self):
+    raise AssertionError("a session was opened")
+
+
 _WIDE_PREPS = {
     "3": (3, [Hadamard(1)]),
     "1000000000000": (10**12, [Hadamard(1)]),
@@ -363,11 +369,12 @@ _WIDE_PREPS = {
      for shots in (5, 0, -1) for name in _WIDE_PREPS],
 )
 def test_count_ones_capacity_error_draws_nothing(arity, gates, shots):
-    # refused as sample refuses it, at once however wide and whatever the
-    # shots, before any draw or any array is made
+    # refused as sample refuses it, at once however wide, before any draw or
+    # any array is made; with fewer than one shot the shot count is refused
+    # first
     b = StateVectorBackend(seed=5, max_qubits=2)
     prep = Circuit(arity, gates)
-    with pytest.raises(CapacityExceeded):
+    with pytest.raises(CapacityExceeded if shots > 0 else ValueError):
         b.count_ones(prep, [identity(arity)], shots)
     assert execute(b, pure(7)) == 7
     bell = to_bell_basis()
@@ -376,13 +383,14 @@ def test_count_ones_capacity_error_draws_nothing(arity, gates, shots):
 
 @pytest.mark.parametrize("shots", [0, -1])
 def test_count_ones_default_refuses_a_wide_prep_without_shots(shots):
-    # no shot runs to refuse the width, so the default lets one session's
-    # allocate refuse it before the (len(bases), arity) result is made; that
-    # draws nothing
+    # the shot count is refused before any session could build the prep's
+    # |0...0> state or refuse its width, so nothing is allocated or drawn
     b = StateVectorBackend(seed=5, max_qubits=2)
     wide = Circuit(10**12, [Hadamard(1)])
-    with pytest.raises(CapacityExceeded):
-        DeviceBackend.count_ones(b, wide, [identity(10**12)], shots)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StateVectorBackend, "new_session", _no_session)
+        with pytest.raises(ValueError):
+            DeviceBackend.count_ones(b, wide, [identity(10**12)], shots)
     fresh = StateVectorBackend(seed=5)
     assert [coin(b) for _ in range(20)] == [coin(fresh) for _ in range(20)]
 
@@ -391,14 +399,66 @@ def test_count_ones_default_refuses_a_wide_prep_without_shots(shots):
 def test_count_ones_with_no_bases_refuses_no_width(shots):
     # nothing is measured, so a prep wider than the cap still gives its
     # (0, arity) counts, on both paths, and nothing is drawn; an all-identity
-    # Hamiltonian on such a register is still its coefficients' sum
+    # Hamiltonian on such a register is still its coefficients' sum. Fewer
+    # than one shot is refused, as with any basis
     b = StateVectorBackend(seed=5, max_qubits=2)
     wide = Circuit(10**12, [Hadamard(1)])
-    for counts in (b.count_ones(wide, [], shots), DeviceBackend.count_ones(b, wide, [], shots)):
-        assert counts.dtype == np.int64 and counts.shape == (0, 10**12)
+    for count_ones in (b.count_ones, lambda *args: DeviceBackend.count_ones(b, *args)):
+        if shots < 1:
+            with pytest.raises(ValueError):
+                count_ones(wide, [], shots)
+        else:
+            counts = count_ones(wide, [], shots)
+            assert counts.dtype == np.int64 and counts.shape == (0, 10**12)
     assert compute_energy(b, identity(3), Hamiltonian(((2.0, "III"), (-0.5, "III"))), 5) == 1.5
     bell = to_bell_basis()
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
+
+
+@pytest.mark.parametrize("path", ["override", "default"])
+@pytest.mark.parametrize("width", [3, 10**12])
+@pytest.mark.parametrize("n_bases", [0, 2])
+@pytest.mark.parametrize("shots", [0, -1, -(2**70)])
+def test_count_ones_takes_at_least_one_shot(path, width, n_bases, shots):
+    # fewer than one shot is a ValueError on both paths, within the cap or
+    # far past it, with or without bases, before any session is opened or
+    # any uniform drawn
+    b = StateVectorBackend(seed=5, max_qubits=4)
+    count_ones = b.count_ones if path == "override" else lambda *args: DeviceBackend.count_ones(b, *args)
+    prep = Circuit(width, [Hadamard(1)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StateVectorBackend, "new_session", _no_session)
+        with pytest.raises(ValueError, match="at least one shot"):
+            count_ones(prep, [identity(width)] * n_bases, shots)
+    fresh = StateVectorBackend(seed=5)
+    assert [coin(b) for _ in range(20)] == [coin(fresh) for _ in range(20)]
+
+
+@pytest.mark.parametrize("path", ["override", "default"])
+def test_shots_past_the_limit_are_refused_before_any_draw(path, monkeypatch):
+    # sample counts its shots and count_ones its (basis, shot) rows against
+    # SHOT_LIMIT, before any session is opened or any uniform drawn; sample
+    # still gives an empty array for fewer than one shot
+    b = StateVectorBackend(seed=5)
+    sample = b.sample if path == "override" else lambda *args: DeviceBackend.sample(b, *args)
+    count_ones = b.count_ones if path == "override" else lambda *args: DeviceBackend.count_ones(b, *args)
+    bases = [identity(1), h_gate(), identity(1)]
+    with monkeypatch.context() as patch:
+        patch.setattr(StateVectorBackend, "new_session", _no_session)
+        for shots in (circuit.SHOT_LIMIT + 1, 2**40, 2**100):
+            with pytest.raises(TooManyShots):
+                sample(h_gate(), shots)
+            with pytest.raises(TooManyShots):
+                count_ones(h_gate(), bases, shots)
+        with pytest.raises(TooManyShots):  # each basis alone is within the limit
+            count_ones(h_gate(), bases, circuit.SHOT_LIMIT // 3 + 1)
+        for shots in (0, -1):
+            assert sample(h_gate(), shots).shape == (0, 1)
+    fresh = StateVectorBackend(seed=5)
+    assert [coin(b) for _ in range(20)] == [coin(fresh) for _ in range(20)]
+    monkeypatch.setattr(circuit, "SHOT_LIMIT", 6)  # the limit itself is allowed
+    assert sample(h_gate(), 6).shape == (6, 1)
+    assert count_ones(h_gate(), bases[:2], 3).shape == (2, 1)
 
 
 def test_count_ones_refuses_a_basis_of_another_arity():

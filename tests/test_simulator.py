@@ -494,13 +494,13 @@ def _walks_are_the_default_shots(walks, prep, bases, shots, measured):
         for shot, row in enumerate(reached, start=done):
             assert np.array_equal(rows[row], states[shot // shots])
         done += len(reached)
-    assert done == len(bases) * max(shots, 0)
+    assert done == len(bases) * shots
     walked = [bits for *_, bits in walks]
     assert np.array_equal(np.concatenate(walked) if walked else np.zeros((0, n), np.int8), measured)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(preps_and_bases(), st.integers(0, 40), st.sampled_from([1, 7, 2**16, "shots - 1", "shots + 1"]),
+@given(preps_and_bases(), st.integers(1, 40), st.sampled_from([1, 7, 2**16, "shots - 1", "shots + 1"]),
        st.integers())
 def test_count_ones_matches_the_default(case, shots, batch, seed):
     # equal counts could hide two flipped shots that cancel, so every shot's
@@ -687,6 +687,32 @@ def test_uniforms_equal_that_many_uniform_calls_bit_for_bit(k, skip, seed):
     assert drawn.dtype == np.float64 and drawn.shape == (k,)
     assert drawn.tobytes() == np.array([b.uniform() for _ in range(k)], dtype=float).tobytes()
     assert a.uniform() == b.uniform()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 60), st.integers(0, 700), st.integers())
+def test_uniforms_draw_in_pieces_that_getrandbits_takes(piece, k, skip, seed):
+    # getrandbits takes its bit count as a C int, so a draw of 2**25 or more
+    # uniforms in one call raises OverflowError; the pieces give the same
+    # floats and stream position as one call, and each asks for at most
+    # 64 * _DRAW_PIECE bits. The real piece fits a C int, and vqe-shots'
+    # 36,000 uniforms per walk still take one call
+    assert 36_000 <= simulator._DRAW_PIECE and 64 * simulator._DRAW_PIECE <= 2**31 - 1
+    a = RandomSource(seed)
+    b = RandomSource()
+    b._rng.setstate(a._rng.getstate())
+    for _ in range(skip):
+        a.uniform(), b.uniform()
+    asked = []
+    getrandbits = a._rng.getrandbits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_DRAW_PIECE", piece)
+        patch.setattr(a._rng, "getrandbits", lambda bits: asked.append(bits) or getrandbits(bits))
+        drawn = a.uniforms(k)
+    assert drawn.dtype == np.float64 and drawn.shape == (k,)
+    assert drawn.tobytes() == np.array([b.uniform() for _ in range(k)], dtype=float).tobytes()
+    assert a.uniform() == b.uniform()
+    assert len(asked) == -(-k // piece) and max(asked, default=0) <= 64 * piece and sum(asked) == 64 * k
 
 
 def test_sampling_does_not_import_numpy_random():

@@ -4,10 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlin import (
     Circuit,
     Hadamard,
+    Phase,
     add_cnot,
     add_h,
     add_p,
@@ -19,7 +22,7 @@ from qlin import (
 )
 from qlin import circuit
 from qlin.circuit import BUILD_GATE_LIMIT
-from qlin.errors import TooManyGates
+from qlin.errors import NonFiniteAngle, QlinError, TooManyGates
 from qlin.stdcircuits import c_rm, cnot_gate, h_gate, p_gate, qft, rm, t_gate, to_bell_basis
 
 from .oracles import assert_close, basis_state, bit_reversed_dft
@@ -42,6 +45,43 @@ def test_bell_basis_states():
 def test_rm_angles():
     assert rm(1) == p_gate(math.pi)
     assert rm(2) == p_gate(math.pi / 2)
+
+
+def _rm_reference(m):
+    """2*pi / 2**m by float division; for m past 1023, where 2**m is no
+    float, divided by 2**1023 (exact) and then by the rest (rounded once);
+    None where that is not finite."""
+    try:
+        if m > 1023:
+            return 2.0 * math.pi / 2**1023 / 2.0 ** min(m - 1023, 1023)
+        angle = 2.0 * math.pi / 2**m
+    except ZeroDivisionError:
+        return None
+    return angle if math.isfinite(angle) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-1200, 1200), st.integers(-(2**80), 2**80)))
+@example(-5000)
+@example(-3000)
+@example(2000)
+@example(1075)
+@example(-1021)
+def test_rm_gives_a_circuit_or_a_typed_error_for_every_m(m):
+    # the angle is 2*pi scaled by 2^-m: bit for bit the quotient wherever
+    # that is finite, 0 far past it, and a negative m whose angle passes the
+    # largest float is NonFiniteAngle
+    reference = _rm_reference(m)
+    for build in (rm, c_rm):
+        try:
+            built = build(m)
+        except (QlinError, ValueError) as err:
+            assert isinstance(err, NonFiniteAngle) and reference is None and m < 0
+            continue
+        angles = [gate.angle for gate in built.gates if isinstance(gate, Phase)]
+        assert all(math.isfinite(angle) for angle in angles)
+        if build is rm:
+            assert angles[0].hex() == reference.hex()
 
 
 def test_c_rm_block_matrix():
