@@ -151,8 +151,11 @@ def rus(q: QubitHandle, u_prime: Circuit, e: Circuit, max_iterations: int | None
     measures the ancilla: 0 means success and the data qubit is returned;
     1 means the data qubit holds E|psi>, so adjoint(e) undoes it and the
     round repeats. Terminates with probability 1 whenever success has
-    positive probability; `max_iterations` bounds the failure rounds.
+    positive probability; `max_iterations`, when given, must be at least 1
+    and bounds the failure rounds.
     """
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     undo = adjoint(e)
     failures = 0
     while True:
@@ -402,8 +405,11 @@ def ansatz(n: int, depth: int, params: Sequence[float]) -> Circuit:
 
     Per layer: on each wire the rotation block H, P(theta), H, P(phi)
     (two angles per wire), then the entangling chain CNOT(i, i+1). Raises
-    TooManyGates before building when its gates pass BUILD_GATE_LIMIT.
+    TooManyGates before building when its gates pass BUILD_GATE_LIMIT, and
+    ValueError when depth is negative.
     """
+    if depth < 0:
+        raise ValueError("ansatz depth must be non-negative")
     _check_gate_count(_ansatz_gates(n, depth))
     params = list(params)
     if len(params) != n * depth * 2:
@@ -450,6 +456,8 @@ def vqe_trajectory(
     """
     if k < 1:
         raise ValueError("iteration count must be at least 1")
+    if depth < 0:
+        raise ValueError("ansatz depth must be non-negative")
     n = hamiltonian.arity
     _check_gate_count(_ansatz_gates(n, depth))
     _check_round_count(k)

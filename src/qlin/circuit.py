@@ -118,13 +118,9 @@ class _Gate:
             if not 0 <= w < arity:
                 raise WireOutOfRange(w, arity)
 
-    def fields_on(self, wires: Sequence[int]) -> tuple:
-        """This gate's fields in order, with each wire w replaced by wires[w]."""
-        raise NotImplementedError
-
     def remap(self, wires: Sequence[int]) -> GateApp:
         """The same gate with its wire k moved to wires[k]."""
-        return type(self)(*self.fields_on(wires))
+        return type(self)(*self.params, *(wires[w] for w in self.wires))
 
     def inverse(self) -> GateApp:
         return self
@@ -168,9 +164,6 @@ class Hadamard(_Gate):
     def wires(self) -> tuple[int, ...]:
         return (self.wire,)
 
-    def fields_on(self, wires: Sequence[int]) -> tuple:
-        return (wires[self.wire],)
-
     def controlled(self, ctl: int) -> list[GateApp]:
         tgt = self.wire
         return _ry_block(tgt, _QUARTER) + [ControlledNot(ctl, tgt)] + _ry_block(tgt, -_QUARTER)
@@ -193,9 +186,6 @@ class Phase(_Gate):
     @property
     def wires(self) -> tuple[int, ...]:
         return (self.wire,)
-
-    def fields_on(self, wires: Sequence[int]) -> tuple:
-        return (self.angle, wires[self.wire])
 
     def check(self, arity: int) -> None:
         if not math.isfinite(self.angle):
@@ -229,9 +219,6 @@ class ControlledNot(_Gate):
     @property
     def wires(self) -> tuple[int, ...]:
         return (self.control, self.target)
-
-    def fields_on(self, wires: Sequence[int]) -> tuple:
-        return (wires[self.control], wires[self.target])
 
     def check(self, arity: int) -> None:
         super().check(arity)

@@ -7,67 +7,84 @@ Native circuit format:
     H <j>
     P <angle> <j>
     CNOT <c> <t>
-with `#` comments and free whitespace. Angles accept float literals or
-simple expressions over `pi` (e.g. `pi/2`, `-3*pi/4`).
+with `#` comments and free whitespace.
+
+An angle, in both circuit formats, is ASCII decimal literals (`12`, `1.5`,
+`.5`, `5.`, `1e-3`) and `pi` under unary `+`/`-`, parentheses and the
+left-associative operators `+ - * /` (`*` and `/` binding tighter), with
+spaces or tabs between tokens; e.g. `pi/2`, `-3*pi/4`. A literal of digits
+alone follows Python's integer rules. Any other character is an error, and
+so are more than 1000 operators and parentheses in one angle. Every number
+and index in these formats is ASCII.
 """
 from __future__ import annotations
 
-import ast
 import math
 import operator
+import re
 
 from .algorithms import _PAULI_OPS, Graph, Hamiltonian
 from .circuit import GATE_KINDS, Circuit, format_angle
 from .errors import CircuitError, ParseError
 
 
+# spaces or tabs, then a literal or pi, or else any one character
+_ANGLE_TOKEN = re.compile(r"[ \t]*(?:((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|pi)|(.))", re.DOTALL)
+_SIGN, _OPEN = 3, 0  # the precedences of unary + and - (above every binary operator's) and of "("
+_PREFIXES = {"+": (_SIGN, operator.pos), "-": (_SIGN, operator.neg), "(": (_OPEN, None)}
 _BINARY_OPS = {
-    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+    "+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul), "/": (2, operator.truediv),
 }
-_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-_MAX_ANGLE_DEPTH = 1000
+_MAX_ANGLE_OPS = 1000
 
 
-def _eval_angle_node(root: ast.expr) -> float:
-    """Evaluate an angle expression tree with an explicit stack, left to right.
-
-    Nesting deeper than _MAX_ANGLE_DEPTH raises RecursionError wherever the
-    caller sits on the interpreter's stack.
-    """
-    values: list[float] = []
-    todo: list[tuple[ast.AST, int]] = [(root, 0)]  # (node, depth); depth -1: apply the operator
-    while todo:
-        node, depth = todo.pop()
-        if depth < 0:
-            if type(node) in _UNARY_OPS:
-                values.append(_UNARY_OPS[type(node)](values.pop()))
-            else:
-                right = values.pop()
-                values.append(_BINARY_OPS[type(node)](values.pop(), right))
-        elif depth > _MAX_ANGLE_DEPTH:
-            raise RecursionError("angle expression nests too deeply")
-        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):  # not bool
-            values.append(float(node.value))
-        elif isinstance(node, ast.Name) and node.id == "pi":
-            values.append(math.pi)
-        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
-            todo += [(node.op, -1), (node.operand, depth + 1)]
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-            todo += [(node.op, -1), (node.right, depth + 1), (node.left, depth + 1)]
-        else:
-            raise ValueError("unsupported angle expression")
-    return values.pop()
+def _reduce(values: list[float], pending: list[tuple], floor: int) -> None:
+    """Apply the pending operators whose precedence passes `floor`, innermost first."""
+    while pending[-1][0] > floor:
+        precedence, function = pending.pop()
+        right = values.pop()
+        values.append(function(right) if precedence == _SIGN else function(values.pop(), right))
 
 
 def parse_angle(text: str, line: int) -> float:
-    """Evaluate an angle literal or a +-*/ expression over `pi`."""
+    """Evaluate an angle in the grammar of the module docstring.
+
+    The tokens move onto a stack of values and one of pending (precedence,
+    function) operators. Past _MAX_ANGLE_OPS operators and parentheses the
+    angle nests too deeply.
+    """
+    text = text.strip()
+    values, pending = [], [(-1, None)]  # the bottom of `pending` is never reduced
+    want_operand, operators = True, 0
     try:
-        return _eval_angle_node(ast.parse(text.strip(), mode="eval").body)
-    # OverflowError: an integer literal too large for a float
-    except (SyntaxError, ValueError, ZeroDivisionError, OverflowError):
-        raise ParseError(line, f"bad angle {text.strip()!r}") from None
-    except (RecursionError, MemoryError):  # the evaluator's depth cap or ast.parse's limit
-        raise ParseError(line, "angle expression nests too deeply") from None
+        for token, symbol in (match.groups() for match in _ANGLE_TOKEN.finditer(text)):
+            if want_operand and token is not None:
+                value = math.pi if token == "pi" else float(token)
+                if token.isdigit() and (value == math.inf or value and token[0] == "0"):
+                    raise ValueError(token)  # digits alone follow Python's int rules
+                values.append(value)
+            elif want_operand and symbol in _PREFIXES:
+                pending.append(_PREFIXES[symbol])
+            elif not want_operand and symbol in _BINARY_OPS:
+                _reduce(values, pending, _BINARY_OPS[symbol][0] - 1)  # left-associative
+                pending.append(_BINARY_OPS[symbol])
+            elif not want_operand and symbol == ")":
+                _reduce(values, pending, _OPEN)
+                if pending.pop()[0] != _OPEN:
+                    raise ValueError(symbol)
+            else:
+                raise ValueError(token or symbol)
+            want_operand = symbol not in (None, ")")
+            operators += token is None
+            if operators > _MAX_ANGLE_OPS:
+                raise ParseError(line, "angle expression nests too deeply")
+        if not want_operand:
+            _reduce(values, pending, _OPEN)
+        if want_operand or len(pending) > 1:  # a missing operand or an unclosed "("
+            raise ValueError(text)
+        return values[0]
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(line, f"bad angle {text!r}") from None
 
 
 def _significant_lines(text: str, comment: str):
@@ -78,12 +95,12 @@ def _significant_lines(text: str, comment: str):
 
 
 def _index(token: str, line: int, message: str) -> int:
-    """Read a non-negative decimal index, or raise ParseError(line, message).
+    """Read a non-negative index of ASCII digits, or raise ParseError(line, message).
 
-    str.isdecimal accepts exactly the digit strings int() reads; str.isdigit
-    would also pass characters such as '²' that int() rejects.
+    str.isdecimal alone would also pass digits such as '٣' that int() reads;
+    str.isdigit would also pass characters such as '²' that int() rejects.
     """
-    if not token.isdecimal():
+    if not (token.isascii() and token.isdecimal()):
         raise ParseError(line, message)
     return int(token)
 
@@ -235,6 +252,8 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         if len(fields) != 2:
             raise ParseError(number, f"expected `<coeff> <paulistring>`, got {line!r}")
         try:
+            if not fields[0].isascii():  # float() would read '٣' as 3.0
+                raise ValueError(fields[0])
             coeff = float(fields[0])
         except ValueError:
             raise ParseError(number, f"bad coefficient {fields[0]!r}") from None

@@ -7,12 +7,15 @@ of a basis index throughout.
 """
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import random
 
 import numpy as np
 
 from qlin import Circuit, add_cnot, add_h, add_p, identity
+from qlin.errors import ParseError
 
 I2 = np.eye(2, dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -182,3 +185,56 @@ class DenseSession:
         self.vector = np.array(kept, dtype=complex) / math.sqrt(p_one if bit else 1.0 - p_one)
         self.qubits.remove(name)
         return bit
+
+
+# Reference angle reader: Python's own parser and an explicit-stack walk of
+# its tree, as formats.parse_angle read angles before it had its own grammar.
+# It accepts Python forms the formats do not (`0x10`, `1_0`, `ｐｉ`, `pi#x`).
+
+_BINARY_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_MAX_ANGLE_DEPTH = 1000
+
+
+def _eval_angle_node(root: ast.expr) -> float:
+    """Evaluate an angle expression tree with an explicit stack, left to right.
+
+    Nesting deeper than _MAX_ANGLE_DEPTH raises RecursionError wherever the
+    caller sits on the interpreter's stack.
+    """
+    values: list[float] = []
+    todo: list[tuple[ast.AST, int]] = [(root, 0)]  # (node, depth); depth -1: apply the operator
+    while todo:
+        node, depth = todo.pop()
+        if depth < 0:
+            if type(node) in _UNARY_OPS:
+                values.append(_UNARY_OPS[type(node)](values.pop()))
+            else:
+                right = values.pop()
+                values.append(_BINARY_OPS[type(node)](values.pop(), right))
+        elif depth > _MAX_ANGLE_DEPTH:
+            raise RecursionError("angle expression nests too deeply")
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):  # not bool
+            values.append(float(node.value))
+        elif isinstance(node, ast.Name) and node.id == "pi":
+            values.append(math.pi)
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+            todo += [(node.op, -1), (node.operand, depth + 1)]
+        elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+            todo += [(node.op, -1), (node.right, depth + 1), (node.left, depth + 1)]
+        else:
+            raise ValueError("unsupported angle expression")
+    return values.pop()
+
+
+def parse_angle(text: str, line: int) -> float:
+    """Evaluate an angle literal or a +-*/ expression over `pi`."""
+    try:
+        return _eval_angle_node(ast.parse(text.strip(), mode="eval").body)
+    # OverflowError: an integer literal too large for a float
+    except (SyntaxError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParseError(line, f"bad angle {text.strip()!r}") from None
+    except (RecursionError, MemoryError):  # the evaluator's depth cap or ast.parse's limit
+        raise ParseError(line, "angle expression nests too deeply") from None

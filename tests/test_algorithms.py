@@ -273,6 +273,16 @@ def test_run_rus_refuses_fewer_than_one_iteration_before_any_device_op(max_itera
     assert coin(backend.inner) == coin(StateVectorBackend(seed=1))
 
 
+@pytest.mark.parametrize("max_iterations", [0, -2])
+def test_rus_refuses_fewer_than_one_iteration_before_its_ancilla(max_iterations):
+    # the program checks for itself, not only run_rus
+    backend = MinimalBackend(seed=1)
+    with pytest.raises(ValueError, match="max_iterations"):
+        execute_with_trace(backend, rus_driver(rus_example_unitary(), identity(1), max_iterations))
+    assert backend.log == [("new", 1)]  # the driver's data qubit, and no ancilla
+    assert backend.rand.uniform() == RandomSource(1).uniform()
+
+
 # graphs and cuts
 
 def k3() -> Graph:
@@ -637,6 +647,21 @@ def test_ansatz_zero_angles_is_identity():
 
 def test_ansatz_pi_block_acts_as_x():
     assert_close(matrix_of(ansatz(1, 1, [math.pi, 0.0])), pauli_matrix("X"))
+
+
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_ansatz_and_vqe_refuse_a_negative_depth_before_any_draw(depth):
+    # as `qlin vqe --depth` does, rather than a ParamCountMismatch or an empty circuit
+    for n, params in [(0, []), (2, [0.5] * 4)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            ansatz(n, depth, params)
+    backend, rand = CountingBackend(seed=1), RandomSource(1)
+    for run in (vqe_trajectory, vqe):
+        with pytest.raises(ValueError, match="non-negative"):
+            run(backend, Hamiltonian(((1.0, "ZZ"),)), depth, 1, 10, rand, random_ansatz_params)
+    assert backend.sessions == 0
+    assert rand.uniform() == RandomSource(1).uniform()
+    assert coin(backend.inner) == coin(StateVectorBackend(seed=1))
 
 
 def test_ansatz_param_count():

@@ -247,6 +247,10 @@ def test_parse_errors(tmp_path, capsys):
         code, _, err = run(capsys, [*command.split(), path, "--seed", "1"])
         assert code == EXIT_PARSE
         assert err.startswith(f"E_PARSE: line {line}:") and len(err.splitlines()) == 1
+    # int() reads the Arabic-Indic digit '٣' as 3, but an index is ASCII
+    code, _, err = run(capsys, ["stats", circuit_file(tmp_path, "qubits ٣\n", "input.txt")])
+    assert code == EXIT_PARSE
+    assert err.startswith("E_PARSE: line 1:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["simulate", "vqe --ham", "qaoa --graph"])

@@ -26,9 +26,11 @@ from qlin.formats import (
     parse_hamiltonian,
     parse_qasm,
 )
+from qlin.circuit import format_angle
 from qlin.stdcircuits import p_gate, qft
 
 from .oracles import assert_close
+from .oracles import parse_angle as ast_parse_angle
 
 
 @st.composite
@@ -241,6 +243,117 @@ def test_parse_angle_does_not_depend_on_the_callers_stack():
 
     assert parse_angle(text, 1) == 900.0
     assert deeper(200) == 900.0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ANGLE_ATOMS = st.one_of(
+    _FINITE.map(format_angle),
+    _FINITE.map(repr),
+    st.sampled_from(["pi", "0", "00", "01", "1", "9" * 400, ".5", "5.", "1e-3", "1E+3", "0e5"]),
+    st.text("0123456789", min_size=1, max_size=25),
+)
+_GAPS = st.sampled_from(["", "", " ", "\t", " \t "])
+
+
+def _angle_expressions(atoms):
+    """Documented-grammar text: signs, parentheses and + - * / over `atoms`."""
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, _GAPS, st.sampled_from("+-*/"), _GAPS, inner).map("".join),
+            st.tuples(st.sampled_from("+-"), _GAPS, inner).map("".join),
+            st.tuples(st.just("("), _GAPS, inner, _GAPS, st.just(")")).map("".join),
+        ),
+        max_leaves=12,
+    )
+
+
+@st.composite
+def _near_the_cap(draw):
+    """A run of signs before a chain of one precedence level, about 1000 operators
+    in all; the signs and the chain nest as deep as they count."""
+    signs = draw(st.integers(0, 1010))
+    terms = draw(st.integers(max(1, 990 - signs), max(1, 1012 - signs)))
+    level, rng = draw(st.sampled_from(["+-", "*/"])), draw(st.randoms(use_true_random=False))
+    text = "".join(rng.choice("+-") for _ in range(signs)) + rng.choice(["1", "pi", "2.5"])
+    return text + "".join(rng.choice(level) + rng.choice(["1", "pi", "2.5"]) for _ in range(terms - 1))
+
+
+def _read(parse, text):
+    """repr of the float read (exact, with the sign of zero and nan), or the ParseError."""
+    try:
+        return repr(parse(text, 7))
+    except ParseError as err:
+        return (err.line, err.reason)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_angle_expressions(_ANGLE_ATOMS))
+@example("(" * 199 + "pi" + ")" * 199)
+@example("1/0")
+@example("1e308*10-1e308*10")
+@example("-0.0*1")
+def test_parse_angle_matches_the_ast_reader_on_the_documented_grammar(text):
+    # the same floats, to the bit, or the same error, for every text both may read
+    assert _read(parse_angle, text) == _read(ast_parse_angle, text)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_near_the_cap())
+@example("+".join(["1"] * 1001))
+@example("+".join(["1"] * 1002))
+@example("-" * 1000 + "1")
+@example("-" * 1001 + "1")
+def test_parse_angle_matches_the_ast_reader_near_the_cap(text):
+    assert _read(parse_angle, text) == _read(ast_parse_angle, text)
+
+
+@pytest.mark.parametrize("text", ["ｐｉ", "𝐩𝐢/2", "0x10", "0o7", "0b11", "1_0", "pi#x", "1\x0c+1"])
+def test_parse_angle_rejects_python_forms_outside_the_grammar(text):
+    # Python's parser reads each of these (as pi, 16, 7, 3, 10, pi and 2)
+    with pytest.raises(ParseError) as err:
+        parse_angle(text, 4)
+    assert (err.value.line, err.value.reason) == (4, f"bad angle {text!r}")
+
+
+# (parser, text with a `{}` for one number or index, the line it sits on)
+_NUMBER_SLOTS = [
+    (parse_circuit, "qubits {}\nH 0\n", 1),
+    (parse_circuit, "qubits 3\nH {}\n", 2),
+    (parse_circuit, "qubits 3\nH 0\nCNOT {} 1\n", 3),
+    (parse_circuit, "qubits 3\nH 0\nCNOT 0 {}\n", 3),
+    (parse_circuit, "qubits 3\nP {} 0\n", 2),
+    (parse_circuit, "qubits 3\nP 1 {}\n", 2),
+    (parse_qasm, "OPENQASM 2.0;\nqreg q[{}];\n", 2),
+    (parse_qasm, "OPENQASM 2.0;\nqreg q[3];\nh q[{}];\n", 3),
+    (parse_qasm, "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[{}];\n", 4),
+    (parse_qasm, "OPENQASM 2.0;\nqreg q[3];\nu1({}) q[0];\n", 3),
+    (parse_graph, "vertices {}\n", 1),
+    (parse_graph, "vertices 3\nedge {} 1\n", 2),
+    (parse_graph, "vertices 3\nedge 0 1\nedge 0 {}\n", 3),
+    (parse_hamiltonian, "0.5 ZZ\n{} ZI\n", 2),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(_NUMBER_SLOTS),
+    st.text("0123456789", max_size=2),
+    st.characters(whitelist_categories=("Nd",)).filter(lambda c: not c.isascii()),
+    st.text("0123456789", max_size=2),
+)
+@example((parse_circuit, "qubits {}\nH 0\n", 1), "", "٣", "")
+@example((parse_hamiltonian, "0.5 ZZ\n{} ZI\n", 2), "", "٣", "")
+def test_a_non_ascii_digit_is_a_parse_error_in_every_number(slot, before, digit, after):
+    # int() and float() read any Unicode decimal digit; the formats read ASCII only
+    parse, template, line = slot
+    token = before + digit + after
+    with pytest.raises(ParseError) as err:
+        parse(template.format(token))
+    assert err.value.line == line
+    assert token in err.value.reason
+    if parse is parse_hamiltonian:
+        assert err.value.reason == f"bad coefficient {token!r}"
 
 
 def _first_bad_prefix(make, items):
