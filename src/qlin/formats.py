@@ -28,8 +28,12 @@ from .circuit import GATE_KINDS, Circuit, format_angle
 from .errors import CircuitError, ParseError
 
 
+# an ASCII decimal literal: 12, 1.5, .5, 5. or 1e-3
+_LITERAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # spaces or tabs, then a literal or pi, or else any one character
-_ANGLE_TOKEN = re.compile(r"[ \t]*(?:((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|pi)|(.))", re.DOTALL)
+_ANGLE_TOKEN = re.compile(rf"[ \t]*(?:({_LITERAL}|pi)|(.))", re.DOTALL)
+# a Hamiltonian coefficient: a literal with an optional sign
+_COEFFICIENT = re.compile(rf"[+-]?{_LITERAL}")
 _SIGN, _OPEN = 3, 0  # the precedences of unary + and - (above every binary operator's) and of "("
 _PREFIXES = {"+": (_SIGN, operator.pos), "-": (_SIGN, operator.neg), "(": (_OPEN, None)}
 _BINARY_OPS = {
@@ -251,12 +255,10 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(number, f"expected `<coeff> <paulistring>`, got {line!r}")
-        try:
-            if not fields[0].isascii():  # float() would read '٣' as 3.0
-                raise ValueError(fields[0])
-            coeff = float(fields[0])
-        except ValueError:
-            raise ParseError(number, f"bad coefficient {fields[0]!r}") from None
+        # float() alone would also read '٣', '1_0', 'inf' and 'nan'
+        if not _COEFFICIENT.fullmatch(fields[0]):
+            raise ParseError(number, f"bad coefficient {fields[0]!r}")
+        coeff = float(fields[0])
         term = fields[1]  # only ASCII folds: str.upper turns 'ı' into 'I' and 'ß' into 'SS'
         terms.append((coeff, term.upper() if term.isascii() and set(term.upper()) <= _PAULI_OPS else term))
         numbers.append(number)

@@ -54,7 +54,16 @@ run the same passes. On a state of at most _SMALL_STATE entries each pass
 runs its own kernel, in plan order. On a larger one the passes on up to
 _BLOCK consecutive state wires run as one dense block, the Kronecker product
 of their 2x2s, multiplied by np.matmul (state-vector gate fusion: Häner and
-Steiger, arXiv:1704.01127); a pass with no neighbour keeps its kernel.
+Steiger, arXiv:1704.01127); a pass with no neighbour keeps its kernel. When
+the caller says the state is |0...0>, a leading layer on a large state is
+written directly: each block maps |0...0> on its wires to its matrix's
+first column, so the layer's result is the outer product of those columns,
+taken in the order the blocks run (ascending state wires, the first block
+the most significant digit), with |0> on every wire the layer skips. The
+products are the blocks' own, in the same order: a real layer (H) gives
+the passes' floats exactly, and a complex one agrees to rounding, since
+np.matmul may round a complex product differently. The opening H layer of
+a 20-wire QAOA circuit is then one write of the state, not four passes.
 
 H, CNOT and the 2x2 act on a (2**w, 2, rest) view, in which [:, b] is the half
 where wire w reads b, and a block on the (2**lo, 2**k, rest) view. apply_plan
@@ -62,8 +71,9 @@ allocates one scratch buffer of half the state's size (a small state gets up
 to 64 KiB) and every pass reuses it; no pass allocates a temporary the size
 of the state: on a large state the 2x2 runs in two halves so that its two
 products fit the buffer, a block's product goes through it a chunk at a time,
-and table[count] is gathered into it in pieces of at most _SMALL_STATE
-entries, since take converts each piece's counts to intp.
+table[count] is gathered into it in pieces of at most _SMALL_STATE
+entries, since take converts each piece's counts to intp, and a product
+start's partial products alternate between it and the state.
 """
 from __future__ import annotations
 
@@ -87,6 +97,8 @@ _COUNTS_FLOOR = 1 << 16
 # took 40, 38 and 62 ms in blocks of 4, 5 and 6 wires, against 157 ms as one
 # pass per wire (2-core Xeon, one BLAS thread)
 _BLOCK = 5
+# the ufunc buffer, in entries, while `_product_start` writes its outer products
+_OUTER_BUFFER = 512
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -183,6 +195,34 @@ def _matrix(kernel, params: tuple) -> np.ndarray:
     return m
 
 
+def _blocks(axes: Sequence[int]) -> list[list[int]]:
+    """The indices j of a large state's layer, grouped as it runs them.
+
+    Each group is a run of up to _BLOCK consecutive state wires axes[j], and
+    the groups come in ascending wire order.
+    """
+    blocks: list[list[int]] = []
+    for j in sorted(range(len(axes)), key=axes.__getitem__):
+        if blocks and axes[j] == axes[blocks[-1][-1]] + 1 and len(blocks[-1]) < _BLOCK:
+            blocks[-1].append(j)
+        else:
+            blocks.append([j])
+    return blocks
+
+
+def _block_matrix(factors: tuple, block: list[int], columns: int = 2) -> np.ndarray:
+    """The Kronecker product of the 2x2s of factors[j] for j in `block`, the first most significant.
+
+    With `columns` = 1 it is the product of their first columns, which is
+    the first column of the whole product, entry for entry.
+    """
+    m = _matrix(*factors[block[0]])[:, :columns]
+    for j in block[1:]:
+        # the Kronecker product, with fewer temporaries than np.kron
+        m = (m[:, None, :, None] * _matrix(*factors[j])[:, None, :columns]).reshape(2 * len(m), -1)
+    return m
+
+
 def _layer(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], factors: tuple) -> None:
     """One-wire passes on distinct wires: factors[j] = (kernel, params) acts on axes[j].
 
@@ -195,22 +235,46 @@ def _layer(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], factors: tup
         for axis, (kernel, params) in zip(axes, factors):
             kernel(t, scratch, [axis], *params)
         return
-    blocks: list[list[int]] = []
-    for j in sorted(range(len(axes)), key=axes.__getitem__):
-        if blocks and axes[j] == axes[blocks[-1][-1]] + 1 and len(blocks[-1]) < _BLOCK:
-            blocks[-1].append(j)
-        else:
-            blocks.append([j])
-    for block in blocks:
+    for block in _blocks(axes):
         if len(block) == 1:
             kernel, params = factors[block[0]]
             kernel(t, scratch, [axes[block[0]]], *params)
         else:
-            m = _matrix(*factors[block[0]])
-            for j in block[1:]:
-                # the Kronecker product, with fewer temporaries than np.kron
-                m = (m[:, None, :, None] * _matrix(*factors[j])[:, None, :]).reshape(2 * len(m), -1)
-            _dense(t, scratch, [axes[j] for j in block], m)
+            _dense(t, scratch, [axes[j] for j in block], _block_matrix(factors, block))
+
+
+def _product_start(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], factors: tuple) -> None:
+    """`_layer` on |0...0>, above _SMALL_STATE entries, written into `t` as a product state.
+
+    See the module docstring. The partial products alternate between the
+    scratch buffer and `t`, so that the last one, at most half the state,
+    is in the buffer when the full product is written into `t`.
+    """
+    blocks = _blocks(axes)
+    columns = [_block_matrix(factors, block, 1)[:, 0] for block in blocks]
+    last = max(axes)
+    # the entries of t where every wire the layer skips, and the rest, read 0
+    view = t.reshape([2] * (last + 1) + [-1])[
+        tuple(slice(None) if w in axes else 0 for w in range(last + 1)) + (0,)]
+    k = len(blocks[-1])
+    # numpy buffers the operands of an outer product in ufunc-buffer pieces,
+    # 8192 entries (256 KiB) by default; smaller pieces keep it within
+    # 16 KiB of the scratch buffer, at the same speed
+    bufsize = np.setbufsize(_OUTER_BUFFER)
+    try:
+        product, used = np.ones(1, dtype=t.dtype), 0
+        for i, column in enumerate(columns[:-1]):
+            size = product.size * column.size
+            if (len(columns) - i) % 2:
+                used, buffer = size, t[:size]
+            else:
+                buffer = scratch[:size]
+            np.multiply.outer(product, column, out=buffer.reshape(product.size, column.size))
+            product = buffer
+        t[:used] = 0
+        np.multiply(product.reshape([2] * (len(axes) - k) + [1] * k), columns[-1].reshape([2] * k), out=view)
+    finally:
+        np.setbufsize(bufsize)
 
 
 @functools.lru_cache(maxsize=8)
@@ -409,8 +473,13 @@ def _fold(run: Sequence, wire: int | None, built: dict, budget: int) -> list[tup
     return _fold_phase_polynomial(run, built, budget)
 
 
-def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int]) -> None:
-    """Run the passes of `plan(...)` on `t`, in place, with a gate's wire k on wires[k]."""
+def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int], fresh: bool = False) -> None:
+    """Run the passes of `plan(...)` on `t`, in place, with a gate's wire k on wires[k].
+
+    `fresh` says that `t` is |0...0>, entry 0 exactly 1 and every other 0;
+    a leading `_layer` on more than _SMALL_STATE entries is then written as
+    `_product_start`.
+    """
     if not t.flags.c_contiguous:
         raise ValueError("the state must be C-contiguous, since kernels write through views")
     if not steps:
@@ -418,5 +487,9 @@ def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int]) -> N
     flat = t.reshape(-1)
     # half the state, plus one entry so the 2x2's two halves of an odd batch fit
     scratch = np.empty(max(flat.size // 2 + 1, _SMALL_STATE), dtype=t.dtype)
+    if fresh and steps[0][0] is _layer and flat.size > _SMALL_STATE:
+        _, step_wires, params = steps[0]
+        _product_start(flat, scratch, [wires[w] for w in step_wires], *params)
+        steps = steps[1:]
     for kernel, step_wires, params in steps:
         kernel(flat, scratch, [wires[w] for w in step_wires], *params)

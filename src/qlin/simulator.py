@@ -17,9 +17,15 @@ calls of at most `_DRAW_PIECE` draws, and never from numpy.random, whose
 import alone costs several MB of resident memory.
 `QuantumState` is the backend's session: its `allocate`, `apply` and
 `measure` are the three device primitives, and every state is created and
-changed through them. `StateVectorBackend.sample` prepares a measure-all
-circuit once, through the same `allocate` and `apply`, and walks its
-collapse one wire at a time for all shots at once, drawing in shot order.
+changed through them. The first `apply` to the |0...0> that `allocate`
+builds on an empty session tells the kernels that the state is fresh, so a
+circuit that opens with a layer of one-wire passes on a large state starts
+as a product state (see the kernels module). Since that choice is made in
+the session, `sample`, `count_ones`, the default's per-shot programs and a
+relabelled circuit all take the same path.
+`StateVectorBackend.sample` prepares a measure-all circuit once, through the
+same `allocate` and `apply`, and walks its collapse one wire at a time for
+all shots at once, drawing in shot order.
 `count_ones` prepares its prep once, the same way, and applies each basis
 through the same `apply`, in place, to its own start row, a copy of the
 prepared state: prep, then basis, in one session, as the default's shots
@@ -184,15 +190,25 @@ class QuantumState(DeviceSession):
     it down by one. `allocate`, `apply` and `measure` are the device
     primitives and the whole of the state's behaviour, drawing from `rand`
     and capped at `max_qubits` wires.
+
+    The state is fresh while `amplitudes` is still the array that `allocate`
+    built from an empty session with entry 0 exactly 1 (a measurement of
+    every qubit can leave a phase there instead); `apply` passes that to
+    the kernels. The session keeps that array, not a flag, so assigning
+    `amplitudes` another array makes it not fresh (writing into the array
+    in place is not seen, and must not be done); `apply` and `measure`
+    end it, even with no passes or no ids. A state that `allocate` extends
+    is never fresh, even when it is |0...0>.
     """
 
-    __slots__ = ("amplitudes", "registry", "max_qubits", "_random")
+    __slots__ = ("amplitudes", "registry", "max_qubits", "_random", "_zero")
 
     def __init__(self, rand: RandomSource, max_qubits: int = DEFAULT_MAX_QUBITS):
         self.amplitudes = np.ones(1, dtype=complex)
         self.registry: dict[int, int] = {}
         self.max_qubits = max_qubits
         self._random = rand
+        self._zero = None  # the array `allocate` left as |0...0>, while it is untouched
 
     def allocate(self, ids: Sequence[int]) -> None:
         """Append one |0> wire per id, as new least significant bits."""
@@ -210,12 +226,16 @@ class QuantumState(DeviceSession):
         else:  # the same entries, without a second state-sized array
             zeros *= self.amplitudes[0]
             self.amplitudes = zeros
+            if zeros[0] == 1:  # not after a measurement that left a phase
+                self._zero = zeros
         for offset, ident in enumerate(ids):
             self.registry[ident] = n + offset
 
     def apply(self, ids: Sequence[int], circuit: Circuit) -> None:
         registry = self.registry
-        apply_plan(self.amplitudes, circuit._plan, [registry[i] for i in ids])
+        fresh = self._zero is self.amplitudes
+        self._zero = None
+        apply_plan(self.amplitudes, circuit._plan, [registry[i] for i in ids], fresh)
 
     def measure(self, ids: Sequence[int]) -> list[int]:
         """Measure each named qubit in turn: collapse, renormalise, contract.
@@ -224,6 +244,7 @@ class QuantumState(DeviceSession):
         1, so basis states measure deterministically for any seed.
         """
         registry = self.registry
+        self._zero = None
         bits = []
         for ident in ids:
             wire = registry.pop(ident)

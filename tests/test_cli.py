@@ -240,6 +240,9 @@ def test_parse_errors(tmp_path, capsys):
         ("qaoa --graph", "vertices ²\n", 1),
         ("vqe --ham", "1.0 ız\n", 1),
         ("vqe --ham", "0.5 ßZ\n", 1),
+        # float() reads '1_0' as 10 and 'infinity' as inf; a coefficient is a literal
+        ("vqe --ham", "0.5 ZZ\n1_0 ZI\n", 2),
+        ("vqe --ham", "infinity ZZ\n", 1),
         ("simulate", "qubits 1\nP " + "+".join(["1"] * 1500) + " 0\n", 2),
         ("simulate", "qubits 1\nP " + "-" * 50000 + "1 0\n", 2),
     ]:

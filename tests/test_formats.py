@@ -193,6 +193,20 @@ def test_parse_hamiltonian():
     assert hamiltonian.arity == 2
 
 
+@pytest.mark.parametrize("token", ["1_0", "1e1_0", "inf", "nan", "infinity", "-inf", "NaN", "0x10", "1e", "-", "+-1"])
+def test_a_coefficient_is_a_signed_literal(token):
+    # float() reads the first seven; a coefficient is the angles' literal with an optional sign
+    with pytest.raises(ParseError) as err:
+        parse_hamiltonian(f"0.5 ZZ\n{token} ZI\n")
+    assert (err.value.line, err.value.reason) == (2, f"bad coefficient {token!r}")
+
+
+@pytest.mark.parametrize("token, value", [("12", 12.0), ("-1.5", -1.5), ("+.5", 0.5), ("5.", 5.0), ("1e-3", 1e-3),
+                                          ("-2E+2", -200.0), ("01", 1.0)])
+def test_a_signed_literal_is_a_coefficient(token, value):
+    assert parse_hamiltonian(f"{token} Z\n") == Hamiltonian(((value, "Z"),))
+
+
 def test_parse_hamiltonian_errors():
     with pytest.raises(ParseError) as err:
         parse_hamiltonian("0.5 ZZ\n0.5 Z")
@@ -386,7 +400,7 @@ def test_parse_graph_reports_first_bad_line(count, edges):
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from([0.5, -1.0, math.inf, math.nan]),
+            st.sampled_from(["0.5", "-1.0", "1e999", "inf", "nan"]),
             st.text("IXYZQ", min_size=1, max_size=3),
         ),
         min_size=1,
@@ -394,7 +408,17 @@ def test_parse_graph_reports_first_bad_line(count, edges):
     )
 )
 def test_parse_hamiltonian_reports_first_bad_line(terms):
-    text = "".join(f"{coeff!r} {term}\n" for coeff, term in terms)
+    # a coefficient outside the grammar ('inf', 'nan') is refused as its line
+    # is read; '1e999' reads as inf and reaches Hamiltonian's own refusal
+    text = "".join(f"{coeff} {term}\n" for coeff, term in terms)
+    unread = [(line, f"bad coefficient {coeff!r}") for line, (coeff, _) in enumerate(terms, start=1)
+              if coeff in ("inf", "nan")]
+    if unread:
+        with pytest.raises(ParseError) as err:
+            parse_hamiltonian(text)
+        assert (err.value.line, err.value.reason) == unread[0]
+        return
+    terms = [(float(coeff), term) for coeff, term in terms]
     expected = _first_bad_prefix(lambda prefix: Hamiltonian(tuple(prefix)), terms)
     if expected is None:
         assert parse_hamiltonian(text) == Hamiltonian(tuple(terms))

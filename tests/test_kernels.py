@@ -246,7 +246,8 @@ def test_qaoa_circuits_on_one_graph_share_their_parity_counts():
     assert all(a is b for a, b in zip(*counts))
 
 
-def test_qaoa_plan_on_20_wires_allocates_no_state_sized_temporary():
+def _qaoa_plan_peak(fresh):
+    """The tracemalloc peak of the 20-wire QAOA plan on |0...0>, and the state it leaves."""
     # a 3-regular graph on 20 vertices, as in a wide QAOA round: each layer
     # runs as four 5-wire dense blocks through the scratch buffer
     n = 20
@@ -256,13 +257,25 @@ def test_qaoa_plan_on_20_wires_allocates_no_state_sized_temporary():
     state[0] = 1.0
     tracemalloc.start()
     try:
-        apply_plan(state, steps, range(n))
+        apply_plan(state, steps, range(n), fresh)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    scratch = (2**n // 2 + 1) * 16
-    assert peak <= scratch + 64 * 1024
     assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+    return peak, state
+
+
+def test_qaoa_plan_on_20_wires_allocates_no_state_sized_temporary():
+    peak, _ = _qaoa_plan_peak(fresh=False)
+    assert peak <= (2**20 // 2 + 1) * 16 + 64 * 1024
+
+
+def test_product_start_on_20_wires_allocates_no_state_sized_temporary():
+    # the opening H layer's partial products go through the scratch buffer
+    # and the state itself, and the floats are the dense blocks'
+    peak, state = _qaoa_plan_peak(fresh=True)
+    assert peak <= (2**20 // 2 + 1) * 16 + 64 * 1024
+    assert np.array_equal(state, _qaoa_plan_peak(fresh=False)[1])
 
 
 def test_large_angles_neither_overflow_nor_cancel_a_small_one():

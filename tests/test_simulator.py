@@ -36,7 +36,7 @@ from qlin import (
 from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
 from qlin.device import DeviceBackend
 from qlin.errors import CapacityExceeded
-from qlin import device, simulator
+from qlin import device, kernels, simulator
 from qlin.simulator import QuantumState, derive_seed
 
 from .oracles import FixedRandom, assert_close, basis_state, dense_unitary, random_circuit
@@ -168,6 +168,140 @@ def test_session_apply_matches_remapped_circuit_on_large_states(seed):
     first = rng.randint(0, m - n)
     ids = rng.sample(range(first, first + n) if rng.random() < 0.5 else range(m), n)
     assert_session_matches_remapped_circuit(rng, m, random_circuit(rng, n, 40), ids)
+
+
+def _opening_layer(rng, n, h_only):
+    """A layer of one-wire runs on 2 to n of n wires: H, Ps only or a mixed run each."""
+    gates = []
+    for w in rng.sample(range(n), rng.randint(2, n)):
+        kind = "H" if h_only else rng.choice(["H", "P", "2x2"])
+        if kind == "H":
+            gates.append(Hadamard(w))
+        elif kind == "P":
+            gates += [Phase(rng.uniform(-7, 7), w) for _ in range(rng.randint(1, 2))]
+        else:
+            gates += [Phase(rng.uniform(-7, 7), w), Hadamard(w), Phase(rng.uniform(-7, 7), w)]
+    return gates
+
+
+def _dense_path(start, wires, circuit):
+    """`circuit` applied to a copy of `start` by the plan's passes alone, with no product start."""
+    out = start.copy()
+    kernels.apply_plan(out, circuit._plan, wires)
+    return out
+
+
+def _spy_product_start(monkeypatch):
+    """Record the size of each state `kernels._product_start` writes."""
+    calls = []
+    product_start = kernels._product_start
+    monkeypatch.setattr(kernels, "_product_start", lambda *a: calls.append(len(a[0])) or product_start(*a))
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.booleans())
+def test_fresh_session_starts_its_opening_layer_as_a_product(seed, h_only):
+    # a session fresh from allocate writes a leading layer as the outer
+    # product of its blocks' first columns: equal to the dense blocks for a
+    # real layer and within rounding otherwise, and still bit for bit the
+    # relabelled circuit's state
+    rng = random.Random(seed)
+    m = rng.randint(13, 15)
+    n = rng.randint(2, m)
+    first = rng.randint(0, m - n)
+    ids = rng.sample(range(first, first + n) if rng.random() < 0.5 else range(m), n)
+    gates = _opening_layer(rng, n, h_only) + list(random_circuit(rng, n, 20).gates)
+    circuit = Circuit(n, gates)
+    assert circuit._plan[0][0] is kernels._layer
+
+    session = fresh_state(range(m))
+    session.apply(ids, circuit)
+    dense = fresh_state(range(m))
+    dense.amplitudes = dense.amplitudes.copy()  # |0...0>, but not the array allocate left
+    dense.apply(ids, circuit)
+    if h_only:
+        assert np.array_equal(session.amplitudes, dense.amplitudes)
+    else:
+        assert np.max(np.abs(session.amplitudes - dense.amplitudes)) <= 1e-15
+
+    whole = fresh_state(range(m))
+    whole.apply(range(m), apply(circuit, identity(m), ids))
+    assert np.array_equal(session.amplitudes, whole.amplitudes)
+
+
+def test_fresh_session_takes_the_product_start_once(monkeypatch):
+    # only the first apply after allocate, and only above the small state
+    calls = _spy_product_start(monkeypatch)
+    layer = Circuit(13, [Hadamard(w) for w in range(13)])
+    state = fresh_state(range(13))
+    state.apply(range(13), layer)
+    state.apply(range(13), layer)
+    fresh_state(range(12)).apply(range(12), Circuit(12, [Hadamard(w) for w in range(12)]))
+    assert calls == [2**13]
+
+
+def _complex_layer(m, seed):
+    return Circuit(m, _opening_layer(random.Random(seed), m, False))
+
+
+def test_replaced_amplitudes_take_the_dense_path():
+    m = 13
+    layer = _complex_layer(m, 1)
+    rng = np.random.default_rng(1)
+    start = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+    start /= np.linalg.norm(start)
+    state = fresh_state(range(m))
+    state.amplitudes = start.copy()
+    state.apply(range(m), layer)
+    assert np.array_equal(state.amplitudes, _dense_path(start, range(m), layer))
+
+
+def test_a_state_measured_and_then_extended_takes_the_dense_path():
+    m = 13
+    layer = _complex_layer(m, 2)
+    state = fresh_state(range(m), RandomSource(4))
+    state.apply(range(m), random_circuit(random.Random(4), m, 60))
+    state.measure([3, 7, 11])
+    state.allocate([20, 21, 22])
+    ids = sorted(state.registry, key=state.registry.get)
+    start = state.amplitudes.copy()
+    state.apply(ids, layer)
+    assert np.array_equal(state.amplitudes, _dense_path(start, range(m), layer))
+
+
+def test_a_phase_left_by_measuring_every_qubit_is_kept():
+    # measuring the last qubit leaves one amplitude, here e^0.7i; the state
+    # allocated after it is that phase times |0...0>, so it is not fresh
+    state = fresh_state([0], FixedRandom([0.0]))
+    state.apply([0], Circuit(1, [Hadamard(0), Phase(0.7, 0)]))
+    assert state.measure([0]) == [1]
+    assert state.amplitudes[0] != 1
+    m = 13
+    state.allocate(range(m))
+    start = state.amplitudes.copy()
+    layer = _complex_layer(m, 3)
+    state.apply(range(m), layer)
+    assert np.array_equal(state.amplitudes, _dense_path(start, range(m), layer))
+
+
+@pytest.mark.parametrize("prep", [identity(13), Circuit(13, [Hadamard(0), Phase(math.pi, 0), Hadamard(0)])])
+def test_count_ones_start_rows_take_the_dense_path(prep, monkeypatch):
+    # each basis runs on a copy of the prepared state that its session holds
+    # as its amplitudes, never as the state allocate left, also when the prep
+    # has no passes and the copy is |0...0>
+    m = 13
+    bases = [_complex_layer(m, seed) for seed in range(8, 12)]  # 9 and 10 round differently as products
+    walks = _recorded_walks(monkeypatch)
+    calls = _spy_product_start(monkeypatch)
+    StateVectorBackend(seed=0).count_ones(prep, bases, 1)
+    assert calls == []
+    prepared = fresh_state(range(m))
+    prepared.apply(range(m), prep)
+    rows = [rows[0] for rows, _, _ in walks]
+    assert len(rows) == len(bases)
+    for row, basis in zip(rows, bases):
+        assert np.array_equal(row, _dense_path(prepared.amplitudes, range(m), basis))
 
 
 def test_normalisation_preserved():
