@@ -76,6 +76,11 @@ SHOT_LIMIT = 10**8
 ROUND_LIMIT = 10**5
 
 
+def _integer(x) -> bool:
+    """Whether x can be a wire or an arity: an int or a numpy integer, but no bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_gate_count(count: int) -> None:
     """Raise TooManyGates if a builder's gate count passes BUILD_GATE_LIMIT."""
     if count > BUILD_GATE_LIMIT:
@@ -115,7 +120,7 @@ class _Gate:
     def check(self, arity: int) -> None:
         """Raise the CircuitError for this gate on `arity` wires, if any."""
         for w in self.wires:
-            if not 0 <= w < arity:
+            if type(w) is not int and not _integer(w) or not 0 <= w < arity:
                 raise WireOutOfRange(w, arity)
 
     def remap(self, wires: Sequence[int]) -> GateApp:
@@ -190,7 +195,7 @@ class Phase(_Gate):
     def check(self, arity: int) -> None:
         if not math.isfinite(self.angle):
             raise NonFiniteAngle(self.angle)
-        super().check(arity)
+        _Gate.check(self, arity)  # not super(), whose lookup costs more than the check
 
     def inverse(self) -> GateApp:
         return Phase(-self.angle, self.wire)
@@ -221,7 +226,7 @@ class ControlledNot(_Gate):
         return (self.control, self.target)
 
     def check(self, arity: int) -> None:
-        super().check(arity)
+        _Gate.check(self, arity)
         if self.control == self.target:
             raise ControlEqualsTarget(self.control)
 
@@ -255,16 +260,17 @@ class Circuit:
     """An n-wire unitary as an ordered sequence of atomic gate applications.
 
     Construction validates every gate against the arity, so an existing
-    Circuit never holds an out-of-range wire, a CNOT with control == target
-    or a non-finite phase angle.
+    Circuit never holds an out-of-range wire, a wire or arity that is not an
+    integer (a bool is not one), a CNOT with control == target or a
+    non-finite phase angle.
     """
 
     arity: int
     gates: tuple[GateApp, ...] = ()
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise ArityMismatch(f"arity must be non-negative, got {self.arity}")
+        if type(self.arity) is not int and not _integer(self.arity) or self.arity < 0:
+            raise ArityMismatch(f"arity must be a non-negative integer, got {self.arity!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             gate.check(self.arity)
@@ -322,7 +328,7 @@ def apply(small: Circuit, big: Circuit, wires: Sequence[int]) -> Circuit:
         )
     seen: set[int] = set()
     for w in wires:
-        if not 0 <= w < big.arity:
+        if not _integer(w) or not 0 <= w < big.arity:
             raise WireOutOfRange(w, big.arity)
         if w in seen:
             raise DuplicateWire(w)

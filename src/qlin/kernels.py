@@ -78,6 +78,7 @@ start's partial products alternate between it and the state.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
@@ -97,8 +98,22 @@ _COUNTS_FLOOR = 1 << 16
 # took 40, 38 and 62 ms in blocks of 4, 5 and 6 wires, against 157 ms as one
 # pass per wire (2-core Xeon, one BLAS thread)
 _BLOCK = 5
-# the ufunc buffer, in entries, while `_product_start` writes its outer products
-_OUTER_BUFFER = 512
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffer():
+    """Hold numpy's ufunc buffer at 512 entries; restore its size after.
+
+    numpy buffers a product broadcast along a short inner axis (an outer
+    product, rows scaled by a column) in pieces of 8192 entries by default,
+    256 KiB beside the state; pieces of 512 take the same time. A product by
+    a scalar needs no buffer and stays outside: a setbufsize pair costs 2 us.
+    """
+    size = np.setbufsize(512)
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
 
 
 def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -257,11 +272,7 @@ def _product_start(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], fact
     view = t.reshape([2] * (last + 1) + [-1])[
         tuple(slice(None) if w in axes else 0 for w in range(last + 1)) + (0,)]
     k = len(blocks[-1])
-    # numpy buffers the operands of an outer product in ufunc-buffer pieces,
-    # 8192 entries (256 KiB) by default; smaller pieces keep it within
-    # 16 KiB of the scratch buffer, at the same speed
-    bufsize = np.setbufsize(_OUTER_BUFFER)
-    try:
+    with _small_ufunc_buffer():
         product, used = np.ones(1, dtype=t.dtype), 0
         for i, column in enumerate(columns[:-1]):
             size = product.size * column.size
@@ -273,8 +284,6 @@ def _product_start(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], fact
             product = buffer
         t[:used] = 0
         np.multiply(product.reshape([2] * (len(axes) - k) + [1] * k), columns[-1].reshape([2] * k), out=view)
-    finally:
-        np.setbufsize(bufsize)
 
 
 @functools.lru_cache(maxsize=8)

@@ -50,13 +50,12 @@ from . import device
 from .circuit import Circuit, _check_shot_count
 from .device import DeviceBackend, DeviceSession, _check_bases, _exclusive
 from .errors import CapacityExceeded
-from .kernels import _SMALL_STATE, apply_plan
+from .kernels import _SMALL_STATE, _small_ufunc_buffer, apply_plan
 
 DEFAULT_MAX_QUBITS = 24
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
-_SCALE_PIECE = 2048  # floats `_collapse` scales at once, when it scales rows by a column
 _DRAW_PIECE = 2**20  # most uniforms one getrandbits call draws; 64 bits each must fit a C int
 
 
@@ -134,16 +133,11 @@ def _collapse(states: np.ndarray, wire: int, rows: np.ndarray, bits, norms) -> n
     kept = states.reshape(len(states), 2**wire, 2, -1)[rows, :, bits].reshape(len(rows), -1)
     parts = kept.view(np.float64).reshape(len(rows), -1)
     scales = 1.0 / norms
-    # numpy buffers a product broadcast along rows shorter than 8192 floats in
-    # as many floats as it has, up to 64 KiB, while the parent rows are held;
-    # pieces of at most _SCALE_PIECE floats keep that buffer small (a scalar,
-    # from a session's one state, needs no buffer)
-    if isinstance(scales, float) or parts.size <= _SCALE_PIECE:
+    if isinstance(scales, float):  # a session's one state
         parts *= scales
-        return kept
-    step = max(1, _SCALE_PIECE // parts.shape[1])
-    for start in range(0, len(parts), step):
-        parts[start : start + step] *= scales[start : start + step]
+    else:
+        with _small_ufunc_buffer():  # a column of norms is broadcast along the rows
+            parts *= scales
     return kept
 
 
@@ -211,23 +205,18 @@ class QuantumState(DeviceSession):
         self._zero = None  # the array `allocate` left as |0...0>, while it is untouched
 
     def allocate(self, ids: Sequence[int]) -> None:
-        """Append one |0> wire per id, as new least significant bits."""
+        """Append one |0> wire per id, as new least significant bits, by one strided write."""
         n = len(self.registry)
         p = _count(ids)
         if n + p > self.max_qubits:
             raise CapacityExceeded(n + p, self.max_qubits)
         if p == 0:
             return
-        zeros = np.zeros(2**p, dtype=complex)
-        zeros[0] = 1.0
-        if n:
-            # np.kron's products, without its per-call overhead
-            self.amplitudes = np.multiply.outer(self.amplitudes, zeros).reshape(-1)
-        else:  # the same entries, without a second state-sized array
-            zeros *= self.amplitudes[0]
-            self.amplitudes = zeros
-            if zeros[0] == 1:  # not after a measurement that left a phase
-                self._zero = zeros
+        state = np.zeros(2 ** (n + p), dtype=complex)
+        state[:: 2**p] = self.amplitudes
+        self.amplitudes = state
+        if n == 0 and state[0] == 1:  # not after a measurement that left a phase
+            self._zero = state
         for offset, ident in enumerate(ids):
             self.registry[ident] = n + offset
 

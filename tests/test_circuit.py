@@ -106,6 +106,33 @@ def test_direct_construction_is_validated():
         Circuit(2, (ControlledNot(0, 0),))
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Circuit(2, [Hadamard(True)]), WireOutOfRange),
+    (lambda: Circuit(2, [Phase(0.5, False)]), WireOutOfRange),
+    (lambda: Circuit(2, [Hadamard(0.5)]), WireOutOfRange),
+    (lambda: Circuit(3, [ControlledNot(0, 1.0)]), WireOutOfRange),
+    (lambda: Circuit(3, [ControlledNot(np.bool_(True), 2)]), WireOutOfRange),
+    (lambda: Circuit(True), ArityMismatch),
+    (lambda: Circuit(2.5), ArityMismatch),
+    (lambda: Circuit(2.0, [Hadamard(0)]), ArityMismatch),
+    (lambda: apply(h_gate(), identity(3), [1.0]), WireOutOfRange),
+    (lambda: apply(identity(1), identity(3), [True]), WireOutOfRange),
+], ids=["H-True", "P-False", "H-float", "CNOT-float", "CNOT-numpy-bool", "arity-True", "arity-float",
+        "arity-whole-float", "apply-float", "apply-bool-no-gates"])
+def test_a_bool_or_non_integer_wire_or_arity_is_refused(build, error):
+    # each would otherwise build a circuit that format_circuit and
+    # export_qasm write as text the package's own parsers refuse
+    with pytest.raises(error):
+        build()
+
+
+def test_numpy_integer_wires_and_arities_are_kept():
+    c = Circuit(np.int64(3), [Hadamard(np.int32(1)), ControlledNot(np.uint8(0), np.int16(2))])
+    assert matrix_of(c).shape == (8, 8)
+    assert apply(h_gate(), identity(3), [np.int64(2)]) == Circuit(3, [Hadamard(2)])
+    assert parse_qasm(export_qasm(c)) == Circuit(3, [Hadamard(1), ControlledNot(0, 2)])
+
+
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_non_finite_angle_rejected(angle):
     with pytest.raises(NonFiniteAngle):

@@ -69,13 +69,41 @@ def test_extend_from_empty():
     assert state.registry == {0: 0, 1: 1}
 
 
-def test_extend_bell_by_one():
-    state = bell_state_2q()
-    state.allocate([2])
-    want = np.zeros(8, dtype=complex)
-    want[0b000] = want[0b110] = 1 / math.sqrt(2)
-    assert_close(state.amplitudes, want)
-    assert state.registry == {0: 0, 1: 1, 2: 2}
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 10), st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
+@example(0, 2, 0, False)  # an empty session carrying a phase
+@example(0, 2, 0, True)  # an empty session: fresh
+@example(3, 1, 0, True)  # allocate's |000>, extended: not fresh
+def test_allocate_is_the_kronecker_product_with_zeros(n, p, seed, untouched):
+    # on an empty session as on a live one, every entry is the one np.kron
+    # gives; only an empty session whose entry 0 is exactly 1 becomes fresh,
+    # a state that allocate extends never does, and no wires change nothing
+    state = fresh_state(range(n))
+    if not untouched:  # n random amplitudes, or a phase on an empty session
+        rng = np.random.default_rng(seed)
+        start = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state.amplitudes = start / np.linalg.norm(start)
+    before, fresh = state.amplitudes.copy(), state._zero is state.amplitudes
+    state.allocate(range(n, n + p))
+    zeros = np.zeros(2**p, dtype=complex)
+    zeros[0] = 1
+    assert np.array_equal(state.amplitudes, np.kron(before, zeros))
+    assert state.registry == {i: i for i in range(n + p)}
+    assert (state._zero is state.amplitudes) == (fresh if p == 0 else n == 0 and before[0] == 1)
+
+
+def test_extending_a_wide_state_holds_nothing_beside_it():
+    # no ufunc buffer (256 KiB) and no second copy of the new state
+    n = 18
+    state = fresh_state(range(n))
+    state.apply(range(n), Circuit(n, [Hadamard(w) for w in range(n)]))
+    tracemalloc.start()
+    try:
+        state.allocate([n])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** (n + 1) * 16 + 4096
 
 
 def test_extend_by_zero_is_noop():
@@ -484,6 +512,24 @@ def test_sample_decision_rule():
     backend = StateVectorBackend()
     backend._random = FixedRandom([0.0, 0.3, 0.7, 0.0])
     assert backend.sample(Circuit(2, [Hadamard(0)]), 2).tolist() == [[1, 0], [0, 0]]
+
+
+def test_the_ufunc_buffer_size_is_the_callers_after_every_path():
+    # the walk's column of norms and the product start both shrink numpy's
+    # ufunc buffer while they run, and give back whatever size they found
+    n = 13  # above _SMALL_STATE entries, so a fresh layer starts as a product
+    layer = Circuit(n, [Hadamard(w) for w in range(n)])
+    size = np.setbufsize(3 * 8192)
+    try:
+        backend = StateVectorBackend(seed=2)
+        backend.sample(layer, 50)
+        assert np.getbufsize() == 3 * 8192
+        backend.count_ones(layer, [identity(n), layer], 50)
+        assert np.getbufsize() == 3 * 8192
+        fresh_state(range(n)).apply(range(n), layer)
+        assert np.getbufsize() == 3 * 8192
+    finally:
+        np.setbufsize(size)
 
 
 def test_sample_keeps_about_two_state_vectors():
