@@ -38,6 +38,7 @@ from .errors import (
     ControlEqualsTarget,
     DuplicateWire,
     NonFiniteAngle,
+    NonRealAngle,
     TooManyCells,
     TooManyGates,
     TooManyRounds,
@@ -79,6 +80,11 @@ ROUND_LIMIT = 10**5
 def _integer(x) -> bool:
     """Whether x can be a wire or an arity: an int or a numpy integer, but no bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _real(x) -> bool:
+    """Whether x can be an angle: an int, a float or a numpy integer or float, but no bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def _check_gate_count(count: int) -> None:
@@ -193,8 +199,16 @@ class Phase(_Gate):
         return (self.wire,)
 
     def check(self, arity: int) -> None:
-        if not math.isfinite(self.angle):
-            raise NonFiniteAngle(self.angle)
+        angle = self.angle
+        if type(angle) is not float:
+            if not _real(angle):
+                raise NonRealAngle(angle)
+            try:
+                angle = float(angle)
+            except OverflowError:  # an int past the largest float
+                raise NonFiniteAngle(math.inf) from None
+        if not math.isfinite(angle):
+            raise NonFiniteAngle(angle)
         _Gate.check(self, arity)  # not super(), whose lookup costs more than the check
 
     def inverse(self) -> GateApp:
@@ -361,6 +375,8 @@ _FINITE = (2**1024 - 2**970) * _STEPS  # steps from which rounding reaches inf
 
 
 def _steps(angle: float) -> int:
+    if isinstance(angle, np.integer):  # the one angle type with no as_integer_ratio
+        angle = int(angle)
     num, den = angle.as_integer_ratio()  # den is a power of two
     return num * (_STEPS // den)
 
@@ -468,6 +484,7 @@ def format_angle(angle: float) -> str:
     Past 1.797693134862315e308 (4 finite doubles of each sign), 15 digits
     round up to infinity, so the shortest exact repr is used there.
     """
+    angle = float(angle)  # numpy warns when a float32 is compared with a float past its range
     if abs(angle) > 1.797693134862315e308:
         return repr(angle)
     return f"{angle:.15g}"

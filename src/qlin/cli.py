@@ -145,7 +145,9 @@ def _read(path: str) -> str:
 
 
 def _emit(args, text_lines, json_obj) -> None:
-    lines = [json.dumps(json_obj, sort_keys=True)] if args.format == "json" else text_lines
+    """Write the one output form asked for: `json_obj` as one JSON line, or the
+    lines `text_lines()` returns; the text is built only when it is written."""
+    lines = [json.dumps(json_obj, sort_keys=True)] if args.format == "json" else text_lines()
     try:
         sys.stdout.write("".join(f"{line}\n" for line in lines))
         sys.stdout.flush()  # so a failed write raises here, not at interpreter exit
@@ -183,20 +185,19 @@ def _cmd_simulate(args) -> None:
         del bits, keys  # so the next batch is drawn without this one
     width = circuit.arity  # sorted keys give the order of sorted bit strings of one width
     histogram = {format(key, f"0{width}b") if width else "": n for key, n in sorted(counts.items())}
-    _emit(args, [f"{outcome} {n} {n / args.shots:.4f}" for outcome, n in histogram.items()], histogram)
+    _emit(args, lambda: [f"{outcome} {n} {n / args.shots:.4f}" for outcome, n in histogram.items()], histogram)
 
 
 def _cmd_stats(args) -> None:
     circuit = _load_circuit(args.circuit)
     counts = gate_counts(circuit)
     layers = depth(circuit)
-    lines = [
+    _emit(args, lambda: [
         f"qubits {circuit.arity}",
         f"gates {len(circuit.gates)}",
         f"depth {layers}",
-    ]
-    lines += [f"{kind.name} {counts[kind.name]}" for kind in GATE_KINDS if counts[kind.name]]
-    _emit(args, lines, {
+        *(f"{kind.name} {counts[kind.name]}" for kind in GATE_KINDS if counts[kind.name]),
+    ], {
         "qubits": circuit.arity,
         "gates": len(circuit.gates),
         "depth": layers,
@@ -207,24 +208,23 @@ def _cmd_stats(args) -> None:
 def _cmd_draw(args) -> None:
     circuit = _load_circuit(args.circuit)
     rendered = draw(circuit)
-    _emit(args, [rendered] if rendered else [], {"rows": rendered.splitlines()})
+    _emit(args, lambda: [rendered] if rendered else [], {"rows": rendered.splitlines()})
 
 
 def _cmd_export_qasm(args) -> None:
     circuit = _load_circuit(args.circuit)
     qasm = export_qasm(circuit)
-    _emit(args, [qasm.rstrip("\n")], {"qasm": qasm})
+    _emit(args, lambda: [qasm.rstrip("\n")], {"qasm": qasm})
 
 
 def _cmd_optimise(args) -> None:
     circuit = _load_circuit(args.circuit)
     slimmed = optimise(circuit)
     before, after = gate_counts(circuit), gate_counts(slimmed)
-    lines = [
+    _emit(args, lambda: [
         f"# gates before {sum(before.values())} after {sum(after.values())}",
         format_circuit(slimmed).rstrip("\n"),
-    ]
-    _emit(args, lines, {
+    ], {
         "before": dict(before),
         "after": dict(after),
         "circuit": _circuit_json(slimmed),
@@ -234,20 +234,20 @@ def _cmd_optimise(args) -> None:
 def _cmd_qft(args) -> None:
     _check(args.n >= 0, "--n must be non-negative")
     circuit = qft(args.n)
-    _emit(args, [format_circuit(circuit).rstrip("\n")], _circuit_json(circuit))
+    _emit(args, lambda: [format_circuit(circuit).rstrip("\n")], _circuit_json(circuit))
 
 
 def _cmd_coin(args) -> None:
     seed = _resolve_seed(args)
     bit = coin(StateVectorBackend(seed=seed))
-    _emit(args, [str(bit)], {"bit": bit, "seed": seed})
+    _emit(args, lambda: [str(bit)], {"bit": bit, "seed": seed})
 
 
 def _cmd_rus(args) -> None:
     seed = _resolve_seed(args)
     _check(args.max_iter is None or args.max_iter >= 1, "--max-iter must be at least 1")
     bit = run_rus(StateVectorBackend(seed=seed), max_iterations=args.max_iter)
-    _emit(args, [str(bit)], {"bit": bit, "seed": seed})
+    _emit(args, lambda: [str(bit)], {"bit": bit, "seed": seed})
 
 
 def _cmd_vqe(args) -> None:
@@ -260,11 +260,10 @@ def _cmd_vqe(args) -> None:
     rand = RandomSource(derive_seed(seed, 1))
     history = vqe_trajectory(backend, hamiltonian, args.depth, args.k, args.nsamples, rand)
     best = min(history, key=lambda record: record.energy)
-    lines = [
+    _emit(args, lambda: [
         f"best_energy {format_angle(best.energy)}",
         " ".join(["params", *map(format_angle, best.params)]),
-    ]
-    _emit(args, lines, {
+    ], {
         "best_energy": best.energy,
         "best_params": list(best.params),
         "history": [{"params": list(r.params), "energy": r.energy} for r in history],
@@ -284,7 +283,7 @@ def _cmd_qaoa(args) -> None:
     history = qaoa_trajectory(backend, args.k, args.p, graph, rand)
     cut, value = best_cut(graph, [record.cut for record in history])
     bits = "".join(str(b) for b in cut)
-    _emit(args, [f"cut {bits}", f"value {value}"], {
+    _emit(args, lambda: [f"cut {bits}", f"value {value}"], {
         "best_cut": bits,
         "best_value": value,
         "history": [

@@ -36,6 +36,12 @@ class NonFiniteAngle(CircuitError):
         self.angle = angle
 
 
+class NonRealAngle(CircuitError):
+    def __init__(self, angle: object):
+        super().__init__(f"phase angle of type {type(angle).__name__} is not a real number")
+        self.angle = angle
+
+
 class ArityMismatch(CircuitError):
     pass
 

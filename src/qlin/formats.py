@@ -16,6 +16,10 @@ spaces or tabs between tokens; e.g. `pi/2`, `-3*pi/4`. A literal of digits
 alone follows Python's integer rules. Any other character is an error, and
 so are more than 1000 operators and parentheses in one angle. Every number
 and index in these formats is ASCII.
+
+A signed literal that is not digits alone (`0.785398163397448`, `-1e-05`,
+what export-qasm and format_angle write) is read by float() in one step,
+with the same float the evaluator gives it, to the bit.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from .errors import CircuitError, ParseError
 _LITERAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # spaces or tabs, then a literal or pi, or else any one character
 _ANGLE_TOKEN = re.compile(rf"[ \t]*(?:({_LITERAL}|pi)|(.))", re.DOTALL)
-# a Hamiltonian coefficient: a literal with an optional sign
+# a literal with an optional sign: a Hamiltonian coefficient, or an angle float() reads
 _COEFFICIENT = re.compile(rf"[+-]?{_LITERAL}")
 _SIGN, _OPEN = 3, 0  # the precedences of unary + and - (above every binary operator's) and of "("
 _PREFIXES = {"+": (_SIGN, operator.pos), "-": (_SIGN, operator.neg), "(": (_OPEN, None)}
@@ -53,11 +57,16 @@ def _reduce(values: list[float], pending: list[tuple], floor: int) -> None:
 def parse_angle(text: str, line: int) -> float:
     """Evaluate an angle in the grammar of the module docstring.
 
-    The tokens move onto a stack of values and one of pending (precedence,
-    function) operators. Past _MAX_ANGLE_OPS operators and parentheses the
-    angle nests too deeply.
+    A signed literal that is not digits alone is read by float() in one
+    step. Any other text is evaluated: its tokens move onto a stack of
+    values and one of pending (precedence, function) operators. Past
+    _MAX_ANGLE_OPS operators and parentheses the angle nests too deeply.
     """
     text = text.strip()
+    if _COEFFICIENT.fullmatch(text) and not text.lstrip("+-").isdigit():
+        # a signed literal, as format_angle writes it: float() rounds it as the
+        # evaluator does, and a sign is exact, so the float is the same
+        return float(text)
     values, pending = [], [(-1, None)]  # the bottom of `pending` is never reduced
     want_operand, operators = True, 0
     try:

@@ -4,6 +4,7 @@ import random
 import struct
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from qlin.errors import (
     ControlEqualsTarget,
     DuplicateWire,
     NonFiniteAngle,
+    NonRealAngle,
     TooManyCells,
     WireOutOfRange,
 )
@@ -139,6 +141,30 @@ def test_non_finite_angle_rejected(angle):
         add_p(identity(1), angle, 0)
     with pytest.raises(NonFiniteAngle):
         Circuit(1, (Phase(angle, 0),))
+
+
+@pytest.mark.parametrize("angle", ["0.5", 1 + 0j, None, True, np.bool_(False), np.complex128(1)],
+                         ids=["str", "complex", "None", "bool", "numpy-bool", "numpy-complex"])
+def test_an_angle_that_is_not_a_real_number_is_refused_by_type(angle):
+    with pytest.raises(NonRealAngle, match=f"type {type(angle).__name__} is not a real number"):
+        Circuit(1, [Phase(angle, 0)])
+
+
+def test_an_int_angle_past_the_largest_float_is_not_finite():
+    with pytest.raises(NonFiniteAngle):
+        Circuit(1, [Phase(10**400, 0)])
+
+
+@pytest.mark.parametrize("angle", [3, -1, 0.5, np.float64(0.5), np.float32(0.5), np.float16(-0.25),
+                                   np.int64(3), np.uint8(2)])
+def test_int_float_and_numpy_real_angles_are_kept(angle):
+    c = Circuit(1, [Phase(angle, 0), Phase(angle, 0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # format_angle reads a float first, so numpy has nothing to cast
+        assert format_angle(angle) == format_angle(float(angle))
+        assert parse_qasm(export_qasm(c)) == Circuit(1, [Phase(float(angle), 0)] * 2)
+        assert optimise(c) == Circuit(1, [Phase(2 * float(angle), 0)])
+    assert_close(matrix_of(c), np.diag([1, np.exp(2j * float(angle))]))
 
 
 # compose / tensor / apply

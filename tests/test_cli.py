@@ -194,6 +194,30 @@ def test_optimise_reports_counts(tmp_path, capsys):
     assert lines[2].startswith("P 0.7")
 
 
+def test_native_text_is_rendered_only_for_text_output(tmp_path, capsys, monkeypatch):
+    # under --format json, qft and optimise print their JSON and never render
+    # the native text that --format text prints
+    path = circuit_file(tmp_path, format_circuit(random_circuit(random.Random(3), 4, 40)))
+    commands = [["qft", "--n", "5"], ["optimise", path]]
+    expected = [run(capsys, [*argv, "--format", "json"]) for argv in commands]
+    assert [code for code, _, _ in expected] == [EXIT_OK, EXIT_OK]
+
+    def refuse(circuit):
+        raise AssertionError("native text rendered for --format json")
+
+    monkeypatch.setattr(cli, "format_circuit", refuse)
+    assert [run(capsys, [*argv, "--format", "json"]) for argv in commands] == expected
+    rendered = []
+
+    def counting(circuit):
+        rendered.append(circuit)
+        return format_circuit(circuit)
+
+    monkeypatch.setattr(cli, "format_circuit", counting)
+    assert [run(capsys, [*argv, "--format", "text"])[0] for argv in commands] == [EXIT_OK, EXIT_OK]
+    assert len(rendered) == 2
+
+
 def test_qasm_round_trip_same_histogram(tmp_path, capsys):
     native = circuit_file(tmp_path)
     code, qasm, _ = run(capsys, ["export-qasm", native])

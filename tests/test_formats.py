@@ -307,6 +307,17 @@ def _read(parse, text):
 @example("1/0")
 @example("1e308*10-1e308*10")
 @example("-0.0*1")
+@example("-0.0")
+@example("+.5")
+@example("-5.")
+@example("1e999")
+@example("-1e999")
+@example("1E+3")
+@example("-007")
+@example("+00")
+@example("- 2.5")
+@example("+-1.5")
+@example(" -2.5\t")
 def test_parse_angle_matches_the_ast_reader_on_the_documented_grammar(text):
     # the same floats, to the bit, or the same error, for every text both may read
     assert _read(parse_angle, text) == _read(ast_parse_angle, text)

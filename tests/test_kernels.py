@@ -3,12 +3,13 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlin import Graph, apply, identity, matrix_of, qaoa_unitary
+from qlin import Graph, apply, identity, kernels, matrix_of, qaoa_unitary
 from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
-from qlin.kernels import _SMALL_STATE, apply_plan, plan
+from qlin.kernels import _BLOCK, _SMALL_STATE, apply_plan, plan
 
 from .oracles import assert_close, dense_unitary
 
@@ -163,6 +164,29 @@ def test_layers_on_large_states_match_the_dense_oracle(program):
     t = np.moveaxis(state.reshape([2] * n + [-1]), wires, range(k))
     expected = np.moveaxis(np.tensordot(u, t, axes=(range(k, 2 * k), range(k))), range(k), wires)
     assert_close(fused, expected.reshape(state.shape), tol=1e-12)
+
+
+@pytest.mark.parametrize("size, blocks", [(_SMALL_STATE, False), (2 * _SMALL_STATE, True)])
+def test_a_layer_runs_dense_blocks_only_above_the_small_state(monkeypatch, size, blocks):
+    # the boundary itself: a layer on exactly _SMALL_STATE entries runs each
+    # pass on its own, one on twice that runs its consecutive wires as blocks
+    calls, dense = [], kernels._dense
+
+    def counting(*args):
+        calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(kernels, "_dense", counting)
+    gates = [g for w in range(_BLOCK) for g in (Hadamard(w), Phase(0.25 * w, w))]
+    steps = plan(gates)
+    assert [kernel for kernel, _, _ in steps] == [kernels._layer]
+    state = np.random.default_rng(3).normal(size=size).astype(complex)
+    expected = state.copy()
+    for gate in gates:
+        apply_plan(expected, plan([gate]), range(_BLOCK))
+    apply_plan(state, steps, range(_BLOCK))
+    assert bool(calls) == blocks
+    assert_close(state, expected, tol=1e-12)
 
 
 def test_one_wire_pass_on_a_large_odd_batch():
