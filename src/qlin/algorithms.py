@@ -24,6 +24,7 @@ from .circuit import (
     _check_gate_count,
     _check_round_count,
     _check_shot_count,
+    _real_angle,
     adjoint,
     identity,
 )
@@ -243,10 +244,11 @@ def qaoa_unitary(
     n = graph.vertex_count
     gates: list[GateApp] = [Hadamard(w) for w in range(n)]
     for beta, gamma in zip(betas, gammas):
+        beta, gamma = _real_angle(beta), _real_angle(gamma)
         for u, v in graph.edges:
-            gates += [ControlledNot(u, v), Phase(float(-2.0 * gamma), v), ControlledNot(u, v)]
+            gates += [ControlledNot(u, v), Phase(-2.0 * gamma, v), ControlledNot(u, v)]
         for w in range(n):
-            gates += [Hadamard(w), Phase(float(2.0 * beta), w), Hadamard(w)]
+            gates += [Hadamard(w), Phase(2.0 * beta, w), Hadamard(w)]
     return Circuit(n, gates)
 
 
@@ -418,7 +420,7 @@ def ansatz(n: int, depth: int, params: Sequence[float]) -> Circuit:
     angles = iter(params)
     for _ in range(depth):
         for w in range(n):
-            theta, phi = float(next(angles)), float(next(angles))
+            theta, phi = next(angles), next(angles)
             gates += [Hadamard(w), Phase(theta, w), Hadamard(w), Phase(phi, w)]
         gates += [ControlledNot(w, w + 1) for w in range(n - 1)]
     return Circuit(n, gates)

@@ -82,9 +82,18 @@ def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _real(x) -> bool:
-    """Whether x can be an angle: an int, a float or a numpy integer or float, but no bool."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+def _real_angle(x) -> float:
+    """x as a float, if it can be an angle: an int, a float or a numpy integer or float, but no bool.
+
+    Any other type raises NonRealAngle, and an int past the largest float
+    raises NonFiniteAngle; an infinite or nan float is returned as it is.
+    """
+    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+        raise NonRealAngle(x)
+    try:
+        return float(x)
+    except OverflowError:  # an int past the largest float
+        raise NonFiniteAngle(math.inf) from None
 
 
 def _check_gate_count(count: int) -> None:
@@ -201,12 +210,7 @@ class Phase(_Gate):
     def check(self, arity: int) -> None:
         angle = self.angle
         if type(angle) is not float:
-            if not _real(angle):
-                raise NonRealAngle(angle)
-            try:
-                angle = float(angle)
-            except OverflowError:  # an int past the largest float
-                raise NonFiniteAngle(math.inf) from None
+            angle = _real_angle(angle)
         if not math.isfinite(angle):
             raise NonFiniteAngle(angle)
         _Gate.check(self, arity)  # not super(), whose lookup costs more than the check
@@ -307,7 +311,7 @@ def add_h(c: Circuit, j: int) -> Circuit:
 
 def add_p(c: Circuit, alpha: float, j: int) -> Circuit:
     """Append a phase shift diag(1, e^(i*alpha)) on wire j."""
-    return Circuit(c.arity, c.gates + (Phase(float(alpha), j),))
+    return Circuit(c.arity, c.gates + (Phase(alpha, j),))
 
 
 def add_cnot(c: Circuit, control: int, target: int) -> Circuit:

@@ -46,20 +46,24 @@ that is applied one gate at a time. That happens when many angles each have
 masks of a shape of their own on many wires, since each such angle needs
 counts of its own.
 
-Consecutive one-wire passes (H, P or 2x2) on distinct wires then become one
-layer, such as the opening H layer or a mixer layer of a QAOA circuit. A
-layer chooses how to run when it is applied, on the state's wires, so a
-circuit applied through a wire map and its relabelled copy applied directly
-run the same passes. On a state of at most _SMALL_STATE entries each pass
-runs its own kernel, in plan order. On a larger one the passes on up to
-_BLOCK consecutive state wires run as one dense block, the Kronecker product
-of their 2x2s, multiplied by np.matmul (state-vector gate fusion: Häner and
-Steiger, arXiv:1704.01127); a pass with no neighbour keeps its kernel. When
-the caller says the state is |0...0>, a leading layer on a large state is
-written directly: each block maps |0...0> on its wires to its matrix's
-first column, so the layer's result is the outer product of those columns,
-taken in the order the blocks run (ascending state wires, the first block
-the most significant digit), with |0> on every wire the layer skips. The
+The plan is flat: each pass is one kernel on the gates' own wires, and
+nothing in it depends on the state it will run on. apply_plan alone chooses
+how to run it, since it alone knows the state's size and whether the state
+is fresh. On a state of at most _SMALL_STATE entries each pass runs its own
+kernel, in plan order. On a larger one `_layers` maps the passes to the
+state's wires and groups each maximal run of one-wire passes (H, P or 2x2) on
+distinct state wires into a layer, such as the opening H layer or a mixer
+layer of a QAOA circuit; a repeated wire closes the run. The wire map is
+injective, so a circuit applied through it and its relabelled copy applied
+directly run the same passes. A layer's passes on up to _BLOCK consecutive
+state wires run as one dense block, the Kronecker product of their 2x2s,
+multiplied by np.matmul (state-vector gate fusion: Häner and Steiger,
+arXiv:1704.01127); a pass with no neighbour keeps its kernel. When the
+caller says the state is |0...0>, a leading layer of two or more passes on a
+large state is written directly: each block maps |0...0> on its wires to its
+matrix's first column, so the layer's result is the outer product of those
+columns, taken in the order the blocks run (ascending state wires, the first
+block the most significant digit), with |0> on every wire the layer skips. The
 products are the blocks' own, in the same order: a real layer (H) gives
 the passes' floats exactly, and a complex one agrees to rounding, since
 np.matmul may round a complex product differently. The opening H layer of
@@ -82,7 +86,7 @@ import contextlib
 import functools
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -210,63 +214,45 @@ def _matrix(kernel, params: tuple) -> np.ndarray:
     return m
 
 
-def _blocks(axes: Sequence[int]) -> list[list[int]]:
-    """The indices j of a large state's layer, grouped as it runs them.
+def _blocks(layer: Sequence[tuple]) -> list[list[tuple]]:
+    """The passes (kernel, axes, params) of a large state's layer, grouped as it runs them.
 
-    Each group is a run of up to _BLOCK consecutive state wires axes[j], and
-    the groups come in ascending wire order.
+    Each group is a run of up to _BLOCK passes on consecutive state wires,
+    and the groups come in ascending wire order.
     """
-    blocks: list[list[int]] = []
-    for j in sorted(range(len(axes)), key=axes.__getitem__):
-        if blocks and axes[j] == axes[blocks[-1][-1]] + 1 and len(blocks[-1]) < _BLOCK:
-            blocks[-1].append(j)
+    blocks: list[list[tuple]] = []
+    for step in sorted(layer, key=lambda step: step[1][0]):
+        if blocks and step[1][0] == blocks[-1][-1][1][0] + 1 and len(blocks[-1]) < _BLOCK:
+            blocks[-1].append(step)
         else:
-            blocks.append([j])
+            blocks.append([step])
     return blocks
 
 
-def _block_matrix(factors: tuple, block: list[int], columns: int = 2) -> np.ndarray:
-    """The Kronecker product of the 2x2s of factors[j] for j in `block`, the first most significant.
+def _block_matrix(block: Sequence[tuple], columns: int = 2) -> np.ndarray:
+    """The Kronecker product of the 2x2s of the passes of `block`, the first most significant.
 
     With `columns` = 1 it is the product of their first columns, which is
     the first column of the whole product, entry for entry.
     """
-    m = _matrix(*factors[block[0]])[:, :columns]
-    for j in block[1:]:
+    kernel, _, params = block[0]
+    m = _matrix(kernel, params)[:, :columns]
+    for kernel, _, params in block[1:]:
         # the Kronecker product, with fewer temporaries than np.kron
-        m = (m[:, None, :, None] * _matrix(*factors[j])[:, None, :columns]).reshape(2 * len(m), -1)
+        m = (m[:, None, :, None] * _matrix(kernel, params)[:, None, :columns]).reshape(2 * len(m), -1)
     return m
 
 
-def _layer(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], factors: tuple) -> None:
-    """One-wire passes on distinct wires: factors[j] = (kernel, params) acts on axes[j].
-
-    On a state of at most _SMALL_STATE entries each runs its own kernel, in
-    plan order. On a larger one the factors on up to _BLOCK consecutive
-    wires run as one dense pass of their Kronecker product, and a factor
-    with no neighbour runs its own kernel.
-    """
-    if t.size <= _SMALL_STATE:
-        for axis, (kernel, params) in zip(axes, factors):
-            kernel(t, scratch, [axis], *params)
-        return
-    for block in _blocks(axes):
-        if len(block) == 1:
-            kernel, params = factors[block[0]]
-            kernel(t, scratch, [axes[block[0]]], *params)
-        else:
-            _dense(t, scratch, [axes[j] for j in block], _block_matrix(factors, block))
-
-
-def _product_start(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], factors: tuple) -> None:
-    """`_layer` on |0...0>, above _SMALL_STATE entries, written into `t` as a product state.
+def _product_start(t: np.ndarray, scratch: np.ndarray, layer: Sequence[tuple]) -> None:
+    """A layer of one-wire passes on |0...0>, written into `t` as a product state.
 
     See the module docstring. The partial products alternate between the
     scratch buffer and `t`, so that the last one, at most half the state,
     is in the buffer when the full product is written into `t`.
     """
-    blocks = _blocks(axes)
-    columns = [_block_matrix(factors, block, 1)[:, 0] for block in blocks]
+    blocks = _blocks(layer)
+    columns = [_block_matrix(block, 1)[:, 0] for block in blocks]
+    axes = {axis for _, (axis,), _ in layer}
     last = max(axes)
     # the entries of t where every wire the layer skips, and the rest, read 0
     view = t.reshape([2] * (last + 1) + [-1])[
@@ -416,34 +402,6 @@ def _fold_phase_polynomial(run: Sequence, built: dict, budget: int) -> list[tupl
     return steps
 
 
-_ONE_WIRE = (_hadamard, _unitary, _phase)
-
-
-def _layered(steps: Sequence[tuple]) -> list[tuple]:
-    """`steps`, with each run of one-wire passes on distinct wires as one `_layer` pass."""
-    out: list[tuple] = []
-    layer: dict[tuple, tuple] = {}  # the open layer's passes, by their wires
-    for step in steps:
-        one_wire = step[0] in _ONE_WIRE
-        if layer and (not one_wire or step[1] in layer):
-            out.append(_as_layer(layer))
-            layer = {}
-        if one_wire:
-            layer[step[1]] = step
-        else:
-            out.append(step)
-    if layer:
-        out.append(_as_layer(layer))
-    return out
-
-
-def _as_layer(layer: dict[tuple, tuple]) -> tuple:
-    if len(layer) == 1:  # a lone pass keeps its own kernel
-        return next(iter(layer.values()))
-    factors = tuple((kernel, params) for kernel, _, params in layer.values())
-    return (_layer, tuple(wire for wire, in layer), (factors,))
-
-
 def plan(gates: Sequence) -> tuple[tuple, ...]:
     """The passes that apply `gates` in order, in the gates' own wire numbers.
 
@@ -473,7 +431,7 @@ def plan(gates: Sequence) -> tuple[tuple, ...]:
         run.append(gate)
     if run:
         steps += _fold(run, wire, built, budget)
-    return tuple(_layered(steps))
+    return tuple(steps)
 
 
 def _fold(run: Sequence, wire: int | None, built: dict, budget: int) -> list[tuple]:
@@ -482,12 +440,37 @@ def _fold(run: Sequence, wire: int | None, built: dict, budget: int) -> list[tup
     return _fold_phase_polynomial(run, built, budget)
 
 
+_ONE_WIRE = (_hadamard, _unitary, _phase)
+
+
+def _layers(steps: Sequence[tuple], wires: Sequence[int]) -> Iterator[list[tuple]]:
+    """The passes of `steps` as (kernel, axes, params) on state wires, grouped.
+
+    Each maximal run of one-wire passes on distinct state wires is one layer,
+    in plan order, and every other pass is a group of its own.
+    """
+    layer: dict[int, tuple] = {}  # the open layer's passes, by their state wire
+    for kernel, step_wires, params in steps:
+        axes = [wires[w] for w in step_wires]
+        one_wire = kernel in _ONE_WIRE
+        if layer and (not one_wire or axes[0] in layer):
+            yield list(layer.values())
+            layer = {}
+        if one_wire:
+            layer[axes[0]] = (kernel, axes, params)
+        else:
+            yield [(kernel, axes, params)]
+    if layer:
+        yield list(layer.values())
+
+
 def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int], fresh: bool = False) -> None:
     """Run the passes of `plan(...)` on `t`, in place, with a gate's wire k on wires[k].
 
-    `fresh` says that `t` is |0...0>, entry 0 exactly 1 and every other 0;
-    a leading `_layer` on more than _SMALL_STATE entries is then written as
-    `_product_start`.
+    On more than _SMALL_STATE entries it runs them by `_layers`; see the
+    module docstring. `fresh` says that `t` is |0...0>, entry 0 exactly 1
+    and every other 0; a leading layer of two or more passes on a large
+    state is then written by `_product_start`.
     """
     if not t.flags.c_contiguous:
         raise ValueError("the state must be C-contiguous, since kernels write through views")
@@ -496,9 +479,18 @@ def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int], fres
     flat = t.reshape(-1)
     # half the state, plus one entry so the 2x2's two halves of an odd batch fit
     scratch = np.empty(max(flat.size // 2 + 1, _SMALL_STATE), dtype=t.dtype)
-    if fresh and steps[0][0] is _layer and flat.size > _SMALL_STATE:
-        _, step_wires, params = steps[0]
-        _product_start(flat, scratch, [wires[w] for w in step_wires], *params)
-        steps = steps[1:]
-    for kernel, step_wires, params in steps:
-        kernel(flat, scratch, [wires[w] for w in step_wires], *params)
+    if flat.size <= _SMALL_STATE:
+        for kernel, step_wires, params in steps:
+            kernel(flat, scratch, [wires[w] for w in step_wires], *params)
+        return
+    for group in _layers(steps, wires):
+        if fresh and len(group) > 1:
+            _product_start(flat, scratch, group)
+        else:
+            for block in _blocks(group):
+                if len(block) == 1:
+                    kernel, axes, params = block[0]
+                    kernel(flat, scratch, axes, *params)
+                else:
+                    _dense(flat, scratch, [axis for _, (axis,), _ in block], _block_matrix(block))
+        fresh = False

@@ -38,11 +38,13 @@ from qlin import (
 )
 from qlin import circuit
 from qlin.algorithms import random_ansatz_params
-from qlin.circuit import Circuit
+from qlin.circuit import Circuit, add_p
 from qlin.device import DeviceBackend, DeviceSession
 from qlin.errors import (
     AllIdentityTerm,
     ArityMismatch,
+    NonFiniteAngle,
+    NonRealAngle,
     ParamCountMismatch,
     RusIterationLimit,
     TooManyGates,
@@ -320,6 +322,39 @@ def test_best_cut_matches_brute_force_on_random_graphs():
         cuts = [tuple((x >> (n - 1 - i)) & 1 for i in range(n)) for x in range(2**n)]
         _, value = best_cut(graph, cuts)
         assert value == max(cut_value(graph, c) for c in cuts)
+
+
+# angles: every library builder takes them by Phase's type rule
+
+# each builder with one angle in each place it takes one
+ANGLE_BUILDERS = {
+    "add_p": lambda a: add_p(identity(1), a, 0),
+    "ansatz-theta": lambda a: ansatz(1, 1, [a, 0.25]),
+    "ansatz-phi": lambda a: ansatz(1, 1, [0.25, a]),
+    "qaoa-beta": lambda a: qaoa_unitary([a], [0.3], Graph(2, ((0, 1),))),
+    "qaoa-gamma": lambda a: qaoa_unitary([0.3], [a], Graph(2, ((0, 1),))),
+}
+BUILDERS = pytest.mark.parametrize("build", ANGLE_BUILDERS.values(), ids=list(ANGLE_BUILDERS))
+
+
+@BUILDERS
+@pytest.mark.parametrize("angle", ["0.5", None, 1 + 0j, True, np.bool_(False), np.complex128(1)],
+                         ids=["str", "None", "complex", "bool", "numpy-bool", "numpy-complex"])
+def test_library_builders_refuse_an_angle_that_is_not_a_real_number(build, angle):
+    with pytest.raises(NonRealAngle, match=f"type {type(angle).__name__} is not a real number"):
+        build(angle)
+
+
+@BUILDERS
+def test_library_builders_refuse_an_int_angle_past_the_largest_float(build):
+    with pytest.raises(NonFiniteAngle):
+        build(10**400)
+
+
+@BUILDERS
+@pytest.mark.parametrize("angle", [3, -1, 0.5, np.float32(0.5), np.float64(-0.75)])
+def test_library_builders_keep_int_float_and_numpy_float_angles(build, angle):
+    assert np.array_equal(matrix_of(build(angle)), matrix_of(build(float(angle))))
 
 
 # QAOA circuit structure

@@ -179,7 +179,7 @@ def test_a_layer_runs_dense_blocks_only_above_the_small_state(monkeypatch, size,
     monkeypatch.setattr(kernels, "_dense", counting)
     gates = [g for w in range(_BLOCK) for g in (Hadamard(w), Phase(0.25 * w, w))]
     steps = plan(gates)
-    assert [kernel for kernel, _, _ in steps] == [kernels._layer]
+    assert [kernel for kernel, _, _ in steps] == [kernels._unitary] * _BLOCK
     state = np.random.default_rng(3).normal(size=size).astype(complex)
     expected = state.copy()
     for gate in gates:
@@ -253,11 +253,10 @@ def test_qaoa_plan_is_an_h_layer_then_one_diagonal_and_one_mixer_layer_per_layer
     graph = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
     steps = plan(qaoa_unitary([0.3, 0.5], [0.7, 1.1], graph).gates)
     kinds = [kernel.__name__ for kernel, _, _ in steps]
-    assert kinds == ["_layer"] + ["_diagonal", "_layer"] * 2
-    # each layer holds one pass per wire: H first, then each mixer's 2x2
-    for (_, wires, (factors,)), name in zip(steps[::2], ["_hadamard", "_unitary", "_unitary"]):
-        assert wires == (0, 1, 2, 3)
-        assert [kernel.__name__ for kernel, _ in factors] == [name] * 4
+    assert kinds == ["_hadamard"] * 4 + (["_diagonal"] + ["_unitary"] * 4) * 2
+    # each one-wire layer holds one pass per wire: H first, then each mixer's 2x2
+    for layer in (steps[0:4], steps[5:9], steps[10:14]):
+        assert sorted(wires for _, wires, _ in layer) == [(0,), (1,), (2,), (3,)]
 
 
 def test_qaoa_circuits_on_one_graph_share_their_parity_counts():

@@ -198,6 +198,69 @@ def test_session_apply_matches_remapped_circuit_on_large_states(seed):
     assert_session_matches_remapped_circuit(rng, m, random_circuit(rng, n, 40), ids)
 
 
+@st.composite
+def grouping_edges(draw):
+    """A circuit on n of 13 or 14 wires, its wire map, and whether it opens with a lone pass.
+
+    Its plan sets the edge cases of grouping one-wire passes on a large state
+    next to each other: a run closed by a repeated wire, a lone pass between
+    CNOTs, a layer right after a diagonal, and an opening that is a lone pass
+    (which takes no product start) or a layer (which takes one).
+    """
+    m = draw(st.integers(13, 14))
+    n = draw(st.integers(3, 8))
+    ids = draw(st.permutations(range(m)))[:n]
+
+    def one_wire(w):  # a run that opens with an H, so it never joins a run of CNOTs
+        if draw(st.booleans()):
+            return [Hadamard(w)]
+        a, b = draw(st.floats(-7.0, 7.0)), draw(st.floats(-7.0, 7.0))
+        return [Hadamard(w), Phase(a, w), Hadamard(w), Phase(b, w)]
+
+    def wires(least):
+        return draw(st.permutations(range(n)))[: draw(st.integers(least, n))]
+
+    def layer():
+        return [g for w in wires(2) for g in one_wire(w)]
+
+    def gadget():  # CNOT.P.CNOT, whose phase is never 1: one diagonal pass
+        u, v = wires(2)[:2]
+        return [ControlledNot(u, v), Phase(draw(st.floats(0.1, 3.0)), v), ControlledNot(u, v)]
+
+    lone = draw(st.booleans())
+    gates = (one_wire(draw(st.integers(0, n - 1))) + gadget()) if lone else layer()
+    for kind in draw(st.lists(st.sampled_from(["closed", "lone", "after-diagonal"]), min_size=1, max_size=6)):
+        if kind == "closed":  # runs on distinct wires, then on the first of them again
+            run = wires(2)
+            gates += [g for w in run + run[:1] for g in one_wire(w)]
+        elif kind == "lone":
+            gates += [ControlledNot(*wires(2)[:2]), *one_wire(draw(st.integers(0, n - 1))),
+                      ControlledNot(*wires(2)[:2])]
+        else:
+            gates += gadget() + layer()
+    return m, ids, lone, Circuit(n, gates)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grouping_edges(), st.integers(0, 10_000))
+def test_session_apply_matches_remapped_circuit_at_the_edges_of_a_layer(program, seed):
+    m, ids, lone, circuit = program
+    assert_session_matches_remapped_circuit(random.Random(seed), m, circuit, ids)
+    # and fresh from allocate, where only an opening layer is a product start
+    session = fresh_state(range(m))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_product_start(patch)
+        session.apply(ids, circuit)
+    assert calls == ([] if lone else [2**m])
+    remapped = apply(circuit, identity(m), ids)
+    whole = fresh_state(range(m))
+    whole.apply(range(m), remapped)
+    assert np.array_equal(session.amplitudes, whole.amplitudes)
+    reference = fresh_state(range(m))
+    gate_by_gate(reference, remapped.gates)
+    assert_close(session.amplitudes, reference.amplitudes, tol=1e-12)
+
+
 def _opening_layer(rng, n, h_only):
     """A layer of one-wire runs on 2 to n of n wires: H, Ps only or a mixed run each."""
     gates = []
@@ -241,10 +304,12 @@ def test_fresh_session_starts_its_opening_layer_as_a_product(seed, h_only):
     ids = rng.sample(range(first, first + n) if rng.random() < 0.5 else range(m), n)
     gates = _opening_layer(rng, n, h_only) + list(random_circuit(rng, n, 20).gates)
     circuit = Circuit(n, gates)
-    assert circuit._plan[0][0] is kernels._layer
 
     session = fresh_state(range(m))
-    session.apply(ids, circuit)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_product_start(patch)
+        session.apply(ids, circuit)
+    assert calls == [2**m]
     dense = fresh_state(range(m))
     dense.amplitudes = dense.amplitudes.copy()  # |0...0>, but not the array allocate left
     dense.apply(ids, circuit)
