@@ -24,6 +24,8 @@ from .circuit import (
     _check_gate_count,
     _check_round_count,
     _check_shot_count,
+    _integer,
+    _real,
     _real_angle,
     adjoint,
     identity,
@@ -46,17 +48,24 @@ Cut = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph for MAXCUT; edges are stored sorted and deduplicated."""
+    """Undirected graph for MAXCUT; edges are stored sorted and deduplicated.
+
+    The vertex count and every endpoint are ints or numpy integers, but no
+    bool; any other type raises ValueError."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not _integer(self.vertex_count):
+            raise ValueError(f"vertex count of type {type(self.vertex_count).__name__}, not an int")
         if self.vertex_count < 0:
             raise ValueError("vertex count must be non-negative")
         seen = set()
         normalised = []
         for u, v in self.edges:
+            if not (_integer(u) and _integer(v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
@@ -74,7 +83,10 @@ _PAULI_OPS = frozenset("IXYZ")
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Real-weighted sum of Pauli strings, H = sum_i coeff_i * term_i."""
+    """Real-weighted sum of Pauli strings, H = sum_i coeff_i * term_i.
+
+    Each coefficient is an int or a float (numpy's too, but no bool), kept
+    as a float; any other type raises ValueError."""
 
     terms: tuple[tuple[float, str], ...]
 
@@ -87,7 +99,12 @@ class Hamiltonian:
         # order from 0.0, so while this sum is finite its energy is too
         weight = 0.0
         for coeff, term in self.terms:
-            coeff = float(coeff)
+            if not _real(coeff):
+                raise ValueError(f"coefficient of type {type(coeff).__name__}, not an int or a float")
+            try:
+                coeff = float(coeff)
+            except OverflowError:  # an int past the largest float
+                coeff = math.inf if coeff > 0 else -math.inf
             if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient {coeff}")
             weight += abs(coeff)

@@ -82,13 +82,19 @@ def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _real(x) -> bool:
+    """Whether x can be an angle or a coefficient: an int, a float or a numpy
+    integer or float, but no bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _real_angle(x) -> float:
-    """x as a float, if it can be an angle: an int, a float or a numpy integer or float, but no bool.
+    """x as a float, if `_real` takes it.
 
     Any other type raises NonRealAngle, and an int past the largest float
     raises NonFiniteAngle; an infinite or nan float is returned as it is.
     """
-    if not isinstance(x, (int, float, np.integer, np.floating)) or isinstance(x, bool):
+    if not _real(x):
         raise NonRealAngle(x)
     try:
         return float(x)

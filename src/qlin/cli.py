@@ -40,7 +40,7 @@ from .circuit import (
     gate_counts,
     optimise,
 )
-from . import device
+from . import simulator
 from .errors import CapacityExceeded, ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed
@@ -177,8 +177,8 @@ def _cmd_simulate(args) -> None:
     circuit = _load_circuit(args.circuit)
     backend = StateVectorBackend(seed=_resolve_seed(args))
     counts: Counter[int] = Counter()
-    for done in range(0, args.shots, device._SHOT_BATCH):
-        bits = np.asarray(backend.sample(circuit, min(device._SHOT_BATCH, args.shots - done)), dtype=np.int8)
+    for done in range(0, args.shots, simulator._SHOT_BATCH):
+        bits = np.asarray(backend.sample(circuit, min(simulator._SHOT_BATCH, args.shots - done)), dtype=np.int8)
         # key: the integer the bits spell, wire 0 most significant; width from the batch, so within the cap
         keys, freq = np.unique(bits @ (1 << np.arange(bits.shape[1])[::-1]), return_counts=True)
         counts.update(dict(zip(keys.tolist(), freq.tolist())))

@@ -24,9 +24,10 @@ measure every wire) from them:
   `prep`, apply `bases[j]`, measure every wire. The estimator measures
   every Pauli term of a Hamiltonian this way, reading the term's wire. The
   default executes that program once per shot; the simulator's override
-  walks the (basis, shot) rows in ranges of at most `_SHOT_BATCH`. It takes
-  at least one shot: `_check_bases` refuses a basis of another arity
-  (ArityMismatch), then `shots < 1` (ValueError).
+  walks the (basis, shot) rows in ranges of at most
+  `simulator._SHOT_BATCH`. It takes at least one shot: `_check_bases`
+  refuses a basis of another arity (ArityMismatch), then `shots < 1`
+  (ValueError).
 
 Both methods, on both paths, refuse more than SHOT_LIMIT shots (for
 `count_ones`, (basis, shot) rows) with TooManyShots. Every refusal comes
@@ -151,12 +152,6 @@ def _check_bases(prep: Circuit, bases: Sequence[Circuit], shots: int) -> None:
     if shots < 1:
         raise ValueError("count_ones needs at least one shot")
     _check_shot_count(len(bases) * shots)
-
-
-# Most shots CLI `simulate` asks `sample` for at once, and most (basis, shot)
-# rows a walk of the simulator's `count_ones` measures. It bounds memory, not
-# outcomes, since both draw in shot order; both read it at call time.
-_SHOT_BATCH = 2**16
 
 
 class _Execution:

@@ -73,11 +73,12 @@ H, CNOT and the 2x2 act on a (2**w, 2, rest) view, in which [:, b] is the half
 where wire w reads b, and a block on the (2**lo, 2**k, rest) view. apply_plan
 allocates one scratch buffer of half the state's size (a small state gets up
 to 64 KiB) and every pass reuses it; no pass allocates a temporary the size
-of the state: on a large state the 2x2 runs in two halves so that its two
-products fit the buffer, a block's product goes through it a chunk at a time,
-table[count] is gathered into it in pieces of at most _SMALL_STATE
-entries, since take converts each piece's counts to intp, and a product
-start's partial products alternate between it and the state.
+of the state. `_chunks` alone cuts what a pass stages through it, the 2x2's
+two products and a block's product, into pieces: whole rows of the pass's
+view while one row fits, else pieces of one row's columns, so a 2x2 on a
+large state runs in two. table[count] is gathered into it in pieces of at
+most _SMALL_STATE entries, since take converts each piece's counts to intp,
+and a product start's partial products alternate between it and the state.
 """
 from __future__ import annotations
 
@@ -125,6 +126,20 @@ def _buffer(scratch: np.ndarray, like: np.ndarray) -> np.ndarray:
     return scratch[: like.size].reshape(like.shape)
 
 
+def _chunks(v: np.ndarray, scratch: np.ndarray) -> Iterator[np.ndarray]:
+    """Views that cover the (rows, k, rest) view v in order, each of at most scratch.size entries:
+    whole rows while one row fits the buffer, else pieces of one row's columns."""
+    rows, k, rest = v.shape
+    step = scratch.size // (k * rest)
+    if step:
+        for s in range(0, rows, step):
+            yield v[s : s + step]
+    else:
+        cols = scratch.size // k
+        for r, s in itertools.product(range(rows), range(0, rest, cols)):
+            yield v[r : r + 1, :, s : s + cols]
+
+
 def _hadamard(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int]) -> None:
     v = t.reshape(2 ** axes[0], 2, -1)
     x0, x1 = v[:, 0], v[:, 1]
@@ -142,18 +157,9 @@ def _phase(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], phase: compl
 def _unitary(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], u: tuple) -> None:
     """Multiply wire axes[0] by the 2x2 matrix u = (a, b, c, d), row by row."""
     a, b, c, d = u
-    v = t.reshape(2 ** axes[0], 2, -1)
-    # in two halves when b*x1 and c*x0 together do not fit the buffer
-    if t.size <= scratch.size:
-        halves = (v,)
-    elif v.shape[0] > 1:
-        h = v.shape[0] // 2
-        halves = (v[:h], v[h:])
-    else:
-        h = v.shape[2] // 2
-        halves = (v[..., :h], v[..., h:])
-    for half in halves:
-        x0, x1 = half[:, 0], half[:, 1]
+    # b*x1 and c*x0 together hold as many entries as their piece
+    for piece in _chunks(t.reshape(2 ** axes[0], 2, -1), scratch):
+        x0, x1 = piece[:, 0], piece[:, 1]
         bx1 = _buffer(scratch, x0)
         cx0 = _buffer(scratch[x0.size :], x0)
         np.multiply(x1, b, out=bx1)
@@ -185,21 +191,13 @@ def _dense(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], m: np.ndarra
     """Multiply the consecutive wires axes[0], axes[0] + 1, ... by the matrix m.
 
     The first wire is the most significant digit of m's index. The products
-    go through the scratch buffer, a chunk of the state at a time, and are
-    copied back.
+    go through the scratch buffer, a piece of the state at a time (see
+    _chunks), and are copied back.
     """
-    k = len(axes)
-    v = t.reshape(2 ** axes[0], 2**k, -1)
-    rest = v.shape[2]
-    rows = scratch.size // (2**k * rest)
-    if rows:
-        chunks = [v[s : s + rows] for s in range(0, len(v), rows)]
-    else:  # one row is more than the buffer holds: split its columns
-        cols = scratch.size // 2**k
-        chunks = [v[..., s : s + cols] for s in range(0, rest, cols)]
-    for x in chunks:
+    v = t.reshape(2 ** axes[0], 2 ** len(axes), -1)
+    for x in _chunks(v, scratch):
         out = _buffer(scratch, x)
-        if rest == 1:
+        if v.shape[2] == 1:
             # one product of all the rows, not one matrix-vector product each
             np.matmul(x[..., 0], m.T, out=out[..., 0])
         else:
@@ -477,8 +475,8 @@ def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int], fres
     if not steps:
         return
     flat = t.reshape(-1)
-    # half the state, plus one entry so the 2x2's two halves of an odd batch fit
-    scratch = np.empty(max(flat.size // 2 + 1, _SMALL_STATE), dtype=t.dtype)
+    # half the state; _chunks cuts a staged product to fit: whole rows, else one row's columns
+    scratch = np.empty(max(flat.size // 2, _SMALL_STATE), dtype=t.dtype)
     if flat.size <= _SMALL_STATE:
         for kernel, step_wires, params in steps:
             kernel(flat, scratch, [wires[w] for w in step_wires], *params)

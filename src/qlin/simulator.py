@@ -46,7 +46,6 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from . import device
 from .circuit import Circuit, _check_shot_count
 from .device import DeviceBackend, DeviceSession, _check_bases, _exclusive
 from .errors import CapacityExceeded
@@ -57,6 +56,10 @@ DEFAULT_MAX_QUBITS = 24
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
 _DRAW_PIECE = 2**20  # most uniforms one getrandbits call draws; 64 bits each must fit a C int
+# Most shots CLI `simulate` asks `sample` for at once, and most (basis, shot)
+# rows a walk of `count_ones` measures. It bounds memory, not outcomes, since
+# both draw in shot order; both read it at call time.
+_SHOT_BATCH = 2**16
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -316,7 +319,7 @@ class StateVectorBackend(DeviceBackend):
         total = len(bases) * shots
         a = 0
         while a < total:
-            b = min(a + device._SHOT_BATCH, (a // group + 1) * group, total)
+            b = min(a + _SHOT_BATCH, (a // group + 1) * group, total)
             lo, hi = a // shots, (b - 1) // shots + 1
             # where each basis's rows start and end in the walk
             edges = np.clip(np.arange(lo, hi + 1) * shots - a, 0, b - a)

@@ -74,5 +74,5 @@ def qft(n: int) -> Circuit:
         # control at distance d contributes P(2*pi / 2^(d+1)).
         gates.append(Hadamard(k))
         for m in range(2, n - k + 1):
-            gates += Phase(2.0 * math.pi / 2**m, k).controlled(k + m - 1)
+            gates += Phase(_rm_angle(m), k).controlled(k + m - 1)
     return Circuit(n, gates)

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -300,6 +301,23 @@ def test_graph_validation():
         Graph(3, ((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("count, edges", [
+    (True, ()), (2.5, ()), (3.0, ()), ("3", ()), (None, ()), (np.bool_(True), ()),
+    (3, ((0, True),)), (3, ((False, 1),)), (3, ((0, 1.5),)), (3, ((0.0, 1),)), (3, ((0, "1"),)),
+    (3, ((0, np.bool_(True)),)), (3, ((0, np.float64(2)),)),
+], ids=["bool-count", "float-count", "integral-float-count", "str-count", "None-count", "numpy-bool-count",
+        "bool-end", "bool-start", "float-end", "integral-float-start", "str-end", "numpy-bool-end",
+        "numpy-float-end"])
+def test_graph_refuses_a_vertex_count_or_endpoint_that_is_not_an_int(count, edges):
+    with pytest.raises(ValueError, match="not an int"):
+        Graph(count, edges)
+
+
+def test_graph_takes_numpy_integers():
+    graph = Graph(np.int64(3), ((np.int8(2), np.uint16(0)), (np.int32(1), 2)))
+    assert graph == Graph(3, ((0, 2), (1, 2)))
+
+
 def test_cut_value_triangle():
     assert cut_value(k3(), (0, 1, 1)) == 2
     assert cut_value(k3(), (0, 0, 0)) == 0
@@ -355,6 +373,27 @@ def test_library_builders_refuse_an_int_angle_past_the_largest_float(build):
 @pytest.mark.parametrize("angle", [3, -1, 0.5, np.float32(0.5), np.float64(-0.75)])
 def test_library_builders_keep_int_float_and_numpy_float_angles(build, angle):
     assert np.array_equal(matrix_of(build(angle)), matrix_of(build(float(angle))))
+
+
+# Hamiltonian coefficients: the type rule of angles, with the class's ValueError
+
+@pytest.mark.parametrize("coeff", ["1.5", None, 1 + 0j, True, np.bool_(False), np.complex128(1), Fraction(1, 2)],
+                         ids=["str", "None", "complex", "bool", "numpy-bool", "numpy-complex", "fraction"])
+def test_hamiltonian_refuses_a_coefficient_that_is_not_an_int_or_a_float(coeff):
+    with pytest.raises(ValueError, match=f"coefficient of type {type(coeff).__name__}, not an int or a float"):
+        Hamiltonian(((1.0, "I"), (coeff, "Z")))
+
+
+@pytest.mark.parametrize("coeff", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_hamiltonian_refuses_an_int_coefficient_past_the_largest_float(coeff):
+    with pytest.raises(ValueError, match=f"non-finite coefficient {'-' if coeff < 0 else ''}inf"):
+        Hamiltonian(((coeff, "Z"),))
+
+
+@pytest.mark.parametrize("coeff", [3, -1, 0.5, np.int64(2), np.float32(0.5), np.float64(-0.75)])
+def test_hamiltonian_keeps_int_float_and_numpy_coefficients_as_floats(coeff):
+    ((kept, _),) = Hamiltonian(((coeff, "Z"),)).terms
+    assert type(kept) is float and kept == float(coeff)
 
 
 # QAOA circuit structure

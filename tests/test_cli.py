@@ -15,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlin
-from qlin import StateVectorBackend, algorithms, cli, device, errors
+from qlin import StateVectorBackend, algorithms, cli, errors, simulator
 from qlin.circuit import BUILD_GATE_LIMIT, DRAW_CELL_LIMIT, ROUND_LIMIT, SHOT_LIMIT
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
-from qlin.device import _SHOT_BATCH
 from qlin.formats import format_circuit, parse_circuit
+from qlin.simulator import _SHOT_BATCH
 
 from .oracles import random_circuit
 
@@ -126,7 +126,7 @@ def test_simulate_prints_the_histogram_of_one_sample_stream(tmp_path_factory, ar
     lines = "".join(f"{bits} {n} {n / shots:.4f}\n" for bits, n in sorted(want.items()))
     argv = ["simulate", str(path), "--shots", str(shots), "--seed", str(seed)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(device, "_SHOT_BATCH", 7)
+        patch.setattr(simulator, "_SHOT_BATCH", 7)
         assert run_quietly([*argv, "--format", "json"]) == (EXIT_OK, json.dumps(want, sort_keys=True) + "\n", "")
         assert run_quietly(argv) == (EXIT_OK, lines, "")
 

@@ -190,7 +190,7 @@ def test_a_layer_runs_dense_blocks_only_above_the_small_state(monkeypatch, size,
 
 
 def test_one_wire_pass_on_a_large_odd_batch():
-    # one wire and an odd batch: the 2x2's halves split the batch unevenly
+    # one wire and an odd batch: the 2x2 runs in pieces of 2049, 2049 and 1 columns
     state = np.random.default_rng(1).normal(size=(2, 4099)).astype(complex)
     gates = [Hadamard(0), Phase(0.3, 0), Hadamard(0)]
     fused, unfused = state.copy(), state.copy()
@@ -237,6 +237,82 @@ def test_matmul_entries_do_not_depend_on_the_row_chunks(k, widths, seed):
     for start, stop in zip(edges, edges[1:]):
         np.matmul(x[start:stop, :, 0], m.T, out=out[start:stop, :, 0])
     assert np.array_equal(out[..., 0], np.matmul(x[..., 0], m.T))
+
+
+# The pieces `_chunks` cuts, on every power-of-two state of 2**13 to 2**24
+# entries and every wire or block position, with apply_plan's buffer of half
+# the state. The views are zero-stride, so no state is allocated.
+LARGE_SIZES = pytest.mark.parametrize("n", range(13, 25))
+
+
+def _zero_stride(size):
+    return np.broadcast_to(np.zeros(1, dtype=complex), (size,))
+
+
+def _views(n):
+    """The (rows, k, rest) shapes of every 2x2 and dense-block pass on n wires."""
+    shapes = [(2**w, 2, 2 ** (n - w - 1)) for w in range(n)]
+    shapes += [(2**lo, 2**k, 2 ** (n - lo - k)) for k in range(2, _BLOCK + 1) for lo in range(n - k + 1)]
+    return shapes
+
+
+@LARGE_SIZES
+def test_chunks_tile_the_view_in_order_within_the_buffer(n):
+    scratch = _zero_stride(2**n // 2)
+    index = np.arange(2 ** (n - 1), dtype=np.int32)
+    for shape in _views(n):
+        rows, k, rest = shape
+        # each entry's row and column, so a piece tells where it starts and ends
+        row_of = np.broadcast_to(index[:rows, None, None], shape)
+        col_of = np.broadcast_to(index[None, None, :rest], shape)
+        row, col = 0, 0
+        for r, c in zip(kernels._chunks(row_of, scratch), kernels._chunks(col_of, scratch)):
+            r0, r1, c0, c1 = r[0, 0, 0], r[-1, 0, 0] + 1, c[0, 0, 0], c[0, 0, -1] + 1
+            assert r.shape == c.shape == (r1 - r0, k, c1 - c0) and r.size <= scratch.size
+            assert (r0, c0) == (row, col)
+            if c1 - c0 == rest:  # whole rows
+                row += r1 - r0
+            else:  # a piece of one row's columns
+                assert r1 - r0 == 1
+                row, col = (row + 1, 0) if c1 == rest else (row, c1)
+        assert (row, col) == (rows, 0)
+
+
+def _pieces(monkeypatch, kernel, n, axes, *params):
+    """The pieces `kernel` takes from `_chunks` on a zero-stride state of 2**n
+    entries, with apply_plan's buffer; the kernel is given none to work on."""
+    taken = []
+    real = kernels._chunks
+
+    def chunks(v, scratch):
+        taken.extend(real(v, scratch))
+        return iter(())
+
+    monkeypatch.setattr(kernels, "_chunks", chunks)
+    kernel(_zero_stride(2**n), _zero_stride(max(2**n // 2, _SMALL_STATE)), axes, *params)
+    monkeypatch.undo()
+    return taken
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_a_2x2_runs_in_two_pieces_only_above_the_small_state(monkeypatch, n):
+    for w in range(n):
+        pieces = _pieces(monkeypatch, kernels._unitary, n, [w], (1, 0, 0, 1))
+        assert len(pieces) == (2 if 2**n > _SMALL_STATE else 1)
+
+
+@LARGE_SIZES
+def test_a_dense_block_takes_pieces_whose_matmul_entries_do_not_depend_on_them(monkeypatch, n):
+    # the conditions of the two matmul properties above: column pieces of
+    # multiples of 4, and row pieces of at least 2 rows when rest == 1
+    for k in range(2, _BLOCK + 1):
+        for lo in range(n - k + 1):
+            rest = 2 ** (n - lo - k)
+            for piece in _pieces(monkeypatch, kernels._dense, n, list(range(lo, lo + k)), None):
+                if piece.shape[2] < rest:
+                    assert piece.shape[2] % 4 == 0
+                if rest == 1:
+                    assert len(piece) >= 2
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -36,7 +36,7 @@ from qlin import (
 from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
 from qlin.device import DeviceBackend
 from qlin.errors import CapacityExceeded
-from qlin import device, kernels, simulator
+from qlin import kernels, simulator
 from qlin.simulator import QuantumState, derive_seed
 
 from .oracles import FixedRandom, assert_close, basis_state, dense_unitary, random_circuit
@@ -756,7 +756,7 @@ def test_count_ones_matches_the_default(case, shots, batch, seed):
     batch = {"shots - 1": max(shots - 1, 1), "shots + 1": shots + 1}.get(batch, batch)
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(device, "_SHOT_BATCH", batch)
+        patch.setattr(simulator, "_SHOT_BATCH", batch)
         walks = _recorded_walks(patch)
         counts = fast.count_ones(prep, bases, shots)
     reference, measured = _default_shots(default, prep, bases, shots)
@@ -808,7 +808,7 @@ def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
     # one session per call: the prep goes through its allocate and apply
     # once, and each basis through its apply once per walk that reaches it;
     # walks of 30 of the 150 rows reach bases [0], [0, 1], [1], [1, 2], [2]
-    monkeypatch.setattr(device, "_SHOT_BATCH", 30)
+    monkeypatch.setattr(simulator, "_SHOT_BATCH", 30)
     calls = []
 
     def recorder(cls, name):
@@ -851,7 +851,7 @@ def test_count_ones_walks_end_at_batch_and_group_ends(n, n_bases, shots, batch, 
     rng = random.Random(n)
     prep = random_circuit(rng, n, 4 * n)
     bases = [random_circuit(rng, n, 8) for _ in range(n_bases)]
-    monkeypatch.setattr(device, "_SHOT_BATCH", batch)
+    monkeypatch.setattr(simulator, "_SHOT_BATCH", batch)
     walks = _recorded_walks(monkeypatch)
     fast, default = StateVectorBackend(seed=n), StateVectorBackend(seed=n)
     counts = fast.count_ones(prep, bases, shots)
