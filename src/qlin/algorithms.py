@@ -93,7 +93,6 @@ class Hamiltonian:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a Hamiltonian needs at least one term")
-        n = len(self.terms[0][1])
         cleaned = []
         # compute_energy adds coeff * <term>, with |<term>| <= 1, in this
         # order from 0.0, so while this sum is finite its energy is too
@@ -110,7 +109,9 @@ class Hamiltonian:
             weight += abs(coeff)
             if not math.isfinite(weight):
                 raise ValueError("the coefficients' absolute values sum past the largest float")
-            if len(term) != n:
+            if not isinstance(term, str):  # len and set would take a list, a tuple or bytes
+                raise ValueError(f"invalid Pauli string {term!r}")
+            if len(term) != len(self.terms[0][1]):
                 raise ValueError("all Pauli strings must have the same length")
             if not set(term) <= _PAULI_OPS:
                 raise ValueError(f"invalid Pauli string {term!r}")
@@ -331,7 +332,6 @@ def qaoa(
 
 # Hamiltonian averaging / VQE
 
-@functools.lru_cache(maxsize=64)
 def encoding_unitary(term: str) -> Circuit:
     """Measurement-basis change for one Pauli string.
 
@@ -343,6 +343,14 @@ def encoding_unitary(term: str) -> Circuit:
     their `Circuit`, and so its plan, so an estimator that measures a
     Hamiltonian many times builds and plans each term's circuit once.
     """
+    # before the cache, which would hash a list or take a tuple or bytes
+    if not isinstance(term, str):
+        raise ValueError(f"invalid Pauli string {term!r}")
+    return _encoding_unitary(term)
+
+
+@functools.lru_cache(maxsize=64)
+def _encoding_unitary(term: str) -> Circuit:
     if not set(term) <= _PAULI_OPS:
         raise ValueError(f"invalid Pauli string {term!r}")
     active = [i for i, op in enumerate(term) if op != "I"]

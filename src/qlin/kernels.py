@@ -49,25 +49,27 @@ counts of its own.
 The plan is flat: each pass is one kernel on the gates' own wires, and
 nothing in it depends on the state it will run on. apply_plan alone chooses
 how to run it, since it alone knows the state's size and whether the state
-is fresh. On a state of at most _SMALL_STATE entries each pass runs its own
-kernel, in plan order. On a larger one `_layers` maps the passes to the
-state's wires and groups each maximal run of one-wire passes (H, P or 2x2) on
-distinct state wires into a layer, such as the opening H layer or a mixer
-layer of a QAOA circuit; a repeated wire closes the run. The wire map is
-injective, so a circuit applied through it and its relabelled copy applied
-directly run the same passes. A layer's passes on up to _BLOCK consecutive
-state wires run as one dense block, the Kronecker product of their 2x2s,
-multiplied by np.matmul (state-vector gate fusion: Häner and Steiger,
-arXiv:1704.01127); a pass with no neighbour keeps its kernel. When the
-caller says the state is |0...0>, a leading layer of two or more passes on a
-large state is written directly: each block maps |0...0> on its wires to its
-matrix's first column, so the layer's result is the outer product of those
-columns, taken in the order the blocks run (ascending state wires, the first
-block the most significant digit), with |0> on every wire the layer skips. The
-products are the blocks' own, in the same order: a real layer (H) gives
-the passes' floats exactly, and a complex one agrees to rounding, since
-np.matmul may round a complex product differently. The opening H layer of
-a 20-wire QAOA circuit is then one write of the state, not four passes.
+is fresh, and it makes every kernel call from one stream, `_calls`, which
+yields each call as (kernel, state wires, params). On a state of at most
+_SMALL_STATE entries the stream is the passes themselves, in plan order, on
+state wires. On a larger one it groups each maximal run of one-wire passes
+(H, P or 2x2) on distinct state wires into a layer, such as the opening H
+layer or a mixer layer of a QAOA circuit; a repeated wire closes the run.
+The wire map is injective, so a circuit applied through it and its
+relabelled copy applied directly run the same calls. A layer's passes on up
+to _BLOCK consecutive state wires run as one `_dense` block, the Kronecker
+product of their 2x2s, multiplied by np.matmul (state-vector gate fusion:
+Häner and Steiger, arXiv:1704.01127); a pass with no neighbour keeps its
+kernel. When the caller says the state is |0...0>, an opening layer of two
+or more passes on a large state is one `_product_start` call: each block
+maps |0...0> on its wires to its matrix's first column, so the layer's
+result is the outer product of those columns, taken in the order the blocks
+run (ascending state wires, the first block the most significant digit),
+with |0> on every wire the layer skips. The products are the blocks' own,
+in the same order: a real layer (H) gives the passes' floats exactly, and a
+complex one agrees to rounding, since np.matmul may round a complex product
+differently. The opening H layer of a 20-wire QAOA circuit is then one
+write of the state, not four passes.
 
 H, CNOT and the 2x2 act on a (2**w, 2, rest) view, in which [:, b] is the half
 where wire w reads b, and a block on the (2**lo, 2**k, rest) view. apply_plan
@@ -212,21 +214,6 @@ def _matrix(kernel, params: tuple) -> np.ndarray:
     return m
 
 
-def _blocks(layer: Sequence[tuple]) -> list[list[tuple]]:
-    """The passes (kernel, axes, params) of a large state's layer, grouped as it runs them.
-
-    Each group is a run of up to _BLOCK passes on consecutive state wires,
-    and the groups come in ascending wire order.
-    """
-    blocks: list[list[tuple]] = []
-    for step in sorted(layer, key=lambda step: step[1][0]):
-        if blocks and step[1][0] == blocks[-1][-1][1][0] + 1 and len(blocks[-1]) < _BLOCK:
-            blocks[-1].append(step)
-        else:
-            blocks.append([step])
-    return blocks
-
-
 def _block_matrix(block: Sequence[tuple], columns: int = 2) -> np.ndarray:
     """The Kronecker product of the 2x2s of the passes of `block`, the first most significant.
 
@@ -241,21 +228,19 @@ def _block_matrix(block: Sequence[tuple], columns: int = 2) -> np.ndarray:
     return m
 
 
-def _product_start(t: np.ndarray, scratch: np.ndarray, layer: Sequence[tuple]) -> None:
-    """A layer of one-wire passes on |0...0>, written into `t` as a product state.
+def _product_start(t: np.ndarray, scratch: np.ndarray, axes: Sequence[int], columns: Sequence[np.ndarray]) -> None:
+    """Write |0...0> with a layer of one-wire passes on the ascending `axes` applied, as a product state.
 
-    See the module docstring. The partial products alternate between the
-    scratch buffer and `t`, so that the last one, at most half the state,
-    is in the buffer when the full product is written into `t`.
+    `columns` are the first columns of the layer's blocks, in the order they
+    run; see the module docstring. The partial products alternate between
+    the scratch buffer and `t`, so that the last one, at most half the
+    state, is in the buffer when the full product is written into `t`.
     """
-    blocks = _blocks(layer)
-    columns = [_block_matrix(block, 1)[:, 0] for block in blocks]
-    axes = {axis for _, (axis,), _ in layer}
-    last = max(axes)
+    last = axes[-1]
     # the entries of t where every wire the layer skips, and the rest, read 0
     view = t.reshape([2] * (last + 1) + [-1])[
         tuple(slice(None) if w in axes else 0 for w in range(last + 1)) + (0,)]
-    k = len(blocks[-1])
+    k = columns[-1].size.bit_length() - 1
     with _small_ufunc_buffer():
         product, used = np.ones(1, dtype=t.dtype), 0
         for i, column in enumerate(columns[:-1]):
@@ -441,34 +426,56 @@ def _fold(run: Sequence, wire: int | None, built: dict, budget: int) -> list[tup
 _ONE_WIRE = (_hadamard, _unitary, _phase)
 
 
-def _layers(steps: Sequence[tuple], wires: Sequence[int]) -> Iterator[list[tuple]]:
-    """The passes of `steps` as (kernel, axes, params) on state wires, grouped.
+def _calls(steps: Sequence[tuple], wires: Sequence[int], size: int, fresh: bool) -> Iterator[tuple]:
+    """Every kernel call (kernel, axes, params) apply_plan makes to run `steps` on `size` entries.
 
-    Each maximal run of one-wire passes on distinct state wires is one layer,
-    in plan order, and every other pass is a group of its own.
+    On at most _SMALL_STATE entries they are the passes themselves, on state
+    wires. On more, each maximal run of one-wire passes on distinct state
+    wires is a layer, in plan order, run as its blocks: runs of up to _BLOCK
+    passes on consecutive state wires, in ascending wire order, each a pass
+    of its own or a `_dense` multiply by its Kronecker product. On a `fresh`
+    state, an opening layer of two or more passes is one `_product_start`
+    of its blocks' first columns. See the module docstring.
     """
+    passes = ((kernel, [wires[w] for w in step_wires], params) for kernel, step_wires, params in steps)
+    if size <= _SMALL_STATE:
+        yield from passes
+        return
     layer: dict[int, tuple] = {}  # the open layer's passes, by their state wire
-    for kernel, step_wires, params in steps:
-        axes = [wires[w] for w in step_wires]
-        one_wire = kernel in _ONE_WIRE
-        if layer and (not one_wire or axes[0] in layer):
-            yield list(layer.values())
-            layer = {}
-        if one_wire:
-            layer[axes[0]] = (kernel, axes, params)
-        else:
-            yield [(kernel, axes, params)]
-    if layer:
-        yield list(layer.values())
+    # a pass of no kernel closes the last layer
+    for step in itertools.chain(passes, [(None, [None], ())]):
+        kernel, axes, _ = step
+        if layer and (kernel not in _ONE_WIRE or axes[0] in layer):
+            blocks: list[list[int]] = []  # runs of up to _BLOCK consecutive state wires
+            for axis in sorted(layer):
+                if blocks and axis == blocks[-1][-1] + 1 and len(blocks[-1]) < _BLOCK:
+                    blocks[-1].append(axis)
+                else:
+                    blocks.append([axis])
+            if fresh and len(layer) > 1:
+                yield _product_start, sorted(layer), ([_block_matrix([layer[a] for a in block], 1)[:, 0]
+                                                       for block in blocks],)
+            else:
+                for block in blocks:
+                    if len(block) == 1:
+                        yield layer[block[0]]
+                    else:
+                        yield _dense, block, (_block_matrix([layer[a] for a in block]),)
+            layer, fresh = {}, False
+        if kernel in _ONE_WIRE:
+            layer[axes[0]] = step
+        elif kernel:
+            yield step
+            fresh = False
 
 
 def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int], fresh: bool = False) -> None:
     """Run the passes of `plan(...)` on `t`, in place, with a gate's wire k on wires[k].
 
-    On more than _SMALL_STATE entries it runs them by `_layers`; see the
-    module docstring. `fresh` says that `t` is |0...0>, entry 0 exactly 1
-    and every other 0; a leading layer of two or more passes on a large
-    state is then written by `_product_start`.
+    It makes the calls of `_calls`, one at a time; see the module docstring.
+    `fresh` says that `t` is |0...0>, entry 0 exactly 1 and every other 0,
+    so that an opening layer of two or more passes on a large state is
+    written by `_product_start`.
     """
     if not t.flags.c_contiguous:
         raise ValueError("the state must be C-contiguous, since kernels write through views")
@@ -477,18 +484,7 @@ def apply_plan(t: np.ndarray, steps: Sequence[tuple], wires: Sequence[int], fres
     flat = t.reshape(-1)
     # half the state; _chunks cuts a staged product to fit: whole rows, else one row's columns
     scratch = np.empty(max(flat.size // 2, _SMALL_STATE), dtype=t.dtype)
-    if flat.size <= _SMALL_STATE:
-        for kernel, step_wires, params in steps:
-            kernel(flat, scratch, [wires[w] for w in step_wires], *params)
-        return
-    for group in _layers(steps, wires):
-        if fresh and len(group) > 1:
-            _product_start(flat, scratch, group)
-        else:
-            for block in _blocks(group):
-                if len(block) == 1:
-                    kernel, axes, params = block[0]
-                    kernel(flat, scratch, axes, *params)
-                else:
-                    _dense(flat, scratch, [axis for _, (axis,), _ in block], _block_matrix(block))
-        fresh = False
+    for kernel, axes, params in _calls(steps, wires, flat.size, fresh):
+        kernel(flat, scratch, axes, *params)
+        # a block's matrix goes before the next one is built
+        del params

@@ -273,6 +273,13 @@ class StateVectorBackend(DeviceBackend):
         measuring every wire does, and the outcomes come from the collapse
         walk over the one prepared state; the bits and the position of the
         random stream afterwards equal the per-shot loop's.
+
+        One call draws and walks every shot at once, so besides the state it
+        holds each shot's uniforms and the walk's per-shot arrays: its
+        tracemalloc peak was 26 MB for 10**6 shots of `h_gate()`, whose
+        result is 1 MB, and 40 MB for 2 * 10**5 shots of `qft(10)`, whose
+        result is 2 MB. `cli`'s simulate and `count_ones` stay bounded by
+        asking for at most `_SHOT_BATCH` shots a walk.
         """
         n = circuit.arity
         if shots < 1:

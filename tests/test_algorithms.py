@@ -396,6 +396,32 @@ def test_hamiltonian_keeps_int_float_and_numpy_coefficients_as_floats(coeff):
     assert type(kept) is float and kept == float(coeff)
 
 
+
+# Pauli strings are str: a list, a tuple or bytes would pass len and set, and
+# an int or None would raise a bare TypeError
+
+NOT_STR_TERMS = pytest.mark.parametrize("term", [["Z"], ("Z",), 5, None, b""],
+                                        ids=["list", "tuple", "int", "None", "bytes"])
+
+
+@NOT_STR_TERMS
+def test_hamiltonian_refuses_a_pauli_string_that_is_not_a_str(term):
+    with pytest.raises(ValueError, match="invalid Pauli string"):
+        Hamiltonian(((1.0, term),))
+
+
+@NOT_STR_TERMS
+def test_encoding_unitary_refuses_a_pauli_string_that_is_not_a_str(term):
+    with pytest.raises(ValueError, match="invalid Pauli string"):
+        encoding_unitary(term)
+
+
+def test_a_numpy_str_pauli_string_is_kept():
+    term = np.str_("XZ")
+    assert hash(Hamiltonian(((1.0, term),))) == hash(Hamiltonian(((1.0, "XZ"),)))
+    assert encoding_unitary(term) == encoding_unitary("XZ")
+
+
 # QAOA circuit structure
 
 def test_qaoa_unitary_zero_layers():

@@ -345,13 +345,40 @@ def test_qaoa_circuits_on_one_graph_share_their_parity_counts():
     assert all(a is b for a, b in zip(*counts))
 
 
-def _qaoa_plan_peak(fresh):
-    """The tracemalloc peak of the 20-wire QAOA plan on |0...0>, and the state it leaves."""
-    # a 3-regular graph on 20 vertices, as in a wide QAOA round: each layer
-    # runs as four 5-wire dense blocks through the scratch buffer
+def _wide_qaoa_plan():
+    """The plan of a p = 2 QAOA circuit on a 3-regular graph of 20 vertices, as in a wide QAOA round."""
     n = 20
     edges = tuple((i, (i + 1) % n) for i in range(n)) + tuple((i, i + 10) for i in range(10))
-    steps = plan(qaoa_unitary([0.3, 0.5], [0.7, 1.1], Graph(n, edges)).gates)
+    return plan(qaoa_unitary([0.3, 0.5], [0.7, 1.1], Graph(n, edges)).gates)
+
+
+def _stream(steps, n, fresh):
+    """The kernel calls apply_plan makes for `steps` on n wires, as (kernel name, state wires)."""
+    return [(kernel.__name__, axes) for kernel, axes, _ in kernels._calls(steps, range(n), 2**n, fresh)]
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_the_20_wire_qaoa_stream_is_a_start_then_a_diagonal_and_four_blocks_per_layer(fresh):
+    # no state is allocated: the stream needs the state's size only
+    blocks = [("_dense", list(range(lo, lo + 5))) for lo in range(0, 20, 5)]
+    start = [("_product_start", list(range(20)))] if fresh else blocks
+    assert _stream(_wide_qaoa_plan(), 20, fresh) == start + ([("_diagonal", list(range(20)))] + blocks) * 2
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_an_h_layer_runs_per_wire_up_to_the_small_state_and_in_blocks_above(fresh):
+    # 12 wires are exactly _SMALL_STATE entries; 13 are the first above them
+    steps = plan([Hadamard(w) for w in range(13)])
+    assert _stream(steps[:12], 12, fresh) == [("_hadamard", [w]) for w in range(12)]
+    blocks = [("_dense", [0, 1, 2, 3, 4]), ("_dense", [5, 6, 7, 8, 9]), ("_dense", [10, 11, 12])]
+    assert _stream(steps, 13, fresh) == ([("_product_start", list(range(13)))] if fresh else blocks)
+
+
+def _qaoa_plan_peak(fresh):
+    """The tracemalloc peak of the 20-wire QAOA plan on |0...0>, and the state it leaves."""
+    # each layer runs as four 5-wire dense blocks through the scratch buffer
+    n = 20
+    steps = _wide_qaoa_plan()
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     tracemalloc.start()
