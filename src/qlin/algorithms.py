@@ -109,8 +109,7 @@ class Hamiltonian:
             weight += abs(coeff)
             if not math.isfinite(weight):
                 raise ValueError("the coefficients' absolute values sum past the largest float")
-            if not isinstance(term, str):  # len and set would take a list, a tuple or bytes
-                raise ValueError(f"invalid Pauli string {term!r}")
+            _check_pauli_str(term)
             if len(term) != len(self.terms[0][1]):
                 raise ValueError("all Pauli strings must have the same length")
             if not set(term) <= _PAULI_OPS:
@@ -343,10 +342,14 @@ def encoding_unitary(term: str) -> Circuit:
     their `Circuit`, and so its plan, so an estimator that measures a
     Hamiltonian many times builds and plans each term's circuit once.
     """
-    # before the cache, which would hash a list or take a tuple or bytes
+    _check_pauli_str(term)  # before the cache, which would hash a list or take a tuple or bytes
+    return _encoding_unitary(term)
+
+
+def _check_pauli_str(term: str) -> None:
+    """Refuse a Pauli string that is not a `str`, before len or set would take a list, a tuple or bytes."""
     if not isinstance(term, str):
         raise ValueError(f"invalid Pauli string {term!r}")
-    return _encoding_unitary(term)
 
 
 @functools.lru_cache(maxsize=64)
@@ -394,6 +397,7 @@ def compute_energy_pauli(
     backend: DeviceBackend, ansatz_circuit: Circuit, term: str, n_samples: int
 ) -> float:
     """Estimate <psi|term|psi> as (#zeros - #ones) / n_samples."""
+    _check_pauli_str(term)
     _check_estimate(ansatz_circuit, len(term), n_samples)
     return _estimates(backend, ansatz_circuit, [term], n_samples)[0]
 

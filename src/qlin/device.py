@@ -23,15 +23,19 @@ measure every wire) from them:
   ones on every wire over `shots` runs of one program: allocate, apply
   `prep`, apply `bases[j]`, measure every wire. The estimator measures
   every Pauli term of a Hamiltonian this way, reading the term's wire. The
-  default executes that program once per shot; the simulator's override
-  walks the (basis, shot) rows in ranges of at most
-  `simulator._SHOT_BATCH`. It takes at least one shot: `_check_bases`
-  refuses a basis of another arity (ArityMismatch), then `shots < 1`
-  (ValueError).
+  default executes that program once per shot. It takes at least one shot:
+  `_check_bases` refuses a basis of another arity (ArityMismatch), then
+  `shots < 1` (ValueError).
 
-Both methods, on both paths, refuse more than SHOT_LIMIT shots (for
-`count_ones`, (basis, shot) rows) with TooManyShots. Every refusal comes
-before any session is opened or any uniform drawn.
+The simulator's overrides of both walk their (basis, shot) rows, a shot of
+`sample` being a row of one empty basis, in ranges of at most
+`simulator._SHOT_BATCH`.
+
+Both methods, on both paths, first refuse a shot count that is not an int
+or a numpy integer (a bool is not one) with a TypeError, and refuse more
+than SHOT_LIMIT shots (for `count_ones`, (basis, shot) rows) with
+TooManyShots. Every refusal comes before any session is opened or any
+uniform drawn.
 
 A backend may override either with a faster path, but the override must give
 the same bits or counts and leave the backend's randomness where the default
@@ -54,7 +58,7 @@ from typing import Any, Generic, TypeVar
 
 import numpy as np
 
-from .circuit import Circuit, _check_shot_count
+from .circuit import Circuit, _check_shot_count, _integer
 from .errors import ArityMismatch, DanglingQubits, DeviceError, DuplicateHandle, UseAfterConsume
 from .stdcircuits import cnot_gate, h_gate, p_gate
 
@@ -122,6 +126,7 @@ class DeviceBackend(ABC):
         loop returns for the same backend state, and consume the backend's
         randomness the same way.
         """
+        _check_shot_type(shots)
         _check_shot_count(shots)
         program = _measure_all(circuit)
         bits = [execute(self, program) for _ in range(shots)]
@@ -143,9 +148,17 @@ class DeviceBackend(ABC):
         return np.array(rows, dtype=np.int64).reshape(len(bases), prep.arity)
 
 
+def _check_shot_type(shots: int) -> None:
+    """Refuse a shot count that is not an int or a numpy integer (a bool is not one)."""
+    if not _integer(shots):
+        raise TypeError(f"shot count of type {type(shots).__name__}, not an int")
+
+
 def _check_bases(prep: Circuit, bases: Sequence[Circuit], shots: int) -> None:
-    """Refuse a basis that does not act on the prep's wires, then fewer than one
-    shot or more than SHOT_LIMIT in all, before any session or draw."""
+    """Refuse a shot count that is not an integer, a basis that does not act on
+    the prep's wires, then fewer than one shot or more than SHOT_LIMIT in all,
+    before any session or draw."""
+    _check_shot_type(shots)
     for basis in bases:
         if basis.arity != prep.arity:
             raise ArityMismatch(f"basis arity {basis.arity} does not match prep arity {prep.arity}")

@@ -23,18 +23,19 @@ circuit that opens with a layer of one-wire passes on a large state starts
 as a product state (see the kernels module). Since that choice is made in
 the session, `sample`, `count_ones`, the default's per-shot programs and a
 relabelled circuit all take the same path.
-`StateVectorBackend.sample` prepares a measure-all circuit once, through the
-same `allocate` and `apply`, and walks its collapse one wire at a time for
-all shots at once, drawing in shot order.
-`count_ones` prepares its prep once, the same way, and applies each basis
-through the same `apply`, in place, to its own start row, a copy of the
-prepared state: prep, then basis, in one session, as the default's shots
-run them. One walk then measures the (basis, shot) rows of many bases, each
-shot from its basis's row, and counts each basis's ones on every wire; a walk
-ends after `_SHOT_BATCH` rows, at the end of its group of bases or at the last row.
-It takes at least one shot, as the default does, and a prep too wide for the
-backend is refused by its session's `allocate` before any draw.
-That walk and a session's measurement both take p1 from `_p_ones` and the
+Both shot methods of `StateVectorBackend` take their walks from one
+scheduler, `_walks`. It prepares the prep once, through the same `allocate`
+and `apply`, so a prep too wide for the backend is refused before any draw.
+It cuts the (basis, shot) rows, basis-major and then shot-major as the
+default's shots run, into walks, each ending after `_SHOT_BATCH` rows, at
+the end of its group of bases or at the last row. Each walk draws its rows'
+uniforms in shot order and starts from one row per basis: a copy of the
+prepared state with that basis applied in place through the same `apply`
+(prep, then basis, in one session), or, on a last walk from one basis, the
+prepared state itself. `sample` is the scheduler over one empty basis, each
+walk writing its rows of the result; `count_ones` sums each walk's ones per
+basis and wire, and takes at least one shot, as the default does.
+A walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
 from __future__ import annotations
@@ -47,7 +48,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from .circuit import Circuit, _check_shot_count
-from .device import DeviceBackend, DeviceSession, _check_bases, _exclusive
+from .device import DeviceBackend, DeviceSession, _check_bases, _check_shot_type, _exclusive
 from .errors import CapacityExceeded
 from .kernels import _SMALL_STATE, _small_ufunc_buffer, apply_plan
 
@@ -56,9 +57,10 @@ DEFAULT_MAX_QUBITS = 24
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
 _DRAW_PIECE = 2**20  # most uniforms one getrandbits call draws; 64 bits each must fit a C int
-# Most shots CLI `simulate` asks `sample` for at once, and most (basis, shot)
-# rows a walk of `count_ones` measures. It bounds memory, not outcomes, since
-# both draw in shot order; both read it at call time.
+# Most (basis, shot) rows one walk of `_walks` measures, for `sample` and
+# `count_ones` alike, and most shots CLI `simulate` asks `sample` for at once.
+# It bounds memory, not outcomes, since every walk draws in shot order; both
+# `_walks` and the CLI read it at call time.
 _SHOT_BATCH = 2**16
 
 
@@ -144,22 +146,23 @@ def _collapse(states: np.ndarray, wire: int, rows: np.ndarray, bits, norms) -> n
     return kept
 
 
-def _sample_prepared(start: Callable[[], tuple[np.ndarray, np.ndarray]], uniforms: np.ndarray) -> np.ndarray:
-    """Measure every wire of a start row, once per row of `uniforms`, in wire order.
+def _sample_prepared(start: Callable[[], tuple[np.ndarray, np.ndarray]], uniforms: np.ndarray,
+                     bits: np.ndarray) -> np.ndarray:
+    """Measure every wire of a start row, once per row of `uniforms`, in wire order, into `bits`.
 
     `start()` returns the start rows, each one state's amplitude vector, and
     each shot's start row. `uniforms[s, d]` is the draw shot s makes at wire
-    d, and row s of the result holds its bits. Shots that start from one row
-    and agree on their first d bits share the state left after them, so the
-    walk goes one wire at a time and keeps the states the shots have reached
-    as the rows of one array, taking p1 and the renormalised rows from
-    `_p_ones` and `_collapse`. A row is built only if some shot reaches it.
-    The walk holds the only reference to the start rows, since it calls
-    `start` itself: each level's rows are freed once the next level's are
-    built, and both hold at most as many entries as the start rows each.
+    d, and row s of `bits`, which is returned, gets its bits. Shots that
+    start from one row and agree on their first d bits share the state left
+    after them, so the walk goes one wire at a time and keeps the states the
+    shots have reached as the rows of one array, taking p1 and the
+    renormalised rows from `_p_ones` and `_collapse`. A row is built only if
+    some shot reaches it. The walk holds the only reference to the start
+    rows, since it calls `start` itself: each level's rows are freed once the
+    next level's are built, and both hold at most as many entries as the
+    start rows each.
     """
-    shots, wires = uniforms.shape
-    bits = np.empty((shots, wires), dtype=np.int8)
+    wires = uniforms.shape[1]
     states, reached = start()  # `reached`: each shot's row of `states`
     for depth in range(wires):
         p_one = _p_ones(states)
@@ -177,6 +180,30 @@ def _sample_prepared(start: Callable[[], tuple[np.ndarray, np.ndarray]], uniform
         norms = np.sqrt(np.where(bit, p_one[rows], 1.0 - p_one[rows]))[:, None]
         states = _collapse(states, 0, rows, bit, norms)
     return bits
+
+
+def _start_rows(state: QuantumState, bases: Sequence[Circuit], edges: np.ndarray,
+                last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One start row per basis, and each shot's row, its basis's; see `StateVectorBackend._walks`.
+
+    A row is the state `state` holds, the prepared one, with its basis
+    applied in place through `state.apply`. On the last walk, one basis is
+    applied to the prepared state itself, and `state` lets go of it, so the
+    walk holds the only reference to its start rows.
+    """
+    prepared = state.amplitudes
+    if last and len(bases) == 1:
+        rows = prepared.reshape(1, -1)
+    else:
+        rows = np.empty((len(bases), prepared.size), dtype=complex)
+        rows[...] = prepared
+    for row, basis in zip(rows, bases):
+        if basis.gates:  # an empty basis applies nothing, so sample's session sees one apply
+            state.amplitudes = row
+            state.apply(range(len(state.registry)), basis)
+    # never a finished start row, which the next walk would copy
+    state.amplitudes = None if last else prepared
+    return rows, np.repeat(np.arange(len(rows)), np.diff(edges))
 
 
 class QuantumState(DeviceSession):
@@ -270,74 +297,30 @@ class StateVectorBackend(DeviceBackend):
         """As `DeviceBackend.sample`, preparing the circuit's state once.
 
         Each shot draws `circuit.arity` uniforms in wire order, as a session
-        measuring every wire does, and the outcomes come from the collapse
-        walk over the one prepared state; the bits and the position of the
-        random stream afterwards equal the per-shot loop's.
-
-        One call draws and walks every shot at once, so besides the state it
-        holds each shot's uniforms and the walk's per-shot arrays: its
-        tracemalloc peak was 26 MB for 10**6 shots of `h_gate()`, whose
-        result is 1 MB, and 40 MB for 2 * 10**5 shots of `qft(10)`, whose
-        result is 2 MB. `cli`'s simulate and `count_ones` stay bounded by
-        asking for at most `_SHOT_BATCH` shots a walk.
+        measuring every wire does. The shots are the rows of `_walks` over
+        one empty basis, so they are walked from the one prepared state at
+        most `_SHOT_BATCH` at a time, each walk writing its rows of the
+        result; the bits and the position of the random stream afterwards
+        equal the per-shot loop's.
         """
+        _check_shot_type(shots)
         n = circuit.arity
         if shots < 1:
             # the default runs no execution, so it neither fails nor draws
             return np.zeros((0, n), dtype=np.int8)
         _check_shot_count(shots)
-        return self._walk(n, shots, lambda: (self._prepared(circuit).amplitudes.reshape(1, -1),
-                                             np.zeros(shots, dtype=np.intp)))
+        return self._walks(circuit, [Circuit(n)], shots, False)
 
     def count_ones(self, prep: Circuit, bases: Sequence[Circuit], shots: int) -> np.ndarray:
         """As `DeviceBackend.count_ones`, preparing `prep` once and walking many bases at once.
 
-        `prep` goes through one session's `allocate` and `apply`. The
-        (basis, shot) rows are walked in the default's order, basis-major and
-        then shot-major; a walk of rows [a, b) ends at a + `_SHOT_BATCH`, at
-        the end of its group of bases (whose start rows hold at most
-        max(2**n, _SMALL_STATE) entries, so one basis from 12 wires up) or at
-        the last row, whichever is first. It starts from one row per basis,
-        a // shots to (b - 1) // shots: a copy of the prepared state with that
-        basis applied in place, through the same `apply`. So every start row
-        is the default's state, float for float, and the bits and the stream
-        position afterwards equal the default's. A prep too wide for the
-        backend is refused by the session's `allocate`, before any draw.
+        The (basis, shot) rows are those of `_walks`, and each walk's bits
+        are summed per basis and wire before the next walk draws.
         """
         _check_bases(prep, bases, shots)
-        n = prep.arity
         if not bases:
-            return np.zeros((0, n), dtype=np.int64)
-        state = self._prepared(prep)
-        prepared = state.amplitudes
-        counts = np.zeros((len(bases), n), dtype=np.int64)
-
-        def start(lo: int, hi: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """One start row for each of bases[lo:hi], and each shot's row, its basis's."""
-            rows = np.empty((hi - lo, prepared.size), dtype=complex)
-            for row, basis in zip(rows, bases[lo:hi]):
-                row[...] = prepared
-                state.amplitudes = row
-                state.apply(range(n), basis)
-            state.amplitudes = None  # the walk holds the only reference to `rows`
-            return rows, np.repeat(np.arange(len(rows)), np.diff(edges))
-
-        group = max(1, _SMALL_STATE >> n) * shots  # the rows of the bases whose start rows one walk may hold
-        total = len(bases) * shots
-        a = 0
-        while a < total:
-            b = min(a + _SHOT_BATCH, (a // group + 1) * group, total)
-            lo, hi = a // shots, (b - 1) // shots + 1
-            # where each basis's rows start and end in the walk
-            edges = np.clip(np.arange(lo, hi + 1) * shots - a, 0, b - a)
-            bits = self._walk(n, b - a, functools.partial(start, lo, hi, edges))
-            # one sum per basis and wire; numpy sums a narrow int8 array's
-            # rows several times faster than its columns
-            ones = np.add.reduceat(np.ascontiguousarray(bits.T), edges[:-1], axis=1, dtype=np.int64)
-            del bits  # not held while the next walk draws
-            counts[lo:hi] += ones.T
-            a = b
-        return counts
+            return np.zeros((0, prep.arity), dtype=np.int64)
+        return self._walks(prep, bases, shots, True)
 
     def _prepared(self, circuit: Circuit) -> QuantumState:
         """A session holding `circuit` applied to |0...0>, through `allocate` and `apply`.
@@ -350,17 +333,45 @@ class StateVectorBackend(DeviceBackend):
         state.apply(range(circuit.arity), circuit)
         return state
 
-    def _walk(self, n: int, shots: int, start: Callable[[], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """The bits of `shots` shots of the n-wire start rows `start()` returns, as `_sample_prepared`.
+    def _walks(self, prep: Circuit, bases: Sequence[Circuit], shots: int, count: bool) -> np.ndarray:
+        """Each (basis, shot) row's bits, in order, or with `count` each basis's ones on every wire.
 
-        One shot's draws, n uniforms in wire order, are those of a session
-        measuring every wire. The backend is held while the shots are drawn
-        and walked; the capacity is checked before anything is drawn, and
-        the uniforms are drawn before the start rows exist, so the draw's
-        temporaries never sit beside them.
+        `prep` goes through one session's `allocate` and `apply`, which
+        refuses a prep too wide for the backend before any draw. The
+        (basis, shot) rows are walked in the default's order, basis-major
+        and then shot-major; a walk of rows [a, b) ends at a + `_SHOT_BATCH`,
+        at the end of its group of bases (whose start rows hold at most
+        max(2**n, _SMALL_STATE) entries, so one basis from 12 wires up) or at
+        the last row, whichever is first. Each walk draws its rows' uniforms,
+        n in wire order per row, and then starts from one row per basis,
+        a // shots to (b - 1) // shots, built by `_start_rows` through the
+        same `apply`. So every start row is the default's state, float for
+        float, and the bits and the stream position afterwards equal the
+        default's. The backend is held from the preparation to the last walk.
         """
+        n = prep.arity
+        total = len(bases) * shots
+        group = max(1, _SMALL_STATE >> n) * shots  # the rows of the bases whose start rows one walk may hold
         with _exclusive(self):
-            if n > self.max_qubits:
-                raise CapacityExceeded(n, self.max_qubits)
-            uniforms = self._random.uniforms(shots * n).reshape(shots, n)
-            return _sample_prepared(start, uniforms)
+            state = self._prepared(prep)
+            out = np.zeros((len(bases), n), dtype=np.int64) if count else np.empty((total, n), dtype=np.int8)
+            a = 0
+            while a < total:
+                b = min(a + _SHOT_BATCH, (a // group + 1) * group, total)
+                lo, hi = a // shots, (b - 1) // shots + 1
+                # where each basis's rows start and end in the walk
+                edges = np.clip(np.arange(lo, hi + 1) * shots - a, 0, b - a)
+                # the uniforms are drawn before the start rows exist, so the
+                # draw's temporaries never sit beside them, and are held by
+                # the walk alone
+                bits = _sample_prepared(functools.partial(_start_rows, state, bases[lo:hi], edges, b == total),
+                                        self._random.uniforms((b - a) * n).reshape(b - a, n),
+                                        np.empty((b - a, n), dtype=np.int8) if count else out[a:b])
+                if count:
+                    # one sum per basis and wire; numpy sums a narrow int8
+                    # array's rows several times faster than its columns
+                    out[lo:hi] += np.add.reduceat(np.ascontiguousarray(bits.T), edges[:-1], axis=1,
+                                                  dtype=np.int64).T
+                del bits  # not held while the next walk draws
+                a = b
+            return out

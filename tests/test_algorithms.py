@@ -416,6 +416,13 @@ def test_encoding_unitary_refuses_a_pauli_string_that_is_not_a_str(term):
         encoding_unitary(term)
 
 
+@pytest.mark.parametrize("term", [5, None, b"", ["Z"]], ids=["int", "None", "bytes", "list"])
+def test_compute_energy_pauli_refuses_a_term_that_is_not_a_str(term):
+    # before len(term) is read for the arity check
+    with pytest.raises(ValueError, match="invalid Pauli string"):
+        compute_energy_pauli(StateVectorBackend(seed=0), identity(1), term, 10)
+
+
 def test_a_numpy_str_pauli_string_is_kept():
     term = np.str_("XZ")
     assert hash(Hamiltonian(((1.0, term),))) == hash(Hamiltonian(((1.0, "XZ"),)))

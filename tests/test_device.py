@@ -461,6 +461,23 @@ def test_shots_past_the_limit_are_refused_before_any_draw(path, monkeypatch):
     assert count_ones(h_gate(), bases[:2], 3).shape == (2, 1)
 
 
+@pytest.mark.parametrize("shots", [True, 2.5, "3", None], ids=["bool", "float", "str", "None"])
+@pytest.mark.parametrize("method", ["sample", "count_ones"])
+@pytest.mark.parametrize("path", ["override", "default"])
+def test_a_shot_count_that_is_not_an_integer_is_refused_first(path, method, shots):
+    # a TypeError naming the type, before the shots < 1 rule, any session
+    # and any draw; a bool is no count, though True == 1
+    b = StateVectorBackend(seed=5)
+    run = getattr(b, method) if path == "override" else lambda *args: getattr(DeviceBackend, method)(b, *args)
+    args = (h_gate(),) if method == "sample" else (h_gate(), [h_gate()])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StateVectorBackend, "new_session", _no_session)
+        with pytest.raises(TypeError, match=f"shot count of type {type(shots).__name__}, not an int"):
+            run(*args, shots)
+    fresh = StateVectorBackend(seed=5)
+    assert [coin(b) for _ in range(20)] == [coin(fresh) for _ in range(20)]
+
+
 def test_count_ones_refuses_a_basis_of_another_arity():
     # a basis on fewer or more wires than the prep is an ArityMismatch on
     # both paths, whatever the shots, before anything is drawn

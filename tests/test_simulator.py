@@ -26,6 +26,7 @@ from qlin import (
     compute_energy,
     encoding_unitary,
     execute,
+    h_gate,
     identity,
     matrix_of,
     measure,
@@ -535,14 +536,19 @@ sample_circuits = st.one_of(
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(sample_circuits, st.integers(-3, 50), st.integers())
-@example(identity(0), 0, 1)
-@example(identity(0), 3, 1)
-@example(identity(2), 0, 1)
-@example(identity(0), -1, 1)
-def test_sample_matches_the_per_shot_default(circuit, shots, seed):
+@given(sample_circuits, st.integers(-3, 50), st.sampled_from([1, 3, 7, 2**16]), st.integers())
+@example(identity(0), 0, 2**16, 1)
+@example(identity(0), 3, 2**16, 1)
+@example(identity(2), 0, 2**16, 1)
+@example(identity(0), -1, 2**16, 1)
+@example(identity(0), 3, 1, 1)
+def test_sample_matches_the_per_shot_default(circuit, shots, batch, seed):
+    # batches of 1, 3 and 7 rows cut most samples into several walks
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
-    bits, reference = fast.sample(circuit, shots), DeviceBackend.sample(default, circuit, shots)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_SHOT_BATCH", batch)
+        bits = fast.sample(circuit, shots)
+    reference = DeviceBackend.sample(default, circuit, shots)
     for drawn in (bits, reference):
         assert drawn.dtype == np.int8 and drawn.shape == (max(shots, 0), circuit.arity)
     assert bits.tolist() == reference.tolist()
@@ -613,6 +619,22 @@ def test_sample_keeps_about_two_state_vectors():
     # the walk's peak before its renormalisation moved into `_collapse`: no
     # ufunc buffer of a division by a column of norms sits beside two levels
     assert peak <= 2.644 * 2**16 * 16
+
+
+def test_sample_memory_does_not_grow_with_shots():
+    # drawing and walking every shot at once would hold about 25 B per shot
+    # beside the result; walks of at most _SHOT_BATCH rows hold a bounded
+    # amount
+    peaks = []
+    for shots in (10**5, 10**6):
+        backend = StateVectorBackend(seed=1)
+        tracemalloc.start()
+        try:
+            bits = backend.sample(h_gate(), shots)
+            peaks.append(tracemalloc.get_traced_memory()[1] - bits.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.01 * peaks[0]
 
 
 def test_one_shot_frees_each_state_once_its_child_is_built():
@@ -700,10 +722,10 @@ def _recorded_walks(patch):
     walks = []
     walk = simulator._sample_prepared
 
-    def recorded(start, uniforms):
+    def recorded(start, uniforms, out):
         rows, reached = start()
         record = (rows.copy(), reached.copy())
-        bits = walk(lambda: (rows, reached), uniforms)
+        bits = walk(lambda: (rows, reached), uniforms, out)
         walks.append((*record, bits.copy()))
         return bits
 
