@@ -11,10 +11,13 @@ circuit module's matrix convention.
 
 Randomness is injected through RandomSource and never read from global
 state: the same seed and program give the same outcome sequence, bit for bit.
-`RandomSource.uniforms` draws many uniforms at once, equal to as many
-`uniform` calls; it takes them from Python's own generator, in getrandbits
-calls of at most `_DRAW_PIECE` draws, and never from numpy.random, whose
-import alone costs several MB of resident memory.
+A RandomSource is SplitMix64 on a counter: draw i is a formula of the state
+and i alone, so `_draw` computes a run of draws at once in numpy uint64,
+through the finaliser that `derive_seed` also runs. `RandomSource.uniforms`
+draws in pieces of at most `_DRAW_PIECE`, and `uniform` reads a block that
+`_draw` made ahead, so a batch equals as many single draws, bit for bit.
+Neither uses numpy.random, whose import alone costs several MB of resident
+memory.
 `QuantumState` is the backend's session: its `allocate`, `apply` and
 `measure` are the three device primitives, and every state is created and
 changed through them. The first `apply` to the |0...0> that `allocate`
@@ -42,12 +45,12 @@ from __future__ import annotations
 
 import functools
 import math
-import random
+import os
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, _check_shot_count
+from .circuit import Circuit, _check_shot_count, _integer
 from .device import DeviceBackend, DeviceSession, _check_bases, _check_shot_type, _exclusive
 from .errors import CapacityExceeded
 from .kernels import _SMALL_STATE, _small_ufunc_buffer, apply_plan
@@ -55,8 +58,12 @@ from .kernels import _SMALL_STATE, _small_ufunc_buffer, apply_plan
 DEFAULT_MAX_QUBITS = 24
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment of the counter
 _ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
-_DRAW_PIECE = 2**20  # most uniforms one getrandbits call draws; 64 bits each must fit a C int
+# Most uniforms `RandomSource.uniforms` makes at once; its one temporary is a
+# uint64 array of this length. vqe-shots' 36,000 uniforms per walk take one piece
+_DRAW_PIECE = 2**16
+_SCALAR_BLOCK = 1024  # the draws `RandomSource.uniform` makes ahead at once
 # Most (basis, shot) rows one walk of `_walks` measures, for `sample` and
 # `count_ones` alike, and most shots CLI `simulate` asks `sample` for at once.
 # It bounds memory, not outcomes, since every walk draws in shot order; both
@@ -64,46 +71,98 @@ _DRAW_PIECE = 2**20  # most uniforms one getrandbits call draws; 64 bits each mu
 _SHOT_BATCH = 2**16
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Stable seed of stream `index` split off `seed` (splitmix64 mixing).
+def _splitmix(state: int, first: int, scratch: np.ndarray) -> np.ndarray:
+    """Outputs first, first + 1, ... of SplitMix64 from `state`, as many as `scratch` holds.
 
-    The CLI's `vqe` and `qaoa` give the backend stream 0 and the optimiser
-    stream 1.
+    Output i is mix(state + (i + 1) * gamma), with SplitMix64's increment
+    gamma and finaliser mix (Steele, Lea and Flood, "Fast splittable
+    pseudorandom number generators", OOPSLA 2014), computed for every i at
+    once in a new uint64 array; `scratch`, a uint64 array, takes the
+    finaliser's shifts. numpy's unsigned arithmetic wraps mod 2**64, as the
+    formula does.
     """
-    x = (seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
+    x = np.arange(len(scratch), dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64((state + (first + 1) * _GAMMA) & _MASK64)
+    x ^= np.right_shift(x, 30, out=scratch)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= np.right_shift(x, 27, out=scratch)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= np.right_shift(x, 31, out=scratch)
     return x
 
 
+def derive_seed(seed: int, index: int) -> int:
+    """Stable seed of stream `index` split off `seed` (splitmix64 mixing).
+
+    It is output `index` of SplitMix64 from `seed` mod 2**64, so draw i of
+    `RandomSource(s)` is derive_seed(s, i) >> 11 over 2**53. The CLI's `vqe`
+    and `qaoa` give the backend stream 0 and the optimiser stream 1.
+    """
+    return int(_splitmix(seed & _MASK64, index, np.empty(1, dtype=np.uint64))[0])
+
+
+def _draw(out: np.ndarray, state: int, first: int) -> None:
+    """Write draws first, first + 1, ... of `RandomSource` state `state` into `out`, a contiguous float array.
+
+    A draw is a SplitMix64 output's top 53 bits over 2**53, which a float
+    holds exactly. `out` is also the shifts' scratch, so the one temporary
+    is the uint64 outputs.
+    """
+    x = _splitmix(state, first, out.view(np.uint64))
+    x >>= 11
+    out[...] = x.view(np.int64)  # equal below 2**63, and numpy casts int64 faster
+    out *= 2.0**-53
+
+
 class RandomSource:
-    """Seedable stream of uniform doubles in [0, 1)."""
+    """Seedable stream of uniform doubles in [0, 1): SplitMix64 on a counter.
+
+    The state s is the seed mod 2**64, and draw i (from 0) is
+    mix(s + (i + 1) * gamma) >> 11 over 2**53, where gamma and the finaliser
+    mix are SplitMix64's (Steele, Lea and Flood, OOPSLA 2014); so it is
+    derive_seed(s, i) >> 11 over 2**53. A seed is an int or a numpy integer,
+    and seeds that agree mod 2**64 give the same stream (-5 and 5 do not);
+    None seeds from os.urandom(8); any other seed, a bool, float or str, is a
+    TypeError.
+
+    Both forms of the draw come from one vector formula, `_draw`.
+    `uniforms(k)` makes the next k draws in pieces of at most `_DRAW_PIECE`.
+    `uniform` reads the next draw of a block of `_SCALAR_BLOCK` that `_draw`
+    made ahead, and `uniforms` first rewinds the counter past the block's
+    unread draws. So k `uniform` calls and one `uniforms(k)` give the same
+    floats, bit for bit, and leave the stream at the same draw.
+    """
+
+    __slots__ = ("_state", "_next", "_block")
 
     def __init__(self, seed: int | None = None):
-        self._rng = random.Random(seed)
+        if seed is None:
+            seed = int.from_bytes(os.urandom(8), "little")
+        elif not _integer(seed):
+            raise TypeError(f"seed of type {type(seed).__name__}, not an int or None")
+        self._state = int(seed) & _MASK64
+        self._next = 0  # the first draw not made yet
+        self._block: list[float] = []  # the unread draws made ahead, last draw first
 
     def uniform(self) -> float:
-        return self._rng.random()
+        try:
+            return self._block.pop()
+        except IndexError:
+            block = np.empty(_SCALAR_BLOCK)
+            _draw(block, self._state, self._next)
+            self._next += _SCALAR_BLOCK
+            self._block = block[::-1].tolist()
+            return self._block.pop()
 
     def uniforms(self, k: int) -> np.ndarray:
         """The next k draws of `uniform`, in order, as one array."""
-        # random.random's own formula, (a >> 5) * 2**26 + (b >> 6) over 2**53
-        # from two 32-bit outputs a and b, applied to the same outputs, which
-        # getrandbits packs least significant word first: the same floats,
-        # and the same position in the stream afterwards. getrandbits takes a
-        # C int of bits, so the words come in pieces of at most _DRAW_PIECE
-        # draws, in order, which gives the same outputs as one call.
-        draws = np.empty(k)
+        draws = np.empty(k)  # a negative k raises here, before the stream moves
+        first = self._next - len(self._block)
+        self._block = []
+        self._next = first + k
         for start in range(0, k, _DRAW_PIECE):
-            out = draws[start : start + _DRAW_PIECE]
-            bits = self._rng.getrandbits(64 * len(out)).to_bytes(8 * len(out), "little")
-            words = np.frombuffer(bits, "<u4")
-            np.multiply(words[0::2] >> 5, 67108864.0, out=out)
-            out += words[1::2] >> 6
-        draws /= 9007199254740992.0
+            _draw(draws[start : start + _DRAW_PIECE], self._state, first + start)
         return draws
 
 

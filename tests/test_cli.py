@@ -302,10 +302,19 @@ def test_backend_option_is_gone(capsys):
 
 
 def test_runtime_error_exit_code(capsys):
-    # seed 1 fails its first RUS round, tripping the --max-iter guard
-    code, _, err = run(capsys, ["rus", "--seed", "1", "--max-iter", "1"])
+    # the first seed whose first RUS round fails trips the --max-iter guard
+    seed = next(s for s in range(100) if _rus_fails_its_first_round(s))
+    code, _, err = run(capsys, ["rus", "--seed", str(seed), "--max-iter", "1"])
     assert code == EXIT_RUNTIME
     assert err.startswith("E_RUNTIME: RusIterationLimit")
+
+
+def _rus_fails_its_first_round(seed):
+    try:
+        algorithms.run_rus(StateVectorBackend(seed=seed), max_iterations=1)
+    except errors.RusIterationLimit:
+        return True
+    return False
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 """State-vector backend: state ops, oracle agreement, statistics, determinism."""
+import copy
 import itertools
 import math
 import os
@@ -935,20 +936,58 @@ def test_random_source_determinism():
     assert a.uniform() == b.uniform()
 
 
-# Mersenne Twister refills its 624 words every 312 uniforms
-_block_edges = st.sampled_from([0, 1, 311, 312, 313, 623, 624, 625])
+def _splitmix64(state):
+    """Python-int SplitMix64: the stream's 64-bit outputs, one per step."""
+    mask = 2**64 - 1
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 2**62 - 1])
+def test_first_draws_are_splitmix64_on_the_seed(seed):
+    # each uniform is the top 53 bits of one SplitMix64 output over 2**53
+    outputs = _splitmix64(seed)
+    expected = [(next(outputs) >> 11) / 2**53 for _ in range(5)]
+    a, b = RandomSource(seed), RandomSource(seed)
+    assert [a.uniform() for _ in range(5)] == expected
+    assert b.uniforms(5).tolist() == expected
+
+
+def test_random_source_seed_map():
+    # an integer seed is its value mod 2**64, whatever its type
+    first = RandomSource(5).uniforms(8).tolist()
+    for seed in (5 + 2**64, 5 - 2**64, np.int64(5), np.uint64(5), np.int8(5)):
+        assert RandomSource(seed).uniforms(8).tolist() == first
+    assert RandomSource(-5).uniforms(8).tolist() == RandomSource(2**64 - 5).uniforms(8).tolist()
+    assert RandomSource(-5).uniforms(8).tolist() != first
+    assert RandomSource(np.int64(-5)).uniforms(8).tolist() == RandomSource(-5).uniforms(8).tolist()
+    # None seeds from the OS, 64 bits at a time
+    assert RandomSource().uniforms(8).tolist() != RandomSource().uniforms(8).tolist()
+    for seed in ("5", 5.0, True, False, [5]):
+        with pytest.raises(TypeError):
+            RandomSource(seed)
+        with pytest.raises(TypeError):
+            StateVectorBackend(seed=seed)
+
+
+# where `uniform` makes its next block and `uniforms` starts its next piece
+_edges = [0, 1, simulator._SCALAR_BLOCK - 1, simulator._SCALAR_BLOCK, simulator._SCALAR_BLOCK + 1,
+          simulator._DRAW_PIECE - 1, simulator._DRAW_PIECE, simulator._DRAW_PIECE + 1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.one_of(_block_edges, st.integers(0, 10**5)),
-    st.one_of(_block_edges, st.integers(0, 700)),
+    st.one_of(st.sampled_from(_edges), st.integers(0, 10**5)),
+    st.one_of(st.sampled_from(_edges), st.integers(0, 3000)),
     st.one_of(st.none(), st.integers()),
 )
 def test_uniforms_equal_that_many_uniform_calls_bit_for_bit(k, skip, seed):
     a = RandomSource(seed)
-    b = RandomSource()
-    b._rng.setstate(a._rng.getstate())  # a seed of None seeds from the OS
+    b = copy.deepcopy(a)  # a seed of None seeds from the OS
     assert [a.uniform() for _ in range(skip)] == [b.uniform() for _ in range(skip)]
     drawn = a.uniforms(k)
     assert drawn.dtype == np.float64 and drawn.shape == (k,)
@@ -957,29 +996,64 @@ def test_uniforms_equal_that_many_uniform_calls_bit_for_bit(k, skip, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 9), st.integers(0, 60), st.integers(0, 700), st.integers())
-def test_uniforms_draw_in_pieces_that_getrandbits_takes(piece, k, skip, seed):
-    # getrandbits takes its bit count as a C int, so a draw of 2**25 or more
-    # uniforms in one call raises OverflowError; the pieces give the same
-    # floats and stream position as one call, and each asks for at most
-    # 64 * _DRAW_PIECE bits. The real piece fits a C int, and vqe-shots'
-    # 36,000 uniforms per walk still take one call
-    assert 36_000 <= simulator._DRAW_PIECE and 64 * simulator._DRAW_PIECE <= 2**31 - 1
+@given(st.integers(1, 9), st.integers(0, 60), st.integers(0, 2100), st.integers())
+def test_uniforms_draw_in_pieces_of_at_most_draw_piece(piece, k, skip, seed):
+    # the pieces give the same floats and stream position as one piece would;
+    # vqe-shots' 36,000 uniforms per walk still take one piece
+    assert 36_000 <= simulator._DRAW_PIECE
     a = RandomSource(seed)
-    b = RandomSource()
-    b._rng.setstate(a._rng.getstate())
+    b = copy.deepcopy(a)
     for _ in range(skip):
         a.uniform(), b.uniform()
     asked = []
-    getrandbits = a._rng.getrandbits
+    draw = simulator._draw
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_DRAW_PIECE", piece)
-        patch.setattr(a._rng, "getrandbits", lambda bits: asked.append(bits) or getrandbits(bits))
+        patch.setattr(simulator, "_draw", lambda out, *rest: asked.append(len(out)) or draw(out, *rest))
         drawn = a.uniforms(k)
     assert drawn.dtype == np.float64 and drawn.shape == (k,)
     assert drawn.tobytes() == np.array([b.uniform() for _ in range(k)], dtype=float).tobytes()
     assert a.uniform() == b.uniform()
-    assert len(asked) == -(-k // piece) and max(asked, default=0) <= 64 * piece and sum(asked) == 64 * k
+    assert len(asked) == -(-k // piece) and max(asked, default=0) <= piece and sum(asked) == k
+
+
+def test_a_large_draw_holds_at_most_2_mib_beside_its_result():
+    # one sample walk of 2**16 shots on 18 wires draws this many uniforms
+    rand = RandomSource(1)
+    tracemalloc.start()
+    try:
+        drawn = rand.uniforms(18 * 2**16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= drawn.nbytes + 2 * 2**20
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(preps_and_bases(), st.integers(1, 12), st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 3, 7, 16]),
+       st.integers(0, 6), st.integers())
+def test_shot_methods_match_the_default_across_draw_pieces(case, shots, piece, batch, skip, seed):
+    # pieces of a few uniforms cut each walk's draw into several, and a few
+    # scalar draws first leave `uniform`'s block partly read
+    prep, bases = case
+    backends = [StateVectorBackend(seed=seed) for _ in range(4)]
+    for backend in backends:
+        for _ in range(skip):
+            backend._random.uniform()
+    sampled, sampled_by_default, counted, counted_by_default = backends
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_DRAW_PIECE", piece)
+        patch.setattr(simulator, "_SHOT_BATCH", batch)
+        bits = sampled.sample(prep, shots)
+        walks = _recorded_walks(patch)
+        counts = counted.count_ones(prep, bases, shots)
+    assert bits.tolist() == DeviceBackend.sample(sampled_by_default, prep, shots).tolist()
+    reference, measured = _default_shots(counted_by_default, prep, bases, shots)
+    assert np.array_equal(counts, reference)
+    _walks_are_the_default_shots(walks, prep, bases, shots, measured)
+    # the same stream position afterwards
+    for fast, default in ((sampled, sampled_by_default), (counted, counted_by_default)):
+        assert fast._random.uniforms(9).tolist() == [default._random.uniform() for _ in range(9)]
 
 
 def test_sampling_does_not_import_numpy_random():
