@@ -11,13 +11,8 @@ circuit module's matrix convention.
 
 Randomness is injected through RandomSource and never read from global
 state: the same seed and program give the same outcome sequence, bit for bit.
-A RandomSource is SplitMix64 on a counter: draw i is a formula of the state
-and i alone, so `_draw` computes a run of draws at once in numpy uint64,
-through the finaliser that `derive_seed` also runs. `RandomSource.uniforms`
-draws in pieces of at most `_DRAW_PIECE`, and `uniform` reads a block that
-`_draw` made ahead, so a batch equals as many single draws, bit for bit.
-Neither uses numpy.random, whose import alone costs several MB of resident
-memory.
+RandomSource computes its draws in numpy uint64 arithmetic, never through
+numpy.random, whose import alone costs several MB of resident memory.
 `QuantumState` is the backend's session: its `allocate`, `apply` and
 `measure` are the three device primitives, and every state is created and
 changed through them. The first `apply` to the |0...0> that `allocate`
@@ -45,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from collections.abc import Callable, Sequence
 
@@ -60,9 +56,7 @@ DEFAULT_MAX_QUBITS = 24
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment of the counter
 _ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
-# Most uniforms `RandomSource.uniforms` makes at once; its one temporary is a
-# uint64 array of this length. vqe-shots' 36,000 uniforms per walk take one piece
-_DRAW_PIECE = 2**16
+_DRAW_PIECE = 2**16  # most uniforms `RandomSource.uniforms` makes at once, in one uint64 temporary
 _SCALAR_BLOCK = 1024  # the draws `RandomSource.uniform` makes ahead at once
 # Most (basis, shot) rows one walk of `_walks` measures, for `sample` and
 # `count_ones` alike, and most shots CLI `simulate` asks `sample` for at once.
@@ -74,12 +68,10 @@ _SHOT_BATCH = 2**16
 def _splitmix(state: int, first: int, scratch: np.ndarray) -> np.ndarray:
     """Outputs first, first + 1, ... of SplitMix64 from `state`, as many as `scratch` holds.
 
-    Output i is mix(state + (i + 1) * gamma), with SplitMix64's increment
-    gamma and finaliser mix (Steele, Lea and Flood, "Fast splittable
-    pseudorandom number generators", OOPSLA 2014), computed for every i at
-    once in a new uint64 array; `scratch`, a uint64 array, takes the
-    finaliser's shifts. numpy's unsigned arithmetic wraps mod 2**64, as the
-    formula does.
+    Output i is mix(state + (i + 1) * gamma), with SplitMix64's gamma and
+    finaliser mix (Steele, Lea and Flood, OOPSLA 2014), in a new uint64
+    array; the uint64 `scratch` takes the shifts. numpy's uint64 wraps mod
+    2**64, as the formula does.
     """
     x = np.arange(len(scratch), dtype=np.uint64)
     x *= np.uint64(_GAMMA)
@@ -103,11 +95,10 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def _draw(out: np.ndarray, state: int, first: int) -> None:
-    """Write draws first, first + 1, ... of `RandomSource` state `state` into `out`, a contiguous float array.
+    """Write draws first, first + 1, ... of `RandomSource` state `state` into the float array `out`.
 
-    A draw is a SplitMix64 output's top 53 bits over 2**53, which a float
-    holds exactly. `out` is also the shifts' scratch, so the one temporary
-    is the uint64 outputs.
+    A draw is an output's top 53 bits over 2**53. `out` is the shifts'
+    scratch, so the one temporary is the uint64 outputs.
     """
     x = _splitmix(state, first, out.view(np.uint64))
     x >>= 11
@@ -118,20 +109,13 @@ def _draw(out: np.ndarray, state: int, first: int) -> None:
 class RandomSource:
     """Seedable stream of uniform doubles in [0, 1): SplitMix64 on a counter.
 
-    The state s is the seed mod 2**64, and draw i (from 0) is
-    mix(s + (i + 1) * gamma) >> 11 over 2**53, where gamma and the finaliser
-    mix are SplitMix64's (Steele, Lea and Flood, OOPSLA 2014); so it is
-    derive_seed(s, i) >> 11 over 2**53. A seed is an int or a numpy integer,
-    and seeds that agree mod 2**64 give the same stream (-5 and 5 do not);
-    None seeds from os.urandom(8); any other seed, a bool, float or str, is a
-    TypeError.
-
-    Both forms of the draw come from one vector formula, `_draw`.
-    `uniforms(k)` makes the next k draws in pieces of at most `_DRAW_PIECE`.
-    `uniform` reads the next draw of a block of `_SCALAR_BLOCK` that `_draw`
-    made ahead, and `uniforms` first rewinds the counter past the block's
-    unread draws. So k `uniform` calls and one `uniforms(k)` give the same
-    floats, bit for bit, and leave the stream at the same draw.
+    Draw i (from 0) is derive_seed(s, i) >> 11 over 2**53, where the state s
+    is the seed, an int or numpy integer, mod 2**64; None seeds from
+    os.urandom(8), and any other seed is a TypeError. `uniforms(k)` makes
+    the next k draws in pieces of at most `_DRAW_PIECE`; `uniform` pops the
+    next of a block of `_SCALAR_BLOCK` made ahead, whose unread draws
+    `uniforms` first gives back. Both run `_draw`, so k `uniform` calls and
+    one `uniforms(k)` give the same floats and leave the stream alike.
     """
 
     __slots__ = ("_state", "_next", "_block")
@@ -157,6 +141,8 @@ class RandomSource:
 
     def uniforms(self, k: int) -> np.ndarray:
         """The next k draws of `uniform`, in order, as one array."""
+        # so the counter stays a Python int; a numpy one overflows times gamma
+        k = operator.index(k)
         draws = np.empty(k)  # a negative k raises here, before the stream moves
         first = self._next - len(self._block)
         self._block = []

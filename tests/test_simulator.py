@@ -536,18 +536,32 @@ sample_circuits = st.one_of(
 )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(sample_circuits, st.integers(-3, 50), st.sampled_from([1, 3, 7, 2**16]), st.integers())
-@example(identity(0), 0, 2**16, 1)
-@example(identity(0), 3, 2**16, 1)
-@example(identity(2), 0, 2**16, 1)
-@example(identity(0), -1, 2**16, 1)
-@example(identity(0), 3, 1, 1)
-def test_sample_matches_the_per_shot_default(circuit, shots, batch, seed):
+# pieces of a few uniforms cut each walk's draw into several
+draw_pieces = st.sampled_from([1, 2, 3, 5, simulator._DRAW_PIECE])
+
+
+def _skip_draws(skip, *backends):
+    """Make `skip` scalar draws on each backend, leaving `uniform`'s block partly read."""
+    for backend in backends:
+        for _ in range(skip):
+            backend._random.uniform()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sample_circuits, st.integers(-3, 50), st.sampled_from([1, 3, 7, 2**16]), draw_pieces,
+       st.integers(0, 6), st.integers())
+@example(identity(0), 0, 2**16, simulator._DRAW_PIECE, 0, 1)
+@example(identity(0), 3, 2**16, simulator._DRAW_PIECE, 0, 1)
+@example(identity(2), 0, 2**16, simulator._DRAW_PIECE, 0, 1)
+@example(identity(0), -1, 2**16, simulator._DRAW_PIECE, 0, 1)
+@example(identity(0), 3, 1, simulator._DRAW_PIECE, 0, 1)
+def test_sample_matches_the_per_shot_default(circuit, shots, batch, piece, skip, seed):
     # batches of 1, 3 and 7 rows cut most samples into several walks
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
+    _skip_draws(skip, fast, default)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_SHOT_BATCH", batch)
+        patch.setattr(simulator, "_DRAW_PIECE", piece)
         bits = fast.sample(circuit, shots)
     reference = DeviceBackend.sample(default, circuit, shots)
     for drawn in (bits, reference):
@@ -767,10 +781,10 @@ def _walks_are_the_default_shots(walks, prep, bases, shots, measured):
     assert np.array_equal(np.concatenate(walked) if walked else np.zeros((0, n), np.int8), measured)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(preps_and_bases(), st.integers(1, 40), st.sampled_from([1, 7, 2**16, "shots - 1", "shots + 1"]),
-       st.integers())
-def test_count_ones_matches_the_default(case, shots, batch, seed):
+       draw_pieces, st.integers(0, 6), st.integers())
+def test_count_ones_matches_the_default(case, shots, batch, piece, skip, seed):
     # equal counts could hide two flipped shots that cancel, so every shot's
     # bits and start state are compared too; the start state shows rounding
     # before it flips a bit. Batches of 1, 7 and shots - 1 rows let one walk
@@ -778,8 +792,10 @@ def test_count_ones_matches_the_default(case, shots, batch, seed):
     prep, bases = case
     batch = {"shots - 1": max(shots - 1, 1), "shots + 1": shots + 1}.get(batch, batch)
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
+    _skip_draws(skip, fast, default)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_SHOT_BATCH", batch)
+        patch.setattr(simulator, "_DRAW_PIECE", piece)
         walks = _recorded_walks(patch)
         counts = fast.count_ones(prep, bases, shots)
     reference, measured = _default_shots(default, prep, bases, shots)
@@ -1029,31 +1045,22 @@ def test_a_large_draw_holds_at_most_2_mib_beside_its_result():
     assert peak <= drawn.nbytes + 2 * 2**20
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(preps_and_bases(), st.integers(1, 12), st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 3, 7, 16]),
-       st.integers(0, 6), st.integers())
-def test_shot_methods_match_the_default_across_draw_pieces(case, shots, piece, batch, skip, seed):
-    # pieces of a few uniforms cut each walk's draw into several, and a few
-    # scalar draws first leave `uniform`'s block partly read
-    prep, bases = case
-    backends = [StateVectorBackend(seed=seed) for _ in range(4)]
-    for backend in backends:
-        for _ in range(skip):
-            backend._random.uniform()
-    sampled, sampled_by_default, counted, counted_by_default = backends
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_DRAW_PIECE", piece)
-        patch.setattr(simulator, "_SHOT_BATCH", batch)
-        bits = sampled.sample(prep, shots)
-        walks = _recorded_walks(patch)
-        counts = counted.count_ones(prep, bases, shots)
-    assert bits.tolist() == DeviceBackend.sample(sampled_by_default, prep, shots).tolist()
-    reference, measured = _default_shots(counted_by_default, prep, bases, shots)
-    assert np.array_equal(counts, reference)
-    _walks_are_the_default_shots(walks, prep, bases, shots, measured)
-    # the same stream position afterwards
+@pytest.mark.parametrize("shots, arity", [(np.int64(5), 3), (5, np.int64(3)), (np.int64(5), np.int64(1))])
+def test_draws_after_numpy_integer_shots_or_arity_match_the_default(shots, arity):
+    # a walk's draw of (rows * arity) uniforms is then a numpy integer; the
+    # stream's counter stays a Python int, so later draws still run
+    prep = Circuit(arity, random_circuit(random.Random(4), int(arity), 12).gates)
+    bases = [identity(arity), Circuit(arity, [Hadamard(0)])]
+    sampled, sampled_by_default, counted, counted_by_default = [StateVectorBackend(seed=3) for _ in range(4)]
+    assert sampled.sample(prep, shots).tolist() == DeviceBackend.sample(sampled_by_default, prep, shots).tolist()
+    assert np.array_equal(counted.count_ones(prep, bases, shots),
+                          DeviceBackend.count_ones(counted_by_default, prep, bases, shots))
     for fast, default in ((sampled, sampled_by_default), (counted, counted_by_default)):
-        assert fast._random.uniforms(9).tolist() == [default._random.uniform() for _ in range(9)]
+        assert type(fast._random._next) is int
+        assert [coin(fast) for _ in range(3)] == [coin(default) for _ in range(3)]
+        assert fast._random.uniforms(9).tolist() == default._random.uniforms(9).tolist()
+        assert fast._random.uniforms(np.int64(4)).tolist() == [default._random.uniform() for _ in range(4)]
+        assert coin(fast) == coin(default)
 
 
 def test_sampling_does_not_import_numpy_random():
