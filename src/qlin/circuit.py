@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -286,7 +287,10 @@ class Circuit:
     Construction validates every gate against the arity, so an existing
     Circuit never holds an out-of-range wire, a wire or arity that is not an
     integer (a bool is not one), a CNOT with control == target or a
-    non-finite phase angle.
+    non-finite phase angle. The package's own builders (qft, optimise,
+    compose, tensor, apply, adjoint, controlled and the add_* appends) skip
+    the re-check through _trusted: their gates come from valid circuits or
+    are chosen by them, and the appends check their new gate.
     """
 
     arity: int
@@ -299,6 +303,14 @@ class Circuit:
         for gate in self.gates:
             gate.check(self.arity)
 
+    @staticmethod
+    def _trusted(arity: int, gates) -> Circuit:
+        """A Circuit of `gates`, each known valid on `arity` wires, built without checks."""
+        circuit = object.__new__(Circuit)
+        object.__setattr__(circuit, "arity", arity)
+        object.__setattr__(circuit, "gates", tuple(gates))
+        return circuit
+
     @functools.cached_property
     def _plan(self) -> tuple:
         """The kernels' fused passes for the gates, planned on first use."""
@@ -310,32 +322,38 @@ def identity(n: int) -> Circuit:
     return Circuit(n)
 
 
+def _append(c: Circuit, gate: GateApp) -> Circuit:
+    gate.check(c.arity)  # c's own gates are valid already
+    return Circuit._trusted(c.arity, c.gates + (gate,))
+
+
 def add_h(c: Circuit, j: int) -> Circuit:
     """Append a Hadamard on wire j."""
-    return Circuit(c.arity, c.gates + (Hadamard(j),))
+    return _append(c, Hadamard(j))
 
 
 def add_p(c: Circuit, alpha: float, j: int) -> Circuit:
     """Append a phase shift diag(1, e^(i*alpha)) on wire j."""
-    return Circuit(c.arity, c.gates + (Phase(alpha, j),))
+    return _append(c, Phase(alpha, j))
 
 
 def add_cnot(c: Circuit, control: int, target: int) -> Circuit:
     """Append a CNOT; flips target exactly when control is 1."""
-    return Circuit(c.arity, c.gates + (ControlledNot(control, target),))
+    return _append(c, ControlledNot(control, target))
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
     """Sequential composition: b runs first, so matrix_of(result) = A . B."""
     if a.arity != b.arity:
         raise ArityMismatch(f"cannot compose arity {a.arity} with arity {b.arity}")
-    return Circuit(a.arity, b.gates + a.gates)
+    return Circuit._trusted(a.arity, b.gates + a.gates)
 
 
 def tensor(a: Circuit, b: Circuit) -> Circuit:
     """Parallel composition with a on the lower-indexed wires: matrix A (x) B."""
-    shifted = range(a.arity, a.arity + b.arity)
-    return Circuit(a.arity + b.arity, a.gates + tuple(g.remap(shifted) for g in b.gates))
+    arity = operator.index(a.arity) + operator.index(b.arity)  # exact, where numpy's would wrap
+    shifted = range(a.arity, arity)
+    return Circuit._trusted(arity, a.gates + tuple(g.remap(shifted) for g in b.gates))
 
 
 def apply(small: Circuit, big: Circuit, wires: Sequence[int]) -> Circuit:
@@ -357,12 +375,12 @@ def apply(small: Circuit, big: Circuit, wires: Sequence[int]) -> Circuit:
         if w in seen:
             raise DuplicateWire(w)
         seen.add(w)
-    return Circuit(big.arity, big.gates + tuple(g.remap(wires) for g in small.gates))
+    return Circuit._trusted(big.arity, big.gates + tuple(g.remap(wires) for g in small.gates))
 
 
 def adjoint(c: Circuit) -> Circuit:
     """Inverse circuit: reverse the gate list and invert each gate."""
-    return Circuit(c.arity, [g.inverse() for g in reversed(c.gates)])
+    return Circuit._trusted(c.arity, [g.inverse() for g in reversed(c.gates)])
 
 
 def controlled(c: Circuit) -> Circuit:
@@ -371,8 +389,8 @@ def controlled(c: Circuit) -> Circuit:
     The matrix equals block-diag(I, matrix_of(c)) exactly; each atomic gate
     is expanded to its controlled form over {H, P, CNOT}.
     """
-    up = range(1, c.arity + 1)
-    return Circuit(c.arity + 1, [g for gate in c.gates for g in gate.remap(up).controlled(0)])
+    up = range(1, operator.index(c.arity) + 1)  # exact, where numpy's would wrap
+    return Circuit._trusted(up.stop, [g for gate in c.gates for g in gate.remap(up).controlled(0)])
 
 
 # A finite float is a whole number of steps of 2**-1074, so optimise keeps each
@@ -434,7 +452,7 @@ def optimise(c: Circuit) -> Circuit:
                 if total == 0:
                     del kept[below], sums[below], stack[-1]
     gates = (Phase(sums[i] / _STEPS, g.wire) if i in sums else g for i, g in kept.items())
-    return Circuit(c.arity, tuple(gates))
+    return Circuit._trusted(c.arity, gates)
 
 
 def depth(c: Circuit) -> int:

@@ -138,7 +138,7 @@ def _load_circuit(path: str) -> Circuit:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte order mark is dropped
             return fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise _InputError(err) from err

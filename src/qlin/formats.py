@@ -20,6 +20,11 @@ and index in these formats is ASCII.
 A signed literal that is not digits alone (`0.785398163397448`, `-1e-05`,
 what export-qasm and format_angle write) is read by float() in one step,
 with the same float the evaluator gives it, to the bit.
+
+A circuit line that is one `H`, `P <such a literal>` or `CNOT` gate (one
+`h`, `u1`/`p` or `cx` statement in QASM, on in-range indices), with spaces,
+tabs and a comment, is read by one regex match; the general reader takes
+every other line and alone raises ParseError.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import operator
 import re
 
 from .algorithms import _PAULI_OPS, Graph, Hamiltonian
-from .circuit import GATE_KINDS, Circuit, format_angle
+from .circuit import GATE_KINDS, Circuit, ControlledNot, GateApp, Hadamard, Phase, format_angle
 from .errors import CircuitError, ParseError
 
 
@@ -38,6 +43,12 @@ _LITERAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _ANGLE_TOKEN = re.compile(rf"[ \t]*(?:({_LITERAL}|pi)|(.))", re.DOTALL)
 # a literal with an optional sign: a Hamiltonian coefficient, or an angle float() reads
 _COEFFICIENT = re.compile(rf"[+-]?{_LITERAL}")
+# a signed literal that is not digits alone: the angles parse_angle reads by float()
+_FLOAT = r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)"
+# one native gate line; its groups are H's wire, P's angle and wire, CNOT's wires
+_NATIVE_LINE = re.compile(
+    rf"[ \t]*(?:H[ \t]+([0-9]+)|P[ \t]+({_FLOAT})[ \t]+([0-9]+)|CNOT[ \t]+([0-9]+)[ \t]+([0-9]+))[ \t]*(?:#.*)?"
+)
 _SIGN, _OPEN = 3, 0  # the precedences of unary + and - (above every binary operator's) and of "("
 _PREFIXES = {"+": (_SIGN, operator.pos), "-": (_SIGN, operator.neg), "(": (_OPEN, None)}
 _BINARY_OPS = {
@@ -100,11 +111,31 @@ def parse_angle(text: str, line: int) -> float:
         raise ParseError(line, f"bad angle {text!r}") from None
 
 
-def _significant_lines(text: str, comment: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
+def _significant_lines(numbered, comment: str):
+    """The (number, line) pairs of `numbered` whose line holds more than a comment, stripped."""
+    for number, raw in numbered:
         stripped = raw.split(comment, 1)[0].strip()
         if stripped:
             yield number, stripped
+
+
+def _gate(match) -> GateApp:
+    """The gate of a line that _NATIVE_LINE or a _qasm_line matched."""
+    h, angle, wire, control, target = match.groups()
+    if h is not None:
+        return Hadamard(int(h))
+    if angle is not None:
+        return Phase(float(angle), int(wire))
+    return ControlledNot(int(control), int(target))
+
+
+def _qasm_line(register: str):
+    """The regex of one `h`, `u1`/`p` or `cx` statement on `register`, with _NATIVE_LINE's groups."""
+    q = rf"{register}\[([0-9]+)\]"
+    return re.compile(
+        rf"[ \t]*(?:h[ \t]+{q}|(?:u1|p)[ \t]*\([ \t]*({_FLOAT})[ \t]*\)[ \t]*{q}|cx[ \t]+{q}[ \t]*,[ \t]*{q})"
+        r"[ \t]*;[ \t]*(?://.*)?"
+    )
 
 
 def _index(token: str, line: int, message: str) -> int:
@@ -159,10 +190,18 @@ _QASM_KINDS = {spelling: kind for kind in GATE_KINDS for spelling in kind.qasm}
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the native circuit format into a validated Circuit."""
-    lines = _significant_lines(text, "#")
-    arity = _header(lines, "qubits")
+    numbered = enumerate(text.splitlines(), start=1)
+    arity = _header(_significant_lines(numbered, "#"), "qubits")
     gates, numbers = [], []
-    for number, line in lines:
+    for number, raw in numbered:  # the lines after the header
+        match = _NATIVE_LINE.fullmatch(raw)
+        if match:
+            gates.append(_gate(match))
+            numbers.append(number)
+            continue
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         name, *args = line.split()
         kind = _NATIVE_KINDS.get(name)
         if kind is None or len(args) != kind.n_params + kind.n_wires:
@@ -198,9 +237,16 @@ def _parse_qasm_qubit(token: str, register: str, size: int, line: int) -> int:
 def parse_qasm(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset produced by export_qasm (h, u1/p, cx)."""
     register: str | None = None
-    size = 0
+    size, fast = 0, None
     gates, numbers = [], []
-    for number, line in _significant_lines(text, "//"):
+    for number, raw in enumerate(text.splitlines(), start=1):
+        match = fast and fast.fullmatch(raw)
+        gate = match and _gate(match)
+        if gate and max(gate.wires) < size:  # else the general reader reports the index
+            gates.append(gate)
+            numbers.append(number)
+            continue
+        line = raw.split("//", 1)[0]
         for statement in filter(None, (s.strip() for s in line.split(";"))):
             head = statement.split(None, 1)[0]
             if head == "OPENQASM" or head == "include":
@@ -214,6 +260,8 @@ def parse_qasm(text: str) -> Circuit:
                 if not rest.endswith("]"):
                     raise ParseError(number, message)
                 register, size = name.strip(), _index(rest[:-1], number, message)
+                if register.isascii() and register.isidentifier():  # a name such as `a,b` is split by ","
+                    fast = _qasm_line(register)
                 continue
             if register is None:
                 raise ParseError(number, "gate before qreg declaration")
@@ -244,7 +292,7 @@ def parse_qasm(text: str) -> Circuit:
 
 def parse_graph(text: str) -> Graph:
     """Parse `vertices <n>` followed by `edge <u> <v>` lines."""
-    lines = _significant_lines(text, "#")
+    lines = _significant_lines(enumerate(text.splitlines(), start=1), "#")
     count = _header(lines, "vertices")
     edges, numbers = [], []
     for number, line in lines:
@@ -260,7 +308,7 @@ def parse_graph(text: str) -> Graph:
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse one `<coeff> <paulistring>` term per line; the letters IXYZ may be lower case."""
     terms, numbers = [], []
-    for number, line in _significant_lines(text, "#"):
+    for number, line in _significant_lines(enumerate(text.splitlines(), start=1), "#"):
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(number, f"expected `<coeff> <paulistring>`, got {line!r}")

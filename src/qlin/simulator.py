@@ -91,6 +91,7 @@ def derive_seed(seed: int, index: int) -> int:
     `RandomSource(s)` is derive_seed(s, i) >> 11 over 2**53. The CLI's `vqe`
     and `qaoa` give the backend stream 0 and the optimiser stream 1.
     """
+    seed, index = operator.index(seed), operator.index(index)  # numpy integers overflow below
     return int(_splitmix(seed & _MASK64, index, np.empty(1, dtype=np.uint64))[0])
 
 

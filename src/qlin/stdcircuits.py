@@ -75,4 +75,4 @@ def qft(n: int) -> Circuit:
         gates.append(Hadamard(k))
         for m in range(2, n - k + 1):
             gates += Phase(_rm_angle(m), k).controlled(k + m - 1)
-    return Circuit(n, gates)
+    return Circuit._trusted(Circuit(n).arity, gates)  # Circuit(n) checks n; the gates are valid on it

@@ -1,6 +1,7 @@
 """Circuit construction, algebra, metrics, and reference matrix semantics."""
 import math
 import random
+import re
 import struct
 import time
 import tracemalloc
@@ -133,6 +134,49 @@ def test_numpy_integer_wires_and_arities_are_kept():
     assert matrix_of(c).shape == (8, 8)
     assert apply(h_gate(), identity(3), [np.int64(2)]) == Circuit(3, [Hadamard(2)])
     assert parse_qasm(export_qasm(c)) == Circuit(3, [Hadamard(1), ControlledNot(0, 2)])
+
+
+def test_tensor_and_controlled_take_numpy_arities_without_wrapping():
+    assert tensor(identity(np.uint8(255)), h_gate()) == Circuit(256, [Hadamard(255)])
+    assert controlled(identity(np.uint8(255))).arity == 256
+
+
+def test_an_append_checks_only_its_new_gate(monkeypatch):
+    checked = []
+
+    def counting(check):
+        def counted(gate, arity):
+            checked.append(gate)
+            return check(gate, arity)
+        return counted
+
+    for kind in (Hadamard, Phase, ControlledNot):
+        monkeypatch.setattr(kind, "check", counting(kind.check))
+    c = identity(3)
+    for k in range(90):
+        w = k % 3
+        c = add_h(c, w) if w == 0 else add_p(c, 0.1 * k, w) if w == 1 else add_cnot(c, w, (w + 1) % 3)
+        assert len(checked) == k + 1
+    assert c == Circuit(3, c.gates)
+
+
+@pytest.mark.parametrize("append, gate", [
+    (lambda c: add_h(c, 3), Hadamard(3)),
+    (lambda c: add_h(c, -1), Hadamard(-1)),
+    (lambda c: add_h(c, True), Hadamard(True)),
+    (lambda c: add_p(c, math.nan, 0), Phase(math.nan, 0)),
+    (lambda c: add_p(c, 10**400, 0), Phase(10**400, 0)),
+    (lambda c: add_p(c, "0.5", 0), Phase("0.5", 0)),
+    (lambda c: add_p(c, 0.5, 2.0), Phase(0.5, 2.0)),
+    (lambda c: add_cnot(c, 1, 1), ControlledNot(1, 1)),
+    (lambda c: add_cnot(c, 0, 5), ControlledNot(0, 5)),
+])
+def test_a_bad_append_raises_what_the_checked_constructor_raises(append, gate):
+    c = Circuit(3, [Hadamard(0), ControlledNot(0, 1)])
+    with pytest.raises(Exception) as checked:
+        Circuit(3, c.gates + (gate,))
+    with pytest.raises(type(checked.value), match=f"^{re.escape(str(checked.value))}$"):
+        append(c)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
@@ -512,6 +556,21 @@ def test_optimise_is_idempotent(c):
 @given(free_circuits)
 def test_optimise_reduces_circuit_then_adjoint_to_identity(c):
     assert optimise(compose(adjoint(c), c)) == identity(c.arity)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(extreme_circuits, extreme_circuits, st.integers(0, 7), st.randoms(use_true_random=False))
+def test_every_unchecked_builder_makes_a_circuit_the_constructor_accepts(a, b, n, rng):
+    big = tensor(a, b)
+    results = [qft(n), optimise(a), compose(a, adjoint(a)), big, adjoint(b), controlled(a),
+               apply(b, big, rng.sample(range(big.arity), b.arity))]
+    if a.arity:
+        results += [add_h(a, rng.randrange(a.arity)), add_p(a, rng.uniform(-7, 7), rng.randrange(a.arity))]
+    if a.arity > 1:
+        results.append(add_cnot(a, *rng.sample(range(a.arity), 2)))
+    for result in results:
+        assert type(result) is Circuit
+        assert Circuit(result.arity, result.gates) == result
 
 
 def test_optimise_reduces_long_nested_palindrome_in_one_pass():

@@ -296,6 +296,22 @@ def test_an_input_that_cannot_be_read_is_a_parse_error(tmp_path, capsys, command
         assert (code, out, err) == (EXIT_PARSE, "", f"E_PARSE: {text}\n")
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["stats"], BELL),
+    (["stats"], "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"),
+    (["qaoa", "--k", "3", "--seed", "1", "--graph"], K3),
+    (["vqe", "--k", "3", "--nsamples", "10", "--seed", "1", "--ham"], HAM_Z),
+], ids=["native", "qasm", "graph", "hamiltonian"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, argv, text):
+    # an editor may save UTF-8 with a BOM; the file then reads as without it
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    expected = run(capsys, [*argv, str(plain), "--format", "json"])
+    assert expected[0] == EXIT_OK
+    assert run(capsys, [*argv, str(marked), "--format", "json"]) == expected
+
+
 def test_backend_option_is_gone(capsys):
     code, _, err = run(capsys, ["coin", "--seed", "1", "--backend", "sim"])
     assert code == EXIT_USAGE and err.startswith("E_USAGE:")

@@ -1,6 +1,8 @@
 """Text formats: native circuit files, the OpenQASM subset, graphs, Hamiltonians."""
 import math
+import re
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from qlin import (
     matrix_of,
     to_bell_basis,
 )
+from qlin import formats
 from qlin.errors import CircuitError, ParseError
 from qlin.formats import (
     format_circuit,
@@ -460,3 +463,87 @@ def test_parse_circuit_reports_first_bad_line(arity, lines):
     with pytest.raises(ParseError) as err:
         parse_circuit(text)
     assert (err.value.line, err.value.reason) == (expected[0] + 1, expected[1])
+
+
+# Line mutations for the matched-line property: each keeps, breaks or moves a
+# line between the line regexes and the general reader.
+_NEVER = re.compile(r"(?!)")
+_LAST_INDEX = r"([0-9]+)(\]?;?)$"
+_ANGLE = r"(?<=^P )\S+|(?<=\()[^)]*(?=\))"
+_MUTATIONS = [
+    lambda line: line.replace(" ", "\t"),
+    lambda line: line.replace(" ", " \t "),
+    lambda line: f" \t{line}\t ",
+    lambda line: line + " # note",
+    lambda line: line + "#",
+    lambda line: line + " // note",
+    lambda line: line + "//",
+    lambda line: line.replace(" ", "\xa0", 1),
+    lambda line: line.replace(" ", "\x0b", 1),
+    lambda line: re.sub("[0-9]", "٣", line, count=1),
+    lambda line: re.sub(_LAST_INDEX, r"00\1\2", line),
+    lambda line: re.sub(_LAST_INDEX, r"7\2", line),
+    lambda line: re.sub(_LAST_INDEX, r"123456789012345678901\2", line),
+    lambda line: re.sub(_ANGLE, "1", line),
+    lambda line: re.sub(_ANGLE, "01", line),
+    lambda line: re.sub(_ANGLE, "1e400", line),
+    lambda line: re.sub(_ANGLE, "-1e-400", line),
+    lambda line: re.sub(_ANGLE, "+.5e1", line),
+    lambda line: re.sub(_ANGLE, "pi/2", line),
+    lambda line: re.sub(_ANGLE, "1.5.", line),
+    lambda line: line.rstrip(";"),
+    lambda line: line.lower(),
+    lambda line: "CNOT 1 1",
+    lambda line: "cx q[1],q[1];",
+    lambda line: "P 1 0",
+    lambda line: "h q[0]; cx q[0], q[1]; u1( -0.5 )q[1];",
+    lambda line: "",
+]
+_NEWLINES = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", " "])
+
+
+@st.composite
+def _mutated_texts(draw, render):
+    lines = render(draw(circuits())).splitlines()
+    for i in sorted(draw(st.lists(st.integers(0, len(lines) - 1), max_size=4)), reverse=True):
+        mutation = draw(st.sampled_from(_MUTATIONS))
+        lines[i] = mutation(lines[i])
+        if draw(st.booleans()) and i + 1 < len(lines):  # several statements on one line
+            lines[i : i + 2] = [lines[i] + " " + lines[i + 1]]
+    return "".join(line + draw(_NEWLINES) for line in lines)
+
+
+def _outcome(parse, text):
+    """What parse(text) gives: the circuit's repr, or the type and text of what it raised."""
+    try:
+        return repr(parse(text))
+    except Exception as err:  # a ParseError, or whatever the general reader lets through
+        return type(err), str(err)
+
+
+def _general_outcome(parse, text):
+    """_outcome with the line regexes never matching, so the general reader reads every line."""
+    with mock.patch.object(formats, "_NATIVE_LINE", _NEVER), \
+            mock.patch.object(formats, "_qasm_line", lambda register: _NEVER):
+        return _outcome(parse, text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_mutated_texts(format_circuit), _mutated_texts(export_qasm)))
+@example("qubits 2\r\nH 0 # a\r\n\tCNOT\t0 1\x0cP pi/2 1\nP 1 0\nP 1e400 0\n")
+@example("qubits 2\nCNOT 1 1\nH 00\nH 2\nP 01 0\n")
+@example("OPENQASM 2.0;\nqreg q[1];\nu1(01) q[0];\n")
+@example('OPENQASM 2.0; include "qelib1.inc";\nqreg q[2];\nh q[0]; cx q[0],q[1];\nu1(0.5) q[1];\n')
+@example("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[2];\n")
+@example("OPENQASM 2.0;\nqreg q[2];\nh q[" + "9" * 5000 + "];\n")
+def test_a_matched_line_reads_as_the_general_reader_reads_it(text):
+    parse = parse_qasm if text.startswith("OPENQASM") else parse_circuit
+    assert _outcome(parse, text) == _general_outcome(parse, text)
+
+
+@pytest.mark.parametrize("circuit", [to_bell_basis(), qft(4), Circuit(1, [Phase(-1e-300, 0), Phase(1e300, 0)])])
+def test_every_gate_line_that_the_writers_emit_is_matched(circuit):
+    native = format_circuit(circuit).splitlines()[1:]
+    assert all(formats._NATIVE_LINE.fullmatch(line) for line in native)
+    qasm = export_qasm(circuit).splitlines()[3:]
+    assert all(formats._qasm_line("q").fullmatch(line) for line in qasm)

@@ -944,6 +944,12 @@ def test_derive_seed_is_stable_and_spreads():
     assert len({derive_seed(7, i) for i in range(1000)}) == 1000
 
 
+@pytest.mark.parametrize("seed, index", [(np.int64(7), 0), (7, np.int64(1)), (np.uint64(2**64 - 1), np.int32(3)),
+                                         (np.int64(-5), np.uint8(200))])
+def test_derive_seed_takes_a_numpy_integer_as_the_equal_int(seed, index):
+    assert derive_seed(seed, index) == derive_seed(int(seed), int(index))
+
+
 def test_random_source_determinism():
     a = RandomSource(5)
     b = RandomSource(5)

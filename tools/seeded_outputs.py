@@ -2,8 +2,9 @@
 
 Usage: python tools/seeded_outputs.py <outdir>
 
-Writes fixed inputs (a circuit, its OpenQASM export, a Hamiltonian and two
-graphs) to <outdir>/inputs, then saves the stdout of each
+Writes fixed inputs (a circuit, its OpenQASM export, a circuit with
+comments, tabs, CRLF line ends and `pi` angles, a QASM file with several
+statements on a line, a Hamiltonian and two graphs) to <outdir>/inputs, then saves the stdout of each
 `--format json --seed 7` CLI run and of each demo under <outdir>, and
 `estimator.json`: `compute_energy_pauli` results for fixed seeds over random
 ansatze (n <= 6), covering every term of an H2-shaped Hamiltonian,
@@ -65,6 +66,34 @@ P 0.5 0
 H 1
 """
 
+# every line is read by the line regex or the general reader, or both in turn
+MIXED = (
+    "# comments, tabs, CRLF line ends and angle expressions\r\n"
+    "qubits 3\r\n"
+    "H 0   # a comment after a gate\r\n"
+    "\tCNOT\t0\t1\r\n"
+    "P pi/2 1\r\n"
+    "P -0.75 2 # a literal\r\n"
+    "\r\n"
+    "  H\t2\t\r\n"
+    "P 3*pi/4 0\r\n"
+    "CNOT 1 2#\r\n"
+    "P .5e-1 2\r\n"
+    "P 1 1\r\n"
+    "H 002\r\n"
+)
+
+STATEMENTS_QASM = """\
+OPENQASM 2.0; include "qelib1.inc";
+qreg q[3];
+h q[0]; cx q[0],q[1]; // two statements
+u1(pi/2) q[1]; p(-0.25) q[2];
+  h q[2] ;
+cx q[1], q[2];// a comment
+u1( 0.125 )q[0];
+p(-pi/8) q[1]
+"""
+
 HAMILTONIAN = """\
 -0.5 III
 0.25 ZZI
@@ -101,6 +130,10 @@ COMMANDS = {
     "draw.json": ["draw", "circuit.txt", "--format", "json"],
     "optimise.json": ["optimise", "circuit.txt", "--format", "json"],
     "qft-8.json": ["qft", "--n", "8", "--format", "json"],
+    "simulate-mixed.json": ["simulate", "mixed.txt", "--shots", "500", *SEEDED],
+    "optimise-mixed.json": ["optimise", "mixed.txt", "--format", "json"],
+    "simulate-statements-qasm.json": ["simulate", "statements.qasm", "--shots", "500", *SEEDED],
+    "optimise-statements-qasm.json": ["optimise", "statements.qasm", "--format", "json"],
     "coin.json": ["coin", *SEEDED],
     "rus.json": ["rus", *SEEDED],
     "vqe.json": ["vqe", "--ham", "ham.txt", "--depth", "1", "--k", "8", "--nsamples", "200", *SEEDED],
@@ -296,6 +329,8 @@ def write_outputs(out: Path) -> None:
     inputs = out / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
     (inputs / "circuit.txt").write_text(CIRCUIT)
+    (inputs / "mixed.txt").write_text(MIXED, newline="")  # keep its CRLF line ends
+    (inputs / "statements.qasm").write_text(STATEMENTS_QASM)
     (inputs / "ham.txt").write_text(HAMILTONIAN)
     (inputs / "graph.txt").write_text(GRAPH)
     (inputs / "graph-14.txt").write_text(GRAPH_14)
