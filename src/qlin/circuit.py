@@ -8,8 +8,10 @@ Each gate kind is described once, in its class: the wires it touches, its
 validation against an arity, its remapping through a wire vector, its
 inverse, its controlled expansion over {H, P, CNOT}, its glyphs for draw, and
 its spellings. Its action on amplitudes is written once too, in the kernels
-module, which matrix_of and the simulator share. Every text form of a gate
-has the shape (name, params, wires): the native line `P <a> <j>`, the QASM
+module, which matrix_of and the simulator share. A gate is its spelling,
+the tuple (name, *params, *wires): Phase(a, j) is ("P", a, j), so it equals
+the plain tuple ("P", a, j), and never a gate of another kind. Every text
+form of a gate has that shape: the native line `P <a> <j>`, the QASM
 statement `u1(a) q[j]` and the JSON list `["P", a, j]`. The rest of the
 package reads these attributes rather than switching on the kind, except
 optimise's rewrite rules and the kernels' planner, whose `plan`,
@@ -51,9 +53,9 @@ from .kernels import apply_plan, plan
 MATRIX_ARITY_LIMIT = 12
 
 # Most gates the circuit builders (ansatz, qaoa_unitary, qft) may make. A gate
-# is a Python object of about 100 bytes, and 10**6 of them take some seconds
-# to build, so each builder checks its closed-form gate count against this
-# before it draws an angle or builds a gate.
+# is a tuple of 56-64 bytes (a P's float 24 more), and 10**6 of them take tens
+# of megabytes and about half a second to build, so each builder checks its
+# closed-form gate count against this before it draws an angle or builds a gate.
 BUILD_GATE_LIMIT = 10**6
 
 
@@ -121,23 +123,37 @@ def _check_round_count(count: int) -> None:
         raise TooManyRounds(count, ROUND_LIMIT)
 
 
-class _Gate:
+_new = tuple.__new__
+_item = operator.itemgetter
+
+
+class _Gate(tuple):
     """What every gate kind shares; each kind's own facts live in its class.
 
-    A kind's dataclass fields list its parameters first and its wires after
-    them, so `kind(*params, *wires)` rebuilds a gate from its spelling.
+    A gate is its spelling: the tuple (name, *params, *wires), so
+    Phase(a, j) is ("P", a, j). Building one is one tuple.__new__, and its
+    equality, hash and immutability are the tuple's. The name tag keeps the
+    kinds apart, so no gate equals a gate of another kind, and a gate equals
+    the plain tuple of its spelling: Hadamard(0) == ("H", 0). A kind's
+    fields are items of the tuple, read through properties, and
+    `kind(*params, *wires)` rebuilds a gate from its spelling, as pickle and
+    copy do.
     """
 
-    name: ClassVar[str]  # native and JSON spelling
+    __slots__ = ()
+    name: ClassVar[str]  # native and JSON spelling, and the tuple's first item
     qasm: ClassVar[tuple[str, ...]]  # QASM spellings; export_qasm emits the first
     glyphs: ClassVar[tuple[str, ...]]  # draw cell for each touched wire
     n_params: ClassVar[int] = 0
     n_wires: ClassVar[int] = 1
     params: tuple[float, ...] = ()
+    wires: tuple[int, ...]
 
-    @property
-    def wires(self) -> tuple[int, ...]:
-        raise NotImplementedError
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self[1:]))})"
 
     def check(self, arity: int) -> None:
         """Raise the CircuitError for this gate on `arity` wires, if any."""
@@ -179,43 +195,49 @@ def _ry_block(tgt: int, angle: float) -> list[GateApp]:
     ]
 
 
-@dataclass(frozen=True)
-class Hadamard(_Gate):
-    wire: int
+def _controlled_phase(half: float, ctl: int, tgt: int) -> tuple[GateApp, ...]:
+    """CP(2 * half) with control ctl and target tgt, as the CP line above."""
+    return (
+        Phase(half, tgt),
+        ControlledNot(ctl, tgt),
+        Phase(-half, tgt),
+        ControlledNot(ctl, tgt),
+        Phase(half, ctl),
+    )
 
+
+class Hadamard(_Gate):
+    __slots__ = ()
     name = "H"
     qasm = ("h",)
     glyphs = ("H",)
+    wire = property(_item(1))
+    wires = property(_item(slice(1, 2)))
 
-    @property
-    def wires(self) -> tuple[int, ...]:
-        return (self.wire,)
+    def __new__(cls, wire: int):
+        return _new(cls, ("H", wire))
 
     def controlled(self, ctl: int) -> list[GateApp]:
         tgt = self.wire
         return _ry_block(tgt, _QUARTER) + [ControlledNot(ctl, tgt)] + _ry_block(tgt, -_QUARTER)
 
 
-@dataclass(frozen=True)
 class Phase(_Gate):
-    angle: float
-    wire: int
-
+    __slots__ = ()
     name = "P"
     qasm = ("u1", "p")
     glyphs = ("P",)
     n_params = 1
+    angle = property(_item(1))
+    wire = property(_item(2))
+    params = property(_item(slice(1, 2)))
+    wires = property(_item(slice(2, 3)))
 
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.angle,)
-
-    @property
-    def wires(self) -> tuple[int, ...]:
-        return (self.wire,)
+    def __new__(cls, angle: float, wire: int):
+        return _new(cls, ("P", angle, wire))
 
     def check(self, arity: int) -> None:
-        angle = self.angle
+        angle = self[1]
         if type(angle) is not float:
             angle = _real_angle(angle)
         if not math.isfinite(angle):
@@ -226,29 +248,21 @@ class Phase(_Gate):
         return Phase(-self.angle, self.wire)
 
     def controlled(self, ctl: int) -> list[GateApp]:
-        half, tgt = self.angle / 2.0, self.wire
-        return [
-            Phase(half, tgt),
-            ControlledNot(ctl, tgt),
-            Phase(-half, tgt),
-            ControlledNot(ctl, tgt),
-            Phase(half, ctl),
-        ]
+        return list(_controlled_phase(self.angle / 2.0, ctl, self.wire))
 
 
-@dataclass(frozen=True)
 class ControlledNot(_Gate):
-    control: int
-    target: int
-
+    __slots__ = ()
     name = "CNOT"
     qasm = ("cx",)
     glyphs = ("o", "X")
     n_wires = 2
+    control = property(_item(1))
+    target = property(_item(2))
+    wires = property(_item(slice(1, 3)))
 
-    @property
-    def wires(self) -> tuple[int, ...]:
-        return (self.control, self.target)
+    def __new__(cls, control: int, target: int):
+        return _new(cls, ("CNOT", control, target))
 
     def check(self, arity: int) -> None:
         _Gate.check(self, arity)
@@ -460,6 +474,10 @@ def depth(c: Circuit) -> int:
     frontier: dict[int, int] = {}  # touched wire -> its chain length; O(gates), not O(arity)
     for gate in c.gates:
         wires = gate.wires
+        if len(wires) == 1:  # most gates; read without a generator
+            w = wires[0]
+            frontier[w] = frontier.get(w, 0) + 1
+            continue
         step = 1 + max(frontier.get(w, 0) for w in wires)
         for w in wires:
             frontier[w] = step

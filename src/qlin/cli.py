@@ -147,7 +147,10 @@ def _read(path: str) -> str:
 def _emit(args, text_lines, json_obj) -> None:
     """Write the one output form asked for: `json_obj` as one JSON line, or the
     lines `text_lines()` returns; the text is built only when it is written."""
-    lines = [json.dumps(json_obj, sort_keys=True)] if args.format == "json" else text_lines()
+    if args.format == "json":  # json_obj is a tree the command built, so it has no cycle to check for
+        lines = [json.dumps(json_obj, sort_keys=True, check_circular=False)]
+    else:
+        lines = text_lines()
     try:
         sys.stdout.write("".join(f"{line}\n" for line in lines))
         sys.stdout.flush()  # so a failed write raises here, not at interpreter exit
@@ -159,8 +162,8 @@ def _emit(args, text_lines, json_obj) -> None:
 
 
 def _circuit_json(circuit: Circuit) -> dict:
-    gates = [[g.name, *g.params, *g.wires] for g in circuit.gates]
-    return {"qubits": circuit.arity, "gates": gates}
+    # a gate is the tuple (name, *params, *wires), which json writes as that list
+    return {"qubits": circuit.arity, "gates": circuit.gates}
 
 
 def _resolve_seed(args) -> int:

@@ -119,14 +119,18 @@ def _significant_lines(numbered, comment: str):
             yield number, stripped
 
 
-def _gate(match) -> GateApp:
-    """The gate of a line that _NATIVE_LINE or a _qasm_line matched."""
+def _gate(match) -> GateApp | None:
+    """The gate of a line that _NATIVE_LINE or a _qasm_line matched, or None
+    for an index int() refuses (too many digits), which the general reader reports."""
     h, angle, wire, control, target = match.groups()
-    if h is not None:
-        return Hadamard(int(h))
-    if angle is not None:
-        return Phase(float(angle), int(wire))
-    return ControlledNot(int(control), int(target))
+    try:
+        if h is not None:
+            return Hadamard(int(h))
+        if angle is not None:
+            return Phase(float(angle), int(wire))
+        return ControlledNot(int(control), int(target))
+    except ValueError:
+        return None
 
 
 def _qasm_line(register: str):
@@ -143,10 +147,14 @@ def _index(token: str, line: int, message: str) -> int:
 
     str.isdecimal alone would also pass digits such as '٣' that int() reads;
     str.isdigit would also pass characters such as '²' that int() rejects.
+    int() also refuses more digits than sys.get_int_max_str_digits() (4300).
     """
     if not (token.isascii() and token.isdecimal()):
         raise ParseError(line, message)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # too many digits
+        raise ParseError(line, message) from None
 
 
 def _header(lines, keyword: str) -> int:
@@ -195,8 +203,9 @@ def parse_circuit(text: str) -> Circuit:
     gates, numbers = [], []
     for number, raw in numbered:  # the lines after the header
         match = _NATIVE_LINE.fullmatch(raw)
-        if match:
-            gates.append(_gate(match))
+        gate = match and _gate(match)
+        if gate:
+            gates.append(gate)
             numbers.append(number)
             continue
         line = raw.split("#", 1)[0].strip()

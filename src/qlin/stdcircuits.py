@@ -8,8 +8,8 @@ from .circuit import (
     Circuit,
     ControlledNot,
     Hadamard,
-    Phase,
     _check_gate_count,
+    _controlled_phase,
     add_cnot,
     add_h,
     add_p,
@@ -74,5 +74,5 @@ def qft(n: int) -> Circuit:
         # control at distance d contributes P(2*pi / 2^(d+1)).
         gates.append(Hadamard(k))
         for m in range(2, n - k + 1):
-            gates += Phase(_rm_angle(m), k).controlled(k + m - 1)
+            gates += _controlled_phase(_rm_angle(m) / 2.0, k + m - 1, k)
     return Circuit._trusted(Circuit(n).arity, gates)  # Circuit(n) checks n; the gates are valid on it

@@ -1,5 +1,8 @@
 """Circuit construction, algebra, metrics, and reference matrix semantics."""
+import copy
+import json
 import math
+import pickle
 import random
 import re
 import struct
@@ -209,6 +212,85 @@ def test_int_float_and_numpy_real_angles_are_kept(angle):
         assert parse_qasm(export_qasm(c)) == Circuit(1, [Phase(float(angle), 0)] * 2)
         assert optimise(c) == Circuit(1, [Phase(2 * float(angle), 0)])
     assert_close(matrix_of(c), np.diag([1, np.exp(2j * float(angle))]))
+
+
+# gate representation: a gate is the tuple of its spelling
+
+# small fields, and int angles among the floats, so that equal fields and a
+# Phase and a CNOT on the same two values are drawn often
+_fields = st.integers(0, 3)
+_any_angle = st.one_of(_fields, st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 0.5]))
+gates = st.one_of(
+    st.builds(Hadamard, _fields),
+    st.builds(Phase, _any_angle, _fields),
+    st.builds(ControlledNot, _fields, _fields),
+)
+
+
+def _kind_and_fields(gate):
+    return type(gate), gate.params, gate.wires
+
+
+def _every_spelling_of(gate):
+    """Each kind built from this gate's fields, where the count fits the kind."""
+    fields = (*gate.params, *gate.wires)
+    return [kind(*fields) for kind in (Hadamard, Phase, ControlledNot) if kind.n_params + kind.n_wires == len(fields)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gates, gates)
+def test_gates_are_equal_exactly_when_kind_and_fields_agree(a, b):
+    # _every_spelling_of(a) holds a Phase and a CNOT of the same two fields,
+    # which must differ since their kinds do
+    for other in [b, *_every_spelling_of(a), type(a)(*a.params, *a.wires)]:
+        same = _kind_and_fields(a) == _kind_and_fields(other)
+        assert (a == other) is same and (a != other) is not same
+        if same:
+            assert hash(a) == hash(other)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gates)
+def test_a_gate_is_immutable(gate):
+    names = ["wire", "angle", "control", "target", "params", "wires", "name", "qasm", "n_wires", "extra"]
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(gate, name, 1)
+        with pytest.raises(AttributeError):
+            object.__setattr__(gate, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(gate, name)
+    assert gate == type(gate)(*gate.params, *gate.wires)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gates)
+def test_pickle_and_deepcopy_keep_a_gates_type_and_value(gate):
+    copies = [pickle.loads(pickle.dumps(gate, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in [*copies, copy.deepcopy(gate), copy.copy(gate)]:
+        assert type(copied) is type(gate)
+        assert _kind_and_fields(copied) == _kind_and_fields(gate)
+        assert copied == gate
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(gates, max_size=12))
+def test_a_gate_list_encodes_as_json_as_its_spelling_lists(gate_list):
+    encoded = json.dumps([[g.name, *g.params, *g.wires] for g in gate_list])
+    assert json.dumps(list(gate_list)) == encoded
+    assert json.dumps(tuple(gate_list), check_circular=False) == encoded
+
+
+def test_a_gate_is_its_spelling_tuple():
+    assert Hadamard(0) == ("H", 0) and hash(Hadamard(0)) == hash(("H", 0))
+    assert Phase(0.5, 3) == ("P", 0.5, 3)
+    assert ControlledNot(1, 2) == ("CNOT", 1, 2)
+    assert Phase(1, 0) != ControlledNot(1, 0) and ControlledNot(1, 0) != Phase(1, 0)
+    assert (Phase(0.5, 3).angle, Phase(0.5, 3).wire) == (0.5, 3)
+    assert (ControlledNot(1, 2).control, ControlledNot(1, 2).target) == (1, 2)
+    assert Hadamard(wire=2).wires == (2,) and Phase(angle=0.5, wire=1).params == (0.5,)
+    assert [repr(g) for g in (Hadamard(0), Phase(0.5, 3), ControlledNot(1, 2))] == [
+        "Hadamard(0)", "Phase(0.5, 3)", "ControlledNot(1, 2)"]
 
 
 # compose / tensor / apply

@@ -312,6 +312,22 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, argv, text):
     assert run(capsys, [*argv, str(marked), "--format", "json"]) == expected
 
 
+_DIGITS = "9" * 5000  # an index past the 4300 digits int() reads from a str
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    (["stats"], f"qubits {_DIGITS}\nH 0\n", 1),
+    (["stats"], f"qubits 2\nH {_DIGITS}\n", 2),
+    (["stats"], f"qubits 2\nP 0.5 {_DIGITS}\n", 2),
+    (["stats"], f"OPENQASM 2.0;\nqreg q[2];\nh q[{_DIGITS}];\n", 3),
+    (["qaoa", "--seed", "1", "--graph"], f"vertices 3\nedge 0 {_DIGITS}\n", 2),
+], ids=["header", "H", "P", "qasm-h", "graph-edge"])
+def test_an_index_of_too_many_digits_exits_with_one_parse_error_line(tmp_path, capsys, argv, text, line):
+    code, out, err = run(capsys, [*argv, circuit_file(tmp_path, text)])
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith(f"E_PARSE: line {line}: ") and err.count("\n") == 1
+
+
 def test_backend_option_is_gone(capsys):
     code, _, err = run(capsys, ["coin", "--seed", "1", "--backend", "sim"])
     assert code == EXIT_USAGE and err.startswith("E_USAGE:")

@@ -1,7 +1,6 @@
 """Text formats: native circuit files, the OpenQASM subset, graphs, Hamiltonians."""
 import math
 import re
-from dataclasses import asdict
 from unittest import mock
 
 import pytest
@@ -54,7 +53,8 @@ def assert_same_up_to_angle_digits(parsed, original):
     assert parsed.arity == original.arity
     assert [type(g) for g in parsed.gates] == [type(g) for g in original.gates]
     for got, want in zip(parsed.gates, original.gates):
-        assert asdict(got) == pytest.approx(asdict(want), rel=1e-14, abs=0.0)
+        assert got.wires == want.wires
+        assert got.params == pytest.approx(want.params, rel=1e-14, abs=0.0)
 
 
 def test_parse_circuit_bell():
@@ -538,6 +538,27 @@ def _general_outcome(parse, text):
 @example("OPENQASM 2.0;\nqreg q[2];\nh q[" + "9" * 5000 + "];\n")
 def test_a_matched_line_reads_as_the_general_reader_reads_it(text):
     parse = parse_qasm if text.startswith("OPENQASM") else parse_circuit
+    assert _outcome(parse, text) == _general_outcome(parse, text)
+
+
+_DIGITS = "9" * 5000  # an index past the 4300 digits int() reads from a str
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_circuit, f"qubits {_DIGITS}\nH 0\n", 1),
+    (parse_circuit, f"qubits 2\nH {_DIGITS}\n", 2),
+    (parse_circuit, f"qubits 2\nH 0\nP 0.5 {_DIGITS}\n", 3),
+    (parse_circuit, f"qubits 2\nCNOT 0 {_DIGITS}\n", 2),
+    (parse_circuit, f"qubits 2\nP pi/2 {_DIGITS}\n", 2),
+    (parse_qasm, f"OPENQASM 2.0;\nqreg q[2];\nh q[{_DIGITS}];\n", 3),
+    (parse_qasm, f"OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[{_DIGITS}];\n", 3),
+    (parse_qasm, f"OPENQASM 2.0;\nqreg q[{_DIGITS}];\n", 2),
+    (parse_graph, f"vertices 3\nedge 0 {_DIGITS}\n", 2),
+], ids=["header", "H", "P", "CNOT", "P-expression", "qasm-h", "qasm-cx", "qreg", "edge"])
+def test_an_index_of_too_many_digits_is_a_parse_error_on_its_line(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
     assert _outcome(parse, text) == _general_outcome(parse, text)
 
 
