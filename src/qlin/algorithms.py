@@ -48,7 +48,8 @@ Cut = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph for MAXCUT; edges are stored sorted and deduplicated.
+    """Undirected graph for MAXCUT; each edge is stored as (min, max), in sorted
+    order, and a duplicate edge, either way round, raises ValueError.
 
     The vertex count and every endpoint are ints or numpy integers, but no
     bool; any other type raises ValueError."""
@@ -161,6 +162,17 @@ def rus_example_unitary() -> Circuit:
     ])
 
 
+def _check_max_iterations(max_iterations: int | None) -> None:
+    """Refuse a bound on RUS's failure rounds that is not None, an int or a
+    numpy integer (a bool is not one) with TypeError, then one below 1."""
+    if max_iterations is None:
+        return
+    if not _integer(max_iterations):
+        raise TypeError(f"max_iterations of type {type(max_iterations).__name__}, not an int or None")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+
+
 @qprogram
 def rus(q: QubitHandle, u_prime: Circuit, e: Circuit, max_iterations: int | None = None):
     """Repeat-until-success protocol on the qubit named by `q`.
@@ -169,11 +181,10 @@ def rus(q: QubitHandle, u_prime: Circuit, e: Circuit, max_iterations: int | None
     measures the ancilla: 0 means success and the data qubit is returned;
     1 means the data qubit holds E|psi>, so adjoint(e) undoes it and the
     round repeats. Terminates with probability 1 whenever success has
-    positive probability; `max_iterations`, when given, must be at least 1
-    and bounds the failure rounds.
+    positive probability; `max_iterations`, when given, must be an int of
+    at least 1 and bounds the failure rounds.
     """
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
+    _check_max_iterations(max_iterations)
     undo = adjoint(e)
     failures = 0
     while True:
@@ -204,10 +215,9 @@ def run_rus(
 ) -> int:
     """Run RUS from |0>, measure the resulting qubit, return the bit.
 
-    `max_iterations`, when given, must be at least 1.
+    `max_iterations`, when given, must be an int of at least 1.
     """
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
+    _check_max_iterations(max_iterations)
     if u_prime is None:
         u_prime = rus_example_unitary()
     if e is None:
@@ -237,11 +247,14 @@ def best_cut(graph: Graph, cuts: Sequence[Sequence[int]]) -> tuple[Cut, int]:
     return best, best_value
 
 
-def _qaoa_gates(graph: Graph, p: int) -> int:
-    """Gates of a p-layer qaoa_unitary; a layer counts as at least one gate,
-    so the layers of an empty graph, and their angles, are bounded too."""
+def _check_qaoa(graph: Graph, p: int) -> None:
+    """Refuse a negative p, then a p-layer qaoa_unitary whose gates pass
+    BUILD_GATE_LIMIT; a layer counts as at least one gate, so the layers of
+    an empty graph, and their angles, are bounded too."""
+    if p < 0:
+        raise ValueError("layer count p must be non-negative")
     n = graph.vertex_count
-    return n + p * max(3 * len(graph.edges) + 3 * n, 1)
+    _check_gate_count(n + p * max(3 * len(graph.edges) + 3 * n, 1))
 
 
 def qaoa_unitary(
@@ -257,7 +270,7 @@ def qaoa_unitary(
     """
     if len(betas) != len(gammas):
         raise ParamCountMismatch(len(betas), len(gammas))
-    _check_gate_count(_qaoa_gates(graph, len(betas)))
+    _check_qaoa(graph, len(betas))
     n = graph.vertex_count
     gates: list[GateApp] = [Hadamard(w) for w in range(n)]
     for beta, gamma in zip(betas, gammas):
@@ -302,9 +315,7 @@ def qaoa_trajectory(
     """
     if k < 1:
         raise ValueError("iteration count must be at least 1")
-    if p < 0:
-        raise ValueError("layer count p must be non-negative")
-    _check_gate_count(_qaoa_gates(graph, p))
+    _check_qaoa(graph, p)
     _check_round_count(k)
     history: list[QaoaRecord] = []
     for _ in range(k):
@@ -336,14 +347,18 @@ def encoding_unitary(term: str) -> Circuit:
 
     Per wire: X -> H, Y -> P(-pi/2) then H, Z and I -> nothing; then CNOTs
     from every other non-identity wire onto the first one, so that wire's
-    Z-measurement satisfies p0 - p1 = <term>.
+    Z-measurement satisfies p0 - p1 = <term>. An all-identity term raises
+    AllIdentityTerm: its expectation is 1, with nothing to measure.
 
     The result is cached and shared: the 64 most recently used terms keep
     their `Circuit`, and so its plan, so an estimator that measures a
     Hamiltonian many times builds and plans each term's circuit once.
     """
     _check_pauli_str(term)  # before the cache, which would hash a list or take a tuple or bytes
-    return _encoding_unitary(term)
+    encoding = _encoding_unitary(term)
+    if encoding is None:
+        raise AllIdentityTerm("all-identity term has expectation 1 and needs no circuit")
+    return encoding[0]
 
 
 def _check_pauli_str(term: str) -> None:
@@ -353,12 +368,13 @@ def _check_pauli_str(term: str) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _encoding_unitary(term: str) -> Circuit:
+def _encoding_unitary(term: str) -> tuple[Circuit, int] | None:
+    """encoding_unitary's circuit and the wire that holds the parity, or None for an all-identity term."""
     if not set(term) <= _PAULI_OPS:
         raise ValueError(f"invalid Pauli string {term!r}")
     active = [i for i, op in enumerate(term) if op != "I"]
     if not active:
-        raise AllIdentityTerm("all-identity term has expectation 1 and needs no circuit")
+        return None
     gates: list[GateApp] = []
     for i in active:
         if term[i] == "X":
@@ -367,7 +383,7 @@ def _encoding_unitary(term: str) -> Circuit:
             gates += [Phase(-math.pi / 2, i), Hadamard(i)]
     first = active[0]
     gates += [ControlledNot(i, first) for i in active[1:]]
-    return Circuit(len(term), gates)
+    return Circuit(len(term), gates), first
 
 
 def _check_estimate(ansatz_circuit: Circuit, arity: int, n_samples: int) -> None:
@@ -381,16 +397,16 @@ def _check_estimate(ansatz_circuit: Circuit, arity: int, n_samples: int) -> None
 
 
 def _estimates(
-    backend: DeviceBackend, ansatz_circuit: Circuit, terms: Sequence[str], n_samples: int
+    backend: DeviceBackend, ansatz_circuit: Circuit, encodings: Sequence[tuple[Circuit, int]], n_samples: int
 ) -> list[float]:
-    """(#zeros - #ones) / n_samples for each term, from shots of the ansatz in its basis.
+    """(#zeros - #ones) / n_samples on the wire of each term's (basis, wire)
+    encoding, from shots of the ansatz in that basis.
 
     Every term's count of ones comes from one `count_ones` call, in term
     order; a term repeated shares its cached encoding, not its shots.
     """
-    ones = backend.count_ones(ansatz_circuit, [encoding_unitary(term) for term in terms], n_samples)
-    targets = (next(i for i, op in enumerate(term) if op != "I") for term in terms)
-    return [(n_samples - 2 * int(row[target])) / n_samples for row, target in zip(ones, targets)]
+    ones = backend.count_ones(ansatz_circuit, [basis for basis, _ in encodings], n_samples)
+    return [(n_samples - 2 * int(row[wire])) / n_samples for row, (_, wire) in zip(ones, encodings)]
 
 
 def compute_energy_pauli(
@@ -399,7 +415,8 @@ def compute_energy_pauli(
     """Estimate <psi|term|psi> as (#zeros - #ones) / n_samples."""
     _check_pauli_str(term)
     _check_estimate(ansatz_circuit, len(term), n_samples)
-    return _estimates(backend, ansatz_circuit, [term], n_samples)[0]
+    encoding_unitary(term)  # refuses a letter outside IXYZ, then an all-identity term
+    return _estimates(backend, ansatz_circuit, [_encoding_unitary(term)], n_samples)[0]
 
 
 def compute_energy(
@@ -415,20 +432,20 @@ def compute_energy(
     whatever the terms.
     """
     _check_estimate(ansatz_circuit, hamiltonian.arity, n_samples)
-    measured = [term for _, term in hamiltonian.terms if not set(term) <= {"I"}]
-    estimates = iter(_estimates(backend, ansatz_circuit, measured, n_samples))
+    encodings = [_encoding_unitary(term) for _, term in hamiltonian.terms]
+    estimates = iter(_estimates(backend, ansatz_circuit, list(filter(None, encodings)), n_samples))
     total = 0.0
-    for coeff, term in hamiltonian.terms:
-        if set(term) <= {"I"}:
-            total += coeff
-        else:
-            total += coeff * next(estimates)
+    for (coeff, _), encoding in zip(hamiltonian.terms, encodings):
+        total += coeff * next(estimates) if encoding else coeff
     return total
 
 
-def _ansatz_gates(n: int, depth: int) -> int:
-    """Gates of ansatz(n, depth, ...); a layer counts as at least one gate."""
-    return depth * max(5 * n - 1, 1)
+def _check_ansatz(n: int, depth: int) -> None:
+    """Refuse a negative depth, then an ansatz(n, depth, ...) whose gates pass
+    BUILD_GATE_LIMIT; a layer counts as at least one gate."""
+    if depth < 0:
+        raise ValueError("ansatz depth must be non-negative")
+    _check_gate_count(depth * max(5 * n - 1, 1))
 
 
 def ansatz(n: int, depth: int, params: Sequence[float]) -> Circuit:
@@ -439,9 +456,7 @@ def ansatz(n: int, depth: int, params: Sequence[float]) -> Circuit:
     TooManyGates before building when its gates pass BUILD_GATE_LIMIT, and
     ValueError when depth is negative.
     """
-    if depth < 0:
-        raise ValueError("ansatz depth must be non-negative")
-    _check_gate_count(_ansatz_gates(n, depth))
+    _check_ansatz(n, depth)
     params = list(params)
     if len(params) != n * depth * 2:
         raise ParamCountMismatch(n * depth * 2, len(params))
@@ -487,12 +502,10 @@ def vqe_trajectory(
     """
     if k < 1:
         raise ValueError("iteration count must be at least 1")
-    if depth < 0:
-        raise ValueError("ansatz depth must be non-negative")
     n = hamiltonian.arity
-    _check_gate_count(_ansatz_gates(n, depth))
+    _check_ansatz(n, depth)
     _check_round_count(k)
-    _check_shot_count(k * n_samples * sum(not set(term) <= {"I"} for _, term in hamiltonian.terms))
+    _check_shot_count(k * n_samples * sum(1 for _, term in hamiltonian.terms if _encoding_unitary(term)))
     count = n * depth * 2
     history: list[VqeRecord] = []
     for _ in range(k):

@@ -276,7 +276,12 @@ def qprogram(genfn):
 
 
 def new_qubits(p: int) -> QuantumProgram[list[QubitHandle]]:
-    """Prepare p fresh qubits in |0> and return their handles."""
+    """Prepare p fresh qubits in |0> and return their handles.
+
+    A count that is not an int or a numpy integer (a bool is not one) raises
+    TypeError, and a negative one ValueError, before any device operation."""
+    if type(p) is not int and not _integer(p):
+        raise TypeError(f"qubit count of type {type(p).__name__}, not an int")
     if p < 0:
         raise ValueError("qubit count must be non-negative")
     return QuantumProgram(lambda ex: ex.new_qubits(p))

@@ -17,14 +17,13 @@ alone follows Python's integer rules. Any other character is an error, and
 so are more than 1000 operators and parentheses in one angle. Every number
 and index in these formats is ASCII.
 
-A signed literal that is not digits alone (`0.785398163397448`, `-1e-05`,
-what export-qasm and format_angle write) is read by float() in one step,
-with the same float the evaluator gives it, to the bit.
-
-A circuit line that is one `H`, `P <such a literal>` or `CNOT` gate (one
-`h`, `u1`/`p` or `cx` statement in QASM, on in-range indices), with spaces,
-tabs and a comment, is read by one regex match; the general reader takes
-every other line and alone raises ParseError.
+A circuit line that is one `H`, `P <literal>` or `CNOT` gate (one `h`,
+`u1`/`p` or `cx` statement in QASM, on in-range indices), with spaces, tabs
+and a comment, is read by one regex match if its literal is signed or not
+but not digits alone (`0.785398163397448`, `-1e-05`, what export-qasm and
+format_angle write). The match reads that angle by float(), which gives the
+float the evaluator gives it, to the bit; the general reader takes every
+other line and alone raises ParseError.
 """
 from __future__ import annotations
 
@@ -41,9 +40,9 @@ from .errors import CircuitError, ParseError
 _LITERAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # spaces or tabs, then a literal or pi, or else any one character
 _ANGLE_TOKEN = re.compile(rf"[ \t]*(?:({_LITERAL}|pi)|(.))", re.DOTALL)
-# a literal with an optional sign: a Hamiltonian coefficient, or an angle float() reads
+# a literal with an optional sign: a Hamiltonian coefficient
 _COEFFICIENT = re.compile(rf"[+-]?{_LITERAL}")
-# a signed literal that is not digits alone: the angles parse_angle reads by float()
+# a signed literal that is not digits alone: the angles the line regexes read by float()
 _FLOAT = r"[+-]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)"
 # one native gate line; its groups are H's wire, P's angle and wire, CNOT's wires
 _NATIVE_LINE = re.compile(
@@ -68,16 +67,11 @@ def _reduce(values: list[float], pending: list[tuple], floor: int) -> None:
 def parse_angle(text: str, line: int) -> float:
     """Evaluate an angle in the grammar of the module docstring.
 
-    A signed literal that is not digits alone is read by float() in one
-    step. Any other text is evaluated: its tokens move onto a stack of
-    values and one of pending (precedence, function) operators. Past
-    _MAX_ANGLE_OPS operators and parentheses the angle nests too deeply.
+    Its tokens move onto a stack of values and one of pending (precedence,
+    function) operators. Past _MAX_ANGLE_OPS operators and parentheses the
+    angle nests too deeply.
     """
     text = text.strip()
-    if _COEFFICIENT.fullmatch(text) and not text.lstrip("+-").isdigit():
-        # a signed literal, as format_angle writes it: float() rounds it as the
-        # evaluator does, and a sign is exact, so the float is the same
-        return float(text)
     values, pending = [], [(-1, None)]  # the bottom of `pending` is never reduced
     want_operand, operators = True, 0
     try:
@@ -111,10 +105,10 @@ def parse_angle(text: str, line: int) -> float:
         raise ParseError(line, f"bad angle {text!r}") from None
 
 
-def _significant_lines(numbered, comment: str):
-    """The (number, line) pairs of `numbered` whose line holds more than a comment, stripped."""
+def _significant_lines(numbered):
+    """The (number, line) pairs of `numbered` whose line holds more than a `#` comment, stripped."""
     for number, raw in numbered:
-        stripped = raw.split(comment, 1)[0].strip()
+        stripped = raw.split("#", 1)[0].strip()
         if stripped:
             yield number, stripped
 
@@ -199,7 +193,7 @@ _QASM_KINDS = {spelling: kind for kind in GATE_KINDS for spelling in kind.qasm}
 def parse_circuit(text: str) -> Circuit:
     """Parse the native circuit format into a validated Circuit."""
     numbered = enumerate(text.splitlines(), start=1)
-    arity = _header(_significant_lines(numbered, "#"), "qubits")
+    arity = _header(_significant_lines(numbered), "qubits")
     gates, numbers = [], []
     for number, raw in numbered:  # the lines after the header
         match = _NATIVE_LINE.fullmatch(raw)
@@ -301,7 +295,7 @@ def parse_qasm(text: str) -> Circuit:
 
 def parse_graph(text: str) -> Graph:
     """Parse `vertices <n>` followed by `edge <u> <v>` lines."""
-    lines = _significant_lines(enumerate(text.splitlines(), start=1), "#")
+    lines = _significant_lines(enumerate(text.splitlines(), start=1))
     count = _header(lines, "vertices")
     edges, numbers = [], []
     for number, line in lines:
@@ -317,7 +311,7 @@ def parse_graph(text: str) -> Graph:
 def parse_hamiltonian(text: str) -> Hamiltonian:
     """Parse one `<coeff> <paulistring>` term per line; the letters IXYZ may be lower case."""
     terms, numbers = [], []
-    for number, line in _significant_lines(enumerate(text.splitlines(), start=1), "#"):
+    for number, line in _significant_lines(enumerate(text.splitlines(), start=1)):
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(number, f"expected `<coeff> <paulistring>`, got {line!r}")

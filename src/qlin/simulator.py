@@ -252,6 +252,12 @@ def _start_rows(state: QuantumState, bases: Sequence[Circuit], edges: np.ndarray
     return rows, np.repeat(np.arange(len(rows)), np.diff(edges))
 
 
+def _check_qubit_cap(max_qubits: int) -> None:
+    """Refuse a qubit cap that is not an int or a numpy integer (a bool is not one)."""
+    if type(max_qubits) is not int and not _integer(max_qubits):
+        raise TypeError(f"qubit cap of type {type(max_qubits).__name__}, not an int")
+
+
 class QuantumState(DeviceSession):
     """The simulator's session: amplitude vector plus a registry of live qubit ids.
 
@@ -274,6 +280,7 @@ class QuantumState(DeviceSession):
     __slots__ = ("amplitudes", "registry", "max_qubits", "_random", "_zero")
 
     def __init__(self, rand: RandomSource, max_qubits: int = DEFAULT_MAX_QUBITS):
+        _check_qubit_cap(max_qubits)
         self.amplitudes = np.ones(1, dtype=complex)
         self.registry: dict[int, int] = {}
         self.max_qubits = max_qubits
@@ -333,6 +340,7 @@ class StateVectorBackend(DeviceBackend):
     """
 
     def __init__(self, seed: int | None = None, max_qubits: int = DEFAULT_MAX_QUBITS):
+        _check_qubit_cap(max_qubits)
         self._random = RandomSource(seed)
         self.max_qubits = max_qubits
 

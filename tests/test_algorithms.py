@@ -1,4 +1,5 @@
 """Algorithm drivers: coin, RUS, QAOA pieces, Hamiltonian averaging, VQE."""
+import itertools
 import math
 import random
 import tracemalloc
@@ -37,7 +38,7 @@ from qlin import (
     vqe,
     vqe_trajectory,
 )
-from qlin import circuit
+from qlin import algorithms, circuit
 from qlin.algorithms import random_ansatz_params
 from qlin.circuit import Circuit, add_p
 from qlin.device import DeviceBackend, DeviceSession
@@ -813,3 +814,66 @@ def test_random_ansatz_params_range_and_determinism():
     assert len(params) == 6
     assert all(0 <= value < 2 * math.pi for value in params)
     assert params == random_ansatz_params(hamiltonian, 6, [], RandomSource(2))
+
+
+@pytest.mark.parametrize("max_iterations", [True, np.bool_(False), 1.5, 2.0, "3"],
+                         ids=["bool", "numpy-bool", "float", "integral-float", "str"])
+def test_run_rus_refuses_an_iteration_bound_that_is_not_an_int_before_any_device_op(max_iterations):
+    backend = CountingBackend(seed=1)
+    with pytest.raises(TypeError, match="max_iterations of type"):
+        run_rus(backend, max_iterations=max_iterations)
+    assert backend.sessions == 0
+    assert coin(backend.inner) == coin(StateVectorBackend(seed=1))
+
+
+@pytest.mark.parametrize("max_iterations", [True, 1.5], ids=["bool", "float"])
+def test_rus_refuses_an_iteration_bound_that_is_not_an_int_before_its_ancilla(max_iterations):
+    backend = MinimalBackend(seed=1)
+    with pytest.raises(TypeError, match="max_iterations of type"):
+        execute_with_trace(backend, rus_driver(rus_example_unitary(), identity(1), max_iterations))
+    assert backend.log == [("new", 1)]
+    assert backend.rand.uniform() == RandomSource(1).uniform()
+
+
+def test_rus_takes_a_numpy_integer_iteration_bound():
+    assert run_rus(StateVectorBackend(seed=3), max_iterations=np.int64(50)) in (0, 1)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Graph(-1, ()), ValueError, "vertex count must be non-negative"),
+    (lambda: Hamiltonian(()), ValueError, "a Hamiltonian needs at least one term"),
+    (lambda: cut_value(k3(), (0, 1)), ValueError, "cut length must match the vertex count"),
+    (lambda: best_cut(k3(), []), ValueError, "no cuts given"),
+    (lambda: qaoa_unitary([0.1, 0.2], [0.3], k3()), ParamCountMismatch, "expected 2 parameters, got 1"),
+    (lambda: qaoa_trajectory(StateVectorBackend(seed=0), 0, 1, k3(), RandomSource(0)), ValueError,
+     "iteration count must be at least 1"),
+    (lambda: vqe_trajectory(StateVectorBackend(seed=0), Hamiltonian(((1.0, "Z"),)), 1, 0, 10, RandomSource(0)),
+     ValueError, "iteration count must be at least 1"),
+    (lambda: encoding_unitary("XQ"), ValueError, "invalid Pauli string 'XQ'"),
+], ids=["graph-negative-count", "hamiltonian-no-terms", "cut-wrong-length", "best-cut-no-cuts",
+        "qaoa-unitary-angle-counts", "qaoa-trajectory-no-rounds", "vqe-trajectory-no-rounds",
+        "encoding-unitary-bad-letter"])
+def test_algorithm_refusals_name_their_cause(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def _reads_one(state: np.ndarray, n: int, wire: int) -> float:
+    """The probability that measuring `wire` (wire 0 the MSB) of an n-wire state gives 1."""
+    return float(np.sum(np.abs(state.reshape([2] * n)).take(1, axis=wire) ** 2))
+
+
+def test_each_pauli_terms_basis_puts_its_eigenvalue_on_the_reported_wire():
+    for n in range(1, 5):
+        for term in map("".join, itertools.product("IXYZ", repeat=n)):
+            if set(term) == {"I"}:
+                assert algorithms._encoding_unitary(term) is None
+                continue
+            basis, wire = algorithms._encoding_unitary(term)
+            assert basis is encoding_unitary(term)
+            values, vectors = np.linalg.eigh(pauli_matrix(term))
+            for value, vector in zip(np.round(values), vectors.T):
+                p1 = _reads_one(matrix_of(basis) @ vector, n, wire)
+                assert abs(p1 - (value == -1)) < 1e-12, (term, value)

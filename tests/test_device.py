@@ -745,3 +745,23 @@ DeviceMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None, derandomize=True
 )
 TestDeviceMachine = DeviceMachine.TestCase
+
+
+def test_new_qubits_refuses_a_negative_count():
+    with pytest.raises(ValueError) as err:
+        new_qubits(-1)
+    assert str(err.value) == "qubit count must be non-negative"
+
+
+@pytest.mark.parametrize("p", [True, np.bool_(False), 1.5, 1.0, "1", None],
+                         ids=["bool", "numpy-bool", "float", "integral-float", "str", "None"])
+def test_new_qubits_refuses_a_count_that_is_not_an_int_before_any_draw(p):
+    # True would otherwise allocate one qubit; the program is refused as it is built
+    b = backend()
+    with pytest.raises(TypeError, match=f"qubit count of type {type(p).__name__}, not an int"):
+        execute(b, new_qubits(p).then(measure))
+    assert coin(b) == coin(backend())
+
+
+def test_new_qubits_takes_a_numpy_integer_count():
+    assert execute(backend(), _alloc_and_measure(np.int64(2))) == [0, 0]

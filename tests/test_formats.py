@@ -568,3 +568,28 @@ def test_every_gate_line_that_the_writers_emit_is_matched(circuit):
     assert all(formats._NATIVE_LINE.fullmatch(line) for line in native)
     qasm = export_qasm(circuit).splitlines()[3:]
     assert all(formats._qasm_line("q").fullmatch(line) for line in qasm)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.from_regex(formats._FLOAT, fullmatch=True))
+@example("-0.0")
+@example("1e999")
+@example("-1e999")
+def test_parse_angle_reads_every_literal_the_line_regexes_read_as_float_does(text):
+    # a line that the regexes miss reaches parse_angle: its float must be the one the match would give
+    assert repr(parse_angle(text, 1)) == repr(float(text))
+
+
+@pytest.mark.parametrize("parse, text, line, reason", [
+    (lambda text: parse_angle(text, 1), "1)", 1, "bad angle '1)'"),
+    (parse_qasm, "OPENQASM 2.0;\nqreg q[1];\nqreg r[1];", 3, "only one qreg is supported"),
+    (parse_qasm, "OPENQASM 2.0;\nqreg q[2];\ncx q[0];", 3, "cx expects 0 angle(s) and 2 qubit(s): 'cx q[0]'"),
+    (parse_qasm, "OPENQASM 2.0;\ninclude \"qelib1.inc\";", 1, "no qreg declaration found"),
+    (parse_graph, "vertices 2\nedge 0", 2, "expected `edge <u> <v>`, got 'edge 0'"),
+    (parse_hamiltonian, "1.0 ZZ\n0.5 Z X", 2, "expected `<coeff> <paulistring>`, got '0.5 Z X'"),
+], ids=["angle-unmatched-paren", "qasm-two-qregs", "qasm-cx-one-qubit", "qasm-no-qreg", "graph-short-edge",
+        "hamiltonian-three-fields"])
+def test_format_refusals_name_their_line_and_cause(parse, text, line, reason):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.reason) == (line, reason)

@@ -445,3 +445,10 @@ def test_plan_keeps_counts_bounded_for_distinct_angle_terms():
     for gate in gates:
         apply_plan(unfused, plan([gate]), range(n))
     assert_close(fused, unfused, tol=1e-12)
+
+
+def test_apply_plan_refuses_a_state_that_is_not_c_contiguous():
+    state = np.zeros((4, 2), dtype=complex)[:, 0]  # a strided view of four amplitudes
+    with pytest.raises(ValueError) as err:
+        apply_plan(state, plan([Hadamard(0)]), [0])
+    assert str(err.value) == "the state must be C-contiguous, since kernels write through views"

@@ -507,6 +507,30 @@ def test_capacity_cap():
         execute(backend, program())
 
 
+_NOT_INT_CAPS = pytest.mark.parametrize("cap", [True, np.bool_(True), 2.5, 24.0, "24", None],
+                                        ids=["bool", "numpy-bool", "float", "integral-float", "str", "None"])
+
+
+@_NOT_INT_CAPS
+def test_backend_refuses_a_qubit_cap_that_is_not_an_int(cap):
+    # with max_qubits=True a CNOT sample would otherwise fail with "capped at True"
+    with pytest.raises(TypeError, match=f"qubit cap of type {type(cap).__name__}, not an int"):
+        StateVectorBackend(seed=0, max_qubits=cap)
+
+
+@_NOT_INT_CAPS
+def test_session_refuses_a_qubit_cap_that_is_not_an_int(cap):
+    rand = RandomSource(0)
+    with pytest.raises(TypeError, match=f"qubit cap of type {type(cap).__name__}, not an int"):
+        QuantumState(rand, cap)
+    assert rand.uniform() == RandomSource(0).uniform()
+
+
+def test_a_numpy_integer_qubit_cap_is_kept():
+    backend = StateVectorBackend(seed=0, max_qubits=np.int64(2))
+    assert backend.sample(to_bell_basis(), 4).shape == (4, 2)
+
+
 def test_count_of_a_range_equals_its_len():
     # allocate counts ids with it, since new_qubits hands the session a range,
     # and len raises OverflowError for one past sys.maxsize
