@@ -122,6 +122,11 @@ class Hamiltonian:
     def arity(self) -> int:
         return len(self.terms[0][1])
 
+    @functools.cached_property
+    def _encodings(self) -> tuple[tuple[Circuit, int] | None, ...]:
+        """Each term's measurement plan, `_encoding_unitary(term)`, built once per Hamiltonian."""
+        return tuple(_encoding_unitary(term) for _, term in self.terms)
+
 
 class QaoaRecord(NamedTuple):
     betas: tuple[float, ...]
@@ -349,16 +354,17 @@ def encoding_unitary(term: str) -> Circuit:
     from every other non-identity wire onto the first one, so that wire's
     Z-measurement satisfies p0 - p1 = <term>. An all-identity term raises
     AllIdentityTerm: its expectation is 1, with nothing to measure.
-
-    The result is cached and shared: the 64 most recently used terms keep
-    their `Circuit`, and so its plan, so an estimator that measures a
-    Hamiltonian many times builds and plans each term's circuit once.
     """
-    _check_pauli_str(term)  # before the cache, which would hash a list or take a tuple or bytes
+    return _measured_encoding(term)[0]
+
+
+def _measured_encoding(term: str) -> tuple[Circuit, int]:
+    """encoding_unitary's circuit and the wire that holds the parity; raises as encoding_unitary does."""
+    _check_pauli_str(term)
     encoding = _encoding_unitary(term)
     if encoding is None:
         raise AllIdentityTerm("all-identity term has expectation 1 and needs no circuit")
-    return encoding[0]
+    return encoding
 
 
 def _check_pauli_str(term: str) -> None:
@@ -367,7 +373,6 @@ def _check_pauli_str(term: str) -> None:
         raise ValueError(f"invalid Pauli string {term!r}")
 
 
-@functools.lru_cache(maxsize=64)
 def _encoding_unitary(term: str) -> tuple[Circuit, int] | None:
     """encoding_unitary's circuit and the wire that holds the parity, or None for an all-identity term."""
     if not set(term) <= _PAULI_OPS:
@@ -403,7 +408,7 @@ def _estimates(
     encoding, from shots of the ansatz in that basis.
 
     Every term's count of ones comes from one `count_ones` call, in term
-    order; a term repeated shares its cached encoding, not its shots.
+    order; a term repeated is measured again, with shots of its own.
     """
     ones = backend.count_ones(ansatz_circuit, [basis for basis, _ in encodings], n_samples)
     return [(n_samples - 2 * int(row[wire])) / n_samples for row, (_, wire) in zip(ones, encodings)]
@@ -415,8 +420,8 @@ def compute_energy_pauli(
     """Estimate <psi|term|psi> as (#zeros - #ones) / n_samples."""
     _check_pauli_str(term)
     _check_estimate(ansatz_circuit, len(term), n_samples)
-    encoding_unitary(term)  # refuses a letter outside IXYZ, then an all-identity term
-    return _estimates(backend, ansatz_circuit, [_encoding_unitary(term)], n_samples)[0]
+    # refuses a letter outside IXYZ, then an all-identity term
+    return _estimates(backend, ansatz_circuit, [_measured_encoding(term)], n_samples)[0]
 
 
 def compute_energy(
@@ -432,7 +437,7 @@ def compute_energy(
     whatever the terms.
     """
     _check_estimate(ansatz_circuit, hamiltonian.arity, n_samples)
-    encodings = [_encoding_unitary(term) for _, term in hamiltonian.terms]
+    encodings = hamiltonian._encodings
     estimates = iter(_estimates(backend, ansatz_circuit, list(filter(None, encodings)), n_samples))
     total = 0.0
     for (coeff, _), encoding in zip(hamiltonian.terms, encodings):
@@ -505,7 +510,7 @@ def vqe_trajectory(
     n = hamiltonian.arity
     _check_ansatz(n, depth)
     _check_round_count(k)
-    _check_shot_count(k * n_samples * sum(1 for _, term in hamiltonian.terms if _encoding_unitary(term)))
+    _check_shot_count(k * n_samples * sum(1 for encoding in hamiltonian._encodings if encoding))
     count = n * depth * 2
     history: list[VqeRecord] = []
     for _ in range(k):

@@ -17,9 +17,6 @@ import json
 import os
 import random
 import sys
-from collections import Counter
-
-import numpy as np
 
 from .algorithms import (
     best_cut,
@@ -40,7 +37,6 @@ from .circuit import (
     gate_counts,
     optimise,
 )
-from . import simulator
 from .errors import CapacityExceeded, ParseError
 from .formats import format_circuit, parse_circuit, parse_graph, parse_hamiltonian, parse_qasm
 from .simulator import RandomSource, StateVectorBackend, derive_seed
@@ -178,14 +174,7 @@ def _cmd_simulate(args) -> None:
     _check(args.shots >= 1, "--shots must be at least 1")
     _check_shot_count(args.shots)
     circuit = _load_circuit(args.circuit)
-    backend = StateVectorBackend(seed=_resolve_seed(args))
-    counts: Counter[int] = Counter()
-    for done in range(0, args.shots, simulator._SHOT_BATCH):
-        bits = np.asarray(backend.sample(circuit, min(simulator._SHOT_BATCH, args.shots - done)), dtype=np.int8)
-        # key: the integer the bits spell, wire 0 most significant; width from the batch, so within the cap
-        keys, freq = np.unique(bits @ (1 << np.arange(bits.shape[1])[::-1]), return_counts=True)
-        counts.update(dict(zip(keys.tolist(), freq.tolist())))
-        del bits, keys  # so the next batch is drawn without this one
+    counts = StateVectorBackend(seed=_resolve_seed(args)).counts(circuit, args.shots)
     width = circuit.arity  # sorted keys give the order of sorted bit strings of one width
     histogram = {format(key, f"0{width}b") if width else "": n for key, n in sorted(counts.items())}
     _emit(args, lambda: [f"{outcome} {n} {n / args.shots:.4f}" for outcome, n in histogram.items()], histogram)

@@ -12,13 +12,19 @@ A backend session implements three primitives: allocate, apply and measure.
 Handles are fresh after every operation, but the qubit behind them keeps one
 id from allocation to measurement, so sessions never rebind their qubits.
 
-A backend also offers two shot methods; the coin, QAOA's cuts, the energy
+A backend also offers three shot methods; the coin, QAOA's cuts, the energy
 estimator and CLI `simulate` take every measure-all shot (allocate, apply,
 measure every wire) from them:
 
 - `sample(circuit, shots)` gives the bits of `shots` such runs of `circuit`
   as an int8 array with one row per shot, and an empty one for `shots < 1`.
   The default executes the measure-all program once per shot.
+- `counts(circuit, shots)` gives the same shots as a dict from each outcome,
+  the integer its bits spell with wire 0 the most significant bit, to its
+  count, and an empty one for `shots < 1`. The default asks `sample` for at
+  most `_SHOT_BATCH` shots at a time and counts each batch before it asks
+  for the next, so it honours a backend's `sample` and its memory does not
+  grow with the shot count.
 - `count_ones(prep, bases, shots)` gives, as row j of an int64 array, the
   ones on every wire over `shots` runs of one program: allocate, apply
   `prep`, apply `bases[j]`, measure every wire. The estimator measures
@@ -27,20 +33,20 @@ measure every wire) from them:
   `_check_bases` refuses a basis of another arity (ArityMismatch), then
   `shots < 1` (ValueError).
 
-The simulator's overrides of both walk their (basis, shot) rows, a shot of
-`sample` being a row of one empty basis, in ranges of at most
-`simulator._SHOT_BATCH`.
+`_SHOT_BATCH`, defined here, is the one batch size: the simulator's
+overrides of all three walk their (basis, shot) rows, a shot of `sample` or
+`counts` being a row of one empty basis, in ranges of at most that many.
 
-Both methods, on both paths, first refuse a shot count that is not an int
-or a numpy integer (a bool is not one) with a TypeError, and refuse more
+Every method, on every path, first refuses a shot count that is not an int
+or a numpy integer (a bool is not one) with a TypeError, and refuses more
 than SHOT_LIMIT shots (for `count_ones`, (basis, shot) rows) with
 TooManyShots. Every refusal comes before any session is opened or any
 uniform drawn.
 
-A backend may override either with a faster path, but the override must give
-the same bits or counts and leave the backend's randomness where the default
-would. That means the state before the measurements must be the one the
-default's `allocate` and `apply` calls leave, float for float, not only
+A backend may override any of them with a faster path, but the override must
+give the same bits or counts and leave the backend's randomness where the
+default would. That means the state before the measurements must be the one
+the default's `allocate` and `apply` calls leave, float for float, not only
 closely: a probability that is 0 or 1 up to rounding decides a bit by its
 last digit. An override that makes the same calls on a session of its own,
 prep and then basis, agrees by construction.
@@ -66,6 +72,10 @@ A = TypeVar("A")
 B = TypeVar("B")
 
 _TOKEN = object()
+# Most shots the default `counts` asks `sample` for at once, and most (basis,
+# shot) rows one walk of the simulator measures. It bounds memory, not
+# outcomes, since every walk draws in shot order; both read it at call time.
+_SHOT_BATCH = 2**16
 
 
 class QubitHandle:
@@ -132,6 +142,24 @@ class DeviceBackend(ABC):
         bits = [execute(self, program) for _ in range(shots)]
         return np.array(bits, dtype=np.int8).reshape(len(bits), circuit.arity)
 
+    def counts(self, circuit: Circuit, shots: int) -> dict[int, int]:
+        """Each outcome of `shots` runs of the measure-all program of `circuit`, and its count.
+
+        An outcome is keyed by the integer its bits spell, wire 0 the most
+        significant bit. The shots are those of `sample`, asked for at most
+        `_SHOT_BATCH` at a time; overrides must return exactly what this
+        loop returns for the same backend state, and consume the backend's
+        randomness the same way.
+        """
+        _check_shot_type(shots)
+        if shots < 1:
+            return {}
+        _check_shot_count(shots)
+        tally: dict[int, int] = {}
+        for done in range(0, shots, _SHOT_BATCH):
+            _count_outcomes(tally, self.sample(circuit, min(_SHOT_BATCH, shots - done)))
+        return tally
+
     def count_ones(self, prep: Circuit, bases: Sequence[Circuit], shots: int) -> np.ndarray:
         """Ones per wire over `shots` runs of: allocate, apply prep, apply bases[j], measure all.
 
@@ -152,6 +180,24 @@ def _check_shot_type(shots: int) -> None:
     """Refuse a shot count that is not an int or a numpy integer (a bool is not one)."""
     if not _integer(shots):
         raise TypeError(f"shot count of type {type(shots).__name__}, not an int")
+
+
+def _count_outcomes(tally: dict[int, int], bits) -> None:
+    """Add each row of `bits`, one shot's bits in wire order, to `tally` under the integer it spells.
+
+    The width is the rows', and the keys are exact at any width: below 63
+    wires through int64, from 63 up as Python ints.
+    """
+    bits = np.asarray(bits, dtype=np.int8)
+    n = bits.shape[1]
+    if n < 63:
+        keys, freq = np.unique(bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64)), return_counts=True)
+        keys = keys.tolist()
+    else:
+        rows, freq = np.unique(bits, axis=0, return_counts=True)
+        keys = [int("".join(map(str, row)), 2) for row in rows.tolist()]
+    for key, count in zip(keys, freq.tolist()):
+        tally[key] = tally.get(key, 0) + count
 
 
 def _check_bases(prep: Circuit, bases: Sequence[Circuit], shots: int) -> None:

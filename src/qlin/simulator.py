@@ -19,20 +19,23 @@ changed through them. The first `apply` to the |0...0> that `allocate`
 builds on an empty session tells the kernels that the state is fresh, so a
 circuit that opens with a layer of one-wire passes on a large state starts
 as a product state (see the kernels module). Since that choice is made in
-the session, `sample`, `count_ones`, the default's per-shot programs and a
-relabelled circuit all take the same path.
-Both shot methods of `StateVectorBackend` take their walks from one
+the session, `sample`, `counts`, `count_ones`, the default's per-shot
+programs and a relabelled circuit all take the same path.
+The three shot methods of `StateVectorBackend` take their walks from one
 scheduler, `_walks`. It prepares the prep once, through the same `allocate`
 and `apply`, so a prep too wide for the backend is refused before any draw.
 It cuts the (basis, shot) rows, basis-major and then shot-major as the
-default's shots run, into walks, each ending after `_SHOT_BATCH` rows, at
-the end of its group of bases or at the last row. Each walk draws its rows'
-uniforms in shot order and starts from one row per basis: a copy of the
-prepared state with that basis applied in place through the same `apply`
-(prep, then basis, in one session), or, on a last walk from one basis, the
-prepared state itself. `sample` is the scheduler over one empty basis, each
-walk writing its rows of the result; `count_ones` sums each walk's ones per
-basis and wire, and takes at least one shot, as the default does.
+default's shots run, into walks, each ending after `device._SHOT_BATCH`
+rows, at the end of its group of bases or at the last row. Each walk draws
+its rows' uniforms in shot order and starts from one row per basis: a copy
+of the prepared state with that basis applied in place through the same
+`apply` (prep, then basis, in one session), or the prepared state itself
+for a lone empty basis and, on a last walk, for a lone basis. Each walk
+hands its rows to a reducer of the caller's: `sample` and `counts` run the
+scheduler over one empty basis, `sample` writing each walk's rows of the
+result and `counts` adding up each walk's outcome keys, so a `counts` of any
+size prepares its state once; `count_ones` sums each walk's ones per basis
+and wire, and takes at least one shot, as the default does.
 A walk and a session's measurement both take p1 from `_p_ones` and the
 renormalised state from `_collapse`.
 """
@@ -46,8 +49,9 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from . import device
 from .circuit import Circuit, _check_shot_count, _integer
-from .device import DeviceBackend, DeviceSession, _check_bases, _check_shot_type, _exclusive
+from .device import DeviceBackend, DeviceSession, _check_bases, _check_shot_type, _count_outcomes, _exclusive
 from .errors import CapacityExceeded
 from .kernels import _SMALL_STATE, _small_ufunc_buffer, apply_plan
 
@@ -58,11 +62,6 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment of the counter
 _ONE_ROW = np.zeros(1, dtype=np.intp)  # the rows of a one-state `_collapse`
 _DRAW_PIECE = 2**16  # most uniforms `RandomSource.uniforms` makes at once, in one uint64 temporary
 _SCALAR_BLOCK = 1024  # the draws `RandomSource.uniform` makes ahead at once
-# Most (basis, shot) rows one walk of `_walks` measures, for `sample` and
-# `count_ones` alike, and most shots CLI `simulate` asks `sample` for at once.
-# It bounds memory, not outcomes, since every walk draws in shot order; both
-# `_walks` and the CLI read it at call time.
-_SHOT_BATCH = 2**16
 
 
 def _splitmix(state: int, first: int, scratch: np.ndarray) -> np.ndarray:
@@ -233,12 +232,14 @@ def _start_rows(state: QuantumState, bases: Sequence[Circuit], edges: np.ndarray
     """One start row per basis, and each shot's row, its basis's; see `StateVectorBackend._walks`.
 
     A row is the state `state` holds, the prepared one, with its basis
-    applied in place through `state.apply`. On the last walk, one basis is
-    applied to the prepared state itself, and `state` lets go of it, so the
-    walk holds the only reference to its start rows.
+    applied in place through `state.apply`. A lone empty basis's row is the
+    prepared state itself, which the walk only reads, and so, on the last
+    walk, is a lone basis's, applied in place. On the last walk `state` lets
+    go of the prepared state, so the walk holds the only reference to its
+    start rows.
     """
     prepared = state.amplitudes
-    if last and len(bases) == 1:
+    if len(bases) == 1 and (last or not bases[0].gates):
         rows = prepared.reshape(1, -1)
     else:
         rows = np.empty((len(bases), prepared.size), dtype=complex)
@@ -253,9 +254,11 @@ def _start_rows(state: QuantumState, bases: Sequence[Circuit], edges: np.ndarray
 
 
 def _check_qubit_cap(max_qubits: int) -> None:
-    """Refuse a qubit cap that is not an int or a numpy integer (a bool is not one)."""
+    """Refuse a qubit cap that is not an int or a numpy integer (a bool is not one), then a negative one."""
     if type(max_qubits) is not int and not _integer(max_qubits):
         raise TypeError(f"qubit cap of type {type(max_qubits).__name__}, not an int")
+    if max_qubits < 0:
+        raise ValueError(f"qubit cap {max_qubits} is negative")
 
 
 class QuantumState(DeviceSession):
@@ -353,9 +356,9 @@ class StateVectorBackend(DeviceBackend):
         Each shot draws `circuit.arity` uniforms in wire order, as a session
         measuring every wire does. The shots are the rows of `_walks` over
         one empty basis, so they are walked from the one prepared state at
-        most `_SHOT_BATCH` at a time, each walk writing its rows of the
-        result; the bits and the position of the random stream afterwards
-        equal the per-shot loop's.
+        most `device._SHOT_BATCH` at a time, each walk writing its rows of
+        the result; the bits and the position of the random stream
+        afterwards equal the per-shot loop's.
         """
         _check_shot_type(shots)
         n = circuit.arity
@@ -363,7 +366,25 @@ class StateVectorBackend(DeviceBackend):
             # the default runs no execution, so it neither fails nor draws
             return np.zeros((0, n), dtype=np.int8)
         _check_shot_count(shots)
-        return self._walks(circuit, [Circuit(n)], shots, False)
+        return self._walks(circuit, [Circuit(n)], shots, functools.partial(np.empty, (shots, n), np.int8),
+                           lambda out, walk, rows, lo, edges: walk(out[rows]))
+
+    def counts(self, circuit: Circuit, shots: int) -> dict[int, int]:
+        """As `DeviceBackend.counts`, preparing the circuit's state once.
+
+        The shots are `sample`'s, as one `_walks` call over one empty basis,
+        each walk's outcome keys added up before the next walk draws. A
+        subclass that overrides `sample` gets the default, which asks that
+        `sample` for its shots.
+        """
+        if type(self).sample is not StateVectorBackend.sample:
+            return super().counts(circuit, shots)
+        _check_shot_type(shots)
+        if shots < 1:
+            return {}
+        _check_shot_count(shots)
+        return self._walks(circuit, [Circuit(circuit.arity)], shots, dict,
+                           lambda tally, walk, rows, lo, edges: _count_outcomes(tally, walk()))
 
     def count_ones(self, prep: Circuit, bases: Sequence[Circuit], shots: int) -> np.ndarray:
         """As `DeviceBackend.count_ones`, preparing `prep` once and walking many bases at once.
@@ -374,7 +395,8 @@ class StateVectorBackend(DeviceBackend):
         _check_bases(prep, bases, shots)
         if not bases:
             return np.zeros((0, prep.arity), dtype=np.int64)
-        return self._walks(prep, bases, shots, True)
+        return self._walks(prep, bases, shots, functools.partial(np.zeros, (len(bases), prep.arity), np.int64),
+                           _add_ones)
 
     def _prepared(self, circuit: Circuit) -> QuantumState:
         """A session holding `circuit` applied to |0...0>, through `allocate` and `apply`.
@@ -387,45 +409,57 @@ class StateVectorBackend(DeviceBackend):
         state.apply(range(circuit.arity), circuit)
         return state
 
-    def _walks(self, prep: Circuit, bases: Sequence[Circuit], shots: int, count: bool) -> np.ndarray:
-        """Each (basis, shot) row's bits, in order, or with `count` each basis's ones on every wire.
+    def _walks(self, prep: Circuit, bases: Sequence[Circuit], shots: int, result: Callable[[], object],
+               take: Callable[..., object]) -> object:
+        """`result()`, made once `prep` is prepared, with every walk of the (basis, shot) rows taken into it.
 
         `prep` goes through one session's `allocate` and `apply`, which
-        refuses a prep too wide for the backend before any draw. The
-        (basis, shot) rows are walked in the default's order, basis-major
-        and then shot-major; a walk of rows [a, b) ends at a + `_SHOT_BATCH`,
-        at the end of its group of bases (whose start rows hold at most
-        max(2**n, _SMALL_STATE) entries, so one basis from 12 wires up) or at
-        the last row, whichever is first. Each walk draws its rows' uniforms,
-        n in wire order per row, and then starts from one row per basis,
-        a // shots to (b - 1) // shots, built by `_start_rows` through the
-        same `apply`. So every start row is the default's state, float for
-        float, and the bits and the stream position afterwards equal the
-        default's. The backend is held from the preparation to the last walk.
+        refuses a prep too wide for the backend before any draw or any
+        result. The (basis, shot) rows are walked in the default's order,
+        basis-major and then shot-major; a walk of rows [a, b) ends at
+        a + `device._SHOT_BATCH`, at the end of its group of bases (whose
+        start rows hold at most max(2**n, _SMALL_STATE) entries, so one
+        basis from 12 wires up) or at the last row, whichever is first.
+        `take(out, walk, slice(a, b), lo, edges)` runs each walk once, in
+        order: `walk(bits)` draws its rows' uniforms, n in wire order per
+        row, and then walks from one start row per basis, lo = a // shots
+        to (b - 1) // shots, built by `_start_rows` through the same
+        `apply`, writing the rows' bits into `bits`, or into a new int8
+        array when none is given, which it returns; `edges` are where each
+        basis's rows start and end in the walk. So every start row is the
+        default's state, float for float, and the bits and the stream
+        position afterwards equal the default's. The backend is held from
+        the preparation to the last walk.
         """
         n = prep.arity
         total = len(bases) * shots
         group = max(1, _SMALL_STATE >> n) * shots  # the rows of the bases whose start rows one walk may hold
         with _exclusive(self):
             state = self._prepared(prep)
-            out = np.zeros((len(bases), n), dtype=np.int64) if count else np.empty((total, n), dtype=np.int8)
+            out = result()
             a = 0
             while a < total:
-                b = min(a + _SHOT_BATCH, (a // group + 1) * group, total)
+                b = min(a + device._SHOT_BATCH, (a // group + 1) * group, total)
                 lo, hi = a // shots, (b - 1) // shots + 1
                 # where each basis's rows start and end in the walk
                 edges = np.clip(np.arange(lo, hi + 1) * shots - a, 0, b - a)
-                # the uniforms are drawn before the start rows exist, so the
-                # draw's temporaries never sit beside them, and are held by
-                # the walk alone
-                bits = _sample_prepared(functools.partial(_start_rows, state, bases[lo:hi], edges, b == total),
-                                        self._random.uniforms((b - a) * n).reshape(b - a, n),
-                                        np.empty((b - a, n), dtype=np.int8) if count else out[a:b])
-                if count:
-                    # one sum per basis and wire; numpy sums a narrow int8
-                    # array's rows several times faster than its columns
-                    out[lo:hi] += np.add.reduceat(np.ascontiguousarray(bits.T), edges[:-1], axis=1,
-                                                  dtype=np.int64).T
-                del bits  # not held while the next walk draws
+                start = functools.partial(_start_rows, state, bases[lo:hi], edges, b == total)
+
+                def walk(bits: np.ndarray | None = None) -> np.ndarray:
+                    # the uniforms are drawn before the start rows and a new
+                    # bits array exist, so the draw's temporaries never sit
+                    # beside them, and are held by the walk alone
+                    return _sample_prepared(start, self._random.uniforms((b - a) * n).reshape(b - a, n),
+                                            np.empty((b - a, n), dtype=np.int8) if bits is None else bits)
+
+                take(out, walk, slice(a, b), lo, edges)
                 a = b
             return out
+
+
+def _add_ones(ones: np.ndarray, walk: Callable[[], np.ndarray], rows: slice, lo: int, edges: np.ndarray) -> None:
+    """`count_ones`'s reducer: add each basis's ones on every wire over the walk's rows to `ones`."""
+    # one sum per basis and wire; numpy sums a narrow int8 array's rows
+    # several times faster than its columns
+    bits = np.ascontiguousarray(walk().T)
+    ones[lo : lo + len(edges) - 1] += np.add.reduceat(bits, edges[:-1], axis=1, dtype=np.int64).T

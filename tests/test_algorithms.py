@@ -671,6 +671,22 @@ def test_compute_energy_counts_every_term_in_one_call(monkeypatch):
     assert energy == compute_energy(StateVectorBackend(seed=4), prepare, hamiltonian, 30)
 
 
+def test_a_hamiltonians_term_circuits_are_built_once(monkeypatch):
+    # each Hamiltonian keeps its terms' measurement circuits, so a second
+    # energy of 100 terms, more than a small cache of recent terms holds,
+    # builds no Circuit
+    terms = [t for t in map("".join, itertools.product("IXYZ", repeat=4)) if t != "IIII"][:100]
+    hamiltonian = Hamiltonian(tuple((0.01, t) for t in terms))
+    prepare = ansatz(4, 1, [0.1 * i for i in range(8)])
+    first = compute_energy(StateVectorBackend(seed=6), prepare, hamiltonian, 5)
+    built = []
+    post_init, trusted = Circuit.__post_init__, Circuit._trusted
+    monkeypatch.setattr(Circuit, "__post_init__", lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(Circuit, "_trusted", staticmethod(lambda *args: built.append(args) or trusted(*args)))
+    assert compute_energy(StateVectorBackend(seed=6), prepare, hamiltonian, 5) == first
+    assert built == []
+
+
 def test_compute_energy_checks_its_inputs_whatever_the_terms():
     # an all-identity Hamiltonian needs no shot, but a wrong arity or sample
     # count fails as it does with any term to measure, before any shot
@@ -872,7 +888,7 @@ def test_each_pauli_terms_basis_puts_its_eigenvalue_on_the_reported_wire():
                 assert algorithms._encoding_unitary(term) is None
                 continue
             basis, wire = algorithms._encoding_unitary(term)
-            assert basis is encoding_unitary(term)
+            assert basis == encoding_unitary(term)
             values, vectors = np.linalg.eigh(pauli_matrix(term))
             for value, vector in zip(np.round(values), vectors.T):
                 p1 = _reads_one(matrix_of(basis) @ vector, n, wire)

@@ -15,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlin
-from qlin import StateVectorBackend, algorithms, cli, errors, simulator
+from qlin import StateVectorBackend, algorithms, cli, device, errors
 from qlin.circuit import BUILD_GATE_LIMIT, DRAW_CELL_LIMIT, ROUND_LIMIT, SHOT_LIMIT
 from qlin.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_USAGE, main
+from qlin.device import _SHOT_BATCH
 from qlin.formats import format_circuit, parse_circuit
-from qlin.simulator import _SHOT_BATCH
 
 from .oracles import random_circuit
 
@@ -67,6 +67,21 @@ def test_simulate_counts_one_seeded_sample_stream_in_batches(tmp_path, capsys, m
     code, out, _ = run(capsys, argv)
     assert code == EXIT_OK
     assert batches == [_SHOT_BATCH, 1000]
+    drawn = StateVectorBackend(seed=3).sample(parse_circuit(BELL), shots)
+    assert json.loads(out) == Counter("".join(map(str, bits)) for bits in drawn)
+
+
+def test_simulate_prepares_the_state_once_for_three_batches(tmp_path, capsys, monkeypatch):
+    # the shots of all three batches are walked from one prepared state
+    prepared = []
+    method = StateVectorBackend._prepared
+    monkeypatch.setattr(StateVectorBackend, "_prepared",
+                        lambda self, circuit: prepared.append(circuit) or method(self, circuit))
+    shots = 2 * _SHOT_BATCH + 5
+    argv = ["simulate", circuit_file(tmp_path), "--shots", str(shots), "--seed", "3", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert prepared == [parse_circuit(BELL)]
     drawn = StateVectorBackend(seed=3).sample(parse_circuit(BELL), shots)
     assert json.loads(out) == Counter("".join(map(str, bits)) for bits in drawn)
 
@@ -126,7 +141,7 @@ def test_simulate_prints_the_histogram_of_one_sample_stream(tmp_path_factory, ar
     lines = "".join(f"{bits} {n} {n / shots:.4f}\n" for bits, n in sorted(want.items()))
     argv = ["simulate", str(path), "--shots", str(shots), "--seed", str(seed)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_SHOT_BATCH", 7)
+        patch.setattr(device, "_SHOT_BATCH", 7)
         assert run_quietly([*argv, "--format", "json"]) == (EXIT_OK, json.dumps(want, sort_keys=True) + "\n", "")
         assert run_quietly(argv) == (EXIT_OK, lines, "")
 

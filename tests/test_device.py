@@ -1,9 +1,11 @@
 """Device interface: handle discipline, program sequencing, execution contract."""
+import itertools
 import queue
 import random
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from qlin import (
     qprogram,
     to_bell_basis,
 )
-from qlin import circuit
+from qlin import circuit, device
 from qlin.circuit import Circuit, ControlledNot, Hadamard
 from qlin.device import DeviceBackend, DeviceSession, _handle_id
 from qlin.errors import (
@@ -350,6 +352,31 @@ def test_sample_capacity_error_draws_nothing():
         b.sample(identity(3), 5)
     bell = to_bell_basis()
     assert b.sample(bell, 40).tolist() == StateVectorBackend(seed=5).sample(bell, 40).tolist()
+
+
+@pytest.mark.parametrize("width", [0, 1, 62, 63, 64, 70])
+def test_default_counts_key_each_outcome_by_its_exact_integer(width, monkeypatch):
+    # a backend that is no state vector may sample 63 wires or more, past
+    # int64; every outcome is the integer its bits spell, wire 0 the most
+    # significant bit, also across the default's batches of sample
+    rng = random.Random(width)
+    rows = [[rng.getrandbits(1) for _ in range(width)] for _ in range(5)]
+    drawn = []
+    stream = itertools.cycle(rows)
+
+    class Rows(DeviceBackend):
+        def new_session(self):
+            raise AssertionError("counts takes its shots from sample")
+
+        def sample(self, circuit, shots):
+            drawn.append(shots)
+            return np.array([next(stream) for _ in range(shots)], dtype=np.int8).reshape(shots, width)
+
+    monkeypatch.setattr(device, "_SHOT_BATCH", 3)
+    counts = Rows().counts(Circuit(width), 8)
+    assert drawn == [3, 3, 2]
+    want = Counter(int("".join(map(str, rows[s % 5])) or "0", 2) for s in range(8))
+    assert counts == want
 
 
 def _no_session(self):

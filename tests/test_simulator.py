@@ -35,10 +35,10 @@ from qlin import (
     qprogram,
     to_bell_basis,
 )
-from qlin.circuit import Circuit, ControlledNot, Hadamard, Phase
+from qlin.circuit import SHOT_LIMIT, Circuit, ControlledNot, Hadamard, Phase
 from qlin.device import DeviceBackend
-from qlin.errors import CapacityExceeded
-from qlin import kernels, simulator
+from qlin.errors import CapacityExceeded, TooManyShots
+from qlin import device, kernels, simulator
 from qlin.simulator import QuantumState, derive_seed
 
 from .oracles import FixedRandom, assert_close, basis_state, dense_unitary, random_circuit
@@ -531,6 +531,24 @@ def test_a_numpy_integer_qubit_cap_is_kept():
     assert backend.sample(to_bell_basis(), 4).shape == (4, 2)
 
 
+@pytest.mark.parametrize("cap", [-1, np.int64(-3), -(2**70)], ids=["int", "numpy-int", "huge"])
+def test_a_negative_qubit_cap_is_refused_at_construction(cap):
+    # a backend capped below 0 would refuse even a 0-wire sample, at its first run
+    rand = RandomSource(0)
+    for build in (lambda: StateVectorBackend(seed=0, max_qubits=cap), lambda: QuantumState(rand, cap)):
+        with pytest.raises(ValueError, match=f"^qubit cap {cap} is negative$"):
+            build()
+    assert rand.uniform() == RandomSource(0).uniform()
+
+
+def test_a_zero_qubit_cap_runs_zero_wire_circuits():
+    assert StateVectorBackend(seed=0, max_qubits=0).sample(identity(0), 3).shape == (3, 0)
+    state = QuantumState(RandomSource(0), 0)
+    state.allocate(range(0))
+    with pytest.raises(CapacityExceeded):
+        state.allocate(range(1))
+
+
 def test_count_of_a_range_equals_its_len():
     # allocate counts ids with it, since new_qubits hands the session a range,
     # and len raises OverflowError for one past sys.maxsize
@@ -584,7 +602,7 @@ def test_sample_matches_the_per_shot_default(circuit, shots, batch, piece, skip,
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
     _skip_draws(skip, fast, default)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_SHOT_BATCH", batch)
+        patch.setattr(device, "_SHOT_BATCH", batch)
         patch.setattr(simulator, "_DRAW_PIECE", piece)
         bits = fast.sample(circuit, shots)
     reference = DeviceBackend.sample(default, circuit, shots)
@@ -593,6 +611,53 @@ def test_sample_matches_the_per_shot_default(circuit, shots, batch, piece, skip,
     assert bits.tolist() == reference.tolist()
     # both drew the same number of uniforms, so their streams go on alike
     assert [coin(fast) for _ in range(16)] == [coin(default) for _ in range(16)]
+
+
+def _outcome(run):
+    """run()'s value, or the type and text of what it raised."""
+    try:
+        return run()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sample_circuits,
+       st.one_of(st.integers(-3, 50), st.sampled_from([2.0, True, None, "3", np.int64(9), SHOT_LIMIT + 1])),
+       st.sampled_from([1, 3, 7, 2**16]), st.integers(0, 6), st.integers())
+@example(identity(0), 5, 2, 0, 1)
+@example(identity(3), 0, 2**16, 0, 1)
+def test_counts_match_the_default_over_sample(circuit, shots, batch, skip, seed):
+    # one walk per batch of one preparation, against the default's one
+    # sample call per batch; batches of 1, 3 and 7 cut most runs into
+    # several walks. A refusal is the same on both paths, and neither path
+    # draws before it
+    fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
+    _skip_draws(skip, fast, default)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device, "_SHOT_BATCH", batch)
+        counts = _outcome(lambda: fast.counts(circuit, shots))
+        reference = _outcome(lambda: DeviceBackend.counts(default, circuit, shots))
+    assert counts == reference
+    following = fast._random.uniform()
+    assert following == default._random.uniform()
+    if isinstance(counts, dict):
+        assert sum(counts.values()) == max(shots, 0)
+        assert all(0 <= key < 2**circuit.arity for key in counts)
+    else:
+        assert counts[0] in (TypeError, TooManyShots)
+        untouched = StateVectorBackend(seed=seed)
+        _skip_draws(skip, untouched)
+        assert following == untouched._random.uniform()
+
+
+def test_counts_take_an_overriding_sample():
+    # a subclass's sample is the one shot source, as the default's loop asks
+    class Ones(StateVectorBackend):
+        def sample(self, circuit, shots):
+            return np.ones((shots, circuit.arity), dtype=np.int8)
+
+    assert Ones(seed=0).counts(identity(3), 5) == {0b111: 5}
 
 
 def test_sample_prepares_through_allocate_and_apply(monkeypatch):
@@ -674,6 +739,20 @@ def test_sample_memory_does_not_grow_with_shots():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.01 * peaks[0]
+
+
+def test_counts_walks_start_from_the_prepared_state_without_a_copy(monkeypatch):
+    # every walk but the last reads the prepared state that the session
+    # keeps for the next walk; a copy of it as the walk's start row would
+    # raise the peak by about a tenth here. A basis state keeps each level
+    # of the walk at one row, and walks of 1024 rows keep the walk's own
+    # arrays near the size of the 12-wire state
+    monkeypatch.setattr(device, "_SHOT_BATCH", 1024)
+    circuit = identity(12)
+    for shots in (1024, 3 * 1024):  # numpy's first-use allocations
+        StateVectorBackend(seed=3).counts(circuit, shots)
+    one, several = (_peak(lambda b: b.counts(circuit, shots)) for shots in (1024, 3 * 1024))
+    assert several <= 1.01 * one
 
 
 def test_one_shot_frees_each_state_once_its_child_is_built():
@@ -818,7 +897,7 @@ def test_count_ones_matches_the_default(case, shots, batch, piece, skip, seed):
     fast, default = StateVectorBackend(seed=seed), StateVectorBackend(seed=seed)
     _skip_draws(skip, fast, default)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_SHOT_BATCH", batch)
+        patch.setattr(device, "_SHOT_BATCH", batch)
         patch.setattr(simulator, "_DRAW_PIECE", piece)
         walks = _recorded_walks(patch)
         counts = fast.count_ones(prep, bases, shots)
@@ -871,7 +950,7 @@ def test_count_ones_prepares_once_through_allocate_and_apply(monkeypatch):
     # one session per call: the prep goes through its allocate and apply
     # once, and each basis through its apply once per walk that reaches it;
     # walks of 30 of the 150 rows reach bases [0], [0, 1], [1], [1, 2], [2]
-    monkeypatch.setattr(simulator, "_SHOT_BATCH", 30)
+    monkeypatch.setattr(device, "_SHOT_BATCH", 30)
     calls = []
 
     def recorder(cls, name):
@@ -914,7 +993,7 @@ def test_count_ones_walks_end_at_batch_and_group_ends(n, n_bases, shots, batch, 
     rng = random.Random(n)
     prep = random_circuit(rng, n, 4 * n)
     bases = [random_circuit(rng, n, 8) for _ in range(n_bases)]
-    monkeypatch.setattr(simulator, "_SHOT_BATCH", batch)
+    monkeypatch.setattr(device, "_SHOT_BATCH", batch)
     walks = _recorded_walks(monkeypatch)
     fast, default = StateVectorBackend(seed=n), StateVectorBackend(seed=n)
     counts = fast.count_ones(prep, bases, shots)
