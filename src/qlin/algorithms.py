@@ -24,6 +24,7 @@ from .circuit import (
     _check_gate_count,
     _check_round_count,
     _check_shot_count,
+    _checked_count,
     _integer,
     _real,
     _real_angle,
@@ -167,17 +168,6 @@ def rus_example_unitary() -> Circuit:
     ])
 
 
-def _check_max_iterations(max_iterations: int | None) -> None:
-    """Refuse a bound on RUS's failure rounds that is not None, an int or a
-    numpy integer (a bool is not one) with TypeError, then one below 1."""
-    if max_iterations is None:
-        return
-    if not _integer(max_iterations):
-        raise TypeError(f"max_iterations of type {type(max_iterations).__name__}, not an int or None")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
-
-
 @qprogram
 def rus(q: QubitHandle, u_prime: Circuit, e: Circuit, max_iterations: int | None = None):
     """Repeat-until-success protocol on the qubit named by `q`.
@@ -189,7 +179,8 @@ def rus(q: QubitHandle, u_prime: Circuit, e: Circuit, max_iterations: int | None
     positive probability; `max_iterations`, when given, must be an int of
     at least 1 and bounds the failure rounds.
     """
-    _check_max_iterations(max_iterations)
+    if max_iterations is not None:
+        _checked_count(max_iterations, "max_iterations", 1)
     undo = adjoint(e)
     failures = 0
     while True:
@@ -222,7 +213,8 @@ def run_rus(
 
     `max_iterations`, when given, must be an int of at least 1.
     """
-    _check_max_iterations(max_iterations)
+    if max_iterations is not None:
+        _checked_count(max_iterations, "max_iterations", 1)
     if u_prime is None:
         u_prime = rus_example_unitary()
     if e is None:
@@ -253,11 +245,10 @@ def best_cut(graph: Graph, cuts: Sequence[Sequence[int]]) -> tuple[Cut, int]:
 
 
 def _check_qaoa(graph: Graph, p: int) -> None:
-    """Refuse a negative p, then a p-layer qaoa_unitary whose gates pass
-    BUILD_GATE_LIMIT; a layer counts as at least one gate, so the layers of
-    an empty graph, and their angles, are bounded too."""
-    if p < 0:
-        raise ValueError("layer count p must be non-negative")
+    """Refuse a p that is not a count, then a p-layer qaoa_unitary whose gates
+    pass BUILD_GATE_LIMIT; a layer counts as at least one gate, so the layers
+    of an empty graph, and their angles, are bounded too."""
+    _checked_count(p, "layer count p", 0)
     n = graph.vertex_count
     _check_gate_count(n + p * max(3 * len(graph.edges) + 3 * n, 1))
 
@@ -318,8 +309,7 @@ def qaoa_trajectory(
     Raises TooManyGates or TooManyRounds before the first round when its
     circuit passes BUILD_GATE_LIMIT or k passes ROUND_LIMIT.
     """
-    if k < 1:
-        raise ValueError("iteration count must be at least 1")
+    _checked_count(k, "iteration count", 1)
     _check_qaoa(graph, p)
     _check_round_count(k)
     history: list[QaoaRecord] = []
@@ -393,8 +383,7 @@ def _encoding_unitary(term: str) -> tuple[Circuit, int] | None:
 
 def _check_estimate(ansatz_circuit: Circuit, arity: int, n_samples: int) -> None:
     """Raise the estimator's errors for terms on `arity` qubits, before any shot."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _checked_count(n_samples, "sample count", 1)
     if arity != ansatz_circuit.arity:
         raise ArityMismatch(
             f"term acts on {arity} qubits but the ansatz has arity {ansatz_circuit.arity}"
@@ -446,10 +435,10 @@ def compute_energy(
 
 
 def _check_ansatz(n: int, depth: int) -> None:
-    """Refuse a negative depth, then an ansatz(n, depth, ...) whose gates pass
-    BUILD_GATE_LIMIT; a layer counts as at least one gate."""
-    if depth < 0:
-        raise ValueError("ansatz depth must be non-negative")
+    """Refuse an n or a depth that is not a count, then an ansatz(n, depth, ...)
+    whose gates pass BUILD_GATE_LIMIT; a layer counts as at least one gate."""
+    _checked_count(n, "ansatz wire count", 0)
+    _checked_count(depth, "ansatz depth", 0)
     _check_gate_count(depth * max(5 * n - 1, 1))
 
 
@@ -505,8 +494,8 @@ def vqe_trajectory(
     round when the ansatz passes BUILD_GATE_LIMIT, k passes ROUND_LIMIT, or
     the k * n_samples shots of each measured term pass SHOT_LIMIT.
     """
-    if k < 1:
-        raise ValueError("iteration count must be at least 1")
+    _checked_count(k, "iteration count", 1)
+    _checked_count(n_samples, "sample count", 1)
     n = hamiltonian.arity
     _check_ansatz(n, depth)
     _check_round_count(k)

@@ -14,8 +14,12 @@ the plain tuple ("P", a, j), and never a gate of another kind. Every text
 form of a gate has that shape: the native line `P <a> <j>`, the QASM
 statement `u1(a) q[j]` and the JSON list `["P", a, j]`. The rest of the
 package reads these attributes rather than switching on the kind, except
-optimise's rewrite rules and the kernels' planner, whose `plan`,
-`_fold_one_wire` and `_fold_phase_polynomial` test `gate.name` in five places.
+optimise's rewrite rules, the kernels' planner, whose `plan`,
+`_fold_one_wire` and `_fold_phase_polynomial` test `gate.name` in five places,
+and the formats module's fast line readers: `_NATIVE_LINE` and `_qasm_line`
+spell one alternative per kind, and `_gate` builds each kind from its groups.
+The readers are the hot path of parsing, where looking the kind up from
+GATE_KINDS through the match's `lastindex` made 2000 lines about 60% slower.
 
 Basis convention: wire 0 is the MOST significant bit of a basis-state index,
 so on two wires |10> (wire 0 set) has index 2. Every matrix produced here and
@@ -83,6 +87,20 @@ ROUND_LIMIT = 10**5
 def _integer(x) -> bool:
     """Whether x can be a wire or an arity: an int or a numpy integer, but no bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _checked_count(value, what: str, least: int | None):
+    """`value`, if it can be a count: an int or a numpy integer (a bool is not one).
+
+    Any other type raises TypeError, then, unless `least` is None, a value
+    below `least` raises ValueError. Every count argument of the API is read
+    here, except a `Graph`'s (ValueError) and a `Circuit`'s arity (ArityMismatch).
+    """
+    if type(value) is not int and not _integer(value):
+        raise TypeError(f"{what} of type {type(value).__name__}, not an int")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be non-negative" if least == 0 else f"{what} must be at least {least}")
+    return value
 
 
 def _real(x) -> bool:

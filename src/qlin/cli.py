@@ -176,7 +176,8 @@ def _cmd_simulate(args) -> None:
     circuit = _load_circuit(args.circuit)
     counts = StateVectorBackend(seed=_resolve_seed(args)).counts(circuit, args.shots)
     width = circuit.arity  # sorted keys give the order of sorted bit strings of one width
-    histogram = {format(key, f"0{width}b") if width else "": n for key, n in sorted(counts.items())}
+    spec = f"0{width}b"  # built once: the keys can number in the hundreds of thousands
+    histogram = {format(key, spec) if width else "": n for key, n in sorted(counts.items())}
     _emit(args, lambda: [f"{outcome} {n} {n / args.shots:.4f}" for outcome, n in histogram.items()], histogram)
 
 

@@ -37,8 +37,8 @@ measure every wire) from them:
 overrides of all three walk their (basis, shot) rows, a shot of `sample` or
 `counts` being a row of one empty basis, in ranges of at most that many.
 
-Every method, on every path, first refuses a shot count that is not an int
-or a numpy integer (a bool is not one) with a TypeError, and refuses more
+Every method, on every path, first refuses a shot count that the count rule
+(see the README's Conventions) refuses with a TypeError, and refuses more
 than SHOT_LIMIT shots (for `count_ones`, (basis, shot) rows) with
 TooManyShots. Every refusal comes before any session is opened or any
 uniform drawn.
@@ -64,7 +64,7 @@ from typing import Any, Generic, TypeVar
 
 import numpy as np
 
-from .circuit import Circuit, _check_shot_count, _integer
+from .circuit import Circuit, _check_shot_count, _checked_count
 from .errors import ArityMismatch, DanglingQubits, DeviceError, DuplicateHandle, UseAfterConsume
 from .stdcircuits import cnot_gate, h_gate, p_gate
 
@@ -136,8 +136,7 @@ class DeviceBackend(ABC):
         loop returns for the same backend state, and consume the backend's
         randomness the same way.
         """
-        _check_shot_type(shots)
-        _check_shot_count(shots)
+        _check_shot_count(_checked_count(shots, "shot count", None))
         program = _measure_all(circuit)
         bits = [execute(self, program) for _ in range(shots)]
         return np.array(bits, dtype=np.int8).reshape(len(bits), circuit.arity)
@@ -151,8 +150,7 @@ class DeviceBackend(ABC):
         loop returns for the same backend state, and consume the backend's
         randomness the same way.
         """
-        _check_shot_type(shots)
-        if shots < 1:
+        if _checked_count(shots, "shot count", None) < 1:
             return {}
         _check_shot_count(shots)
         tally: dict[int, int] = {}
@@ -174,12 +172,6 @@ class DeviceBackend(ABC):
             program = _measure_all(prep, basis)
             rows.append(sum(np.array(execute(self, program), dtype=np.int64) for _ in range(shots)))
         return np.array(rows, dtype=np.int64).reshape(len(bases), prep.arity)
-
-
-def _check_shot_type(shots: int) -> None:
-    """Refuse a shot count that is not an int or a numpy integer (a bool is not one)."""
-    if not _integer(shots):
-        raise TypeError(f"shot count of type {type(shots).__name__}, not an int")
 
 
 def _count_outcomes(tally: dict[int, int], bits) -> None:
@@ -204,7 +196,7 @@ def _check_bases(prep: Circuit, bases: Sequence[Circuit], shots: int) -> None:
     """Refuse a shot count that is not an integer, a basis that does not act on
     the prep's wires, then fewer than one shot or more than SHOT_LIMIT in all,
     before any session or draw."""
-    _check_shot_type(shots)
+    _checked_count(shots, "shot count", None)
     for basis in bases:
         if basis.arity != prep.arity:
             raise ArityMismatch(f"basis arity {basis.arity} does not match prep arity {prep.arity}")
@@ -324,12 +316,9 @@ def qprogram(genfn):
 def new_qubits(p: int) -> QuantumProgram[list[QubitHandle]]:
     """Prepare p fresh qubits in |0> and return their handles.
 
-    A count that is not an int or a numpy integer (a bool is not one) raises
+    A count the count rule (see the README's Conventions) refuses raises
     TypeError, and a negative one ValueError, before any device operation."""
-    if type(p) is not int and not _integer(p):
-        raise TypeError(f"qubit count of type {type(p).__name__}, not an int")
-    if p < 0:
-        raise ValueError("qubit count must be non-negative")
+    _checked_count(p, "qubit count", 0)
     return QuantumProgram(lambda ex: ex.new_qubits(p))
 
 

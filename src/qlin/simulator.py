@@ -43,15 +43,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from . import device
-from .circuit import Circuit, _check_shot_count, _integer
-from .device import DeviceBackend, DeviceSession, _check_bases, _check_shot_type, _count_outcomes, _exclusive
+from .circuit import Circuit, _check_shot_count, _checked_count
+from .device import DeviceBackend, DeviceSession, _check_bases, _count_outcomes, _exclusive
 from .errors import CapacityExceeded
 from .kernels import _SMALL_STATE, _small_ufunc_buffer, apply_plan
 
@@ -88,9 +87,13 @@ def derive_seed(seed: int, index: int) -> int:
 
     It is output `index` of SplitMix64 from `seed` mod 2**64, so draw i of
     `RandomSource(s)` is derive_seed(s, i) >> 11 over 2**53. The CLI's `vqe`
-    and `qaoa` give the backend stream 0 and the optimiser stream 1.
+    and `qaoa` give the backend stream 0 and the optimiser stream 1. SplitMix64
+    repeats after 2**64 outputs, so an index outside [0, 2**64) is a ValueError.
     """
-    seed, index = operator.index(seed), operator.index(index)  # numpy integers overflow below
+    # int(): numpy integers overflow below
+    seed, index = int(_checked_count(seed, "seed", None)), int(_checked_count(index, "stream index", None))
+    if not 0 <= index <= _MASK64:
+        raise ValueError(f"stream index {index} is outside [0, 2**64)")
     return int(_splitmix(seed & _MASK64, index, np.empty(1, dtype=np.uint64))[0])
 
 
@@ -123,9 +126,7 @@ class RandomSource:
     def __init__(self, seed: int | None = None):
         if seed is None:
             seed = int.from_bytes(os.urandom(8), "little")
-        elif not _integer(seed):
-            raise TypeError(f"seed of type {type(seed).__name__}, not an int or None")
-        self._state = int(seed) & _MASK64
+        self._state = int(_checked_count(seed, "seed", None)) & _MASK64
         self._next = 0  # the first draw not made yet
         self._block: list[float] = []  # the unread draws made ahead, last draw first
 
@@ -141,9 +142,9 @@ class RandomSource:
 
     def uniforms(self, k: int) -> np.ndarray:
         """The next k draws of `uniform`, in order, as one array."""
-        # so the counter stays a Python int; a numpy one overflows times gamma
-        k = operator.index(k)
-        draws = np.empty(k)  # a negative k raises here, before the stream moves
+        # int(), so the counter stays a Python int; a numpy one overflows times gamma
+        k = int(_checked_count(k, "draw count", 0))
+        draws = np.empty(k)
         first = self._next - len(self._block)
         self._block = []
         self._next = first + k
@@ -253,14 +254,6 @@ def _start_rows(state: QuantumState, bases: Sequence[Circuit], edges: np.ndarray
     return rows, np.repeat(np.arange(len(rows)), np.diff(edges))
 
 
-def _check_qubit_cap(max_qubits: int) -> None:
-    """Refuse a qubit cap that is not an int or a numpy integer (a bool is not one), then a negative one."""
-    if type(max_qubits) is not int and not _integer(max_qubits):
-        raise TypeError(f"qubit cap of type {type(max_qubits).__name__}, not an int")
-    if max_qubits < 0:
-        raise ValueError(f"qubit cap {max_qubits} is negative")
-
-
 class QuantumState(DeviceSession):
     """The simulator's session: amplitude vector plus a registry of live qubit ids.
 
@@ -283,10 +276,9 @@ class QuantumState(DeviceSession):
     __slots__ = ("amplitudes", "registry", "max_qubits", "_random", "_zero")
 
     def __init__(self, rand: RandomSource, max_qubits: int = DEFAULT_MAX_QUBITS):
-        _check_qubit_cap(max_qubits)
+        self.max_qubits = _checked_count(max_qubits, "qubit cap", 0)
         self.amplitudes = np.ones(1, dtype=complex)
         self.registry: dict[int, int] = {}
-        self.max_qubits = max_qubits
         self._random = rand
         self._zero = None  # the array `allocate` left as |0...0>, while it is untouched
 
@@ -343,9 +335,8 @@ class StateVectorBackend(DeviceBackend):
     """
 
     def __init__(self, seed: int | None = None, max_qubits: int = DEFAULT_MAX_QUBITS):
-        _check_qubit_cap(max_qubits)
+        self.max_qubits = _checked_count(max_qubits, "qubit cap", 0)
         self._random = RandomSource(seed)
-        self.max_qubits = max_qubits
 
     def new_session(self) -> QuantumState:
         return QuantumState(self._random, self.max_qubits)
@@ -360,12 +351,11 @@ class StateVectorBackend(DeviceBackend):
         the result; the bits and the position of the random stream
         afterwards equal the per-shot loop's.
         """
-        _check_shot_type(shots)
-        n = circuit.arity
-        if shots < 1:
+        if _checked_count(shots, "shot count", None) < 1:
             # the default runs no execution, so it neither fails nor draws
-            return np.zeros((0, n), dtype=np.int8)
+            return np.zeros((0, circuit.arity), dtype=np.int8)
         _check_shot_count(shots)
+        n = circuit.arity
         return self._walks(circuit, [Circuit(n)], shots, functools.partial(np.empty, (shots, n), np.int8),
                            lambda out, walk, rows, lo, edges: walk(out[rows]))
 
@@ -379,8 +369,7 @@ class StateVectorBackend(DeviceBackend):
         """
         if type(self).sample is not StateVectorBackend.sample:
             return super().counts(circuit, shots)
-        _check_shot_type(shots)
-        if shots < 1:
+        if _checked_count(shots, "shot count", None) < 1:
             return {}
         _check_shot_count(shots)
         return self._walks(circuit, [Circuit(circuit.arity)], shots, dict,

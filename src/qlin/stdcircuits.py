@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import math
-import operator
 
 from .circuit import (
     Circuit,
     ControlledNot,
     Hadamard,
     _check_gate_count,
+    _checked_count,
     _controlled_phase,
     add_cnot,
     add_h,
@@ -41,17 +41,18 @@ def to_bell_basis() -> Circuit:
 
 
 def _rm_angle(m: int) -> float:
-    """2*pi / 2^m, as 2*pi scaled by 2^-m: exact while that is a normal
+    """2*pi / 2^m for an int m, as 2*pi scaled by 2^-m: exact while that is a normal
     float, correctly rounded below, and 0 for large m. An m so negative
     that the angle passes the largest float raises NonFiniteAngle."""
     try:
-        return math.ldexp(2.0 * math.pi, -operator.index(m))
+        return math.ldexp(2.0 * math.pi, -m)
     except OverflowError:
         raise NonFiniteAngle(math.inf) from None
 
 
 def rm(m: int) -> Circuit:
     """Phase rotation P(2*pi / 2^m) used by the QFT cascade."""
+    m = int(_checked_count(m, "rotation exponent m", None))  # math.ldexp takes no numpy integer
     return p_gate(_rm_angle(m))
 
 

@@ -53,7 +53,8 @@ from qlin.errors import (
     TooManyRounds,
     TooManyShots,
 )
-from qlin.stdcircuits import h_gate
+from qlin.simulator import derive_seed
+from qlin.stdcircuits import c_rm, h_gate, rm
 
 from .oracles import assert_close, basis_state, pauli_matrix
 
@@ -893,3 +894,73 @@ def test_each_pauli_terms_basis_puts_its_eigenvalue_on_the_reported_wire():
             for value, vector in zip(np.round(values), vectors.T):
                 p1 = _reads_one(matrix_of(basis) @ vector, n, wire)
                 assert abs(p1 - (value == -1)) < 1e-12, (term, value)
+
+
+class NoSessionBackend(StateVectorBackend):
+    """A simulator that refuses to open a session through `new_session`."""
+
+    def new_session(self):
+        raise AssertionError("a session was opened for a refused count")
+
+
+_PREP = Circuit(1)
+_ONE_TERM = Hamiltonian(((1.0, "Z"),))
+
+# (message prefix, whether None is allowed, call with the bad count x)
+_COUNT_ARGUMENTS = {
+    "new_qubits-p": ("qubit count", False, lambda b, r, x: new_qubits(x)),
+    "sample-shots": ("shot count", False, lambda b, r, x: b.sample(_PREP, x)),
+    "counts-shots": ("shot count", False, lambda b, r, x: b.counts(_PREP, x)),
+    "count_ones-shots": ("shot count", False, lambda b, r, x: b.count_ones(_PREP, [_PREP], x)),
+    "default-sample-shots": ("shot count", False, lambda b, r, x: DeviceBackend.sample(b, _PREP, x)),
+    "default-counts-shots": ("shot count", False, lambda b, r, x: DeviceBackend.counts(b, _PREP, x)),
+    "default-count_ones-shots": ("shot count", False,
+                                 lambda b, r, x: DeviceBackend.count_ones(b, _PREP, [_PREP], x)),
+    "backend-cap": ("qubit cap", False, lambda b, r, x: StateVectorBackend(seed=0, max_qubits=x)),
+    "session-cap": ("qubit cap", False, lambda b, r, x: QuantumState(r, x)),
+    "run_rus-max_iterations": ("max_iterations", True, lambda b, r, x: run_rus(b, max_iterations=x)),
+    # the program's first step, run with no execution at all
+    "rus-max_iterations": ("max_iterations", True,
+                           lambda b, r, x: rus(None, rus_example_unitary(), identity(1), x)._step(None)),
+    "qaoa-k": ("iteration count", False, lambda b, r, x: qaoa_trajectory(b, x, 1, k3(), r)),
+    "qaoa-p": ("layer count p", False, lambda b, r, x: qaoa_trajectory(b, 1, x, k3(), r)),
+    "vqe-k": ("iteration count", False, lambda b, r, x: vqe_trajectory(b, _ONE_TERM, 1, x, 10, r)),
+    "vqe-depth": ("ansatz depth", False, lambda b, r, x: vqe_trajectory(b, _ONE_TERM, x, 1, 10, r)),
+    "vqe-n_samples": ("sample count", False, lambda b, r, x: vqe_trajectory(b, _ONE_TERM, 1, 1, x, r)),
+    "ansatz-depth": ("ansatz depth", False, lambda b, r, x: ansatz(2, x, [0.5] * 4)),
+    "ansatz-n": ("ansatz wire count", False, lambda b, r, x: ansatz(x, 1, [0.5] * 4)),
+    "compute_energy-n_samples": ("sample count", False, lambda b, r, x: compute_energy(b, _PREP, _ONE_TERM, x)),
+    "compute_energy_pauli-n_samples": ("sample count", False,
+                                       lambda b, r, x: compute_energy_pauli(b, _PREP, "Z", x)),
+    "random_source-seed": ("seed", True, lambda b, r, x: RandomSource(x)),
+    "backend-seed": ("seed", True, lambda b, r, x: StateVectorBackend(seed=x)),
+    "derive_seed-seed": ("seed", False, lambda b, r, x: derive_seed(x, 0)),
+    "derive_seed-index": ("stream index", False, lambda b, r, x: derive_seed(0, x)),
+    "uniforms-k": ("draw count", False, lambda b, r, x: r.uniforms(x)),
+    "rm-m": ("rotation exponent m", False, lambda b, r, x: rm(x)),
+    "c_rm-m": ("rotation exponent m", False, lambda b, r, x: c_rm(x)),
+}
+_NOT_COUNTS = {"bool": True, "numpy-bool": np.bool_(True), "float": 2.0, "str": "2", "None": None}
+
+
+@pytest.mark.parametrize("argument, bad", [
+    pytest.param(argument, bad, id=f"{argument}-{kind}")
+    for argument, (_, none_allowed, _) in _COUNT_ARGUMENTS.items()
+    for kind, bad in _NOT_COUNTS.items()
+    if not (bad is None and none_allowed)
+])
+def test_every_count_argument_refuses_what_is_not_an_int_before_any_session_or_draw(argument, bad):
+    what, _, call = _COUNT_ARGUMENTS[argument]
+    backend, rand = NoSessionBackend(seed=1), RandomSource(2)
+    with pytest.raises(TypeError) as err:
+        call(backend, rand, bad)
+    assert str(err.value) == f"{what} of type {type(bad).__name__}, not an int"
+    assert rand.uniform() == RandomSource(2).uniform()
+    assert backend._random.uniform() == RandomSource(1).uniform()
+
+
+def test_vqe_refuses_zero_samples_before_its_first_proposal():
+    rand = RandomSource(4)
+    with pytest.raises(ValueError, match="^sample count must be at least 1$"):
+        vqe_trajectory(NoSessionBackend(seed=1), _ONE_TERM, 1, 3, 0, rand)
+    assert rand.uniform() == RandomSource(4).uniform()

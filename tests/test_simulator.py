@@ -536,7 +536,7 @@ def test_a_negative_qubit_cap_is_refused_at_construction(cap):
     # a backend capped below 0 would refuse even a 0-wire sample, at its first run
     rand = RandomSource(0)
     for build in (lambda: StateVectorBackend(seed=0, max_qubits=cap), lambda: QuantumState(rand, cap)):
-        with pytest.raises(ValueError, match=f"^qubit cap {cap} is negative$"):
+        with pytest.raises(ValueError, match="^qubit cap must be non-negative$"):
             build()
     assert rand.uniform() == RandomSource(0).uniform()
 
@@ -1187,3 +1187,33 @@ def test_sampling_does_not_import_numpy_random():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
+
+
+@pytest.mark.parametrize("index", [-1, -(2**70), 2**64, 2**64 + 5], ids=["minus-one", "huge-negative", "period", "past"])
+def test_derive_seed_refuses_a_stream_index_outside_its_period(index):
+    # SplitMix64 repeats after 2**64 outputs, so index 2**64 would be index 0 again
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+        derive_seed(5, index)
+
+
+def test_derive_seed_takes_both_ends_of_its_period():
+    assert derive_seed(5, np.uint64(2**64 - 1)) == derive_seed(5, 2**64 - 1) != derive_seed(5, 0)
+
+
+_STREAM_INDICES = [0, 1, 1023, 1024, 1025, 2**16 - 1, 2**16, 2**16 + 1]
+
+
+@pytest.mark.parametrize("seed", [-5, 2**64 + 3, np.int64(-7), np.uint64(2**64 - 1)],
+                         ids=["negative", "past-2**64", "numpy-int64", "numpy-uint64"])
+def test_draw_i_is_derive_seed_i_over_2_to_the_53(seed):
+    # the identity both docstrings state, on both sides of the scalar block
+    # (1024) and of a draw piece (2**16), through uniform, uniforms and both
+    assert simulator._SCALAR_BLOCK == 1024 and simulator._DRAW_PIECE == 2**16
+    expected = [(derive_seed(seed, i) >> 11) / 2**53 for i in _STREAM_INDICES]
+    batch = RandomSource(seed).uniforms(2**16 + 2)
+    singles = RandomSource(seed)
+    one_by_one = [singles.uniform() for _ in range(2**16 + 2)]
+    mixed = RandomSource(seed)
+    interleaved = [mixed.uniform(), *mixed.uniforms(2**16).tolist(), mixed.uniform()]
+    for drawn in (batch.tolist(), one_by_one, interleaved):
+        assert [drawn[i] for i in _STREAM_INDICES] == expected
